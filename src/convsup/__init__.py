@@ -10,8 +10,8 @@ from .spectral import (SpectralContext, VcLayout, InconsistentResponseError,
 from .channel import (LINKS, NetworkScenario, LinkSpec, ChannelRealization,
                       draw_channels, toeplitz_pair, zmcscg)
 from .precoding import (PowerProfile, PrecoderSet, PrecoderRankError,
-                        RealizationMismatchWarning, WaterfillingError,
-                        csit_objective, power_residual, realize_precoders,
+                        RealizationMismatchWarning, csit_objective,
+                        power_residual, realize_precoders, srx_noise_floor,
                         uc_power_coefficient, uniform_profile,
                         waterfilling_profile)
 from .transceiver import (FrameConfig, FrameSimulator, FrameTrace, NoiseBlocks,
@@ -22,8 +22,8 @@ from .transceiver import (FrameConfig, FrameSimulator, FrameTrace, NoiseBlocks,
 from .capacity import (CapacityReport, baseline_nocr, baseline_ocr, bessel_k,
                        c_pu_direct, c_pu_lower, c_su_lower_csit,
                        c_su_lower_nocsit, check_pu_monotonicity,
-                       exponential_integral_neg, kappa, outage_mc, psi,
-                       pu_outage_probability)
+                       exponential_integral_neg, kappa, outage_closed_form,
+                       outage_mc, psi, pu_outage_probability)
 from .harness import (SCHEMES, CheckResult, ScenarioSpec, SweepConfig,
                       ValidationReport, build_scenario, emit_csv,
                       evaluate_scheme, reference_link_specs, run_sweep,

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sps
 
-from .channel import NetworkScenario, zmcscg
-from .precoding import PowerProfile, uc_power_coefficient, waterfill_power
+from .channel import NetworkScenario
+from .precoding import (PowerProfile, srx_noise_floor, uc_power_coefficient,
+                        waterfill_power)
 from .spectral import VcLayout
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "psi",
     "bessel_k",
     "kappa",
+    "outage_closed_form",
     "pu_outage_probability",
     "outage_mc",
     "snr_13_direct",
@@ -52,88 +54,43 @@ _CHUNK = 20_000  # Monte Carlo trials per vectorized batch
 # ---------------------------------------------------------------------------
 
 def exponential_integral_neg(x):
-    """Exponential integral Ei(x) for strictly negative arguments.
-
-    Power series around zero for |x| <= 5, Lentz continued fraction beyond;
-    both branches are accurate to ~1e-13 relative.
-    """
+    """Exponential integral Ei(x) for strictly negative arguments."""
     x = np.asarray(x, dtype=float)
     if np.any(x >= 0):
         raise ValueError("exponential_integral_neg requires x < 0")
-    out = np.empty_like(x)
-    small = x >= -5.0
-    if np.any(small):
-        out[small] = _ei_series(x[small])
-    if np.any(~small):
-        z = -x[~small]
-        out[~small] = -np.exp(-z) * _e1_scaled_cf(z)
+    out = _sps.expi(x)
     return out if out.ndim else float(out)
 
 
-def _ei_series(x: np.ndarray) -> np.ndarray:
-    # Ei(x) = gamma + ln(-x) + sum_k x^k / (k! k),  x < 0
-    acc = np.zeros_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 200):
-        term = term * x / k
-        contrib = term / k
-        acc += contrib
-        if np.all(np.abs(contrib) <= 1e-18 * (1.0 + np.abs(acc))):
-            break
-    return EULER_GAMMA + np.log(-x) + acc
-
-
-def _e1_scaled_cf(z: np.ndarray) -> np.ndarray:
-    """exp(z) * E1(z) via the modified Lentz continued fraction, z > 0.
-
-    CF: 1/(z + 1/(1 + 1/(z + 2/(1 + 2/(z + ...))))).
-    """
-    z = np.asarray(z, dtype=float)
-    tiny = 1e-300
-    f = np.full_like(z, tiny)
-    c = f.copy()
-    d = np.zeros_like(z)
-    done = np.zeros(z.shape, dtype=bool)
-    for j in range(1, 400):
-        if j == 1:
-            a, b = np.ones_like(z), z
-        elif j % 2 == 0:
-            a, b = np.full_like(z, j // 2), np.ones_like(z)
-        else:
-            a, b = np.full_like(z, j // 2), z
-        d = b + a * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + a / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = c * d
-        f = np.where(done, f, f * delta)
-        done |= np.abs(delta - 1.0) < 1e-15
-        if done.all():
-            break
-    return f
+_PSI_SEAM = 700.0  # exp(1/a) overflows just above 1/a = 709
 
 
 def psi(a):
     """E[ln(1 + a*u)] for a unit exponential u, i.e. the integral of
     exp(-u) ln(1 + a*u); equals exp(1/a) * E1(1/a).  Vectorized; requires
-    a > 0 and tends to a as a -> 0+."""
+    a > 0 and tends to a as a -> 0+.
+
+    For 1/a <= 700 the library E1 is scaled by exp(1/a); beyond, where that
+    factor overflows, the asymptotic series a * sum_k (-1)^k k! a^k is cut
+    after k = 8, whose first omitted term is below 1e-20 relative.
+    """
     arr = np.asarray(a, dtype=float)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise ValueError("psi requires strictly positive finite arguments")
-    z = 1.0 / arr
-    out = np.empty_like(arr)
-    series = z <= 5.0
-    if np.any(series):
-        zs = z[series]
-        out[series] = np.exp(zs) * (-_ei_series(-zs))
-    cf = (~series) & (z <= 1e8)
-    if np.any(cf):
-        out[cf] = _e1_scaled_cf(z[cf])
-    tail = z > 1e8
-    if np.any(tail):
+    with np.errstate(over="ignore"):  # subnormal a gives z = inf: tail branch
+        z = 1.0 / arr
+    tail = z > _PSI_SEAM
+    if not tail.any():
+        out = np.exp(z) * _sps.exp1(z)
+    else:
+        out = np.empty_like(arr)
+        head = ~tail
+        out[head] = np.exp(z[head]) * _sps.exp1(z[head])
         at = arr[tail]
-        out[tail] = at * (1.0 - at * (1.0 - 2.0 * at))
+        acc = np.ones_like(at)
+        for k in range(8, 0, -1):
+            acc = 1.0 - k * at * acc
+        out[tail] = at * acc
     return out if out.ndim else float(out)
 
 
@@ -158,14 +115,21 @@ def kappa(scenario: NetworkScenario) -> float:
                          * scenario.sigma2_v[2] / scenario.sigma2_v[3]))
 
 
+def outage_closed_form(k: float) -> float:
+    """Primary outage probability 1 - 2k*K1(2k) at outage parameter k; k
+    must be finite and non-negative."""
+    if not (np.isfinite(k) and k >= 0):
+        raise ValueError(f"outage parameter kappa must be finite and >= 0, got {k}")
+    if k == 0.0:
+        return 0.0
+    return float(np.clip(1.0 - 2.0 * k * bessel_k(1, 2.0 * k), 0.0, 1.0))
+
+
 def pu_outage_probability(scenario: NetworkScenario) -> float:
     """Probability that the effective primary SNR with the secondary active
     drops below the direct-link SNR: 1 - 2k*K1(2k).  Independent of the
     secondary precoding."""
-    k = kappa(scenario)
-    if k == 0.0:
-        return 0.0
-    return float(np.clip(1.0 - 2.0 * k * bessel_k(1, 2.0 * k), 0.0, 1.0))
+    return outage_closed_form(kappa(scenario))
 
 
 def outage_mc(scenario: NetworkScenario, profile: PowerProfile, n_trials: int,
@@ -234,50 +198,53 @@ def c_pu_lower(scenario: NetworkScenario, layout: VcLayout, profile: PowerProfil
 # secondary-user capacity
 # ---------------------------------------------------------------------------
 
-def _srx_noise_floor(scenario: NetworkScenario) -> float:
-    """Equivalent-noise variance at the secondary receiver on used
-    subcarriers: primary leak plus thermal."""
-    return scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4]
+def _composite_gain(rng: np.random.Generator, scenario: NetworkScenario, shape,
+                    innermost: bool = True, constant_modulus: bool = False) -> np.ndarray:
+    """Composite used-subcarrier gain |h24 (h12 x_pu + v2)|^2, drawn exactly
+    in law as s24 E0 (s12 |x_pu|^2 + sigma2_v2) E2 with |x_pu|^2 = P_pu E1
+    (or P_pu when ``constant_modulus``) and E0, E1, E2 unit exponentials,
+    in that draw order.  ``innermost=False`` stops before E2 and returns the
+    mean over the relayed-signal fading given E0 and E1."""
+    gain = scenario.link_variance(2, 4) * rng.exponential(size=shape)
+    x_sq = (scenario.p_pu if constant_modulus
+            else scenario.p_pu * rng.exponential(size=shape))
+    gain = gain * (scenario.link_variance(1, 2) * x_sq + scenario.sigma2_v[2])
+    return gain * rng.exponential(size=shape) if innermost else gain
 
 
 def c_su_lower_csit(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
                     rng: np.random.Generator, use_vcs: bool = True) -> tuple[float, float]:
     """Secondary worst-case ergodic rate with per-realization waterfilling.
 
-    Each trial draws the composite used-subcarrier channel (relay gain times
+    Each trial draws the composite used-subcarrier gain (relay gain times
     relayed primary symbol plus secondary-chain noise) and the direct
-    virtual-subcarrier channel, waterfills the budget over the active
+    virtual-subcarrier gain, waterfills the budget over the active
     dimensions, and scores the resulting rate.
     """
-    s12 = scenario.link_variance(1, 2)
     s24 = scenario.link_variance(2, 4)
-    nu_uc = _srx_noise_floor(scenario)
     sig_v4 = scenario.sigma2_v[4]
-    coef = uc_power_coefficient(scenario)
-    q, m_vc, m = layout.q, layout.m_vc, layout.m
-    n_vc = m_vc if use_vcs else 0
+    # thresholds in transmit-power units: a used subcarrier costs
+    # (sigma2_12 P_pu + sigma2_v2) per unit weight
+    uc_scale = uc_power_coefficient(scenario) * srx_noise_floor(scenario)
+    q = layout.q
+    n_vc = layout.m_vc if use_vcs else 0
     vals = np.empty(n_trials)
     for start in range(0, n_trials, _CHUNK):
         n = min(_CHUNK, n_trials - start)
-        h24 = zmcscg(rng, (n, m), s24)
-        h12 = zmcscg(rng, (n, q), s12)
-        x_pu = zmcscg(rng, (n, q), scenario.p_pu)
-        v2 = zmcscg(rng, (n, q), scenario.sigma2_v[2])
-        h_su_uc = h24[:, :q] * (h12 * x_pu + v2)
-        # thresholds in transmit-power units: a used subcarrier costs
-        # (sigma2_12 P_pu + sigma2_v2) per unit weight
+        gains = _composite_gain(rng, scenario, (n, q))
         with np.errstate(divide="ignore"):
-            thr_uc = coef * nu_uc / np.abs(h_su_uc) ** 2
-            thr = (np.concatenate([thr_uc, sig_v4 / np.abs(h24[:, q:q + n_vc]) ** 2], axis=1)
-                   if n_vc else thr_uc)
+            thr = uc_scale / gains
+            if n_vc:
+                thr = np.concatenate(
+                    [thr, sig_v4 / (s24 * rng.exponential(size=(n, n_vc)))], axis=1)
         spend, _ = waterfill_power(thr, scenario.p_su)
-        vals[start:start + n] = np.log2(1.0 + spend / thr).sum(axis=1) / m
+        vals[start:start + n] = np.log2(1.0 + spend / thr).sum(axis=1) / layout.m
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_trials))
 
 
 def _gamma4_scale(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:
     return ((scenario.p_su - layout.m_vc * g)
-            / (layout.q * _srx_noise_floor(scenario) * uc_power_coefficient(scenario)))
+            / (layout.q * srx_noise_floor(scenario) * uc_power_coefficient(scenario)))
 
 
 def c_su_lower_nocsit(scenario: NetworkScenario, layout: VcLayout, g: float,
@@ -296,23 +263,17 @@ def c_su_lower_nocsit(scenario: NetworkScenario, layout: VcLayout, g: float,
         raise ValueError(f"unknown estimator {estimator!r}")
     if g < 0 or layout.m_vc * g > scenario.p_su:
         raise ValueError("virtual-subcarrier power outside the budget")
-    s12 = scenario.link_variance(1, 2)
-    s24 = scenario.link_variance(2, 4)
     scale = _gamma4_scale(scenario, layout, g)
-    snr_24 = s24 * g / scenario.sigma2_v[4]
+    snr_24 = scenario.link_variance(2, 4) * g / scenario.sigma2_v[4]
     vc_term = layout.m_vc * psi(snr_24) if (layout.m_vc and g > 0) else 0.0
-    q = layout.q
+    conditional = estimator == "conditional"
     vals = np.empty(n_trials)
     for start in range(0, n_trials, _CHUNK):
         n = min(_CHUNK, n_trials - start)
-        h24_sq = s24 * rng.exponential(size=(n, q))
-        x_sq = (np.full((n, q), scenario.p_pu) if constant_modulus
-                else scenario.p_pu * rng.exponential(size=(n, q)))
-        gam_mean = scale * h24_sq * (s12 * x_sq + scenario.sigma2_v[2])
-        if estimator == "conditional":
-            uc = psi(gam_mean).sum(axis=1)
-        else:
-            uc = np.log(1.0 + gam_mean * rng.exponential(size=(n, q))).sum(axis=1)
+        gam = scale * _composite_gain(rng, scenario, (n, layout.q),
+                                      innermost=not conditional,
+                                      constant_modulus=constant_modulus)
+        uc = (psi(gam) if conditional else np.log(1.0 + gam)).sum(axis=1)
         vals[start:start + n] = (LOG2E / layout.m) * (uc + vc_term)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_trials))
 
@@ -342,19 +303,12 @@ def baseline_nocr(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
     rank-one rate log2(1 + a * sum |h|^2 / nu) / M over the used set.
     """
     a = scenario.p_su / (layout.q * uc_power_coefficient(scenario))
-    s12 = scenario.link_variance(1, 2)
-    s24 = scenario.link_variance(2, 4)
-    nu_uc = _srx_noise_floor(scenario)
-    q = layout.q
+    nu_uc = srx_noise_floor(scenario)
     vals = np.empty(n_trials)
     for start in range(0, n_trials, _CHUNK):
         n = min(_CHUNK, n_trials - start)
-        h24 = zmcscg(rng, (n, q), s24)
-        h12 = zmcscg(rng, (n, q), s12)
-        x_pu = zmcscg(rng, (n, q), scenario.p_pu)
-        v2 = zmcscg(rng, (n, q), scenario.sigma2_v[2])
-        h_su_sq = np.abs(h24 * (h12 * x_pu + v2)) ** 2
-        vals[start:start + n] = np.log2(1.0 + a * h_su_sq.sum(axis=1) / nu_uc) / layout.m
+        gain_sum = _composite_gain(rng, scenario, (n, layout.q)).sum(axis=1)
+        vals[start:start + n] = np.log2(1.0 + a * gain_sum / nu_uc) / layout.m
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_trials))
 
 
@@ -378,7 +332,7 @@ def nocsit_high_snr_approx(scenario: NetworkScenario, layout: VcLayout, g: float
     SNR minus Euler's constant per used subcarrier."""
     s24 = scenario.link_variance(2, 4)
     snr_24 = s24 * g / scenario.sigma2_v[4]
-    gam_mean = s24 * (scenario.p_su - layout.m_vc * g) / (layout.q * _srx_noise_floor(scenario))
+    gam_mean = s24 * (scenario.p_su - layout.m_vc * g) / (layout.q * srx_noise_floor(scenario))
     uc = layout.q * (psi(gam_mean) - EULER_GAMMA)
     return LOG2E / layout.m * (uc + layout.m_vc * psi(snr_24))
 

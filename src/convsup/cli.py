@@ -13,8 +13,8 @@ import dataclasses
 import json
 import sys
 
+from .capacity import outage_closed_form
 from .capacity import psi as psi_fn
-from .capacity import bessel_k
 from .harness import SweepConfig, emit_csv, run_sweep, validate_suite
 
 
@@ -45,16 +45,21 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    print(f"{psi_fn(args.a):.17e}")
+    try:
+        value = psi_fn(args.a)
+    except ValueError as exc:
+        print(f"psi: {exc}", file=sys.stderr)
+        return 2
+    print(f"{value:.17e}")
     return 0
 
 
 def _cmd_outage(args) -> int:
-    k = args.kappa
-    if k < 0:
-        print("kappa must be >= 0", file=sys.stderr)
+    try:
+        p = outage_closed_form(args.kappa)
+    except ValueError as exc:
+        print(f"outage: {exc}", file=sys.stderr)
         return 2
-    p = 0.0 if k == 0 else min(max(1.0 - 2.0 * k * bessel_k(1, 2.0 * k), 0.0), 1.0)
     print(f"{p:.17e}")
     return 0
 

@@ -26,7 +26,8 @@ from .capacity import (CapacityReport, baseline_nocr, baseline_ocr, bessel_k,
                        c_su_lower_nocsit, check_pu_monotonicity, kappa,
                        outage_mc, psi, pu_outage_probability)
 from .precoding import (csit_objective, power_residual, realize_precoders,
-                        uniform_profile, waterfilling_profile)
+                        srx_noise_floor, uc_power_coefficient, uniform_profile,
+                        waterfilling_profile)
 from .spectral import (build_spectral_context, build_vc_layout,
                        filter_frequency_response, min_norm_filter)
 from .transceiver import (FrameConfig, FrameSimulator, NoiseBlocks,
@@ -612,8 +613,7 @@ def _waterfilling_check(rng, n_instances=1000, search_points=1_000_000):
 
 def _random_search_best(layout, scenario, h_su, h_24, n_points, rng,
                         chunk=200_000):
-    from .precoding import uc_power_coefficient
-    nu_uc = (scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4])
+    nu_uc = srx_noise_floor(scenario)
     coef = uc_power_coefficient(scenario)
     uc = list(layout.uc_indices)
     vc = list(layout.vc_indices)
@@ -705,9 +705,7 @@ def _precoder_structure_check(scenario, cfg, rng):
     x_pu = zmcscg(rng, layout.q, scenario.p_pu)
     v2 = zmcscg(rng, cfg.m, scenario.sigma2_v[2])
     h_su = ch.freq[2, 4] * (ch.freq[1, 2] * (layout.theta @ x_pu) + v2)
-    nu = np.where(layout.uc_mask(),
-                  scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4],
-                  scenario.sigma2_v[4])
+    nu = np.where(layout.uc_mask(), srx_noise_floor(scenario), scenario.sigma2_v[4])
     gram = (h_su[:, None] * pre.a) @ (h_su[:, None] * pre.a).conj().T \
         + (ch.freq[2, 4][:, None] * pre.g) @ (ch.freq[2, 4][:, None] * pre.g).conj().T
     sign, logdet = np.linalg.slogdet(np.eye(cfg.m) + gram / nu[:, None])

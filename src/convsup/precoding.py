@@ -23,9 +23,9 @@ __all__ = [
     "PowerProfile",
     "PrecoderSet",
     "PrecoderRankError",
-    "WaterfillingError",
     "RealizationMismatchWarning",
     "uc_power_coefficient",
+    "srx_noise_floor",
     "power_residual",
     "uniform_profile",
     "waterfilling_profile",
@@ -38,10 +38,6 @@ __all__ = [
 class PrecoderRankError(ValueError):
     """The used-subcarrier mixing matrix came out rank deficient; the symbol
     count N must be reduced (not fixed automatically)."""
-
-
-class WaterfillingError(RuntimeError):
-    """Bisection for the water level failed to converge."""
 
 
 class RealizationMismatchWarning(UserWarning):
@@ -87,6 +83,12 @@ def uc_power_coefficient(scenario: NetworkScenario) -> float:
     return scenario.link_variance(1, 2) * scenario.p_pu + scenario.sigma2_v[2]
 
 
+def srx_noise_floor(scenario: NetworkScenario) -> float:
+    """Equivalent-noise variance at the secondary receiver on used
+    subcarriers, primary leak plus thermal: sigma2_14 * P_pu + sigma2_v4."""
+    return scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4]
+
+
 def power_residual(profile: PowerProfile, scenario: NetworkScenario) -> float:
     """Signed budget residual of the transmit-power constraint."""
     spent = uc_power_coefficient(scenario) * profile.uc_power.sum() + profile.vc_power.sum()
@@ -109,45 +111,31 @@ def uniform_profile(layout: VcLayout, scenario: NetworkScenario, g: float) -> Po
                         vc_power=np.full(layout.m_vc, g))
 
 
-def waterfill_power(thresholds: np.ndarray, budget: float,
-                    tol_rel: float = 1e-9,
-                    max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized bisection for the common water level, in power units.
+def waterfill_power(thresholds: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact common water level, in power units, by sort and cumulative sum.
 
-    ``thresholds``: (..., K) activation levels (inf allowed for dead
+    ``thresholds``: (K,) or (n, K) activation levels (inf allowed for dead
     channels).  Returns ``(spend, mu)`` with per-dimension allocations
-    ``spend = max(mu - thresholds, 0)`` summing to the budget within
-    ``tol_rel * budget``.  The bisection runs on the excess above the
-    smallest threshold, which keeps it well conditioned when the budget is
-    tiny against the threshold scale.
+    ``spend = max(mu - thresholds, 0)`` summing to the budget up to
+    rounding.  With the excesses ``d`` above the smallest threshold sorted
+    ascending, k dimensions active put the excess level at
+    ``(budget + d_1 + ... + d_k) / k``; the active count is the largest k
+    whose level clears ``d_k`` (Palomar & Fonollosa, IEEE TSP 2005).
+    Working on the excess keeps the level accurate when the budget is tiny
+    against the threshold scale.
     """
     thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
     if budget <= 0:
         raise ValueError("power budget must be positive")
-    finite = np.isfinite(thresholds)
-    if not finite.any(axis=1).all():
+    ordered = np.sort(thresholds, axis=1)  # inf (dead) thresholds sort last
+    bottom = ordered[:, :1]
+    if not np.isfinite(bottom).all():
         raise ValueError("all channels are dead: no subcarrier can be activated")
-    bottom = np.where(finite, thresholds, np.inf).min(axis=1, keepdims=True)
-    delta = thresholds - bottom  # >= 0, inf for dead channels
-    # the cheapest dimension alone absorbs the budget once the excess level
-    # reaches it, so [0, budget] always brackets the root
-    lo = np.zeros(thresholds.shape[0])
-    hi = np.full(thresholds.shape[0], budget)
-    xi = 0.5 * (lo + hi)
-    tol = tol_rel * budget
-    for _ in range(max_iter):
-        spent = np.maximum(xi[:, None] - delta, 0.0).sum(axis=1)
-        err = spent - budget
-        if np.all(np.abs(err) <= tol):
-            break
-        over = err > 0
-        hi = np.where(over, xi, hi)
-        lo = np.where(over, lo, xi)
-        xi = 0.5 * (lo + hi)
-    else:
-        raise WaterfillingError(
-            f"water-level bisection did not converge in {max_iter} iterations")
-    return np.maximum(xi[:, None] - delta, 0.0), bottom[:, 0] + xi
+    excess = ordered - bottom
+    levels = (budget + np.cumsum(excess, axis=1)) / np.arange(1, excess.shape[1] + 1)
+    n_active = np.count_nonzero(levels > excess, axis=1)
+    xi = levels[np.arange(levels.shape[0]), n_active - 1]
+    return np.maximum(xi[:, None] - (thresholds - bottom), 0.0), bottom[:, 0] + xi
 
 
 def waterfilling_profile(layout: VcLayout, scenario: NetworkScenario,
@@ -157,9 +145,8 @@ def waterfilling_profile(layout: VcLayout, scenario: NetworkScenario,
     Waterfills transmit power: a used subcarrier costs
     (sigma2_12 * P_pu + sigma2_v2) per unit of weight, so its activation
     threshold is that cost times (sigma2_14 * P_pu + sigma2_v4)/|h_su|^2,
-    while a virtual one fills against sigma2_v4/|h_24|^2; a common level
-    ``mu`` (in power units) is found by bisection on the monotone budget
-    function.
+    while a virtual one fills against sigma2_v4/|h_24|^2; the common level
+    ``mu`` (in power units) is the exact one of :func:`waterfill_power`.
     """
     h_su = np.asarray(h_su)
     h_24 = np.asarray(h_24)
@@ -168,7 +155,7 @@ def waterfilling_profile(layout: VcLayout, scenario: NetworkScenario,
     if not (np.all(np.isfinite(h_su)) and np.all(np.isfinite(h_24))):
         raise ValueError("channel entries must be finite")
 
-    nu_uc = scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4]
+    nu_uc = srx_noise_floor(scenario)
     coef = uc_power_coefficient(scenario)
     uc = list(layout.uc_indices)
     vc = list(layout.vc_indices)
@@ -199,7 +186,7 @@ def csit_objective(profile: PowerProfile, scenario: NetworkScenario,
     """Sum rate (bits per subcarrier use, not normalized by M) achieved by a
     profile on known channels."""
     layout = profile.layout
-    nu_uc = scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4]
+    nu_uc = srx_noise_floor(scenario)
     uc = list(layout.uc_indices)
     vc = list(layout.vc_indices)
     uc_term = np.log2(1.0 + profile.uc_power * np.abs(h_su[uc]) ** 2 / nu_uc).sum()

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from convsup.capacity import (CapacityReport, EULER_GAMMA, baseline_nocr,
-                              baseline_ocr, bessel_k, c_pu_direct, c_pu_lower,
-                              c_su_lower_csit, c_su_lower_nocsit,
+from convsup.capacity import (CapacityReport, EULER_GAMMA, _composite_gain,
+                              baseline_nocr, baseline_ocr, bessel_k,
+                              c_pu_direct, c_pu_lower, c_su_lower_csit,
+                              c_su_lower_nocsit,
                               check_pu_monotonicity, exponential_integral_neg,
                               kappa, nocsit_high_snr_approx,
                               nocsit_low_snr_approx, outage_mc, psi,
@@ -69,9 +70,23 @@ class TestPsi:
             psi(np.array([1.0, -2.0]))
 
     def test_branch_seam_is_smooth(self):
-        # series/continued-fraction switchover sits at 1/a = 5
+        # 1/a = 5 is where E1 kernels commonly switch from series to
+        # continued fraction
         for a in (0.199999, 0.2, 0.200001):
             assert psi(a) == pytest.approx(quad_psi(a), rel=1e-10)
+
+    def test_matches_mpmath_across_the_large_argument_seam(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        # z = 1/a from 1e-8 to 1e9, dense on both sides of the z = 700 seam
+        z = np.concatenate([np.logspace(-8, 9, 171),
+                            np.linspace(690.0, 710.0, 41), [5.0]])
+        a = 1.0 / z
+        got = psi(a)
+        for a_k, got_k in zip(a, got):
+            z_k = 1 / mpmath.mpf(float(a_k))
+            want = float(mpmath.exp(z_k) * mpmath.e1(z_k))
+            assert got_k == pytest.approx(want, rel=1e-14, abs=0.0), float(z_k)
 
 
 class TestExponentialIntegral:
@@ -284,6 +299,21 @@ class TestSecondaryCapacity:
         with pytest.raises(ValueError):
             c_su_lower_nocsit(scenario, layout, 0.1, 1000,
                               np.random.default_rng(0), estimator="bogus")
+
+    def test_composite_gain_sampler_matches_complex_product(self):
+        from scipy import stats
+        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+        s12, s24 = scenario.link_variance(1, 2), scenario.link_variance(2, 4)
+        n = 20_000
+        rng = np.random.default_rng(11)
+        gain = _composite_gain(rng, scenario, n)
+        h24, h12 = zmcscg(rng, n, s24), zmcscg(rng, n, s12)
+        x_pu = zmcscg(rng, n, scenario.p_pu)
+        v2 = zmcscg(rng, n, scenario.sigma2_v[2])
+        product = np.abs(h24 * (h12 * x_pu + v2)) ** 2
+        assert stats.ks_2samp(gain, product).pvalue > 0.01
+        want = s24 * (s12 * scenario.p_pu + scenario.sigma2_v[2])
+        assert abs(gain.mean() - want) <= 3.0 * gain.std(ddof=1) / np.sqrt(n)
 
 
 class TestBaselines:

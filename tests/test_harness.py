@@ -197,6 +197,14 @@ class TestCli:
         assert float(out) == pytest.approx(0.7202682363669551, rel=1e-10)
         assert cli_main(["outage", "--", "-1.0"]) == 2
 
+    @pytest.mark.parametrize("argv", [["psi", "--", "-1"], ["psi", "nan"],
+                                      ["outage", "nan"], ["outage", "inf"]])
+    def test_scalar_commands_reject_bad_arguments(self, argv, capsys):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_sweep_subcommand(self, tmp_path, capsys):
         raw = {
             "sweep_variable": "snr_pu_db",

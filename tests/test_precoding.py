@@ -10,7 +10,7 @@ from convsup.precoding import (PowerProfile, PrecoderRankError,
                                RealizationMismatchWarning, csit_objective,
                                power_residual, realize_precoders,
                                uc_power_coefficient, uniform_profile,
-                               waterfilling_profile)
+                               waterfill_power, waterfilling_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
 
 
@@ -129,6 +129,50 @@ class TestWaterfilling:
         h_bad[3] = np.nan
         with pytest.raises(ValueError):
             waterfilling_profile(layout, scenario, h_bad, h)
+
+
+class TestWaterfillPower:
+    @staticmethod
+    def thresholds(rng, n=200, k=16):
+        t = rng.exponential(size=(n, k)) / rng.exponential(size=(n, k))
+        t[::3, ::4] = np.inf  # dead channels on every third row
+        return t
+
+    def test_budget_and_level_conditions(self):
+        t = self.thresholds(np.random.default_rng(21))
+        for budget in (1e-6, 0.7, 50.0):
+            spend, mu = waterfill_power(t, budget)
+            assert np.all(np.abs(spend.sum(axis=1) - budget) <= 1e-12 * budget)
+            active = spend > 0
+            level = np.broadcast_to(mu[:, None], t.shape)
+            assert np.allclose((t + spend)[active], level[active], rtol=1e-12)
+            assert np.all(t[~active] >= level[~active] * (1.0 - 1e-12))
+            assert np.all(spend[np.isinf(t)] == 0.0)
+
+    def test_batched_equals_row_by_row(self):
+        t = self.thresholds(np.random.default_rng(22), n=40)
+        spend, mu = waterfill_power(t, 2.5)
+        for i, row in enumerate(t):
+            s_i, mu_i = waterfill_power(row, 2.5)
+            assert s_i.shape == (1, t.shape[1])
+            assert np.array_equal(s_i[0], spend[i]) and mu_i[0] == mu[i]
+
+    def test_level_matches_bracketed_root(self):
+        from scipy.optimize import brentq
+        t = self.thresholds(np.random.default_rng(23), n=30)
+        budget = 1.3
+        _, mu = waterfill_power(t, budget)
+        for row, mu_i in zip(t, mu):
+            lo = row.min()
+            root = brentq(lambda m: np.maximum(m - row, 0.0).sum() - budget,
+                          lo, lo + budget, xtol=1e-15, rtol=1e-15)
+            assert mu_i == pytest.approx(root, rel=1e-10)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            waterfill_power(np.ones(4), 0.0)
+        with pytest.raises(ValueError):
+            waterfill_power(np.array([[1.0, 2.0], [np.inf, np.inf]]), 1.0)
 
 
 class TestRealizePrecoders:
