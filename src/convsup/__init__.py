@@ -10,10 +10,9 @@ from .spectral import (SpectralContext, VcLayout, InconsistentResponseError,
 from .channel import (LINKS, NetworkScenario, LinkSpec, ChannelRealization,
                       draw_channels, toeplitz_pair, zmcscg)
 from .precoding import (PowerProfile, PrecoderSet, PrecoderRankError,
-                        RealizationMismatchWarning, csit_objective,
-                        power_residual, realize_precoders, srx_noise_floor,
-                        uc_power_coefficient, uniform_profile,
-                        waterfilling_profile)
+                        csit_objective, power_residual, realize_precoders,
+                        srx_noise_floor, uc_power_coefficient,
+                        uniform_profile, waterfilling_profile)
 from .transceiver import (FrameConfig, FrameSimulator, FrameTrace, NoiseBlocks,
                           draw_noise_blocks, pu_frequency_model, pu_transmit,
                           read_frame_traces, required_cp_length,

@@ -54,11 +54,18 @@ class NetworkScenario:
         for node in (1, 2, 3, 4):
             if node not in self.coords:
                 raise ValueError(f"missing coordinates for node {node}")
-        if self.p_pu <= 0 or self.p_su <= 0:
-            raise ValueError("power budgets must be positive")
+            if not np.all(np.isfinite(self.coords[node])):
+                raise ValueError(f"coordinates of node {node} must be finite")
+        if not np.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
+        for name in ("p_pu", "p_su"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"power budget {name} must be positive and "
+                                 f"finite, got {getattr(self, name)}")
         for node in (2, 3, 4):
-            if self.sigma2_v.get(node, 0.0) <= 0:
-                raise ValueError(f"noise variance at node {node} must be positive")
+            if not 0 < self.sigma2_v.get(node, 0.0) < np.inf:
+                raise ValueError(f"noise variance at node {node} must be "
+                                 "positive and finite")
         for i, j in LINKS:
             if self.distance(i, j) <= 0:
                 raise ValueError(f"nodes {i} and {j} are co-located")

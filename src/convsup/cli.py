@@ -19,14 +19,14 @@ from .harness import SweepConfig, emit_csv, run_sweep, validate_suite
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig.from_json(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.trials is not None:
-        cfg = dataclasses.replace(cfg, n_trials=args.trials)
     try:
+        cfg = SweepConfig.from_json(args.config)
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        if args.trials is not None:
+            cfg = dataclasses.replace(cfg, n_trials=args.trials)
         rows, manifest = run_sweep(cfg, threads=args.threads)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return 2
     emit_csv(rows, args.out)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from . import __version__
 from .channel import LinkSpec, NetworkScenario, draw_channels, zmcscg
@@ -28,8 +27,9 @@ from .capacity import (CapacityReport, baseline_nocr, baseline_ocr, bessel_k,
 from .precoding import (csit_objective, power_residual, realize_precoders,
                         srx_noise_floor, uc_power_coefficient, uniform_profile,
                         waterfilling_profile)
-from .spectral import (build_spectral_context, build_vc_layout,
-                       filter_frequency_response, min_norm_filter)
+from .spectral import (InconsistentResponseError, build_spectral_context,
+                       build_vc_layout, filter_frequency_response,
+                       min_norm_filter)
 from .transceiver import (FrameConfig, FrameSimulator, NoiseBlocks,
                           draw_noise_blocks, pu_frequency_model,
                           required_cp_length, srx_frequency_model,
@@ -121,6 +121,13 @@ class ScenarioSpec:
     vc_indices: tuple[int, ...] = (0, 16, 32, 48)
     vc_power_fraction: float = 0.5
 
+    def __post_init__(self):
+        for name in ("d12_ratio", "power_ratio", "snr_db", "eta",
+                     "vc_power_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"scenario field {name!r} must be finite, "
+                                 f"got {getattr(self, name)}")
+
     def with_sweep_value(self, variable: str, value: float) -> "ScenarioSpec":
         if variable == "snr_pu_db":
             return replace(self, snr_db=float(value), snr_ref="pu")
@@ -159,8 +166,9 @@ class SweepConfig:
         if self.sweep_variable not in SWEEP_VARIABLES:
             raise ValueError(f"sweep_variable must be one of {SWEEP_VARIABLES}")
         diffs = np.diff(self.grid)
-        if len(self.grid) == 0 or not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValueError("grid must be non-empty and strictly monotone")
+        if (len(self.grid) == 0 or not np.all(np.isfinite(self.grid))
+                or not (np.all(diffs > 0) or np.all(diffs < 0))):
+            raise ValueError("grid must be non-empty, finite and strictly monotone")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown or not self.schemes:
             raise ValueError(f"schemes must be a non-empty subset of {SCHEMES}")
@@ -169,9 +177,19 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
+        """Read a JSON config; a missing or unknown key raises ``ValueError``
+        naming it."""
         with open(path) as fh:
             raw = json.load(fh)
-        sc = raw.get("scenario", {})
+        sc = dict(raw.get("scenario", {}))
+        for where, keys, known in (("config", raw, fields(cls)),
+                                   ("scenario", sc, fields(ScenarioSpec))):
+            unknown = sorted(set(keys) - {f.name for f in known})
+            if unknown:
+                raise ValueError(f"unknown {where} key(s) {unknown}")
+        for key in ("sweep_variable", "grid"):
+            if key not in raw:
+                raise ValueError(f"config is missing the required key {key!r}")
         if "vc_indices" in sc:
             sc["vc_indices"] = tuple(sc["vc_indices"])
         return cls(sweep_variable=raw["sweep_variable"],
@@ -363,9 +381,7 @@ def frame_equivalence_errors(scenario, cfg, n_frames, rng,
     layout, ctx = cfg.layout, cfg.ctx
     g = 0.5 * scenario.p_su / layout.m_vc if layout.m_vc else 0.0
     profile = uniform_profile(layout, scenario, g)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pre = realize_precoders(ctx, layout, profile)
+    pre = realize_precoders(ctx, layout, profile)
     sim = FrameSimulator(cfg, pre)
     worst_pu = worst_su = 0.0
     for _ in range(n_frames):
@@ -375,8 +391,8 @@ def frame_equivalence_errors(scenario, cfg, n_frames, rng,
             x_pu = zmcscg(rng, layout.q, scenario.p_pu)
             x1 = zmcscg(rng, layout.n_sym)
             x2 = zmcscg(rng, layout.m_vc)
-            noises = zero_noise(cfg) if noiseless else draw_noise_blocks(
-                cfg, scenario, rng, stx_mode="cp")
+            noises = (zero_noise(cfg) if noiseless
+                      else draw_noise_blocks(cfg, scenario, rng))
             trace = sim.step(channels, x_pu, x1, x2, noises)
         if noiseless:
             v2_f = v3_f = v4_f = 0.0
@@ -400,9 +416,7 @@ def relayed_noise_identity_error(scenario, cfg, n_frames, rng) -> float:
     primary receiver from its diagonal model, with prefix-structured noise."""
     layout, ctx = cfg.layout, cfg.ctx
     profile = uniform_profile(layout, scenario, 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pre = realize_precoders(ctx, layout, profile)
+    pre = realize_precoders(ctx, layout, profile)
     sim = FrameSimulator(cfg, pre)
     worst = 0.0
     zeros_pu = np.zeros(layout.q)
@@ -426,8 +440,13 @@ def relayed_noise_identity_error(scenario, cfg, n_frames, rng) -> float:
 
 def validate_suite(seed: int = 20260809, trials: int = 100_000,
                    n_frames: int = 1000, search_points: int = 1_000_000) -> ValidationReport:
-    """Run every oracle and invariant check; failures become report entries,
-    never exceptions."""
+    """Run every oracle and invariant check; a failed check becomes a FAIL
+    entry of the report.
+
+    Each ``*_check`` function below is the one implementation of its oracle
+    and returns ``(ok, detail)``; the acceptance tests call the same
+    functions with their own seeds and sizes.
+    """
     checks: list[CheckResult] = []
     root = np.random.SeedSequence(seed)
     streams = [np.random.default_rng(s) for s in root.spawn(16)]
@@ -435,24 +454,7 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
     def record(name, ok, detail):
         checks.append(CheckResult(name, "PASS" if ok else "FAIL", detail))
 
-    # -- spectral consistency -----------------------------------------------
-    try:
-        ctx = build_spectral_context(64, 10)
-        rng = streams[0]
-        f_tilde = zmcscg(rng, 11)
-        f = filter_frequency_response(ctx, f_tilde)
-        rec = filter_frequency_response(ctx, min_norm_filter(ctx, f))
-        err = np.linalg.norm(rec - f) / np.linalg.norm(f)
-        bad = zmcscg(rng, 64)
-        try:
-            min_norm_filter(ctx, bad)
-            fired = False
-        except Exception:
-            fired = True
-        record("spectral_consistency", err <= 1e-10 and fired,
-               f"reconstruction rel err {err:.2e}; inconsistency detected: {fired}")
-    except Exception as exc:  # pragma: no cover - defensive
-        record("spectral_consistency", False, f"exception: {exc!r}")
+    record("spectral_consistency", *spectral_consistency_check(streams[0]))
 
     # -- frequency-domain equivalence ----------------------------------------
     scenario, cfg = _reference_setup()
@@ -476,40 +478,14 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
            f"one-sample-short prefix leaks interference: rel err "
            f"{worst_pu_short:.2e} (PRx), {worst_su_short:.2e} (SRx)")
 
-    # -- special functions -----------------------------------------------------
-    grid = np.logspace(-4, 6, 41)
-    worst_psi = 0.0
-    for a in grid:
-        ref, _ = integrate.quad(lambda u, aa=a: np.exp(-u) * np.log1p(aa * u),
-                                0, np.inf, limit=400)
-        worst_psi = max(worst_psi, abs(psi(a) - ref) / abs(ref))
-    k_worst = 0.0
-    for x in (0.05, 0.3, 1.0, 2.5, 7.0):
-        for order in (0, 1):
-            ref = _bessel_quad(order, x)
-            k_worst = max(k_worst, abs(bessel_k(order, x) - ref) / abs(ref))
-    small_dev = abs(psi(1e-3) / 1e-3 - 1.0)
-    big_dev = abs(psi(1e6) / (np.log1p(1e6) - np.euler_gamma) - 1.0)
-    record("special_functions",
-           worst_psi <= 1e-8 and k_worst <= 1e-8
-           and small_dev <= 2e-3 and big_dev <= 1e-4,
-           f"psi vs quadrature {worst_psi:.2e}, K vs quadrature {k_worst:.2e}, "
-           f"asymptote deviations {small_dev:.2e}/{big_dev:.2e}")
-
-    # -- outage closed form -----------------------------------------------------
-    ok_out, det = _outage_check(trials, streams[4])
-    record("outage_closed_form", ok_out, det)
-
-    # -- waterfilling ------------------------------------------------------------
-    ok_wf, det = _waterfilling_check(streams[5], n_instances=1000,
-                                     search_points=search_points)
-    record("waterfilling", ok_wf, det)
+    record("special_functions", *special_functions_check())
+    record("outage_closed_form",
+           *outage_check(trials, streams[4].integers(2 ** 63, size=3)))
+    record("waterfilling", *waterfilling_check(streams[5], 1000, search_points))
 
     # -- budget monotonicity of the primary bound --------------------------------
     sc_mono = build_scenario(0.05 ** (2.0 / 3.0), 1.0, 20.0, "pu")
-    ctxm = build_spectral_context(64, 10)
-    laym = build_vc_layout(ctxm, (0, 16, 32, 48))
-    ok_mono, rep = check_pu_monotonicity(sc_mono, laym,
+    ok_mono, rep = check_pu_monotonicity(sc_mono, cfg.layout,
                                          np.geomspace(0.25, 2.0, 8),
                                          min(trials, 20_000), seed)
     record("pu_budget_monotonicity", ok_mono,
@@ -517,70 +493,107 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
 
     # monotonicity gate outside the small-kappa regime: reported, not asserted
     sc_big = build_scenario(5.0 ** (2.0 / 3.0), 1.0, 20.0, "pu")
-    _, rep_big = check_pu_monotonicity(sc_big, laym, [0.5, 1.0], 1000, seed)
+    _, rep_big = check_pu_monotonicity(sc_big, cfg.layout, [0.5, 1.0], 1000, seed)
     checks.append(CheckResult(
         "monotonicity_hypothesis_gate",
         "SKIP" if not rep_big["hypothesis_met"] else "FAIL",
         f"kappa={rep_big['kappa']:.2f}: " + rep_big.get("note", "gate failed to trip")))
 
-    # -- fading-law statistics -----------------------------------------------------
-    ok_ks, det = _channel_statistics_check(scenario, cfg, min(trials, 100_000),
-                                           streams[6])
-    record("channel_statistics", ok_ks, det)
-
-    ok_pd, det = _product_density_check(scenario, 1_000_000, streams[7])
-    record("product_density_ks", ok_pd, det)
-
-    # -- transmit-power accounting ----------------------------------------------
-    ok_pw, det = _power_accounting_check(scenario, cfg, min(trials, 100_000),
-                                         streams[8])
-    record("power_accounting", ok_pw, det)
-
-    # -- precoder structure --------------------------------------------------------
-    ok_pc, det = _precoder_structure_check(scenario, cfg, streams[9])
-    record("precoder_structure", ok_pc, det)
-
+    n_draws = min(trials, 100_000)
+    record("channel_statistics",
+           *channel_statistics_check(scenario, cfg.specs, n_draws, streams[6]))
+    record("product_density_ks",
+           *product_density_check(scenario, 1_000_000, streams[7]))
+    record("power_accounting",
+           *power_accounting_check(scenario, cfg, n_draws, streams[8]))
+    record("precoder_structure", *precoder_structure_check(scenario, cfg, streams[9]))
     return ValidationReport(checks=checks)
+
+
+def spectral_consistency_check(rng, n_draws=1):
+    """Random realizable responses survive the minimal-norm round trip, and
+    a generic M-vector is rejected as not realizable."""
+    ctx = build_spectral_context(64, 10)
+    worst = 0.0
+    for _ in range(n_draws):
+        f = filter_frequency_response(ctx, zmcscg(rng, 11))
+        rec = filter_frequency_response(ctx, min_norm_filter(ctx, f))
+        worst = max(worst, np.linalg.norm(rec - f) / np.linalg.norm(f))
+    try:
+        min_norm_filter(ctx, zmcscg(rng, 64))
+        fired = False
+    except InconsistentResponseError:
+        fired = True
+    return worst <= 1e-10 and fired, (
+        f"reconstruction rel err {worst:.2e} over {n_draws} draws; "
+        f"inconsistency detected: {fired}")
+
+
+# from the logarithmic singularity of K_0 at 0 to the exponential tail
+_K_GRID = (0.02, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 2.5, 5.0, 7.0, 10.0)
+
+
+def special_functions_check():
+    """psi and K_0, K_1 against adaptive quadrature, plus both asymptotes
+    of psi."""
+    worst_psi = 0.0
+    for a in np.logspace(-4, 6, 41):
+        ref, _ = integrate.quad(lambda u, aa=a: np.exp(-u) * np.log1p(aa * u),
+                                0, np.inf, limit=400)
+        worst_psi = max(worst_psi, abs(psi(a) - ref) / abs(ref))
+    worst_k = 0.0
+    for x in _K_GRID:
+        for order in (0, 1):
+            ref = _bessel_quad(order, x)
+            worst_k = max(worst_k, abs(bessel_k(order, x) - ref) / ref)
+    small = abs(psi(1e-3) / 1e-3 - 1.0)
+    large = abs(psi(1e6) / (np.log1p(1e6) - np.euler_gamma) - 1.0)
+    ok = worst_psi <= 1e-8 and worst_k <= 1e-8 and small <= 2e-3 and large <= 1e-4
+    return ok, (f"psi vs quadrature {worst_psi:.2e}, K vs quadrature "
+                f"{worst_k:.2e} at {len(_K_GRID)} points, asymptote deviations "
+                f"{small:.2e} (<=2e-3) and {large:.2e} (<=1e-4)")
 
 
 def _bessel_quad(order: int, x: float) -> float:
     # integral definition: K_a(x) = sqrt(pi) (x/2)^a / Gamma(a+1/2)
-    #                      * int_1^inf e^{-x t} (t^2-1)^(a-1/2) dt
-    import math as _m
-    if order == 0:
-        val, _ = integrate.quad(
-            lambda t: np.exp(-x * t) / np.sqrt(t * t - 1.0), 1.0, np.inf,
-            limit=400, epsabs=1e-14, epsrel=1e-12)
-        return val
-    val, _ = integrate.quad(
-        lambda t: np.exp(-x * t) * np.sqrt(t * t - 1.0), 1.0, np.inf,
-        limit=400, epsabs=1e-14, epsrel=1e-12)
-    return _m.sqrt(_m.pi) * (x / 2.0) / _m.gamma(1.5) * val
+    #                      * int_1^inf e^{-x t} (t^2-1)^(a-1/2) dt,
+    # whose prefactor is 1 for a = 0 and x for a = 1
+    val, _ = integrate.quad(lambda t: np.exp(-x * t) * (t * t - 1.0) ** (order - 0.5),
+                            1.0, np.inf, limit=400, epsabs=1e-14, epsrel=1e-12)
+    return x ** order * val
 
 
-def _outage_check(trials, rng):
+def outage_check(trials, seeds):
+    """Monte Carlo outage against 1 - 2kK1(2k) at k = 0.05, 0.2 and 1, one
+    seed per k.  The same seed drives three secondary profiles (no virtual
+    power, 0.1 and 0.5 of the budget on the virtual subcarriers), whose
+    outage must agree exactly."""
+    ctx = build_spectral_context(64, 10)
+    layout = build_vc_layout(ctx, (0, 16, 32, 48))
     worst = 0.0
     details = []
-    for kap in (0.05, 0.2, 1.0):
+    for kap, seed in zip((0.05, 0.2, 1.0), seeds):
         d12 = kap ** (2.0 / 3.0)  # equal noise figures: kappa = d12^(eta/2)
         scenario = build_scenario(d12, 1.0, 20.0, "pu")
-        ctx = build_spectral_context(64, 10)
-        layout = build_vc_layout(ctx, (0, 16, 32, 48))
-        prof_a = uniform_profile(layout, scenario, 0.0)
-        prof_b = uniform_profile(layout, scenario, 0.1 * scenario.p_su / layout.m_vc)
-        seed_local = rng.integers(2 ** 63)
-        p_a, se = outage_mc(scenario, prof_a, trials, np.random.default_rng(seed_local))
-        p_b, _ = outage_mc(scenario, prof_b, trials, np.random.default_rng(seed_local))
+        p_out = [outage_mc(scenario, uniform_profile(layout, scenario, g), trials,
+                           np.random.default_rng(seed))
+                 for g in (0.0, 0.1 * scenario.p_su / layout.m_vc,
+                           0.5 * scenario.p_su / layout.m_vc)]
+        p, se = p_out[0]
+        if any(other != p for other, _ in p_out[1:]):
+            return False, (f"profile dependence at kappa={kap}: "
+                           f"{[v for v, _ in p_out]}")
         closed = pu_outage_probability(scenario)
-        dev = abs(p_a - closed) / max(se, 1e-12)
+        dev = abs(p - closed) / max(se, 1e-12)
         worst = max(worst, dev)
-        if p_a != p_b:
-            return False, f"profile dependence at kappa={kap}: {p_a} vs {p_b}"
-        details.append(f"k={kap}: mc={p_a:.4f} closed={closed:.4f} ({dev:.1f} se)")
-    return worst <= 3.0, "; ".join(details)
+        details.append(f"k={kap}: mc {p:.4f} vs closed {closed:.4f} ({dev:.1f} se)")
+    return worst <= 3.0, "; ".join(details) + "; profile-invariant"
 
 
-def _waterfilling_check(rng, n_instances=1000, search_points=1_000_000):
+def waterfilling_check(rng, n_instances=1000, search_points=1_000_000):
+    """On random 8-subcarrier instances the waterfilling profile spends the
+    budget and no uniform split beats it; on one instance no random
+    feasible profile beats it either."""
     ctx = build_spectral_context(8, 5)
     layout = build_vc_layout(ctx, (0, 4))
     worst_resid = 0.0
@@ -594,26 +607,29 @@ def _waterfilling_check(rng, n_instances=1000, search_points=1_000_000):
         prof = waterfilling_profile(layout, scenario, h_su, h_24)
         worst_resid = max(worst_resid, abs(power_residual(prof, scenario))
                           / scenario.p_su)
-        uni = uniform_profile(layout, scenario, 0.25 * scenario.p_su / layout.m_vc)
-        if (csit_objective(prof, scenario, h_su, h_24)
-                < csit_objective(uni, scenario, h_su, h_24) - 1e-12):
-            n_beat += 1
-    # random feasible search on one instance
+        wf_obj = csit_objective(prof, scenario, h_su, h_24)
+        for vc_fraction in (0.25, 0.4):
+            uni = uniform_profile(layout, scenario,
+                                  vc_fraction * scenario.p_su / layout.m_vc)
+            if wf_obj < csit_objective(uni, scenario, h_su, h_24) - 1e-12:
+                n_beat += 1
     scenario = build_scenario(0.7, 1.0, 15.0, "su")
     h_su = zmcscg(rng, 8)
     h_24 = zmcscg(rng, 8)
     prof = waterfilling_profile(layout, scenario, h_su, h_24)
     best_rand = _random_search_best(layout, scenario, h_su, h_24, search_points, rng)
-    wf_obj = csit_objective(prof, scenario, h_su, h_24)
-    margin = best_rand - wf_obj
+    margin = best_rand - csit_objective(prof, scenario, h_su, h_24)
     ok = worst_resid <= 1e-9 and n_beat == 0 and margin <= 1e-9
-    return ok, (f"max budget residual {worst_resid:.2e}, uniform beat it {n_beat}x, "
-                f"best of {search_points} random profiles trails by {-margin:.3e} bits")
+    return ok, (f"max budget residual {worst_resid:.2e}, uniform splits beat it "
+                f"{n_beat}x in {n_instances} instances, best of {search_points} "
+                f"random profiles trails by {-margin:.3e} bits")
 
 
 def _random_search_best(layout, scenario, h_su, h_24, n_points, rng,
                         chunk=200_000):
-    nu_uc = srx_noise_floor(scenario)
+    # the SRx noise floor is written out here, not taken from
+    # precoding.srx_noise_floor, so the oracle stays independent of it
+    nu_uc = scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4]
     coef = uc_power_coefficient(scenario)
     uc = list(layout.uc_indices)
     vc = list(layout.vc_indices)
@@ -636,11 +652,15 @@ def _random_search_best(layout, scenario, h_su, h_24, n_points, rng,
     return best
 
 
-def _channel_statistics_check(scenario, cfg, n_draws, rng):
+def channel_statistics_check(scenario, specs, n_draws, rng):
+    """|H12(0)|^2 and |H23(0)|^2 follow exponential laws with the link
+    variances, and H12(0), H23(0) are uncorrelated.  Only subcarrier 0 is
+    read, so each draw asks for one-point responses: H(0) is the tap sum
+    at any grid size."""
     h12_0 = np.empty(n_draws, dtype=complex)
     h23_0 = np.empty(n_draws, dtype=complex)
     for i in range(n_draws):
-        ch = draw_channels(scenario, cfg.specs, cfg.m, rng)
+        ch = draw_channels(scenario, specs, 1, rng)
         h12_0[i] = ch.freq[1, 2][0]
         h23_0[i] = ch.freq[2, 3][0]
     s12 = scenario.link_variance(1, 2)
@@ -649,58 +669,54 @@ def _channel_statistics_check(scenario, cfg, n_draws, rng):
     mean_dev = abs(mag12.mean() - s12) / (s12 / np.sqrt(n_draws))
     cross = np.abs(np.mean(h12_0 * h23_0.conj()))
     cross_se = np.sqrt(s12 * s23 / n_draws)
-    p_ks = stats.kstest(mag12, "expon", args=(0.0, s12)).pvalue
-    ok = mean_dev <= 3.0 and cross <= 3.0 * cross_se and p_ks > 0.01
-    return ok, (f"|H|^2 mean within {mean_dev:.1f} se, cross-corr "
-                f"{cross / cross_se:.1f} se, KS p={p_ks:.3f}")
+    p12 = stats.kstest(mag12, "expon", args=(0.0, s12)).pvalue
+    p23 = stats.kstest(np.abs(h23_0) ** 2, "expon", args=(0.0, s23)).pvalue
+    ok = mean_dev <= 3.0 and cross <= 3.0 * cross_se and min(p12, p23) > 0.01
+    return ok, (f"|H12|^2 mean within {mean_dev:.1f} se, cross-corr "
+                f"{cross / cross_se:.1f} se, KS p={p12:.3f} (|H12|^2) and "
+                f"p={p23:.3f} (|H23|^2) over {n_draws} draws")
 
 
-def _product_density_check(scenario, n_draws, rng):
+def product_density_check(scenario, n_draws, rng):
+    """The product of two unit exponentials, scaled by sigma2_23, against
+    its K-function law P(Z <= v) = 1 - t K1(t), t = 2 sqrt(v / sigma2_23)."""
     s23 = scenario.link_variance(2, 3)
     z = s23 * rng.exponential(size=n_draws) * rng.exponential(size=n_draws)
 
     def cdf(v):
-        t = 2.0 * np.sqrt(np.maximum(v, 0.0) / s23)
-        out = np.where(t > 0, 1.0 - t * _k1_safe(t), 0.0)
-        return out
+        t = 2.0 * np.sqrt(v / s23)  # v > 0: every draw is positive
+        return 1.0 - t * special.k1(t)
 
     p = stats.kstest(z, cdf).pvalue
     return p > 0.01, f"product-magnitude law KS p={p:.3f} over {n_draws} draws"
 
 
-def _k1_safe(t):
-    from scipy import special as sps
-    with np.errstate(over="ignore"):
-        return sps.k1(np.where(t > 0, t, 1.0))
-
-
-def _power_accounting_check(scenario, cfg, n_frames, rng):
+def _reference_precoders(scenario, cfg):
     layout = cfg.layout
-    g = 0.5 * scenario.p_su / layout.m_vc
-    profile = uniform_profile(layout, scenario, g)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pre = realize_precoders(cfg.ctx, layout, profile)
+    profile = uniform_profile(layout, scenario, 0.5 * scenario.p_su / layout.m_vc)
+    return profile, realize_precoders(cfg.ctx, layout, profile)
+
+
+def power_accounting_check(scenario, cfg, n_frames, rng):
+    """The simulated secondary transmit energy matches the budget."""
+    _, pre = _reference_precoders(scenario, cfg)
     mean, se = stx_power_mc(cfg, scenario, pre, n_frames, rng)
     dev = abs(mean - scenario.p_su) / se
     return dev <= 3.0, (f"E||z2||^2 = {mean:.5f} vs budget {scenario.p_su} "
                         f"({dev:.1f} se over {n_frames} frames)")
 
 
-def _precoder_structure_check(scenario, cfg, rng):
-    layout, ctx = cfg.layout, cfg.ctx
-    g = 0.5 * scenario.p_su / layout.m_vc
-    profile = uniform_profile(layout, scenario, g)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pre = realize_precoders(ctx, layout, profile)
+def precoder_structure_check(scenario, cfg, rng):
+    """Null virtual rows of A, exact virtual Gram, exact budget, and the
+    Hadamard direction of the per-subcarrier rate against the realized
+    mutual information."""
+    layout = cfg.layout
+    profile, pre = _reference_precoders(scenario, cfg)
     vc_rows = np.abs(pre.a[list(layout.vc_indices), :]).max()
     g_gram = pre.g @ pre.g.conj().T
     g_target = np.diag(profile.full_vc_vector())
     g_err = np.abs(g_gram - g_target).max()
     budget = abs(power_residual(pre.profile, scenario)) / scenario.p_su
-    # Hadamard: the per-subcarrier rate formula upper-bounds the realized
-    # mutual information of the same precoder pair
     ch = draw_channels(scenario, cfg.specs, cfg.m, rng)
     x_pu = zmcscg(rng, layout.q, scenario.p_pu)
     v2 = zmcscg(rng, cfg.m, scenario.sigma2_v[2])

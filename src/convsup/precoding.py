@@ -11,7 +11,6 @@ the transmit budget
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "PowerProfile",
     "PrecoderSet",
     "PrecoderRankError",
-    "RealizationMismatchWarning",
     "uc_power_coefficient",
     "srx_noise_floor",
     "power_residual",
@@ -38,11 +36,6 @@ __all__ = [
 class PrecoderRankError(ValueError):
     """The used-subcarrier mixing matrix came out rank deficient; the symbol
     count N must be reduced (not fixed automatically)."""
-
-
-class RealizationMismatchWarning(UserWarning):
-    """Realized per-subcarrier row norms deviate from the requested profile
-    by more than 5% on at least one used subcarrier."""
 
 
 @dataclass(frozen=True)
@@ -223,9 +216,9 @@ def realize_precoders(ctx: SpectralContext, layout: VcLayout,
     C is the principal (Hermitian PSD) square root of the Gram target
     ``upsilon^H pi^H diag(a) pi upsilon``, rescaled by a single scalar so the
     total used-subcarrier power matches the request exactly.  D is diagonal
-    with entries sqrt(g_m), which meets its target exactly.  A mismatch
-    above 5% between realized and requested row norms on any used subcarrier
-    raises :class:`RealizationMismatchWarning`.
+    with entries sqrt(g_m), which meets its target exactly.  The worst
+    relative gap between realized and requested used-subcarrier row norms
+    is recorded as ``max_uc_mismatch``.
     """
     n_sym = layout.n_sym
     if n_sym < 1:
@@ -269,11 +262,6 @@ def realize_precoders(ctx: SpectralContext, layout: VcLayout,
         rel = np.abs(realized_uc - profile.uc_power) / np.where(
             profile.uc_power > 0, profile.uc_power, 1.0)
     max_mismatch = float(rel.max()) if rel.size else 0.0
-    if max_mismatch > 0.05:
-        warnings.warn(
-            f"realized used-subcarrier row norms deviate from the request by "
-            f"up to {max_mismatch:.1%}; capacity bookkeeping must use the "
-            f"realized profile", RealizationMismatchWarning, stacklevel=2)
 
     return PrecoderSet(c=c, d=d, a=a_mat, g=g_mat, profile=realized,
                        requested=profile, max_uc_mismatch=max_mismatch)

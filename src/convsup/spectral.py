@@ -22,8 +22,6 @@ __all__ = [
     "VcLayout",
     "InconsistentResponseError",
     "idft_matrix",
-    "forward_shift",
-    "backward_shift",
     "build_spectral_context",
     "build_vc_layout",
     "min_norm_filter",
@@ -42,18 +40,6 @@ def idft_matrix(m: int) -> np.ndarray:
     """Unitary symmetric M-point IDFT matrix, entries exp(+2j*pi*k*n/M)/sqrt(M)."""
     k = np.arange(m)
     return np.exp(2j * np.pi * np.outer(k, k) / m) / np.sqrt(m)
-
-
-def forward_shift(n: int, power: int = 1) -> np.ndarray:
-    """n x n forward (delay) shift matrix raised to ``power``: ones on the
-    ``power``-th subdiagonal."""
-    return np.eye(n, k=-power)
-
-
-def backward_shift(n: int, power: int = 1) -> np.ndarray:
-    """n x n backward (advance) shift matrix raised to ``power``: ones on the
-    ``power``-th superdiagonal."""
-    return np.eye(n, k=power)
 
 
 @dataclass(frozen=True)

@@ -113,24 +113,18 @@ class NoiseBlocks:
 
 
 def draw_noise_blocks(cfg: FrameConfig, scenario: NetworkScenario,
-                      rng: np.random.Generator, stx_mode: str = "exact") -> NoiseBlocks:
+                      rng: np.random.Generator) -> NoiseBlocks:
     """Draw one period of receiver noise.
 
-    ``stx_mode`` selects the secondary-receive-chain noise: ``"exact"`` is
-    white over all P samples; ``"cp"`` generates an M-sample block and
-    prefixes it like a data block, which makes the relayed-noise path
-    circular and hence exactly diagonal in the frequency domain.
+    The secondary-receive-chain noise is an M-sample block prefixed like a
+    data block, which makes the relayed-noise path circular and hence
+    exactly diagonal in the frequency domain; v3 and v4 are white over all
+    P samples.
     """
-    p, m, l_cp = cfg.p, cfg.m, cfg.l_cp
-    if stx_mode == "exact":
-        v2 = zmcscg(rng, p, scenario.sigma2_v[2])
-    elif stx_mode == "cp":
-        v2 = _cp_insert(zmcscg(rng, m, scenario.sigma2_v[2]), l_cp)
-    else:
-        raise ValueError(f"unknown secondary noise mode {stx_mode!r}")
+    v2 = _cp_insert(zmcscg(rng, cfg.m, scenario.sigma2_v[2]), cfg.l_cp)
     return NoiseBlocks(v2=v2,
-                       v3=zmcscg(rng, p, scenario.sigma2_v[3]),
-                       v4=zmcscg(rng, p, scenario.sigma2_v[4]))
+                       v3=zmcscg(rng, cfg.p, scenario.sigma2_v[3]),
+                       v4=zmcscg(rng, cfg.p, scenario.sigma2_v[4]))
 
 
 def zero_noise(cfg: FrameConfig) -> NoiseBlocks:
@@ -246,8 +240,7 @@ def simulate_frame(prev: tuple[ChannelRealization, np.ndarray, np.ndarray, np.nd
     return sim.step(channels, x_pu, x_su_1, x_su_2, noises)
 
 
-def _frequency_inputs(channels: ChannelRealization, pre: PrecoderSet,
-                      layout: VcLayout, x_pu, x_su_1, x_su_2):
+def _frequency_inputs(pre: PrecoderSet, layout: VcLayout, x_pu, x_su_1, x_su_2):
     f_resp = pre.a @ np.asarray(x_su_1, dtype=complex)
     theta_x = layout.theta @ np.asarray(x_pu, dtype=complex)
     g_x = pre.g @ np.asarray(x_su_2, dtype=complex)
@@ -260,7 +253,7 @@ def pu_frequency_model(channels: ChannelRealization, pre: PrecoderSet,
     """Per-subcarrier model of the primary receiver output: the direct link
     plus the filtered relay path, with the relayed secondary-chain noise and
     the virtual-subcarrier block folded into the equivalent noise."""
-    f_resp, theta_x, g_x = _frequency_inputs(channels, pre, layout, x_pu, x_su_1, x_su_2)
+    f_resp, theta_x, g_x = _frequency_inputs(pre, layout, x_pu, x_su_1, x_su_2)
     h12, h13, h23 = channels.freq[1, 2], channels.freq[1, 3], channels.freq[2, 3]
     h_pu = h13 + h12 * h23 * f_resp
     return h_pu * theta_x + h23 * f_resp * v2_f + h23 * g_x + v3_f
@@ -275,7 +268,7 @@ def srx_frequency_model(channels: ChannelRealization, pre: PrecoderSet,
     by the relayed primary symbol plus secondary-chain noise; on virtual
     subcarriers only the noise survives, and the direct primary leak acts as
     equivalent noise."""
-    f_resp, theta_x, g_x = _frequency_inputs(channels, pre, layout, x_pu, x_su_1, x_su_2)
+    f_resp, theta_x, g_x = _frequency_inputs(pre, layout, x_pu, x_su_1, x_su_2)
     h12, h14, h24 = channels.freq[1, 2], channels.freq[1, 4], channels.freq[2, 4]
     h_su = h24 * (h12 * theta_x + v2_f)
     return h_su * f_resp + h24 * g_x + h14 * theta_x + v4_f
@@ -340,6 +333,8 @@ def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
 
 
 _TRACE_MAGIC = b"CVSPTRC1"
+_TRACE_HEADER = struct.Struct("<IIIQQ")  # M, L_cp, L_su, seed, n_frames
+_TRACE_BLOCKS = ("u_pu_t", "y2_t", "z2_t", "y3_t", "y4_t", "y_pu_f", "y_su_f")
 
 
 def write_frame_traces(path, cfg: FrameConfig, seed: int, traces) -> None:
@@ -352,28 +347,33 @@ def write_frame_traces(path, cfg: FrameConfig, seed: int, traces) -> None:
     traces = list(traces)
     with open(path, "wb") as fh:
         fh.write(_TRACE_MAGIC)
-        fh.write(struct.pack("<IIIQQ", cfg.m, cfg.l_cp, cfg.l_su, seed, len(traces)))
+        fh.write(_TRACE_HEADER.pack(cfg.m, cfg.l_cp, cfg.l_su, seed, len(traces)))
         for tr in traces:
-            for block in (tr.u_pu_t, tr.y2_t, tr.z2_t, tr.y3_t, tr.y4_t,
-                          tr.y_pu_f, tr.y_su_f):
-                fh.write(np.ascontiguousarray(block, dtype="<c16").tobytes())
+            for name in _TRACE_BLOCKS:
+                fh.write(np.ascontiguousarray(getattr(tr, name), dtype="<c16").tobytes())
 
 
 def read_frame_traces(path):
-    """Read a trace dump; returns (header dict, list of per-frame block dicts)."""
+    """Read a trace dump; returns (header dict, list of per-frame block dicts).
+
+    Raises ``ValueError`` when the file is not a trace dump or its size
+    differs from the size its header implies (truncated or padded)."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_TRACE_MAGIC))
-        if magic != _TRACE_MAGIC:
-            raise ValueError("not a frame-trace dump")
-        m, l_cp, l_su, seed, n_frames = struct.unpack("<IIIQQ", fh.read(28))
-        p = m + l_cp
-        frames = []
-        for _ in range(n_frames):
-            frame = {}
-            for name, size in (("u_pu_t", p), ("y2_t", p), ("z2_t", p),
-                               ("y3_t", p), ("y4_t", p), ("y_pu_f", m), ("y_su_f", m)):
-                buf = fh.read(16 * size)
-                frame[name] = np.frombuffer(buf, dtype="<c16").copy()
-            frames.append(frame)
+        data = fh.read()
+    if not data.startswith(_TRACE_MAGIC):
+        raise ValueError("not a frame-trace dump")
+    start = len(_TRACE_MAGIC) + _TRACE_HEADER.size
+    if len(data) < start:
+        raise ValueError(f"trace file is {len(data)} bytes, shorter than its "
+                         f"{start}-byte header")
+    m, l_cp, l_su, seed, n_frames = _TRACE_HEADER.unpack_from(data, len(_TRACE_MAGIC))
+    sizes = [m + l_cp] * 5 + [m] * 2
+    expected = start + 16 * sum(sizes) * n_frames
+    if len(data) != expected:
+        raise ValueError(f"trace file is {len(data)} bytes but its header "
+                         f"implies {expected} bytes")
+    blocks = np.frombuffer(data, dtype="<c16", offset=start).reshape(n_frames, sum(sizes))
+    frames = [dict(zip(_TRACE_BLOCKS, np.split(row.copy(), np.cumsum(sizes)[:-1])))
+              for row in blocks]
     header = {"m": m, "l_cp": l_cp, "l_su": l_su, "seed": seed, "n_frames": n_frames}
     return header, frames

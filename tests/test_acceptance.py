@@ -1,10 +1,15 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line
 with the measured numbers at the criterion's stated tolerance.
 
-Every oracle here is independent of the code path it checks: adaptive
-quadrature for special functions, scalar convolution and per-subcarrier
-models for the simulator chain, closed forms against raw Monte Carlo for
-the statistics.  Outcomes are deterministic for the fixed seed below.
+The oracles of criteria 3, 4, 5 and of the criterion-8 property suites
+are the checks ``convsup validate`` runs (the ``*_check`` functions of
+``convsup.harness``); each test calls them with its own seed tags and
+sizes, so every oracle has one implementation.  Every oracle is
+independent of the code path it checks: adaptive quadrature for special
+functions, scalar convolution and per-subcarrier models for the simulator
+chain, closed forms against raw Monte Carlo for the statistics, and a
+noise floor written out by hand for the waterfilling search.  Outcomes are
+deterministic for the fixed seed below.
 
 Three sub-criteria fail and are left failing: 7a, 7b and 7c-NOCSIT each
 compare against a value read off one of the paper's figures, and the
@@ -34,27 +39,23 @@ admissible precoder and is printed, not asserted.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
 
-from convsup.capacity import (EULER_GAMMA, bessel_k, c_pu_direct,
-                              c_pu_lower, c_su_lower_csit, c_su_lower_nocsit,
-                              check_pu_monotonicity, outage_mc, psi,
-                              pu_outage_probability)
+from convsup.capacity import (c_pu_direct, c_pu_lower, c_su_lower_csit,
+                              c_su_lower_nocsit, check_pu_monotonicity)
 from convsup.channel import draw_channels, zmcscg
-from convsup.harness import (build_scenario, frame_equivalence_errors,
+from convsup.harness import (build_scenario, channel_statistics_check,
+                             frame_equivalence_errors, outage_check,
+                             power_accounting_check, product_density_check,
                              reference_link_specs, relayed_noise_identity_error,
-                             resolve_d12, validate_suite)
-from convsup.precoding import (csit_objective, power_residual,
-                               realize_precoders, uc_power_coefficient,
-                               uniform_profile, waterfilling_profile)
-from convsup.spectral import (InconsistentResponseError, build_spectral_context,
-                              build_vc_layout, filter_frequency_response,
-                              min_norm_filter)
-from convsup.transceiver import FrameConfig, required_cp_length, stx_power_mc
+                             resolve_d12, spectral_consistency_check,
+                             special_functions_check, validate_suite,
+                             waterfilling_check)
+from convsup.precoding import realize_precoders, uniform_profile
+from convsup.spectral import build_spectral_context, build_vc_layout
+from convsup.transceiver import FrameConfig, required_cp_length
 
 SEED = 20260809
 TRIALS = 100_000
@@ -103,99 +104,19 @@ def test_criterion_2_noise_path_identity(reference):
 
 
 def test_criterion_3_special_functions():
-    worst_psi = 0.0
-    for a in np.logspace(-4, 6, 41):
-        ref, _ = integrate.quad(lambda u, aa=a: np.exp(-u) * np.log1p(aa * u),
-                                0, np.inf, limit=400)
-        worst_psi = max(worst_psi, abs(psi(a) - ref) / abs(ref))
-
-    def k_quad(order, x):
-        if order == 0:
-            val, _ = integrate.quad(lambda t: np.exp(-x * t) / np.sqrt(t * t - 1),
-                                    1, np.inf, limit=400, epsabs=1e-14, epsrel=1e-12)
-            return val
-        val, _ = integrate.quad(lambda t: np.exp(-x * t) * np.sqrt(t * t - 1),
-                                1, np.inf, limit=400, epsabs=1e-14, epsrel=1e-12)
-        return x * val  # sqrt(pi)(x/2)/Gamma(3/2) = x
-
-    worst_k = 0.0
-    for x in (0.02, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-        for order in (0, 1):
-            ref = k_quad(order, x)
-            worst_k = max(worst_k, abs(bessel_k(order, x) - ref) / ref)
-
-    small = abs(psi(1e-3) / 1e-3 - 1.0)
-    large = abs(psi(1e6) / (np.log1p(1e6) - EULER_GAMMA) - 1.0)
-    ok = worst_psi <= 1e-8 and worst_k <= 1e-8 and small <= 2e-3 and large <= 1e-4
-    assert _report(
-        "criterion 3 (special functions)", ok,
-        f"psi-vs-quadrature {worst_psi:.2e}, K-vs-quadrature {worst_k:.2e}, "
-        f"asymptote deviations {small:.2e} (<=2e-3) and {large:.2e} (<=1e-4)")
+    ok, detail = special_functions_check()
+    assert _report("criterion 3 (special functions)", ok, detail)
 
 
-def test_criterion_4_outage_closed_form(reference):
-    _, layout, _ = reference
-    details = []
-    ok = True
-    for i, kap in enumerate((0.05, 0.2, 1.0)):
-        scenario = build_scenario(kap ** (2.0 / 3.0), 1.0, 20.0, "pu")
-        prof_a = uniform_profile(layout, scenario, 0.0)
-        prof_b = uniform_profile(layout, scenario,
-                                 0.5 * scenario.p_su / layout.m_vc)
-        seed = (SEED, 40 + i)
-        p_a, se = outage_mc(scenario, prof_a, TRIALS,
-                            np.random.default_rng(seed))
-        p_b, _ = outage_mc(scenario, prof_b, TRIALS,
-                           np.random.default_rng(seed))
-        closed = pu_outage_probability(scenario)
-        ok &= abs(p_a - closed) <= 3.0 * se and p_a == p_b
-        details.append(f"k={kap}: mc {p_a:.4f} vs closed {closed:.4f} "
-                       f"({abs(p_a - closed) / se:.1f} se, profile-invariant "
-                       f"{'yes' if p_a == p_b else 'NO'})")
-    assert _report("criterion 4 (outage closed form)", ok, "; ".join(details))
+def test_criterion_4_outage_closed_form():
+    ok, detail = outage_check(TRIALS, [(SEED, 40 + i) for i in range(3)])
+    assert _report("criterion 4 (outage closed form)", ok, detail)
 
 
 def test_criterion_5_waterfilling():
-    ctx = build_spectral_context(8, 5)
-    layout = build_vc_layout(ctx, (0, 4))
-    rng = _rng(5)
-    worst_resid, n_beaten = 0.0, 0
-    for _ in range(1000):
-        scenario = build_scenario(float(rng.uniform(0.2, 1.5)),
-                                  float(rng.uniform(0.5, 4.0)),
-                                  float(rng.uniform(0.0, 25.0)), "su")
-        h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
-        prof = waterfilling_profile(layout, scenario, h_su, h_24)
-        worst_resid = max(worst_resid,
-                          abs(power_residual(prof, scenario)) / scenario.p_su)
-        uni = uniform_profile(layout, scenario, 0.4 * scenario.p_su / layout.m_vc)
-        if (csit_objective(prof, scenario, h_su, h_24)
-                < csit_objective(uni, scenario, h_su, h_24) - 1e-12):
-            n_beaten += 1
-
-    scenario = build_scenario(0.7, 1.0, 15.0, "su")
-    h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
-    prof = waterfilling_profile(layout, scenario, h_su, h_24)
-    wf_obj = csit_objective(prof, scenario, h_su, h_24)
-    coef = uc_power_coefficient(scenario)
-    nu = scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4]
-    uc_gain = np.abs(h_su[list(layout.uc_indices)]) ** 2 / nu
-    vc_gain = np.abs(h_24[list(layout.vc_indices)]) ** 2 / scenario.sigma2_v[4]
-    best = -np.inf
-    for _ in range(10):
-        w = rng.exponential(size=(100_000, 8))
-        w /= w.sum(axis=1, keepdims=True)
-        spend = w * scenario.p_su
-        obj = (np.log2(1 + spend[:, :6] / coef * uc_gain).sum(axis=1)
-               + np.log2(1 + spend[:, 6:] * vc_gain).sum(axis=1))
-        best = max(best, float(obj.max()))
-    margin = best - wf_obj
-    ok = worst_resid <= 1e-9 and n_beaten == 0 and margin <= 1e-9
-    assert _report(
-        "criterion 5 (waterfilling)", ok,
-        f"max budget residual {worst_resid:.2e}, uniform beat it {n_beaten}x "
-        f"in 1000 instances, best of 1e6 random profiles trails the "
-        f"waterfilling objective by {-margin:.4f} bits")
+    ok, detail = waterfilling_check(_rng(5), n_instances=1000,
+                                    search_points=1_000_000)
+    assert _report("criterion 5 (waterfilling)", ok, detail)
 
 
 def test_criterion_6_budget_monotonicity(reference):
@@ -322,57 +243,15 @@ def test_criterion_7d_trends(reference):
 
 
 def test_criterion_8_property_suites(reference):
-    ctx, layout, cfg = reference
+    _, _, cfg = reference
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-    ok = True
-    details = []
-
-    # consistency law of realizable responses
-    rng = _rng(81)
-    worst = 0.0
-    for _ in range(200):
-        f = filter_frequency_response(ctx, zmcscg(rng, 11))
-        rec = filter_frequency_response(ctx, min_norm_filter(ctx, f))
-        worst = max(worst, np.linalg.norm(rec - f) / np.linalg.norm(f))
-    fired = False
-    try:
-        min_norm_filter(ctx, zmcscg(rng, 64))
-    except InconsistentResponseError:
-        fired = True
-    ok &= worst <= 1e-10 and fired
-    details.append(f"consistency law rel err {worst:.1e}, rejection fires: {fired}")
-
-    # product-magnitude law against the Bessel density
-    s23 = scenario.link_variance(2, 3)
-    z = s23 * rng.exponential(size=1_000_000) * rng.exponential(size=1_000_000)
-
-    def product_cdf(v):
-        t = 2.0 * np.sqrt(np.maximum(v, 0.0) / s23)
-        with np.errstate(invalid="ignore"):
-            return np.where(t > 0, 1.0 - t * bessel_k(1, np.maximum(t, 1e-300)), 0.0)
-
-    p_prod = stats.kstest(z, product_cdf).pvalue
-    ok &= p_prod > 0.01
-    details.append(f"product-density KS p={p_prod:.3f}")
-
-    # exponential law of the squared frequency response
-    draws = np.empty(TRIALS)
-    rng_ch = _rng(82)
-    for i in range(TRIALS):
-        draws[i] = np.abs(draw_channels(scenario, cfg.specs, 8,
-                                        rng_ch).freq[2, 3][0]) ** 2
-    p_exp = stats.kstest(draws, "expon", args=(0.0, s23)).pvalue
-    ok &= p_exp > 0.01
-    details.append(f"exponential-law KS p={p_exp:.3f} over {TRIALS} draws")
-
-    # transmit-power accounting over simulated frames
-    g = 0.5 * scenario.p_su / layout.m_vc
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pre = realize_precoders(ctx, layout, uniform_profile(layout, scenario, g))
-    mean, se = stx_power_mc(cfg, scenario, pre, TRIALS, _rng(83))
-    ok &= abs(mean - scenario.p_su) <= 3.0 * se
-    details.append(f"E||z2||^2 = {mean:.5f} vs 1.0 ({abs(mean - 1) / se:.1f} se)")
+    rng = _rng(81)  # the product draws continue the consistency stream
+    results = [spectral_consistency_check(rng, n_draws=200),
+               product_density_check(scenario, 1_000_000, rng),
+               channel_statistics_check(scenario, cfg.specs, TRIALS, _rng(82)),
+               power_accounting_check(scenario, cfg, TRIALS, _rng(83))]
+    ok = all(passed for passed, _ in results)
+    details = [detail for _, detail in results]
 
     # full validation sweep stays inside the ten-minute budget
     start = time.monotonic()
@@ -418,9 +297,7 @@ def test_criterion_8_gram_diagonalization(reference):
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
     g = 0.5 * scenario.p_su / layout.m_vc
     profile = uniform_profile(layout, scenario, g)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pre = realize_precoders(ctx, layout, profile)
+    pre = realize_precoders(ctx, layout, profile)
     rng = _rng(84)
     ch = draw_channels(scenario, cfg.specs, cfg.m, rng)
     x_pu = zmcscg(rng, layout.q, scenario.p_pu)

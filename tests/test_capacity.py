@@ -201,16 +201,13 @@ class TestPrimaryCapacity:
         # the per-draw effective-SNR estimator agrees with an end-to-end
         # estimate built from simulated noiseless frames, both using the
         # realized per-subcarrier weights
-        import warnings
         from convsup.precoding import realize_precoders
         from convsup.transceiver import (FrameConfig, FrameSimulator,
                                          required_cp_length, zero_noise)
         ctx, layout = layout64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
         req = uniform_profile(layout, scenario, scenario.p_su / (2 * layout.m_vc))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pre = realize_precoders(ctx, layout, req)
+        pre = realize_precoders(ctx, layout, req)
         cfg = FrameConfig(ctx=ctx, layout=layout,
                           l_cp=required_cp_length(reference_link_specs(), 10),
                           specs=reference_link_specs())

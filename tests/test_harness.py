@@ -205,6 +205,29 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("change,names", [
+        ({"scenario": {"bogus": 1}}, "bogus"),
+        ({"sweep_variable": None}, "sweep_variable"),
+        ({"scenario": {"eta": float("nan")}}, "eta"),
+        (None, "cfg.json"),
+    ], ids=["unknown-scenario-key", "missing-sweep-variable", "nan-eta",
+            "missing-file"])
+    def test_sweep_rejects_bad_config(self, tmp_path, capsys, change, names):
+        cfg_path = tmp_path / "cfg.json"
+        if change is not None:
+            raw = {"sweep_variable": "snr_pu_db", "grid": [20.0],
+                   "schemes": ["proposed_with_vcs", "ocr"], "n_trials": 200}
+            raw.update(change)
+            raw = {k: v for k, v in raw.items() if v is not None}
+            cfg_path.write_text(json.dumps(raw))
+        out_path = tmp_path / "out.csv"
+        rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert not out_path.exists()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and names in lines[0]
+
     def test_sweep_subcommand(self, tmp_path, capsys):
         raw = {
             "sweep_variable": "snr_pu_db",

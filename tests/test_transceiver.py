@@ -1,8 +1,6 @@
 """Time-domain chain tests: prefix structure, causal filtering, interference
 removal, and sample-exact agreement with the per-subcarrier models."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -33,9 +31,7 @@ def reference_config(m=64, l_su=10, vc=(0, 16, 32, 48), l_cp=None, enforce=True)
 def reference_precoders(cfg, scenario, g_fraction=0.5):
     g = g_fraction * scenario.p_su / cfg.layout.m_vc if cfg.layout.m_vc else 0.0
     profile = uniform_profile(cfg.layout, scenario, g)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return realize_precoders(cfg.ctx, cfg.layout, profile)
+    return realize_precoders(cfg.ctx, cfg.layout, profile)
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +313,20 @@ class TestTraceDump:
         for tr, frame in zip(traces, frames):
             assert np.array_equal(frame["z2_t"], tr.z2_t)
             assert np.array_equal(frame["y_su_f"], tr.y_su_f)
+
+    @pytest.mark.parametrize("cut,pad", [(16, b""), (0, b"\0" * 16)],
+                             ids=["truncated", "padded"])
+    def test_size_mismatch_is_rejected(self, setup, tmp_path, cut, pad):
+        scenario, cfg, pre = setup
+        rng = np.random.default_rng(15)
+        sim = FrameSimulator(cfg, pre)
+        ch = draw_channels(scenario, cfg.specs, cfg.m, rng)
+        trace = sim.step(ch, zmcscg(rng, 60, scenario.p_pu), zmcscg(rng, 7),
+                         zmcscg(rng, 4), zero_noise(cfg))
+        path = tmp_path / "frames.bin"
+        write_frame_traces(path, cfg, seed=1, traces=[trace])
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) - cut] + pad)
+        wrong = len(data) - cut + len(pad)
+        with pytest.raises(ValueError, match=f"{wrong} bytes.*implies {len(data)}"):
+            read_frame_traces(path)
