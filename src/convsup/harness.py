@@ -481,7 +481,7 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
     record("special_functions", *special_functions_check())
     record("outage_closed_form",
            *outage_check(trials, streams[4].integers(2 ** 63, size=3)))
-    record("waterfilling", *waterfilling_check(streams[5], 1000, search_points))
+    record("waterfilling", *waterfilling_check(streams[5], search_points))
 
     # -- budget monotonicity of the primary bound --------------------------------
     sc_mono = build_scenario(0.05 ** (2.0 / 3.0), 1.0, 20.0, "pu")
@@ -510,12 +510,15 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
     return ValidationReport(checks=checks)
 
 
-def spectral_consistency_check(rng, n_draws=1):
+_CONSISTENCY_DRAWS = 200
+
+
+def spectral_consistency_check(rng):
     """Random realizable responses survive the minimal-norm round trip, and
     a generic M-vector is rejected as not realizable."""
     ctx = build_spectral_context(64, 10)
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(_CONSISTENCY_DRAWS):
         f = filter_frequency_response(ctx, zmcscg(rng, 11))
         rec = filter_frequency_response(ctx, min_norm_filter(ctx, f))
         worst = max(worst, np.linalg.norm(rec - f) / np.linalg.norm(f))
@@ -525,7 +528,7 @@ def spectral_consistency_check(rng, n_draws=1):
     except InconsistentResponseError:
         fired = True
     return worst <= 1e-10 and fired, (
-        f"reconstruction rel err {worst:.2e} over {n_draws} draws; "
+        f"reconstruction rel err {worst:.2e} over {_CONSISTENCY_DRAWS} draws; "
         f"inconsistency detected: {fired}")
 
 
@@ -590,7 +593,10 @@ def outage_check(trials, seeds):
     return worst <= 3.0, "; ".join(details) + "; profile-invariant"
 
 
-def waterfilling_check(rng, n_instances=1000, search_points=1_000_000):
+_WATERFILLING_INSTANCES = 1000
+
+
+def waterfilling_check(rng, search_points=1_000_000):
     """On random 8-subcarrier instances the waterfilling profile spends the
     budget and no uniform split beats it; on one instance no random
     feasible profile beats it either."""
@@ -598,7 +604,7 @@ def waterfilling_check(rng, n_instances=1000, search_points=1_000_000):
     layout = build_vc_layout(ctx, (0, 4))
     worst_resid = 0.0
     n_beat = 0
-    for _ in range(n_instances):
+    for _ in range(_WATERFILLING_INSTANCES):
         scenario = build_scenario(float(rng.uniform(0.2, 1.5)),
                                   float(rng.uniform(0.5, 4.0)),
                                   float(rng.uniform(0.0, 25.0)), "su")
@@ -621,7 +627,7 @@ def waterfilling_check(rng, n_instances=1000, search_points=1_000_000):
     margin = best_rand - csit_objective(prof, scenario, h_su, h_24)
     ok = worst_resid <= 1e-9 and n_beat == 0 and margin <= 1e-9
     return ok, (f"max budget residual {worst_resid:.2e}, uniform splits beat it "
-                f"{n_beat}x in {n_instances} instances, best of {search_points} "
+                f"{n_beat}x in {_WATERFILLING_INSTANCES} instances, best of {search_points} "
                 f"random profiles trails by {-margin:.3e} bits")
 
 

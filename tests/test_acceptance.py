@@ -114,8 +114,7 @@ def test_criterion_4_outage_closed_form():
 
 
 def test_criterion_5_waterfilling():
-    ok, detail = waterfilling_check(_rng(5), n_instances=1000,
-                                    search_points=1_000_000)
+    ok, detail = waterfilling_check(_rng(5), search_points=1_000_000)
     assert _report("criterion 5 (waterfilling)", ok, detail)
 
 
@@ -246,7 +245,7 @@ def test_criterion_8_property_suites(reference):
     _, _, cfg = reference
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
     rng = _rng(81)  # the product draws continue the consistency stream
-    results = [spectral_consistency_check(rng, n_draws=200),
+    results = [spectral_consistency_check(rng),
                product_density_check(scenario, 1_000_000, rng),
                channel_statistics_check(scenario, cfg.specs, TRIALS, _rng(82)),
                power_accounting_check(scenario, cfg, TRIALS, _rng(83))]

@@ -34,6 +34,19 @@ class TestScenario:
             NetworkScenario(coords=coords_bad, eta=3.0, p_pu=1.0, p_su=1.0,
                             sigma2_v={2: 1, 3: 1, 4: 1})
 
+    @pytest.mark.parametrize("change,names", [
+        ({"coords": {1: (0, 0), 2: (np.nan, 0), 3: (2, 0), 4: (0, 1)}}, "node 2"),
+        ({"eta": np.nan}, "eta"),
+        ({"p_su": np.inf}, "p_su"),
+        ({"sigma2_v": {2: 1, 3: np.inf, 4: 1}}, "node 3"),
+    ], ids=["nan-coords", "nan-eta", "inf-p_su", "inf-sigma2_v"])
+    def test_rejects_non_finite_numbers(self, change, names):
+        kwargs = dict(coords={1: (0, 0), 2: (1, 0), 3: (2, 0), 4: (0, 1)},
+                      eta=3.0, p_pu=1.0, p_su=1.0, sigma2_v={2: 1, 3: 1, 4: 1})
+        kwargs.update(change)
+        with pytest.raises(ValueError, match=names):
+            NetworkScenario(**kwargs)
+
 
 class TestFrequencyResponse:
     def test_single_tap_is_flat(self, scenario):

@@ -210,8 +210,11 @@ class TestCli:
         ({"sweep_variable": None}, "sweep_variable"),
         ({"scenario": {"eta": float("nan")}}, "eta"),
         (None, "cfg.json"),
+        ({"grid": None}, "grid"),
+        ({"n_trails": 200}, "n_trails"),
+        ({"grid": [float("nan")]}, "grid must be"),
     ], ids=["unknown-scenario-key", "missing-sweep-variable", "nan-eta",
-            "missing-file"])
+            "missing-file", "missing-grid", "unknown-config-key", "nan-grid"])
     def test_sweep_rejects_bad_config(self, tmp_path, capsys, change, names):
         cfg_path = tmp_path / "cfg.json"
         if change is not None:
