@@ -407,6 +407,13 @@ class CapacityReport:
     cp_efficiency: float = 1.0
 
     def __post_init__(self):
+        numbers = {name: getattr(self, name) for name in (
+            "c_pu_lower", "c_pu_direct", "delta_c_pu", "c_su_lower", "p_out",
+            "cp_efficiency")}
+        numbers.update((f"std_err[{key!r}]", v) for key, v in self.std_err.items())
+        for name, value in numbers.items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if abs(self.delta_c_pu - (self.c_pu_lower - self.c_pu_direct)) > 1e-12:
             raise ValueError("delta_c_pu must equal c_pu_lower - c_pu_direct")
         if min(self.c_pu_lower, self.c_pu_direct, self.c_su_lower) < 0:

@@ -31,8 +31,14 @@ LINKS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
 def zmcscg(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
     """Zero-mean circularly symmetric complex Gaussian samples with the given
     total variance (half per real dimension)."""
+    return _complex_gaussian(rng.standard_normal(shape), rng.standard_normal(shape),
+                             variance)
+
+
+def _complex_gaussian(re: np.ndarray, im: np.ndarray, variance) -> np.ndarray:
+    # unit real normals -> complex samples of the given total variance
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return scale * (re + 1j * im)
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,8 @@ class LinkSpec:
 @dataclass(frozen=True)
 class ChannelRealization:
     """Per-link taps, offsets and M-point frequency responses for one symbol
-    period."""
+    period; a batched draw puts its batch shape in front of every ``taps``
+    and ``freq`` array."""
 
     m: int
     taps: Mapping[tuple[int, int], np.ndarray]
@@ -107,31 +114,43 @@ class ChannelRealization:
 
 
 def frequency_response(taps: np.ndarray, offset: int, m: int) -> np.ndarray:
-    """M-point response H(m) = exp(-2j*pi*offset*m/M) * sum_l h(l) exp(-2j*pi*l*m/M)."""
+    """M-point response H(m) = exp(-2j*pi*offset*m/M) * sum_l h(l) exp(-2j*pi*l*m/M)
+    of the taps along the last axis; leading axes are a batch."""
     taps = np.asarray(taps)
     grid = np.arange(m)
     phase = np.exp(-2j * np.pi * offset * grid / m)
-    basis = np.exp(-2j * np.pi * np.outer(grid, np.arange(taps.size)) / m)
-    return phase * (basis @ taps)
+    basis = np.exp(-2j * np.pi * np.outer(grid, np.arange(taps.shape[-1])) / m)
+    # a stacked matrix-vector product gives each draw the bits of basis @ h;
+    # taps @ basis.T would differ in the last place
+    return phase * (basis @ taps[..., None])[..., 0]
 
 
 def draw_channels(scenario: NetworkScenario, specs: Mapping[tuple[int, int], LinkSpec],
-                  m: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one independent block-fading realization for every link.
+                  m: int, rng: np.random.Generator,
+                  batch: tuple[int, ...] = ()) -> ChannelRealization:
+    """Draw independent block-fading realizations for every link, one per
+    entry of the ``batch`` shape (``()`` is one draw).
 
     Each tap is ZMCSCG with variance sigma2_ij / (L_ij + 1), so the
-    frequency-domain coefficients have variance sigma2_ij.
+    frequency-domain coefficients have variance sigma2_ij.  Every draw takes
+    its normals link by link in ``LINKS`` order, real parts then imaginary
+    parts, so a batch of N consumes the stream exactly as N single draws do.
     """
     for link in LINKS:
         if link not in specs:
             raise ValueError(f"missing link spec for {link}")
+    sizes = [specs[link].order + 1 for link in LINKS]
+    normals = rng.standard_normal(batch + (2 * sum(sizes),))
     taps: dict[tuple[int, int], np.ndarray] = {}
     offsets: dict[tuple[int, int], int] = {}
     freq: dict[tuple[int, int], np.ndarray] = {}
-    for link in LINKS:
+    start = 0
+    for link, n in zip(LINKS, sizes):
         spec = specs[link]
         var = spec.variance if spec.variance is not None else scenario.link_variance(*link)
-        h = zmcscg(rng, spec.order + 1, var / (spec.order + 1))
+        h = _complex_gaussian(normals[..., start:start + n],
+                              normals[..., start + n:start + 2 * n], var / n)
+        start += 2 * n
         taps[link] = h
         offsets[link] = spec.offset
         freq[link] = frequency_response(h, spec.offset, m)
@@ -152,10 +171,10 @@ def toeplitz_pair(taps: np.ndarray, offset: int, p: int) -> tuple[np.ndarray, np
         raise ValueError(
             f"channel order {order} plus offset {offset} exceeds block length "
             f"{p} minus one")
-    h0 = np.zeros((p, p), dtype=complex)
-    h1 = np.zeros((p, p), dtype=complex)
-    for ell, h in enumerate(taps):
-        h0 += h * np.eye(p, k=-(ell + offset))
-        if ell + offset > 0:
-            h1 += h * np.eye(p, k=p - ell - offset)
-    return h0, h1
+    # delayed impulse response, zero-padded to 2p so that entry (i, j) of
+    # h0 is impulse[i - j] and of h1 is impulse[i - j + p], with negative
+    # lags and lags of p or more landing on zeros
+    impulse = np.zeros(2 * p, dtype=complex)
+    impulse[offset:offset + taps.size] = taps
+    lag = np.subtract.outer(np.arange(p), np.arange(p))
+    return impulse[lag], impulse[lag + p]

@@ -38,8 +38,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    report = validate_suite(seed=args.seed, trials=args.trials,
-                            n_frames=args.frames)
+    try:
+        report = validate_suite(seed=args.seed, trials=args.trials,
+                                n_frames=args.frames)
+    except ValueError as exc:
+        print(f"validate aborted: {exc}", file=sys.stderr)
+        return 2
     print(report.render())
     return 0 if report.ok else 1
 

@@ -104,6 +104,11 @@ def build_scenario(d12: float, power_ratio: float, snr_db: float,
         sigma2_v={2: sigma2, 3: sigma2, 4: sigma2})
 
 
+def _is_integer(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Resolved scenario knobs of one sweep (before applying the swept
@@ -127,6 +132,14 @@ class ScenarioSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"scenario field {name!r} must be finite, "
                                  f"got {getattr(self, name)}")
+        for name in ("m_subcarriers", "l_su"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"scenario field {name!r} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
+        if not (isinstance(self.vc_indices, tuple)
+                and all(_is_integer(v) for v in self.vc_indices)):
+            raise ValueError("scenario field 'vc_indices' must be a list of "
+                             f"integers, got {self.vc_indices!r}")
 
     def with_sweep_value(self, variable: str, value: float) -> "ScenarioSpec":
         if variable == "snr_pu_db":
@@ -190,14 +203,21 @@ class SweepConfig:
         for key in ("sweep_variable", "grid"):
             if key not in raw:
                 raise ValueError(f"config is missing the required key {key!r}")
-        if "vc_indices" in sc:
+        if isinstance(sc.get("vc_indices"), list):
             sc["vc_indices"] = tuple(sc["vc_indices"])
+        csit = raw.get("csit", False)
+        if not isinstance(csit, bool):
+            raise ValueError(f"config key 'csit' must be true or false, got {csit!r}")
+        for key in ("n_trials", "seed"):
+            if key in raw and not _is_integer(raw[key]):
+                raise ValueError(f"config key {key!r} must be an integer, "
+                                 f"got {raw[key]!r}")
         return cls(sweep_variable=raw["sweep_variable"],
                    grid=tuple(float(v) for v in raw["grid"]),
                    schemes=tuple(raw.get("schemes", SCHEMES)),
-                   csit=bool(raw.get("csit", False)),
-                   n_trials=int(raw.get("n_trials", 100_000)),
-                   seed=int(raw.get("seed", 0)),
+                   csit=csit,
+                   n_trials=raw.get("n_trials", 100_000),
+                   seed=raw.get("seed", 0),
                    scenario=ScenarioSpec(**sc))
 
 
@@ -445,8 +465,13 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
 
     Each ``*_check`` function below is the one implementation of its oracle
     and returns ``(ok, detail)``; the acceptance tests call the same
-    functions with their own seeds and sizes.
+    functions with their own seeds and sizes.  ``trials`` below 100 or
+    ``n_frames`` below 1 raise ``ValueError`` before any check runs.
     """
+    if trials < 100:
+        raise ValueError(f"trials must be at least 100, got {trials}")
+    if n_frames < 1:
+        raise ValueError(f"frames must be at least 1, got {n_frames}")
     checks: list[CheckResult] = []
     root = np.random.SeedSequence(seed)
     streams = [np.random.default_rng(s) for s in root.spawn(16)]
@@ -661,14 +686,11 @@ def _random_search_best(layout, scenario, h_su, h_24, n_points, rng,
 def channel_statistics_check(scenario, specs, n_draws, rng):
     """|H12(0)|^2 and |H23(0)|^2 follow exponential laws with the link
     variances, and H12(0), H23(0) are uncorrelated.  Only subcarrier 0 is
-    read, so each draw asks for one-point responses: H(0) is the tap sum
-    at any grid size."""
-    h12_0 = np.empty(n_draws, dtype=complex)
-    h23_0 = np.empty(n_draws, dtype=complex)
-    for i in range(n_draws):
-        ch = draw_channels(scenario, specs, 1, rng)
-        h12_0[i] = ch.freq[1, 2][0]
-        h23_0[i] = ch.freq[2, 3][0]
+    read, so one batched draw asks for one-point responses: H(0) is the tap
+    sum at any grid size."""
+    ch = draw_channels(scenario, specs, 1, rng, batch=(n_draws,))
+    h12_0 = ch.freq[1, 2][:, 0]
+    h23_0 = ch.freq[2, 3][:, 0]
     s12 = scenario.link_variance(1, 2)
     s23 = scenario.link_variance(2, 3)
     mag12 = np.abs(h12_0) ** 2

@@ -377,6 +377,23 @@ class TestMonotonicity:
 
 
 class TestCapacityReport:
+    @pytest.mark.parametrize("change,names", [
+        ({"c_pu_lower": np.nan, "delta_c_pu": np.nan}, "c_pu_lower"),
+        ({"c_su_lower": np.inf}, "c_su_lower"),
+        ({"p_out": np.nan}, "p_out"),
+        ({"cp_efficiency": np.nan}, "cp_efficiency"),
+        ({"std_err": {"c_su_lower": np.inf}}, "std_err"),
+    ], ids=["nan-c_pu_lower", "inf-c_su_lower", "nan-p_out",
+            "nan-cp_efficiency", "inf-std_err"])
+    def test_rejects_non_finite_values(self, change, names):
+        kwargs = dict(c_pu_lower=1.0, c_pu_direct=0.5, delta_c_pu=0.5,
+                      c_su_lower=0.1, mode="CSIT", p_out=0.1, n_trials=10,
+                      std_err={"c_pu_lower": 0.01, "c_su_lower": 0.01})
+        CapacityReport(**kwargs)
+        kwargs.update(change)
+        with pytest.raises(ValueError, match=names):
+            CapacityReport(**kwargs)
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             CapacityReport(c_pu_lower=1.0, c_pu_direct=0.5, delta_c_pu=0.2,

@@ -80,15 +80,29 @@ class TestFrequencyResponse:
         assert np.array_equal(a.taps[1, 2], b.taps[1, 2])
         assert not np.array_equal(a.taps[1, 2], a.taps[1, 3][:2])
 
+    @pytest.mark.parametrize("m", [1, 64])
+    def test_batch_equals_single_draws(self, scenario, m):
+        specs = reference_link_specs()
+        n = 50
+        rng = np.random.default_rng(17)
+        singles = [draw_channels(scenario, specs, m, rng) for _ in range(n)]
+        rng = np.random.default_rng(17)
+        batch = draw_channels(scenario, specs, m, rng, batch=(n,))
+        for link in LINKS:
+            assert batch.taps[link].shape == (n, specs[link].order + 1)
+            assert batch.freq[link].shape == (n, m)
+            assert np.array_equal(batch.taps[link],
+                                  np.array([ch.taps[link] for ch in singles]))
+            assert np.array_equal(batch.freq[link],
+                                  np.array([ch.freq[link] for ch in singles]))
+
     def test_frequency_variance_moment(self, scenario):
         # mean of |H(0)|^2 over draws within 3 standard errors of sigma2
         specs = reference_link_specs()
         rng = np.random.default_rng(11)
         n = 20_000
-        vals = np.empty(n)
-        for i in range(n):
-            ch = draw_channels(scenario, specs, 8, rng)
-            vals[i] = np.abs(ch.freq[1, 2][0]) ** 2
+        ch = draw_channels(scenario, specs, 8, rng, batch=(n,))
+        vals = np.abs(ch.freq[1, 2][:, 0]) ** 2
         s12 = scenario.link_variance(1, 2)
         assert abs(vals.mean() - s12) <= 3.0 * s12 / np.sqrt(n)
 
@@ -96,9 +110,8 @@ class TestFrequencyResponse:
         specs = reference_link_specs()
         rng = np.random.default_rng(13)
         n = 20_000
-        vals = np.empty(n)
-        for i in range(n):
-            vals[i] = np.abs(draw_channels(scenario, specs, 8, rng).freq[2, 3][0]) ** 2
+        ch = draw_channels(scenario, specs, 8, rng, batch=(n,))
+        vals = np.abs(ch.freq[2, 3][:, 0]) ** 2
         p = stats.kstest(vals, "expon",
                          args=(0.0, scenario.link_variance(2, 3))).pvalue
         assert p > 0.01
@@ -117,8 +130,11 @@ class TestToeplitzPair:
         want[0, 7] = 1.0
         assert np.abs(h1 - want).max() == 0
 
-    def test_block_pair_matches_stream_convolution(self):
-        p, order, theta = 16, 3, 2
+    @pytest.mark.parametrize("order,theta", [(3, 2), (0, 0), (3, 0), (0, 15),
+                                             (15, 0), (7, 8)])
+    def test_block_pair_matches_stream_convolution(self, order, theta):
+        # (0, 15), (15, 0) and (7, 8) reach the largest allowed spread p - 1
+        p = 16
         rng = np.random.default_rng(2)
         taps = zmcscg(rng, order + 1)
         u_prev = zmcscg(rng, p)

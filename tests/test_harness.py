@@ -213,8 +213,17 @@ class TestCli:
         ({"grid": None}, "grid"),
         ({"n_trails": 200}, "n_trails"),
         ({"grid": [float("nan")]}, "grid must be"),
+        ({"csit": "false"}, "csit"),
+        ({"n_trials": 200.9}, "n_trials"),
+        ({"seed": 3.7}, "seed"),
+        ({"scenario": {"m_subcarriers": 16.0}}, "m_subcarriers"),
+        ({"scenario": {"l_su": 10.0}}, "l_su"),
+        ({"scenario": {"vc_indices": [0, 16.5]}}, "vc_indices"),
+        ({"scenario": {"vc_indices": 3}}, "vc_indices"),
     ], ids=["unknown-scenario-key", "missing-sweep-variable", "nan-eta",
-            "missing-file", "missing-grid", "unknown-config-key", "nan-grid"])
+            "missing-file", "missing-grid", "unknown-config-key", "nan-grid",
+            "string-csit", "float-n_trials", "float-seed", "float-m_subcarriers",
+            "float-l_su", "float-vc_index", "scalar-vc_indices"])
     def test_sweep_rejects_bad_config(self, tmp_path, capsys, change, names):
         cfg_path = tmp_path / "cfg.json"
         if change is not None:
@@ -228,6 +237,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2
         assert not out_path.exists()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and names in lines[0]
+
+    @pytest.mark.parametrize("argv,names", [
+        (["--trials", "0"], "trials"),
+        (["--trials", "99"], "trials"),
+        (["--frames", "0"], "frames"),
+    ], ids=["zero-trials", "99-trials", "zero-frames"])
+    def test_validate_rejects_bad_sizes(self, capsys, argv, names):
+        assert cli_main(["validate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and names in lines[0]
 
