@@ -18,9 +18,10 @@ from .transceiver import (FrameConfig, FrameSimulator, FrameTrace, NoiseBlocks,
                           read_frame_traces, required_cp_length,
                           simulate_frame, srx_frequency_model, stx_power_mc,
                           stx_process, write_frame_traces, zero_noise)
-from .capacity import (CapacityReport, baseline_nocr, baseline_ocr, bessel_k,
-                       c_pu_direct, c_pu_lower, c_su_lower_csit,
-                       c_su_lower_nocsit, check_pu_monotonicity,
+from .capacity import (CapacityReport, baseline_nocr, baseline_nocr_quad,
+                       baseline_ocr, bessel_k, c_pu_direct, c_pu_lower,
+                       c_pu_lower_quad, c_su_lower_csit, c_su_lower_nocsit,
+                       c_su_lower_nocsit_quad, check_pu_monotonicity,
                        exponential_integral_neg, kappa, outage_closed_form,
                        outage_mc, psi, pu_outage_probability)
 from .harness import (SCHEMES, CheckResult, ScenarioSpec, SweepConfig,

@@ -1,7 +1,7 @@
 """Batch command-line interface.
 
-Subcommands: ``sweep`` runs a JSON-configured Monte Carlo sweep and writes a
-CSV plus a JSON manifest; ``validate`` runs the oracle/invariant suite;
+Subcommands: ``sweep`` runs a JSON-configured rate sweep (quadrature where
+exact, Monte Carlo elsewhere) and writes a CSV plus a JSON manifest; ``validate`` runs the oracle/invariant suite;
 ``psi`` and ``outage`` evaluate the scalar closed forms for scripting.
 Exit code is nonzero when validation fails or a sweep aborts.
 """
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectrum-sharing capacity sweeps for a relayed OFDM link")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="run a configured Monte Carlo sweep")
+    p_sweep = sub.add_parser("sweep", help="run a configured rate sweep")
     p_sweep.add_argument("--config", required=True, help="JSON sweep configuration")
     p_sweep.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sweep.add_argument("--trials", type=int, default=None, help="override trial count")

@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
+import scipy
 from scipy import integrate, special, stats
 
 from . import __version__
 from .channel import LinkSpec, NetworkScenario, draw_channels, zmcscg
-from .capacity import (CapacityReport, baseline_nocr, baseline_ocr, bessel_k,
-                       c_pu_direct, c_pu_lower, c_su_lower_csit,
-                       c_su_lower_nocsit, check_pu_monotonicity, kappa,
+from .capacity import (CapacityReport, baseline_nocr_quad, baseline_ocr,
+                       bessel_k, c_pu_direct, c_pu_lower_quad, c_su_lower_csit,
+                       c_su_lower_nocsit_quad, check_pu_monotonicity, kappa,
                        outage_mc, psi, pu_outage_probability)
 from .precoding import (csit_objective, power_residual, realize_precoders,
                         srx_noise_floor, uc_power_coefficient, uniform_profile,
@@ -109,6 +112,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Resolved scenario knobs of one sweep (before applying the swept
@@ -129,9 +137,10 @@ class ScenarioSpec:
     def __post_init__(self):
         for name in ("d12_ratio", "power_ratio", "snr_db", "eta",
                      "vc_power_fraction"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"scenario field {name!r} must be finite, "
-                                 f"got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ValueError(f"scenario field {name!r} must be a finite "
+                                 f"number, got {value!r}")
         for name in ("m_subcarriers", "l_su"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"scenario field {name!r} must be an integer, "
@@ -194,7 +203,12 @@ class SweepConfig:
         naming it."""
         with open(path) as fh:
             raw = json.load(fh)
-        sc = dict(raw.get("scenario", {}))
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        sc = raw.get("scenario", {})
+        if not isinstance(sc, dict):
+            raise ValueError(f"config key 'scenario' must be an object, got {sc!r}")
+        sc = dict(sc)
         for where, keys, known in (("config", raw, fields(cls)),
                                    ("scenario", sc, fields(ScenarioSpec))):
             unknown = sorted(set(keys) - {f.name for f in known})
@@ -203,6 +217,9 @@ class SweepConfig:
         for key in ("sweep_variable", "grid"):
             if key not in raw:
                 raise ValueError(f"config is missing the required key {key!r}")
+        if not (isinstance(raw["grid"], list) and all(map(_is_number, raw["grid"]))):
+            raise ValueError(f"config key 'grid' must be a list of numbers, "
+                             f"got {raw['grid']!r}")
         if isinstance(sc.get("vc_indices"), list):
             sc["vc_indices"] = tuple(sc["vc_indices"])
         csit = raw.get("csit", False)
@@ -221,11 +238,25 @@ class SweepConfig:
                    scenario=ScenarioSpec(**sc))
 
 
+def scheme_estimators(scheme: str, csit: bool) -> dict[str, str]:
+    """How ``evaluate_scheme`` computes the two rates of a scheme: by
+    ``"quadrature"`` or by ``"mc"``; the ocr baseline's primary rate is the
+    ``"closed_form"`` direct rate.  Only "mc" rates carry a nonzero
+    standard error."""
+    if scheme == "ocr":
+        return {"c_pu_lower": "closed_form", "c_su_lower": "mc"}
+    csit_rate = csit and scheme != "nocr"
+    return {"c_pu_lower": "quadrature", "c_su_lower": "mc" if csit_rate else "quadrature"}
+
+
 def evaluate_scheme(scheme: str, scenario: NetworkScenario, layout, csit: bool,
                     n_trials: int, rng: np.random.Generator,
                     vc_power_fraction: float = 0.5,
                     cp_efficiency: float = 1.0) -> CapacityReport:
-    """Capacity report of one scheme at one configuration."""
+    """Capacity report of one scheme at one configuration.  Rates under the
+    uniform profile are exact quadratures with standard error 0; the ocr
+    secondary rate and the waterfilled CSIT secondary rate are Monte Carlo
+    over ``n_trials`` draws of ``rng`` (see ``scheme_estimators``)."""
     direct = c_pu_direct(scenario, layout)
     if scheme == "ocr":
         su, su_se = baseline_ocr(scenario, layout, n_trials, rng)
@@ -246,20 +277,20 @@ def evaluate_scheme(scheme: str, scenario: NetworkScenario, layout, csit: bool,
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    profile = uniform_profile(layout, scenario, g)
-    pu, pu_se = c_pu_lower(scenario, layout, profile, n_trials, rng)
+    pu = c_pu_lower_quad(scenario, layout, uniform_profile(layout, scenario, g))
+    su_se = 0.0
     if scheme == "nocr":
-        su, su_se = baseline_nocr(scenario, layout, n_trials, rng)
+        su = baseline_nocr_quad(scenario, layout)
     elif csit:
         su, su_se = c_su_lower_csit(scenario, layout, n_trials, rng, use_vcs=use_vcs)
     else:
-        su, su_se = c_su_lower_nocsit(scenario, layout, g, n_trials, rng)
+        su = c_su_lower_nocsit_quad(scenario, layout, g)
     return CapacityReport(c_pu_lower=pu, c_pu_direct=direct,
                           delta_c_pu=pu - direct, c_su_lower=su,
                           mode="CSIT" if csit else "NOCSIT",
                           p_out=pu_outage_probability(scenario),
                           n_trials=n_trials,
-                          std_err={"c_pu_lower": pu_se, "c_su_lower": su_se},
+                          std_err={"c_pu_lower": 0.0, "c_su_lower": su_se},
                           cp_efficiency=cp_efficiency)
 
 
@@ -268,8 +299,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
 
     One row per (grid value, scheme); every task draws from its own child of
     the root seed, indexed by position, so results do not depend on the
-    thread count.
+    thread count, which must be at least 1.
     """
+    if not (_is_integer(threads) and threads >= 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     tasks = [(gi, si) for gi in range(len(cfg.grid)) for si in range(len(cfg.schemes))]
     children = np.random.SeedSequence(cfg.seed).spawn(len(tasks))
     resolved = []
@@ -309,6 +342,14 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
 
     manifest = {
         "version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "threads": threads,
+            "cpu_count": os.cpu_count(),
+        },
+        "estimators": {s: scheme_estimators(s, cfg.csit) for s in cfg.schemes},
         "config": {
             "sweep_variable": cfg.sweep_variable,
             "grid": list(cfg.grid),
@@ -513,8 +554,13 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
     ok_mono, rep = check_pu_monotonicity(sc_mono, cfg.layout,
                                          np.geomspace(0.25, 2.0, 8),
                                          min(trials, 20_000), seed)
-    record("pu_budget_monotonicity", ok_mono,
-           f"kappa={rep['kappa']:.3f}, violations={len(rep['violations'])}")
+    # the same Monte Carlo means against the exact quadrature, at 3 se
+    gap = max(abs(m - e) / se for m, e, se in
+              zip(rep["means"], rep["exact"], rep["stderrs"]))
+    record("pu_budget_monotonicity", ok_mono and gap <= 3.0,
+           f"kappa={rep['kappa']:.3f}, violations={len(rep['violations'])}, "
+           f"Monte Carlo vs quadrature max {gap:.2f} se over "
+           f"{len(rep['means'])} budgets")
 
     # monotonicity gate outside the small-kappa regime: reported, not asserted
     sc_big = build_scenario(5.0 ** (2.0 / 3.0), 1.0, 20.0, "pu")

@@ -11,16 +11,17 @@ import pytest
 from scipy import integrate
 
 from convsup.capacity import (CapacityReport, EULER_GAMMA, _composite_gain,
-                              baseline_nocr, baseline_ocr, bessel_k,
-                              c_pu_direct, c_pu_lower, c_su_lower_csit,
-                              c_su_lower_nocsit,
+                              _psi_deficit, baseline_nocr, baseline_nocr_quad,
+                              baseline_ocr, bessel_k, c_pu_direct, c_pu_lower,
+                              c_pu_lower_quad, c_su_lower_csit,
+                              c_su_lower_nocsit, c_su_lower_nocsit_quad,
                               check_pu_monotonicity, exponential_integral_neg,
                               kappa, nocsit_high_snr_approx,
                               nocsit_low_snr_approx, outage_mc, psi,
                               pu_outage_probability)
 from convsup.channel import draw_channels, zmcscg
 from convsup.harness import build_scenario, reference_link_specs, resolve_d12
-from convsup.precoding import uniform_profile
+from convsup.precoding import PowerProfile, uniform_profile
 from convsup.spectral import build_spectral_context, build_vc_layout
 
 
@@ -87,6 +88,18 @@ class TestPsi:
             z_k = 1 / mpmath.mpf(float(a_k))
             want = float(mpmath.exp(z_k) * mpmath.e1(z_k))
             assert got_k == pytest.approx(want, rel=1e-14, abs=0.0), float(z_k)
+
+    def test_deficit_matches_mpmath(self):
+        # 1 - psi(b)/b, the integrand of the nocr quadrature, keeps its
+        # digits at small b, where the plain difference cancels
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        b = np.concatenate([np.logspace(-12, 6, 91), np.linspace(1 / 720, 1 / 680, 21)])
+        got = _psi_deficit(b)
+        for b_k, got_k in zip(b, got):
+            z = 1 / mpmath.mpf(float(b_k))
+            want = float(1 - z * mpmath.exp(z) * mpmath.e1(z))
+            assert got_k == pytest.approx(want, rel=1e-12, abs=0.0), float(b_k)
 
 
 class TestExponentialIntegral:
@@ -178,21 +191,11 @@ class TestPrimaryCapacity:
         assert val - c_pu_direct(scenario, layout) >= 3.0 * se
 
     def test_matches_independent_quadrature(self, layout64):
-        # two-dimensional Gauss-Laguerre of E[psi(gamma)] as the oracle
+        # the program's Gauss-Laguerre value against Monte Carlo
         _, layout = layout64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
         prof = uniform_profile(layout, scenario, scenario.p_su / (2 * layout.m_vc))
-        x, w = np.polynomial.laguerre.laggauss(80)
-        s12, s13 = scenario.link_variance(1, 2), scenario.link_variance(1, 3)
-        s23 = scenario.link_variance(2, 3)
-        a = prof.uc_power[0]
-        lam = a * s23 * s12 / s13
-        c = a * s23 * scenario.sigma2_v[2] / scenario.sigma2_v[3]
-        snr = s13 * scenario.p_pu / scenario.sigma2_v[3]
-        u, v = np.meshgrid(x, x)
-        target = float(np.outer(w, w).ravel()
-                       @ psi(snr * (1 + lam * u * v) / (1 + c)).ravel())
-        want = layout.q / (layout.m * np.log(2)) * target
+        want = c_pu_lower_quad(scenario, layout, prof)
         val, se = c_pu_lower(scenario, layout, prof, 100_000,
                              np.random.default_rng(2))
         assert abs(val - want) <= 3.0 * se
@@ -252,25 +255,22 @@ class TestSecondaryCapacity:
         assert cs > no  # comfortably apart at this geometry
 
     def test_direct_and_conditional_estimators_agree(self, layout64):
+        # direct Monte Carlo against the quadrature, which averages psi of
+        # the conditional mean SNR exactly
         _, layout = layout64
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, 20.0, "su")
         g = scenario.p_su / (2 * layout.m_vc)
         v1, s1 = c_su_lower_nocsit(scenario, layout, g, 60_000,
-                                   np.random.default_rng(3), estimator="direct")
-        v2, s2 = c_su_lower_nocsit(scenario, layout, g, 60_000,
-                                   np.random.default_rng(4),
-                                   estimator="conditional")
-        assert abs(v1 - v2) <= 3.0 * np.hypot(s1, s2)
+                                   np.random.default_rng(3))
+        v2 = c_su_lower_nocsit_quad(scenario, layout, g)
+        assert abs(v1 - v2) <= 3.0 * s1
 
     def test_low_snr_closed_form(self, layout64):
         _, layout = layout64
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, -10.0, "su")
         g = scenario.p_su / (2 * layout.m_vc)
         want = nocsit_low_snr_approx(scenario, layout, g)
-        got, _ = c_su_lower_nocsit(scenario, layout, g, 100_000,
-                                   np.random.default_rng(5),
-                                   estimator="conditional",
-                                   constant_modulus=True)
+        got = c_su_lower_nocsit_quad(scenario, layout, g, constant_modulus=True)
         assert abs(got - want) / want <= 0.05
 
     def test_high_snr_closed_form(self, layout64):
@@ -278,24 +278,18 @@ class TestSecondaryCapacity:
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1e4, 20.0, "pu")
         g = scenario.p_su / (2 * layout.m_vc)
         want = nocsit_high_snr_approx(scenario, layout, g)
-        got, _ = c_su_lower_nocsit(scenario, layout, g, 100_000,
-                                   np.random.default_rng(6),
-                                   estimator="conditional",
-                                   constant_modulus=True)
+        got = c_su_lower_nocsit_quad(scenario, layout, g, constant_modulus=True)
         assert abs(got - want) / want <= 0.05
 
     def test_nocsit_rejects_bad_inputs(self, layout64):
         _, layout = layout64
         scenario = build_scenario(0.7, 1.0, 20.0, "su")
-        with pytest.raises(ValueError):
-            c_su_lower_nocsit(scenario, layout, -0.1, 1000,
-                              np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            c_su_lower_nocsit(scenario, layout, scenario.p_su, 1000,
-                              np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            c_su_lower_nocsit(scenario, layout, 0.1, 1000,
-                              np.random.default_rng(0), estimator="bogus")
+        for g in (-0.1, scenario.p_su):
+            with pytest.raises(ValueError):
+                c_su_lower_nocsit(scenario, layout, g, 1000,
+                                  np.random.default_rng(0))
+            with pytest.raises(ValueError):
+                c_su_lower_nocsit_quad(scenario, layout, g)
 
     def test_composite_gain_sampler_matches_complex_product(self):
         from scipy import stats
@@ -345,6 +339,84 @@ class TestBaselines:
         prop, se_p = c_su_lower_nocsit(scenario, layout, 0.0, 30_000,
                                        np.random.default_rng(4))
         assert prop - nocr >= 3.0 * np.hypot(se_n, se_p)
+
+
+class TestQuadrature:
+    """The *_quad rates against their Monte Carlo oracles."""
+
+    @staticmethod
+    def reference_point(snr_pu_db):
+        # README reference sweep: d12/d13 = 0.3, P_su = P_pu, even VC split
+        ctx = build_spectral_context(64, 10)
+        layout = build_vc_layout(ctx, (0, 16, 32, 48))
+        scenario = build_scenario(0.3, 1.0, snr_pu_db, "pu")
+        return scenario, layout, 0.5 * scenario.p_su / layout.m_vc
+
+    @pytest.mark.parametrize("snr_pu_db", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+    def test_reference_grid_within_3se_of_monte_carlo(self, snr_pu_db):
+        scenario, layout, g = self.reference_point(snr_pu_db)
+        rngs = [np.random.default_rng((910, int(snr_pu_db), k)) for k in range(5)]
+        n = 50_000
+        prof = uniform_profile(layout, scenario, g)
+        pairs = {
+            "c_pu_lower": (c_pu_lower_quad(scenario, layout, prof),
+                           c_pu_lower(scenario, layout, prof, n, rngs[0])),
+            "nocsit with vcs": (c_su_lower_nocsit_quad(scenario, layout, g),
+                                c_su_lower_nocsit(scenario, layout, g, n, rngs[1])),
+            "nocsit without vcs": (c_su_lower_nocsit_quad(scenario, layout, 0.0),
+                                   c_su_lower_nocsit(scenario, layout, 0.0, n,
+                                                     rngs[2])),
+            "nocsit constant modulus": (
+                c_su_lower_nocsit_quad(scenario, layout, g, constant_modulus=True),
+                c_su_lower_nocsit(scenario, layout, g, n, rngs[3],
+                                  constant_modulus=True)),
+            "nocr": (baseline_nocr_quad(scenario, layout),
+                     baseline_nocr(scenario, layout, n, rngs[4])),
+        }
+        for name, (exact, (mc, se)) in pairs.items():
+            assert abs(exact - mc) <= 3.0 * se, (name, exact, mc, se)
+
+    @pytest.mark.parametrize("snr_pu_db", [0.0, 30.0])
+    def test_64_and_128_nodes_agree(self, snr_pu_db):
+        scenario, layout, g = self.reference_point(snr_pu_db)
+        prof = uniform_profile(layout, scenario, g)
+        rates = {
+            "c_pu_lower": lambda n: c_pu_lower_quad(scenario, layout, prof, n),
+            "nocsit": lambda n: c_su_lower_nocsit_quad(scenario, layout, g,
+                                                       n_nodes=n),
+            "nocsit constant modulus": lambda n: c_su_lower_nocsit_quad(
+                scenario, layout, g, constant_modulus=True, n_nodes=n),
+            "nocr": lambda n: baseline_nocr_quad(scenario, layout, n),
+        }
+        for name, rate in rates.items():
+            assert rate(64) == pytest.approx(rate(128), rel=1e-12, abs=0.0), name
+
+    def test_primary_rate_with_unequal_weights(self, layout64):
+        # one Gauss-Laguerre integral per distinct weight, counted per
+        # subcarrier: 15 at 2.5a, 15 silent, 30 at a
+        _, layout = layout64
+        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+        base = uniform_profile(layout, scenario, 0.0)
+        uc = base.uc_power.copy()
+        uc[::4] *= 2.5
+        uc[1::4] = 0.0
+        prof = PowerProfile(layout=layout, uc_power=uc, vc_power=base.vc_power)
+        val, se = c_pu_lower(scenario, layout, prof, 50_000,
+                             np.random.default_rng(915))
+        assert abs(c_pu_lower_quad(scenario, layout, prof) - val) <= 3.0 * se
+
+    def test_silent_secondary(self, layout64):
+        _, layout = layout64
+        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+        prof = uniform_profile(layout, scenario, scenario.p_su / layout.m_vc)
+        assert c_pu_lower_quad(scenario, layout, prof) == pytest.approx(
+            c_pu_direct(scenario, layout), rel=1e-14)
+        quiet = build_scenario(0.7, 1e-9, 20.0, "pu")
+        assert 0.0 < baseline_nocr_quad(quiet, layout) <= 1e-6
+        assert c_su_lower_nocsit_quad(scenario, layout,
+                                      scenario.p_su / layout.m_vc) == pytest.approx(
+            c_su_lower_nocsit(scenario, layout, scenario.p_su / layout.m_vc, 200,
+                              np.random.default_rng(0))[0], rel=1e-14)
 
 
 class TestMonotonicity:

@@ -2,12 +2,15 @@
 round trip and the CLI surface."""
 
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from convsup.cli import main as cli_main
-from convsup.harness import (ScenarioSpec, SweepConfig, build_scenario,
+from convsup.harness import (SCHEMES, ScenarioSpec, SweepConfig, build_scenario,
                              emit_csv, evaluate_scheme, resolve_d12, run_sweep,
                              stx_position, validate_suite)
 from convsup.spectral import build_spectral_context, build_vc_layout
@@ -107,6 +110,31 @@ class TestRunSweep:
         for row in ocr:
             assert row["delta_c_pu"] == 0.0
             assert row["p_out"] == 0.0
+
+    @pytest.mark.parametrize("csit", [False, True], ids=["nocsit", "csit"])
+    def test_quadrature_rows_report_zero_stderr(self, csit):
+        cfg = small_config(grid=(20.0,), schemes=SCHEMES, csit=csit)
+        rows, manifest = run_sweep(cfg)
+        estimators = manifest["estimators"]
+        assert set(estimators) == set(SCHEMES)
+        for row in rows:
+            for q in ("c_pu_lower", "c_su_lower"):
+                exact = estimators[row["scheme"]][q] != "mc"
+                assert (row[f"stderr_{q}"] == 0.0) == exact, (row["scheme"], q)
+            assert row["n_trials"] == cfg.n_trials
+        want_su = "mc" if csit else "quadrature"
+        assert estimators["proposed_with_vcs"] == {"c_pu_lower": "quadrature",
+                                                   "c_su_lower": want_su}
+        assert estimators["nocr"] == {"c_pu_lower": "quadrature",
+                                      "c_su_lower": "quadrature"}
+        assert estimators["ocr"] == {"c_pu_lower": "closed_form", "c_su_lower": "mc"}
+
+    def test_manifest_records_environment(self):
+        _, manifest = run_sweep(small_config(grid=(20.0,)), threads=2)
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "threads": 2,
+            "cpu_count": os.cpu_count()}
 
     def test_zero_power_secondary_has_no_effect(self):
         ctx = build_spectral_context(16, 5)
@@ -220,10 +248,16 @@ class TestCli:
         ({"scenario": {"l_su": 10.0}}, "l_su"),
         ({"scenario": {"vc_indices": [0, 16.5]}}, "vc_indices"),
         ({"scenario": {"vc_indices": 3}}, "vc_indices"),
+        ({"scenario": {"d12_ratio": "0.3"}}, "d12_ratio"),
+        ({"grid": 20}, "grid"),
+        ({"grid": [20.0, "25"]}, "grid"),
+        ({"scenario": 3}, "scenario"),
     ], ids=["unknown-scenario-key", "missing-sweep-variable", "nan-eta",
             "missing-file", "missing-grid", "unknown-config-key", "nan-grid",
             "string-csit", "float-n_trials", "float-seed", "float-m_subcarriers",
-            "float-l_su", "float-vc_index", "scalar-vc_indices"])
+            "float-l_su", "float-vc_index", "scalar-vc_indices",
+            "string-d12_ratio", "scalar-grid", "string-grid-entry",
+            "scalar-scenario"])
     def test_sweep_rejects_bad_config(self, tmp_path, capsys, change, names):
         cfg_path = tmp_path / "cfg.json"
         if change is not None:
@@ -239,6 +273,20 @@ class TestCli:
         assert not out_path.exists()
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and names in lines[0]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_sweep_rejects_bad_threads(self, tmp_path, capsys, threads):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sweep_variable": "snr_pu_db",
+                                        "grid": [20.0], "schemes": ["ocr"],
+                                        "n_trials": 200}))
+        out_path = tmp_path / "out.csv"
+        rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_path),
+                       "--threads", threads])
+        captured = capsys.readouterr()
+        assert rc == 2 and not out_path.exists()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and "threads" in lines[0]
 
     @pytest.mark.parametrize("argv,names", [
         (["--trials", "0"], "trials"),
