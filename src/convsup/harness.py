@@ -238,17 +238,6 @@ class SweepConfig:
                    scenario=ScenarioSpec(**sc))
 
 
-def scheme_estimators(scheme: str, csit: bool) -> dict[str, str]:
-    """How ``evaluate_scheme`` computes the two rates of a scheme: by
-    ``"quadrature"`` or by ``"mc"``; the ocr baseline's primary rate is the
-    ``"closed_form"`` direct rate.  Only "mc" rates carry a nonzero
-    standard error."""
-    if scheme == "ocr":
-        return {"c_pu_lower": "closed_form", "c_su_lower": "mc"}
-    csit_rate = csit and scheme != "nocr"
-    return {"c_pu_lower": "quadrature", "c_su_lower": "mc" if csit_rate else "quadrature"}
-
-
 def evaluate_scheme(scheme: str, scenario: NetworkScenario, layout, csit: bool,
                     n_trials: int, rng: np.random.Generator,
                     vc_power_fraction: float = 0.5,
@@ -256,7 +245,8 @@ def evaluate_scheme(scheme: str, scenario: NetworkScenario, layout, csit: bool,
     """Capacity report of one scheme at one configuration.  Rates under the
     uniform profile are exact quadratures with standard error 0; the ocr
     secondary rate and the waterfilled CSIT secondary rate are Monte Carlo
-    over ``n_trials`` draws of ``rng`` (see ``scheme_estimators``)."""
+    over ``n_trials`` draws of ``rng``; the report's ``estimators`` names
+    the method of each rate."""
     direct = c_pu_direct(scenario, layout)
     if scheme == "ocr":
         su, su_se = baseline_ocr(scenario, layout, n_trials, rng)
@@ -265,6 +255,8 @@ def evaluate_scheme(scheme: str, scenario: NetworkScenario, layout, csit: bool,
                               mode="CSIT" if csit else "NOCSIT",
                               p_out=0.0, n_trials=n_trials,
                               std_err={"c_pu_lower": 0.0, "c_su_lower": su_se},
+                              estimators={"c_pu_lower": "closed_form",
+                                          "c_su_lower": "mc"},
                               cp_efficiency=cp_efficiency)
 
     if scheme == "proposed_with_vcs":
@@ -278,11 +270,12 @@ def evaluate_scheme(scheme: str, scenario: NetworkScenario, layout, csit: bool,
         raise ValueError(f"unknown scheme {scheme!r}")
 
     pu = c_pu_lower_quad(scenario, layout, uniform_profile(layout, scenario, g))
-    su_se = 0.0
+    su_se, su_method = 0.0, "quadrature"
     if scheme == "nocr":
         su = baseline_nocr_quad(scenario, layout)
     elif csit:
         su, su_se = c_su_lower_csit(scenario, layout, n_trials, rng, use_vcs=use_vcs)
+        su_method = "mc"
     else:
         su = c_su_lower_nocsit_quad(scenario, layout, g)
     return CapacityReport(c_pu_lower=pu, c_pu_direct=direct,
@@ -291,6 +284,8 @@ def evaluate_scheme(scheme: str, scenario: NetworkScenario, layout, csit: bool,
                           p_out=pu_outage_probability(scenario),
                           n_trials=n_trials,
                           std_err={"c_pu_lower": 0.0, "c_su_lower": su_se},
+                          estimators={"c_pu_lower": "quadrature",
+                                      "c_su_lower": su_method},
                           cp_efficiency=cp_efficiency)
 
 
@@ -311,7 +306,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
         scenario, ctx, layout, l_cp = spec.build()
         resolved.append((spec, scenario, ctx, layout, l_cp))
 
-    def work(task_idx: int) -> dict:
+    def work(task_idx: int) -> tuple[dict, dict]:
         gi, si = tasks[task_idx]
         spec, scenario, ctx, layout, l_cp = resolved[gi]
         scheme = cfg.schemes[si]
@@ -332,13 +327,14 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
             "stderr_c_su_lower": rep.std_err["c_su_lower"],
             "n_trials": cfg.n_trials,
             "seed": f"{cfg.seed}/{task_idx}",
-        }
+        }, rep.estimators
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, range(len(tasks))))
+            results = list(pool.map(work, range(len(tasks))))
     else:
-        rows = [work(i) for i in range(len(tasks))]
+        results = [work(i) for i in range(len(tasks))]
+    rows = [row for row, _ in results]
 
     manifest = {
         "version": __version__,
@@ -349,7 +345,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
             "threads": threads,
             "cpu_count": os.cpu_count(),
         },
-        "estimators": {s: scheme_estimators(s, cfg.csit) for s in cfg.schemes},
+        "estimators": {row["scheme"]: how for row, how in results},
         "config": {
             "sweep_variable": cfg.sweep_variable,
             "grid": list(cfg.grid),

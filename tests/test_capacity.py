@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from convsup import capacity
 from convsup.capacity import (CapacityReport, EULER_GAMMA, _composite_gain,
                               _psi_deficit, baseline_nocr, baseline_nocr_quad,
                               baseline_ocr, bessel_k, c_pu_direct, c_pu_lower,
@@ -21,7 +22,8 @@ from convsup.capacity import (CapacityReport, EULER_GAMMA, _composite_gain,
                               pu_outage_probability)
 from convsup.channel import draw_channels, zmcscg
 from convsup.harness import build_scenario, reference_link_specs, resolve_d12
-from convsup.precoding import PowerProfile, uniform_profile
+from convsup.precoding import (PowerProfile, srx_noise_floor, uc_power_coefficient,
+                               uniform_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
 
 
@@ -377,19 +379,47 @@ class TestQuadrature:
             assert abs(exact - mc) <= 3.0 * se, (name, exact, mc, se)
 
     @pytest.mark.parametrize("snr_pu_db", [0.0, 30.0])
-    def test_64_and_128_nodes_agree(self, snr_pu_db):
+    def test_64_and_128_nodes_agree(self, snr_pu_db, monkeypatch):
         scenario, layout, g = self.reference_point(snr_pu_db)
         prof = uniform_profile(layout, scenario, g)
         rates = {
-            "c_pu_lower": lambda n: c_pu_lower_quad(scenario, layout, prof, n),
-            "nocsit": lambda n: c_su_lower_nocsit_quad(scenario, layout, g,
-                                                       n_nodes=n),
-            "nocsit constant modulus": lambda n: c_su_lower_nocsit_quad(
-                scenario, layout, g, constant_modulus=True, n_nodes=n),
-            "nocr": lambda n: baseline_nocr_quad(scenario, layout, n),
+            "c_pu_lower": lambda: c_pu_lower_quad(scenario, layout, prof),
+            "nocsit": lambda: c_su_lower_nocsit_quad(scenario, layout, g),
+            "nocsit constant modulus": lambda: c_su_lower_nocsit_quad(
+                scenario, layout, g, constant_modulus=True),
+            "nocr": lambda: baseline_nocr_quad(scenario, layout),
         }
+        at_64 = {name: rate() for name, rate in rates.items()}
+        monkeypatch.setattr(capacity, "GL_NODES", 128)
         for name, rate in rates.items():
-            assert rate(64) == pytest.approx(rate(128), rel=1e-12, abs=0.0), name
+            assert rate() == pytest.approx(at_64[name], rel=1e-12, abs=0.0), name
+
+    @pytest.mark.parametrize("d12_ratio,power_ratio,snr_pu_db,m,vcs", [
+        (0.3, 1.0, 0.0, 64, (0, 16, 32, 48)),
+        (0.3, 1.0, 30.0, 64, (0, 16, 32, 48)),
+        (0.1, 1e3, 60.0, 64, (0, 16, 32, 48)),
+        (0.7, 1e-9, 20.0, 16, (0, 8)),
+        (0.7, 1e-3, -20.0, 8, ()),
+    ], ids=["ref-0dB", "ref-30dB", "strong", "quiet", "weak-no-vcs"])
+    def test_nocr_trapezoid_matches_adaptive_quadrature(
+            self, d12_ratio, power_ratio, snr_pu_db, m, vcs):
+        # the same integrand in u, integrated by scipy's adaptive rule
+        layout = build_vc_layout(build_spectral_context(m, min(10, m // 2)), vcs)
+        scenario = build_scenario(d12_ratio, power_ratio, snr_pu_db, "pu")
+        c = scenario.p_su / (layout.q * uc_power_coefficient(scenario)
+                             * srx_noise_floor(scenario))
+        e1, w = np.polynomial.laguerre.laggauss(64)
+        gain = scenario.link_variance(2, 4) * (
+            scenario.link_variance(1, 2) * scenario.p_pu * e1 + scenario.sigma2_v[2])
+
+        def integrand(u):
+            deficit = _psi_deficit(c * u * gain) @ w
+            return -np.expm1(layout.q * np.log1p(-deficit)) * np.exp(-u) / u
+
+        ref, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13,
+                                limit=400)
+        assert baseline_nocr_quad(scenario, layout) == pytest.approx(
+            ref / (layout.m * np.log(2.0)), rel=1e-12, abs=0.0)
 
     def test_primary_rate_with_unequal_weights(self, layout64):
         # one Gauss-Laguerre integral per distinct weight, counted per
@@ -460,7 +490,8 @@ class TestCapacityReport:
     def test_rejects_non_finite_values(self, change, names):
         kwargs = dict(c_pu_lower=1.0, c_pu_direct=0.5, delta_c_pu=0.5,
                       c_su_lower=0.1, mode="CSIT", p_out=0.1, n_trials=10,
-                      std_err={"c_pu_lower": 0.01, "c_su_lower": 0.01})
+                      std_err={"c_pu_lower": 0.01, "c_su_lower": 0.01},
+                      estimators={"c_pu_lower": "mc", "c_su_lower": "mc"})
         CapacityReport(**kwargs)
         kwargs.update(change)
         with pytest.raises(ValueError, match=names):
@@ -470,12 +501,12 @@ class TestCapacityReport:
         with pytest.raises(ValueError):
             CapacityReport(c_pu_lower=1.0, c_pu_direct=0.5, delta_c_pu=0.2,
                            c_su_lower=0.1, mode="CSIT", p_out=0.1,
-                           n_trials=10, std_err={})
+                           n_trials=10, std_err={}, estimators={})
         with pytest.raises(ValueError):
             CapacityReport(c_pu_lower=1.0, c_pu_direct=0.5, delta_c_pu=0.5,
                            c_su_lower=-0.1, mode="CSIT", p_out=0.1,
-                           n_trials=10, std_err={})
+                           n_trials=10, std_err={}, estimators={})
         with pytest.raises(ValueError):
             CapacityReport(c_pu_lower=1.0, c_pu_direct=0.5, delta_c_pu=0.5,
                            c_su_lower=0.1, mode="CSIT", p_out=1.5,
-                           n_trials=10, std_err={})
+                           n_trials=10, std_err={}, estimators={})
