@@ -8,7 +8,7 @@ from .spectral import (SpectralContext, VcLayout, InconsistentResponseError,
                        build_spectral_context, build_vc_layout,
                        filter_frequency_response, min_norm_filter)
 from .channel import (LINKS, NetworkScenario, LinkSpec, ChannelRealization,
-                      draw_channels, toeplitz_pair, zmcscg)
+                      draw_channels, link_output, toeplitz_pair, zmcscg)
 from .precoding import (PowerProfile, PrecoderSet, PrecoderRankError,
                         csit_objective, power_residual, realize_precoders,
                         srx_noise_floor, uc_power_coefficient,
@@ -16,8 +16,8 @@ from .precoding import (PowerProfile, PrecoderSet, PrecoderRankError,
 from .transceiver import (FrameConfig, FrameSimulator, FrameTrace, NoiseBlocks,
                           draw_noise_blocks, pu_frequency_model, pu_transmit,
                           read_frame_traces, required_cp_length,
-                          simulate_frame, srx_frequency_model, stx_power_mc,
-                          stx_process, write_frame_traces, zero_noise)
+                          srx_frequency_model, stx_power_mc, stx_process,
+                          write_frame_traces, zero_noise)
 from .capacity import (CapacityReport, baseline_nocr, baseline_nocr_quad,
                        baseline_ocr, bessel_k, c_pu_direct, c_pu_lower,
                        c_pu_lower_quad, c_su_lower_csit, c_su_lower_nocsit,

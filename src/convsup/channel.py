@@ -19,6 +19,7 @@ __all__ = [
     "LinkSpec",
     "ChannelRealization",
     "draw_channels",
+    "link_output",
     "toeplitz_pair",
     "zmcscg",
 ]
@@ -178,3 +179,33 @@ def toeplitz_pair(taps: np.ndarray, offset: int, p: int) -> tuple[np.ndarray, np
     impulse[offset:offset + taps.size] = taps
     lag = np.subtract.outer(np.arange(p), np.arange(p))
     return impulse[lag], impulse[lag + p]
+
+
+def link_output(taps: np.ndarray, offset: int, cur: np.ndarray,
+                prev: np.ndarray | None = None) -> np.ndarray:
+    """``h0 @ cur + h1 @ prev`` of one link without forming ``toeplitz_pair``.
+
+    The block is a shift-and-add over the taps on the concatenated
+    ``[prev, cur]`` stream of 2p samples (``prev=None`` is a silent previous
+    block), so memory stays O(p) per frame.  Blocks run along the last axis
+    of ``cur`` and ``prev`` and taps along the last axis of ``taps``; the
+    leading axes of all three broadcast as a batch.
+    """
+    taps = np.asarray(taps)
+    cur = np.asarray(cur)
+    p = cur.shape[-1]
+    order = taps.shape[-1] - 1
+    if order + offset > p - 1:
+        raise ValueError(
+            f"channel order {order} plus offset {offset} exceeds block length "
+            f"{p} minus one")
+    if prev is None:
+        prev = np.zeros_like(cur)
+    prev, cur = np.broadcast_arrays(prev, cur)
+    stream = np.concatenate([prev, cur], axis=-1)
+    # output sample n takes tap l from stream sample p + n - offset - l
+    out = taps[..., 0, None] * stream[..., p - offset:2 * p - offset]
+    for ell in range(1, order + 1):
+        start = p - offset - ell
+        out += taps[..., ell, None] * stream[..., start:start + p]
+    return out

@@ -45,6 +45,9 @@ def _cmd_validate(args) -> int:
         print(f"validate aborted: {exc}", file=sys.stderr)
         return 2
     print(report.render())
+    # stdout stays the same bytes for a seed and sizes; times vary per run
+    for check in report.checks:
+        print(f"{check.name}: {check.seconds:.2f} s", file=sys.stderr)
     return 0 if report.ok else 1
 
 

@@ -178,29 +178,33 @@ def build_vc_layout(ctx: SpectralContext, vc_indices) -> VcLayout:
 
 def filter_frequency_response(ctx: SpectralContext, f_tilde: np.ndarray) -> np.ndarray:
     """M-point frequency response of the order-``l_su`` filter ``f_tilde``:
-    sqrt(M) * W_dft * J * f_tilde."""
+    sqrt(M) * W_dft * J * f_tilde, along the last axis (leading axes are a
+    batch)."""
     f_tilde = np.asarray(f_tilde)
-    if f_tilde.shape != (ctx.l_su + 1,):
+    if f_tilde.shape[-1:] != (ctx.l_su + 1,):
         raise ValueError(f"expected {ctx.l_su + 1} filter taps, got shape {f_tilde.shape}")
-    return np.sqrt(ctx.m) * (ctx.w_dft @ (ctx.j_pad @ f_tilde))
+    return np.sqrt(ctx.m) * (f_tilde @ (ctx.w_dft @ ctx.j_pad).T)
 
 
 def min_norm_filter(ctx: SpectralContext, f: np.ndarray,
                     rel_tol: float = 1e-9) -> np.ndarray:
-    """Minimal-norm filter taps whose frequency response equals ``f``.
+    """Minimal-norm filter taps whose frequency response equals ``f``, along
+    the last axis (leading axes are a batch).
 
-    ``f`` must lie in the realizable span (checked through the
+    Every response must lie in the realizable span (checked through the
     reconstruction residual); otherwise :class:`InconsistentResponseError`
-    is raised.
+    is raised, naming the worst relative residual of the batch.
     """
     f = np.asarray(f, dtype=complex)
-    if f.shape != (ctx.m,):
-        raise ValueError(f"expected an {ctx.m}-vector, got shape {f.shape}")
-    f_tilde = (ctx.j_pad.T @ (ctx.w_idft @ f)) / np.sqrt(ctx.m)
-    resid = np.linalg.norm(filter_frequency_response(ctx, f_tilde) - f)
-    scale = np.linalg.norm(f)
-    if resid > rel_tol * max(scale, np.finfo(float).tiny):
+    if f.shape[-1:] != (ctx.m,):
+        raise ValueError(f"expected {ctx.m}-vectors, got shape {f.shape}")
+    f_tilde = (f @ (ctx.j_pad.T @ ctx.w_idft).T) / np.sqrt(ctx.m)
+    resid = np.linalg.norm(filter_frequency_response(ctx, f_tilde) - f, axis=-1)
+    scale = np.linalg.norm(f, axis=-1)
+    bad = resid > rel_tol * np.maximum(scale, np.finfo(float).tiny)
+    if np.any(bad):
+        worst = np.max(resid[bad] / scale[bad])
         raise InconsistentResponseError(
             f"response is not synthesizable by an order-{ctx.l_su} causal FIR "
-            f"filter (relative residual {resid / scale:.3e})")
+            f"filter (relative residual {worst:.3e})")
     return f_tilde

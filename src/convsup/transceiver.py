@@ -1,4 +1,4 @@
-"""End-to-end time-domain simulation of one primary symbol period.
+"""End-to-end time-domain simulation of primary symbol periods.
 
 The chain: primary OFDM transmit (IDFT + cyclic prefix), full-duplex
 secondary transmitter applying a causal FIR filter to its received samples
@@ -6,6 +6,9 @@ plus an own OFDM block on the virtual subcarriers, and both receivers
 (prefix removal + DFT).  Inter-block interference is carried explicitly via
 the previous period's transmit blocks, so the per-subcarrier frequency
 models can be checked sample-exactly against the simulated chain.
+
+Every block runs along the last axis, and leading axes are a batch of
+independent frames: a batch shape ``()`` is one frame.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .channel import ChannelRealization, LinkSpec, NetworkScenario, zmcscg, toeplitz_pair
+from .channel import ChannelRealization, LinkSpec, NetworkScenario, link_output, zmcscg
 from .precoding import PrecoderSet
 from .spectral import SpectralContext, VcLayout, min_norm_filter
 
 __all__ = [
+    "FRAME_CHUNK",
     "FrameConfig",
     "NoiseBlocks",
     "FrameTrace",
@@ -28,16 +32,16 @@ __all__ = [
     "required_cp_length",
     "pu_transmit",
     "stx_process",
-    "simulate_frame",
     "draw_noise_blocks",
     "zero_noise",
     "pu_frequency_model",
     "srx_frequency_model",
-    "stx_output_spectrum",
     "stx_power_mc",
     "write_frame_traces",
     "read_frame_traces",
 ]
+
+FRAME_CHUNK = 20_000  # frames per batch of the Monte Carlo chain oracles
 
 
 def required_cp_length(specs: Mapping[tuple[int, int], LinkSpec], l_su: int) -> int:
@@ -95,17 +99,23 @@ class FrameConfig:
         return self.m + self.l_cp
 
 
+def _apply(mat: np.ndarray, x) -> np.ndarray:
+    """``mat @ x`` for every vector along the last axis of ``x``."""
+    return np.asarray(x, dtype=complex) @ mat.T
+
+
 def _cp_insert(block_m: np.ndarray, l_cp: int) -> np.ndarray:
-    return np.concatenate([block_m[-l_cp:], block_m])
+    return np.concatenate([block_m[..., -l_cp:], block_m], axis=-1)
 
 
 def _cp_remove(block_p: np.ndarray, l_cp: int) -> np.ndarray:
-    return block_p[l_cp:]
+    return block_p[..., l_cp:]
 
 
 @dataclass(frozen=True)
 class NoiseBlocks:
-    """Thermal-noise blocks (length P) at the three receiving nodes."""
+    """Thermal-noise blocks (length P, after the batch shape) at the three
+    receiving nodes."""
 
     v2: np.ndarray
     v3: np.ndarray
@@ -113,28 +123,30 @@ class NoiseBlocks:
 
 
 def draw_noise_blocks(cfg: FrameConfig, scenario: NetworkScenario,
-                      rng: np.random.Generator) -> NoiseBlocks:
-    """Draw one period of receiver noise.
+                      rng: np.random.Generator,
+                      batch: tuple[int, ...] = ()) -> NoiseBlocks:
+    """Draw one period of receiver noise for every frame of ``batch``.
 
     The secondary-receive-chain noise is an M-sample block prefixed like a
     data block, which makes the relayed-noise path circular and hence
     exactly diagonal in the frequency domain; v3 and v4 are white over all
     P samples.
     """
-    v2 = _cp_insert(zmcscg(rng, cfg.m, scenario.sigma2_v[2]), cfg.l_cp)
+    v2 = _cp_insert(zmcscg(rng, batch + (cfg.m,), scenario.sigma2_v[2]), cfg.l_cp)
     return NoiseBlocks(v2=v2,
-                       v3=zmcscg(rng, cfg.p, scenario.sigma2_v[3]),
-                       v4=zmcscg(rng, cfg.p, scenario.sigma2_v[4]))
+                       v3=zmcscg(rng, batch + (cfg.p,), scenario.sigma2_v[3]),
+                       v4=zmcscg(rng, batch + (cfg.p,), scenario.sigma2_v[4]))
 
 
-def zero_noise(cfg: FrameConfig) -> NoiseBlocks:
-    z = np.zeros(cfg.p, dtype=complex)
+def zero_noise(cfg: FrameConfig, batch: tuple[int, ...] = ()) -> NoiseBlocks:
+    z = np.zeros(batch + (cfg.p,), dtype=complex)
     return NoiseBlocks(v2=z, v3=z.copy(), v4=z.copy())
 
 
 @dataclass(frozen=True)
 class FrameTrace:
-    """All blocks of one simulated primary symbol period."""
+    """All blocks of one simulated primary symbol period (per frame of a
+    batch)."""
 
     x_pu: np.ndarray
     x_su_1: np.ndarray
@@ -152,11 +164,11 @@ class FrameTrace:
 
 def pu_transmit(x_pu: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """Primary OFDM modulator: virtual-subcarrier insertion, unitary IDFT,
-    cyclic prefix.  Returns a length-P block."""
+    cyclic prefix.  Returns length-P blocks."""
     x_pu = np.asarray(x_pu)
-    if x_pu.shape != (cfg.layout.q,):
+    if x_pu.shape[-1:] != (cfg.layout.q,):
         raise ValueError(f"expected {cfg.layout.q} data symbols, got {x_pu.shape}")
-    return _cp_insert(cfg.ctx.w_idft @ (cfg.layout.theta @ x_pu), cfg.l_cp)
+    return _cp_insert(_apply(cfg.ctx.w_idft @ cfg.layout.theta, x_pu), cfg.l_cp)
 
 
 def stx_process(y2_t: np.ndarray, x_su_1: np.ndarray, x_su_2: np.ndarray,
@@ -164,19 +176,19 @@ def stx_process(y2_t: np.ndarray, x_su_1: np.ndarray, x_su_2: np.ndarray,
     """Secondary transmit block: causal FIR filtering of the received block
     (the filter taps encode ``x_su_1``) plus an own prefixed OFDM block
     carrying ``x_su_2`` on the virtual subcarriers."""
-    f = pre.a @ x_su_1
-    f_tilde = min_norm_filter(cfg.ctx, f)
-    z2_relay = np.convolve(y2_t, f_tilde)[: cfg.p]
-    u_su = _cp_insert(cfg.ctx.w_idft @ (pre.g @ x_su_2), cfg.l_cp)
+    f_tilde = min_norm_filter(cfg.ctx, _apply(pre.a, x_su_1))
+    z2_relay = link_output(f_tilde, 0, y2_t)
+    u_su = _cp_insert(_apply(cfg.ctx.w_idft @ pre.g, x_su_2), cfg.l_cp)
     return z2_relay + u_su
 
 
 class FrameSimulator:
-    """Stateful frame-by-frame simulator.
+    """Stateful frame-by-frame simulator over a batch of independent frames.
 
     Keeps the previous period's transmit blocks so inter-block interference
     enters exactly as the two-operator Toeplitz expansion dictates.  State
-    starts at zero (a silent warm-up period).
+    starts at zero (a silent warm-up period); after a step, the next step
+    must use the same batch shape until ``reset``.
     """
 
     def __init__(self, cfg: FrameConfig, pre: PrecoderSet):
@@ -193,27 +205,17 @@ class FrameSimulator:
              x_su_1: np.ndarray, x_su_2: np.ndarray,
              noises: NoiseBlocks) -> FrameTrace:
         cfg = self.cfg
-        p = cfg.p
-        ops = {link: toeplitz_pair(channels.taps[link], channels.offsets[link], p)
-               for link in channels.taps}
+
+        def link(tx_rx, cur, prev):
+            return link_output(channels.taps[tx_rx], channels.offsets[tx_rx], cur, prev)
 
         u_pu = pu_transmit(x_pu, cfg)
-        h12_0, h12_1 = ops[1, 2]
-        y2 = h12_0 @ u_pu + h12_1 @ self._prev_u_pu + noises.v2
+        y2 = link((1, 2), u_pu, self._prev_u_pu) + noises.v2
         z2 = stx_process(y2, x_su_1, x_su_2, self.pre, cfg)
-
-        h13_0, h13_1 = ops[1, 3]
-        h23_0, h23_1 = ops[2, 3]
-        y3 = (h13_0 @ u_pu + h13_1 @ self._prev_u_pu
-              + h23_0 @ z2 + h23_1 @ self._prev_z2 + noises.v3)
-        h14_0, h14_1 = ops[1, 4]
-        h24_0, h24_1 = ops[2, 4]
-        y4 = (h14_0 @ u_pu + h14_1 @ self._prev_u_pu
-              + h24_0 @ z2 + h24_1 @ self._prev_z2 + noises.v4)
-
-        w_dft = cfg.ctx.w_dft
-        y_pu_f = w_dft @ _cp_remove(y3, cfg.l_cp)
-        y_su_f = w_dft @ _cp_remove(y4, cfg.l_cp)
+        y3 = (link((1, 3), u_pu, self._prev_u_pu) + link((2, 3), z2, self._prev_z2)
+              + noises.v3)
+        y4 = (link((1, 4), u_pu, self._prev_u_pu) + link((2, 4), z2, self._prev_z2)
+              + noises.v4)
 
         self._prev_u_pu = u_pu
         self._prev_z2 = z2
@@ -221,30 +223,13 @@ class FrameSimulator:
                           x_su_1=np.asarray(x_su_1, dtype=complex),
                           x_su_2=np.asarray(x_su_2, dtype=complex),
                           u_pu_t=u_pu, y2_t=y2, z2_t=z2, y3_t=y3, y4_t=y4,
-                          y_pu_f=y_pu_f, y_su_f=y_su_f,
+                          y_pu_f=_apply(cfg.ctx.w_dft, _cp_remove(y3, cfg.l_cp)),
+                          y_su_f=_apply(cfg.ctx.w_dft, _cp_remove(y4, cfg.l_cp)),
                           noises=noises, channels=channels)
 
 
-def simulate_frame(prev: tuple[ChannelRealization, np.ndarray, np.ndarray, np.ndarray, NoiseBlocks] | None,
-                   channels: ChannelRealization, x_pu: np.ndarray,
-                   x_su_1: np.ndarray, x_su_2: np.ndarray, noises: NoiseBlocks,
-                   pre: PrecoderSet, cfg: FrameConfig) -> FrameTrace:
-    """Simulate one period preceded by an explicit previous period.
-
-    ``prev`` is ``(channels, x_pu, x_su_1, x_su_2, noises)`` for the period
-    before the one of interest, or None for a silent warm-up.
-    """
-    sim = FrameSimulator(cfg, pre)
-    if prev is not None:
-        sim.step(*prev)
-    return sim.step(channels, x_pu, x_su_1, x_su_2, noises)
-
-
 def _frequency_inputs(pre: PrecoderSet, layout: VcLayout, x_pu, x_su_1, x_su_2):
-    f_resp = pre.a @ np.asarray(x_su_1, dtype=complex)
-    theta_x = layout.theta @ np.asarray(x_pu, dtype=complex)
-    g_x = pre.g @ np.asarray(x_su_2, dtype=complex)
-    return f_resp, theta_x, g_x
+    return _apply(pre.a, x_su_1), _apply(layout.theta, x_pu), _apply(pre.g, x_su_2)
 
 
 def pu_frequency_model(channels: ChannelRealization, pre: PrecoderSet,
@@ -274,61 +259,31 @@ def srx_frequency_model(channels: ChannelRealization, pre: PrecoderSet,
     return h_su * f_resp + h24 * g_x + h14 * theta_x + v4_f
 
 
-def _shift_rows(blocks: np.ndarray, k: int) -> np.ndarray:
-    """Delay every row of a batch by k samples (zeros shifted in)."""
-    if k == 0:
-        return blocks
-    out = np.zeros_like(blocks)
-    out[:, k:] = blocks[:, :-k]
-    return out
-
-
-def stx_output_spectrum(cfg: FrameConfig, pre: PrecoderSet, h12_taps: np.ndarray,
-                        x_pu: np.ndarray, x_su_1: np.ndarray, x_su_2: np.ndarray,
-                        v2: np.ndarray) -> np.ndarray:
-    """Batched secondary transmit spectrum (prefix removed, unitary DFT).
-
-    Row-per-frame version of the receive-filter-transmit chain at the
-    secondary transmitter, used for power accounting over many frames;
-    inter-block interference only touches samples the prefix removal drops,
-    so a zero previous block gives the steady-state statistic.
-    """
-    theta12 = cfg.specs[1, 2].offset
-    n = x_pu.shape[0]
-    w_idft, w_dft = cfg.ctx.w_idft, cfg.ctx.w_dft
-    u_m = (w_idft @ (cfg.layout.theta @ x_pu.T)).T
-    u = np.concatenate([u_m[:, -cfg.l_cp:], u_m], axis=1)
-    y2 = np.array(v2, dtype=complex)
-    for ell in range(h12_taps.shape[1]):
-        y2 += h12_taps[:, ell:ell + 1] * _shift_rows(u, ell + theta12)
-    f = (pre.a @ x_su_1.T).T
-    f_tilde = (cfg.ctx.j_pad.T @ (w_idft @ f.T)).T / np.sqrt(cfg.m)
-    z2 = np.zeros((n, cfg.p), dtype=complex)
-    for k in range(cfg.l_su + 1):
-        z2 += f_tilde[:, k:k + 1] * _shift_rows(y2, k)
-    u_su_m = (w_idft @ (pre.g @ x_su_2.T)).T
-    z2 += np.concatenate([u_su_m[:, -cfg.l_cp:], u_su_m], axis=1)
-    return (w_dft @ z2[:, cfg.l_cp:].T).T
-
-
 def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
-                 n_frames: int, rng: np.random.Generator,
-                 chunk: int = 20_000) -> tuple[float, float]:
+                 n_frames: int, rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the transmitted block energy
-    ||z2||^2 (frequency domain, prefix excluded)."""
+    ||z2||^2 (prefix excluded; the unitary DFT keeps it the frequency-domain
+    energy).
+
+    Each batch of up to ``FRAME_CHUNK`` frames runs the h12 link and
+    ``stx_process`` with a zero previous block: inter-block interference
+    only touches samples the prefix removal drops, so that gives the
+    steady-state statistic.
+    """
     spec12 = cfg.specs[1, 2]
     var12 = (spec12.variance if spec12.variance is not None
              else scenario.link_variance(1, 2))
     powers = np.empty(n_frames)
-    for start in range(0, n_frames, chunk):
-        n = min(chunk, n_frames - start)
+    for start in range(0, n_frames, FRAME_CHUNK):
+        n = min(FRAME_CHUNK, n_frames - start)
         taps = zmcscg(rng, (n, spec12.order + 1), var12 / (spec12.order + 1))
         x_pu = zmcscg(rng, (n, cfg.layout.q), scenario.p_pu)
         x1 = zmcscg(rng, (n, cfg.layout.n_sym))
         x2 = zmcscg(rng, (n, cfg.layout.m_vc))
         v2 = zmcscg(rng, (n, cfg.p), scenario.sigma2_v[2])
-        z2_f = stx_output_spectrum(cfg, pre, taps, x_pu, x1, x2, v2)
-        powers[start:start + n] = np.sum(np.abs(z2_f) ** 2, axis=1)
+        y2 = link_output(taps, spec12.offset, pu_transmit(x_pu, cfg)) + v2
+        z2 = _cp_remove(stx_process(y2, x1, x2, pre, cfg), cfg.l_cp)
+        powers[start:start + n] = np.sum(z2.real ** 2 + z2.imag ** 2, axis=-1)
     return float(powers.mean()), float(powers.std(ddof=1) / np.sqrt(n_frames))
 
 
@@ -342,9 +297,17 @@ def write_frame_traces(path, cfg: FrameConfig, seed: int, traces) -> None:
 
     Layout: magic, then ``<IIIQQ`` header (M, L_cp, L_su, seed, n_frames);
     per frame the blocks u_pu_t, y2_t, z2_t, y3_t, y4_t (P complex each)
-    followed by y_pu_f, y_su_f (M complex each).
+    followed by y_pu_f, y_su_f (M complex each).  Each trace must be one
+    frame: a batched trace raises ``ValueError`` before the file is opened.
     """
     traces = list(traces)
+    sizes = dict(zip(_TRACE_BLOCKS, [cfg.p] * 5 + [cfg.m] * 2))
+    for tr in traces:
+        for name, size in sizes.items():
+            if np.shape(getattr(tr, name)) != (size,):
+                raise ValueError(f"trace block {name} has shape "
+                                 f"{np.shape(getattr(tr, name))}, expected one "
+                                 f"frame of {size} samples")
     with open(path, "wb") as fh:
         fh.write(_TRACE_MAGIC)
         fh.write(_TRACE_HEADER.pack(cfg.m, cfg.l_cp, cfg.l_su, seed, len(traces)))

@@ -6,7 +6,8 @@ import pytest
 from scipy import stats
 
 from convsup.channel import (LINKS, LinkSpec, NetworkScenario, draw_channels,
-                             frequency_response, toeplitz_pair, zmcscg)
+                             frequency_response, link_output, toeplitz_pair,
+                             zmcscg)
 from convsup.harness import build_scenario, reference_link_specs
 
 
@@ -152,6 +153,38 @@ class TestToeplitzPair:
     def test_rejects_overlong_spread(self):
         with pytest.raises(ValueError):
             toeplitz_pair(np.ones(4, dtype=complex), 5, 8)
+
+
+class TestLinkOutput:
+    @pytest.mark.parametrize("order,theta", [(3, 2), (0, 0), (3, 0), (0, 15),
+                                             (15, 0), (7, 8)])
+    def test_shift_and_add_matches_block_pair(self, order, theta):
+        p = 16
+        rng = np.random.default_rng(3)
+        taps = zmcscg(rng, order + 1)
+        u_prev = zmcscg(rng, p)
+        u_cur = zmcscg(rng, p)
+        h0, h1 = toeplitz_pair(taps, theta, p)
+        got = link_output(taps, theta, u_cur, u_prev)
+        assert np.abs(got - (h0 @ u_cur + h1 @ u_prev)).max() <= 1e-12
+        # a silent previous block is the intra-block operator alone
+        assert np.abs(link_output(taps, theta, u_cur) - h0 @ u_cur).max() <= 1e-12
+
+    def test_batch_rows_are_single_links(self):
+        p, n = 16, 4
+        rng = np.random.default_rng(4)
+        taps = zmcscg(rng, (n, 3))
+        u_prev = zmcscg(rng, (n, p))
+        u_cur = zmcscg(rng, (n, p))
+        got = link_output(taps, 5, u_cur, u_prev)
+        assert got.shape == (n, p)
+        for i in range(n):
+            h0, h1 = toeplitz_pair(taps[i], 5, p)
+            assert np.abs(got[i] - (h0 @ u_cur[i] + h1 @ u_prev[i])).max() <= 1e-12
+
+    def test_rejects_overlong_spread(self):
+        with pytest.raises(ValueError):
+            link_output(np.ones(4, dtype=complex), 5, np.zeros(8, dtype=complex))
 
 
 class TestLinkSpec:

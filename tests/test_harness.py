@@ -1,19 +1,35 @@
 """Harness tests: configuration validation, sweep reproducibility, CSV
 round trip and the CLI surface."""
 
+import importlib.util
 import json
 import os
 import platform
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+from convsup.channel import draw_channels, zmcscg
 from convsup.cli import main as cli_main
 from convsup.harness import (SCHEMES, ScenarioSpec, SweepConfig, build_scenario,
-                             emit_csv, evaluate_scheme, resolve_d12, run_sweep,
+                             emit_csv, evaluate_scheme, realized_rates,
+                             reference_link_specs, resolve_d12, run_sweep,
                              stx_position, validate_suite)
+from convsup.precoding import realize_precoders, srx_noise_floor, uniform_profile
 from convsup.spectral import build_spectral_context, build_vc_layout
+from convsup.transceiver import FrameConfig
+
+
+def load_benchmark_gates():
+    """perfbench/gates.py, the benchmark's output gates (not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gates.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gates", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def small_config(**overrides):
@@ -192,6 +208,47 @@ class TestValidateSuite:
         gate = [c for c in report.checks if c.name == "monotonicity_hypothesis_gate"]
         assert gate[0].status == "SKIP"
         assert "PASS" in rendered
+
+    def test_benchmark_configuration_passes_its_gate(self, capsys):
+        rc = cli_main(["validate", "--seed", "20260809", "--trials", "5000",
+                       "--frames", "100"])
+        out, err = capsys.readouterr()
+        gates = load_benchmark_gates()
+        _, problems = gates.check_validate(out, rc)
+        assert problems == []
+        # the report is on stdout, the time of each check on stderr
+        times = dict(re.fullmatch(r"(\w+): (\d+\.\d\d) s", line).groups()
+                     for line in err.splitlines())
+        assert times.keys() == gates.VALIDATE_EXPECTED.keys()
+        assert all(float(t) >= 0.0 for t in times.values())
+
+    def test_realized_det_rate_stays_below_diag_rate(self):
+        scenario, ctx, layout, l_cp = ScenarioSpec().build()
+        cfg = FrameConfig(ctx=ctx, layout=layout, l_cp=l_cp,
+                          specs=reference_link_specs())
+        profile = uniform_profile(layout, scenario, 0.5 * scenario.p_su / layout.m_vc)
+        pre = realize_precoders(ctx, layout, profile)
+        det, diag = realized_rates(scenario, cfg, pre, 300, np.random.default_rng(5))
+        assert det.shape == diag.shape == (300,)
+        assert np.all(det <= diag + 1e-9)
+        assert det.mean() < diag.mean()
+        # Sylvester's K x K determinant against the M x M one, same draws
+        rng = np.random.default_rng(6)
+        det, diag = realized_rates(scenario, cfg, pre, 3, rng)
+        rng = np.random.default_rng(6)
+        ch = draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(3,))
+        x_pu = zmcscg(rng, (3, layout.q), scenario.p_pu)
+        v2 = zmcscg(rng, (3, cfg.m), scenario.sigma2_v[2])
+        nu = np.where(layout.uc_mask(), srx_noise_floor(scenario), scenario.sigma2_v[4])
+        for i in range(3):
+            h24 = ch.freq[2, 4][i]
+            h_su = h24 * (ch.freq[1, 2][i] * (layout.theta @ x_pu[i]) + v2[i])
+            rx = np.hstack([h_su[:, None] * pre.a, h24[:, None] * pre.g])
+            gram = rx @ rx.conj().T
+            _, logdet = np.linalg.slogdet(np.eye(cfg.m) + gram / nu[:, None])
+            assert abs(det[i] - logdet / np.log(2.0)) <= 1e-9 * abs(det[i])
+            want_diag = np.log2(1.0 + np.diag(gram).real / nu).sum()
+            assert abs(diag[i] - want_diag) <= 1e-9 * want_diag
 
 
 class TestSchemeOrdering:

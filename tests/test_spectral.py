@@ -141,6 +141,28 @@ class TestMinNormFilter:
         with pytest.raises(InconsistentResponseError):
             min_norm_filter(ctx, _rand_complex(rng, 16))
 
+    def test_batch_rows_are_single_filters(self):
+        ctx = build_spectral_context(16, 3)
+        rng = np.random.default_rng(6)
+        taps = _rand_complex(rng, (2, 3, 4))
+        f = filter_frequency_response(ctx, taps)
+        assert f.shape == (2, 3, 16)
+        got = min_norm_filter(ctx, f)
+        for i, j in np.ndindex(2, 3):
+            single = filter_frequency_response(ctx, taps[i, j])
+            assert np.abs(f[i, j] - single).max() <= 1e-12
+            assert np.abs(got[i, j] - min_norm_filter(ctx, single)).max() <= 1e-12
+        assert np.abs(got - taps).max() <= 1e-12
+
+    def test_batch_with_one_unrealizable_row_is_rejected(self):
+        ctx = build_spectral_context(16, 3)
+        rng = np.random.default_rng(7)
+        f = filter_frequency_response(ctx, _rand_complex(rng, (5, 4)))
+        min_norm_filter(ctx, f)
+        f[3] = _rand_complex(rng, 16)
+        with pytest.raises(InconsistentResponseError):
+            min_norm_filter(ctx, f)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=24), st.data())
     def test_consistency_law(self, m, data):

@@ -11,10 +11,10 @@ from convsup.precoding import (PowerProfile, PrecoderSet, realize_precoders,
                                uniform_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
 from convsup.transceiver import (FrameConfig, FrameSimulator, NoiseBlocks,
-                                 pu_frequency_model, pu_transmit,
-                                 read_frame_traces, required_cp_length,
-                                 simulate_frame, srx_frequency_model,
-                                 stx_output_spectrum, stx_process,
+                                 draw_noise_blocks, pu_frequency_model,
+                                 pu_transmit, read_frame_traces,
+                                 required_cp_length, srx_frequency_model,
+                                 stx_power_mc, stx_process,
                                  write_frame_traces, zero_noise)
 
 
@@ -144,13 +144,16 @@ class TestStxProcess:
 
 
 class TestSimulateFrame:
+    """One frame of ``FrameSimulator``, after a silent or a random previous
+    frame."""
+
     def test_direct_link_only_when_secondary_silent(self, setup):
         scenario, cfg, pre = setup
         rng = np.random.default_rng(5)
         ch = draw_channels(scenario, cfg.specs, cfg.m, rng)
         x_pu = zmcscg(rng, 60, scenario.p_pu)
-        tr = simulate_frame(None, ch, x_pu, np.zeros(7, dtype=complex),
-                            np.zeros(4, dtype=complex), zero_noise(cfg), pre, cfg)
+        tr = FrameSimulator(cfg, pre).step(ch, x_pu, np.zeros(7, dtype=complex),
+                                           np.zeros(4, dtype=complex), zero_noise(cfg))
         want = ch.freq[1, 3] * (cfg.layout.theta @ x_pu)
         assert np.abs(tr.y_pu_f - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -182,7 +185,7 @@ class TestSimulateFrame:
         v2 = zmcscg(rng, cfg.p, scenario.sigma2_v[2])
         noises = NoiseBlocks(v2=v2, v3=np.zeros(cfg.p, dtype=complex),
                              v4=np.zeros(cfg.p, dtype=complex))
-        tr = simulate_frame(None, ch, x_pu, x1, x2, noises, pre, cfg)
+        tr = FrameSimulator(cfg, pre).step(ch, x_pu, x1, x2, noises)
         v2_f = cfg.ctx.w_dft @ v2[cfg.l_cp:]
         model = pu_frequency_model(ch, pre, cfg.layout, x_pu, x1, x2, v2_f=v2_f)
         assert np.abs(tr.y_pu_f - model).max() > 1e-8 * np.abs(model).max()
@@ -196,8 +199,10 @@ class TestSimulateFrame:
         prev = (draw_channels(scenario, cfg.specs, cfg.m, rng),
                 zmcscg(rng, 60, scenario.p_pu), zmcscg(rng, 7), zmcscg(rng, 4),
                 zero_noise(cfg))
-        base = simulate_frame(None, ch, x_pu, x1, x2, zero_noise(cfg), pre, cfg)
-        hist = simulate_frame(prev, ch, x_pu, x1, x2, zero_noise(cfg), pre, cfg)
+        base = FrameSimulator(cfg, pre).step(ch, x_pu, x1, x2, zero_noise(cfg))
+        sim = FrameSimulator(cfg, pre)
+        sim.step(*prev)
+        hist = sim.step(ch, x_pu, x1, x2, zero_noise(cfg))
         scale = np.abs(base.y_pu_f).max()
         assert np.abs(base.y_pu_f - hist.y_pu_f).max() <= 1e-10 * scale
         assert np.abs(base.y_su_f - hist.y_su_f).max() <= 1e-10 * scale
@@ -244,9 +249,12 @@ class TestSimulateFrame:
 
 class TestBatchedPower:
     def test_batch_matches_frame_simulator(self, setup):
+        # stx_power_mc's draws, replayed frame by frame through the full
+        # chain with only the h12 link live, give the same energies
         scenario, cfg, pre = setup
-        rng = np.random.default_rng(13)
         n = 3
+        mean, se = stx_power_mc(cfg, scenario, pre, n, np.random.default_rng(13))
+        rng = np.random.default_rng(13)
         spec12 = cfg.specs[1, 2]
         taps = zmcscg(rng, (n, spec12.order + 1),
                       scenario.link_variance(1, 2) / (spec12.order + 1))
@@ -254,7 +262,7 @@ class TestBatchedPower:
         x1 = zmcscg(rng, (n, 7))
         x2 = zmcscg(rng, (n, 4))
         v2 = zmcscg(rng, (n, cfg.p), scenario.sigma2_v[2])
-        batch = stx_output_spectrum(cfg, pre, taps, x_pu, x1, x2, v2)
+        powers = []
         for i in range(n):
             ch = ChannelRealization(
                 m=cfg.m,
@@ -265,10 +273,81 @@ class TestBatchedPower:
                 freq={link: np.zeros(cfg.m, dtype=complex) for link in cfg.specs})
             noises = NoiseBlocks(v2=v2[i], v3=np.zeros(cfg.p, dtype=complex),
                                  v4=np.zeros(cfg.p, dtype=complex))
-            sim = FrameSimulator(cfg, pre)
-            tr = sim.step(ch, x_pu[i], x1[i], x2[i], noises)
+            tr = FrameSimulator(cfg, pre).step(ch, x_pu[i], x1[i], x2[i], noises)
             z2_f = cfg.ctx.w_dft @ tr.z2_t[cfg.l_cp:]
-            assert np.abs(batch[i] - z2_f).max() <= 1e-12
+            powers.append(np.sum(np.abs(z2_f) ** 2))
+        assert abs(mean - np.mean(powers)) <= 1e-12 * np.mean(powers)
+        assert abs(se - np.std(powers, ddof=1) / np.sqrt(n)) <= 1e-12 * se
+
+
+class TestBatchedChain:
+    def test_batched_step_matches_single_frames(self, setup):
+        scenario, cfg, pre = setup
+        n = 5
+        rng = np.random.default_rng(16)
+
+        def inputs():
+            return (draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(n,)),
+                    zmcscg(rng, (n, 60), scenario.p_pu), zmcscg(rng, (n, 7)),
+                    zmcscg(rng, (n, 4)), draw_noise_blocks(cfg, scenario, rng, (n,)))
+
+        def frame(args, i):
+            ch, x_pu, x1, x2, noises = args
+            one = ChannelRealization(m=ch.m, taps={k: v[i] for k, v in ch.taps.items()},
+                                     offsets=ch.offsets,
+                                     freq={k: v[i] for k, v in ch.freq.items()})
+            return (one, x_pu[i], x1[i], x2[i],
+                    NoiseBlocks(v2=noises.v2[i], v3=noises.v3[i], v4=noises.v4[i]))
+
+        prev, cur = inputs(), inputs()
+        sim = FrameSimulator(cfg, pre)
+        sim.step(*prev)
+        batched = sim.step(*cur)
+        for i in range(n):
+            single = FrameSimulator(cfg, pre)
+            single.step(*frame(prev, i))
+            tr = single.step(*frame(cur, i))
+            for name in ("y_pu_f", "y_su_f", "z2_t"):
+                want = getattr(tr, name)
+                got = getattr(batched, name)[i]
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    def test_batched_frequency_models_match_single_frames(self, setup):
+        scenario, cfg, pre = setup
+        n = 4
+        rng = np.random.default_rng(17)
+        ch = draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(n,))
+        x_pu, x1, x2 = (zmcscg(rng, (n, 60), scenario.p_pu), zmcscg(rng, (n, 7)),
+                        zmcscg(rng, (n, 4)))
+        v2_f, v_f = zmcscg(rng, (n, cfg.m)), zmcscg(rng, (n, cfg.m))
+        pu = pu_frequency_model(ch, pre, cfg.layout, x_pu, x1, x2, v2_f, v_f)
+        su = srx_frequency_model(ch, pre, cfg.layout, x_pu, x1, x2, v2_f, v_f)
+        for i in range(n):
+            one = ChannelRealization(m=ch.m, taps={k: v[i] for k, v in ch.taps.items()},
+                                     offsets=ch.offsets,
+                                     freq={k: v[i] for k, v in ch.freq.items()})
+            want_pu = pu_frequency_model(one, pre, cfg.layout, x_pu[i], x1[i], x2[i],
+                                         v2_f[i], v_f[i])
+            want_su = srx_frequency_model(one, pre, cfg.layout, x_pu[i], x1[i], x2[i],
+                                          v2_f[i], v_f[i])
+            assert np.abs(pu[i] - want_pu).max() <= 1e-12 * np.abs(want_pu).max()
+            assert np.abs(su[i] - want_su).max() <= 1e-12 * np.abs(want_su).max()
+
+    def test_batched_stx_process_matches_single_frames(self, setup):
+        _, cfg, pre = setup
+        rng = np.random.default_rng(18)
+        y2, x1, x2 = zmcscg(rng, (3, cfg.p)), zmcscg(rng, (3, 7)), zmcscg(rng, (3, 4))
+        batched = stx_process(y2, x1, x2, pre, cfg)
+        for i in range(3):
+            want = stx_process(y2[i], x1[i], x2[i], pre, cfg)
+            assert np.abs(batched[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_noise_blocks_carry_the_batch_shape(self, setup):
+        scenario, cfg, _ = setup
+        noises = draw_noise_blocks(cfg, scenario, np.random.default_rng(19), (2, 3))
+        assert noises.v2.shape == noises.v3.shape == noises.v4.shape == (2, 3, cfg.p)
+        assert np.array_equal(noises.v2[..., :cfg.l_cp], noises.v2[..., -cfg.l_cp:])
+        assert zero_noise(cfg, (2, 3)).v4.shape == (2, 3, cfg.p)
 
 
 class TestReplayDeterminism:
@@ -313,6 +392,18 @@ class TestTraceDump:
         for tr, frame in zip(traces, frames):
             assert np.array_equal(frame["z2_t"], tr.z2_t)
             assert np.array_equal(frame["y_su_f"], tr.y_su_f)
+
+    def test_batched_trace_is_rejected(self, setup, tmp_path):
+        scenario, cfg, pre = setup
+        rng = np.random.default_rng(22)
+        ch = draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(2,))
+        trace = FrameSimulator(cfg, pre).step(
+            ch, zmcscg(rng, (2, 60), scenario.p_pu), zmcscg(rng, (2, 7)),
+            zmcscg(rng, (2, 4)), zero_noise(cfg, (2,)))
+        path = tmp_path / "frames.bin"
+        with pytest.raises(ValueError, match="one frame"):
+            write_frame_traces(path, cfg, seed=1, traces=[trace])
+        assert not path.exists()
 
     @pytest.mark.parametrize("cut,pad", [(16, b""), (0, b"\0" * 16)],
                              ids=["truncated", "padded"])
