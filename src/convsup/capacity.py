@@ -21,7 +21,7 @@ from scipy import special as _sps
 
 from .channel import NetworkScenario
 from .precoding import (PowerProfile, srx_noise_floor, uc_power_coefficient,
-                        waterfill_power)
+                        waterfill_power, waterfill_thresholds)
 from .spectral import VcLayout
 
 __all__ = [
@@ -276,21 +276,16 @@ def c_su_lower_csit(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
     dimensions, and scores the resulting rate.
     """
     s24 = scenario.link_variance(2, 4)
-    sig_v4 = scenario.sigma2_v[4]
-    # thresholds in transmit-power units: a used subcarrier costs
-    # (sigma2_12 P_pu + sigma2_v2) per unit weight
-    uc_scale = uc_power_coefficient(scenario) * srx_noise_floor(scenario)
+    levels = (uc_power_coefficient(scenario), srx_noise_floor(scenario),
+              scenario.sigma2_v[4])
     q = layout.q
     n_vc = layout.m_vc if use_vcs else 0
     vals = np.empty(n_trials)
     for start in range(0, n_trials, _CHUNK):
         n = min(_CHUNK, n_trials - start)
         gains = _composite_gain(rng, scenario, (n, q))
-        with np.errstate(divide="ignore"):
-            thr = uc_scale / gains
-            if n_vc:
-                thr = np.concatenate(
-                    [thr, sig_v4 / (s24 * rng.exponential(size=(n, n_vc)))], axis=1)
+        thr = waterfill_thresholds(*levels, gains,
+                                   s24 * rng.exponential(size=(n, n_vc)))
         spend, _ = waterfill_power(thr, scenario.p_su)
         vals[start:start + n] = np.log2(1.0 + spend / thr).sum(axis=1) / layout.m
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_trials))

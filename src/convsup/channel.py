@@ -8,6 +8,7 @@ variance d^(-eta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -27,6 +28,7 @@ __all__ = [
 # node ids: 1 primary transmitter, 2 secondary transmitter (full duplex),
 # 3 primary receiver, 4 secondary receiver
 LINKS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
+_LINK_ROWS = 128  # frames per pass of link_output: 128 x 2p samples stay in cache
 
 
 def zmcscg(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
@@ -37,9 +39,14 @@ def zmcscg(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
 
 
 def _complex_gaussian(re: np.ndarray, im: np.ndarray, variance) -> np.ndarray:
-    # unit real normals -> complex samples of the given total variance
+    # unit real normals -> complex samples of the given total variance,
+    # scaled straight into the two halves of one complex array
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    return scale * (re + 1j * im)
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im), scale.shape),
+                   dtype=complex)
+    np.multiply(scale, re, out=out.real)
+    np.multiply(scale, im, out=out.imag)
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,7 +196,8 @@ def link_output(taps: np.ndarray, offset: int, cur: np.ndarray,
     ``[prev, cur]`` stream of 2p samples (``prev=None`` is a silent previous
     block), so memory stays O(p) per frame.  Blocks run along the last axis
     of ``cur`` and ``prev`` and taps along the last axis of ``taps``; the
-    leading axes of all three broadcast as a batch.
+    leading axes of all three broadcast as a batch, which runs in passes of
+    ``_LINK_ROWS`` frames so that each tap's product stays in cache.
     """
     taps = np.asarray(taps)
     cur = np.asarray(cur)
@@ -199,13 +207,22 @@ def link_output(taps: np.ndarray, offset: int, cur: np.ndarray,
         raise ValueError(
             f"channel order {order} plus offset {offset} exceeds block length "
             f"{p} minus one")
-    if prev is None:
-        prev = np.zeros_like(cur)
-    prev, cur = np.broadcast_arrays(prev, cur)
-    stream = np.concatenate([prev, cur], axis=-1)
-    # output sample n takes tap l from stream sample p + n - offset - l
-    out = taps[..., 0, None] * stream[..., p - offset:2 * p - offset]
-    for ell in range(1, order + 1):
-        start = p - offset - ell
-        out += taps[..., ell, None] * stream[..., start:start + p]
-    return out
+    prev = np.zeros((), dtype=cur.dtype) if prev is None else np.asarray(prev)
+    shape = np.broadcast_shapes(taps.shape[:-1] + (p,), cur.shape, prev.shape)
+    rows = math.prod(shape[:-1])
+    taps = np.broadcast_to(taps, shape[:-1] + (order + 1,)).reshape(rows, order + 1)
+    cur = np.broadcast_to(cur, shape).reshape(rows, p)
+    prev = np.broadcast_to(prev, shape).reshape(rows, p)
+    stream = np.empty((min(rows, _LINK_ROWS), 2 * p), dtype=np.result_type(prev, cur))
+    out = np.empty((rows, p), dtype=np.result_type(taps, stream))
+    for lo in range(0, rows, _LINK_ROWS):
+        hi = min(lo + _LINK_ROWS, rows)
+        seg, h, o = stream[:hi - lo], taps[lo:hi], out[lo:hi]
+        seg[:, :p] = prev[lo:hi]
+        seg[:, p:] = cur[lo:hi]
+        # output sample n takes tap l from stream sample p + n - offset - l
+        np.multiply(h[:, 0, None], seg[:, p - offset:2 * p - offset], out=o)
+        for ell in range(1, order + 1):
+            start = p - offset - ell
+            o += h[:, ell, None] * seg[:, start:start + p]
+    return out.reshape(shape)

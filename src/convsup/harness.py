@@ -30,6 +30,7 @@ from .capacity import (CapacityReport, baseline_nocr_quad, baseline_ocr,
                        outage_mc, psi, pu_outage_probability)
 from .precoding import (csit_objective, power_residual, realize_precoders,
                         srx_noise_floor, uc_power_coefficient, uniform_profile,
+                        waterfill_faults, waterfill_power, waterfill_thresholds,
                         waterfilling_profile)
 from .spectral import (InconsistentResponseError, build_spectral_context,
                        build_vc_layout, filter_frequency_response,
@@ -684,37 +685,74 @@ _WATERFILLING_INSTANCES = 1000
 
 def waterfilling_check(rng, search_points=1_000_000):
     """On random 8-subcarrier instances the waterfilling profile spends the
-    budget and no uniform split beats it; on one instance no random
-    feasible profile beats it either."""
+    budget, leaves no inactive subcarrier below the water level, and no
+    uniform split beats it; on one instance no random feasible profile
+    beats it either.
+
+    The instances are drawn one by one and waterfilled as one batch; a
+    budget or level fault fails the check and names the worst instance.
+    """
     ctx = build_spectral_context(8, 5)
     layout = build_vc_layout(ctx, (0, 4))
-    worst_resid = 0.0
-    n_beat = 0
-    for _ in range(_WATERFILLING_INSTANCES):
-        scenario = build_scenario(float(rng.uniform(0.2, 1.5)),
-                                  float(rng.uniform(0.5, 4.0)),
-                                  float(rng.uniform(0.0, 25.0)), "su")
-        h_su = zmcscg(rng, 8)
-        h_24 = zmcscg(rng, 8)
-        prof = waterfilling_profile(layout, scenario, h_su, h_24)
-        worst_resid = max(worst_resid, abs(power_residual(prof, scenario))
-                          / scenario.p_su)
-        wf_obj = csit_objective(prof, scenario, h_su, h_24)
-        for vc_fraction in (0.25, 0.4):
-            uni = uniform_profile(layout, scenario,
-                                  vc_fraction * scenario.p_su / layout.m_vc)
-            if wf_obj < csit_objective(uni, scenario, h_su, h_24) - 1e-12:
-                n_beat += 1
+    worst_resid, n_beat, faults = _waterfill_instances(layout, rng)
+    detail = (f"max budget residual {worst_resid:.2e}, uniform splits beat it "
+              f"{n_beat}x in {_WATERFILLING_INSTANCES} instances")
     scenario = build_scenario(0.7, 1.0, 15.0, "su")
     h_su = zmcscg(rng, 8)
     h_24 = zmcscg(rng, 8)
-    prof = waterfilling_profile(layout, scenario, h_su, h_24)
+    try:
+        prof = waterfilling_profile(layout, scenario, h_su, h_24)
+    except AssertionError as exc:
+        return False, "; ".join([detail, *faults, f"search instance: {exc}"])
     best_rand = _random_search_best(layout, scenario, h_su, h_24, search_points, rng)
     margin = best_rand - csit_objective(prof, scenario, h_su, h_24)
-    ok = worst_resid <= 1e-9 and n_beat == 0 and margin <= 1e-9
-    return ok, (f"max budget residual {worst_resid:.2e}, uniform splits beat it "
-                f"{n_beat}x in {_WATERFILLING_INSTANCES} instances, best of {search_points} "
-                f"random profiles trails by {-margin:.3e} bits")
+    ok = not faults and n_beat == 0 and margin <= 1e-9
+    return ok, "; ".join([f"{detail}, best of {search_points} random profiles "
+                          f"trails by {-margin:.3e} bits", *faults])
+
+
+def _waterfill_instances(layout, rng):
+    """Worst relative budget residual, the count of uniform splits (0.25 and
+    0.4 of the budget on the virtual subcarriers) that beat the waterfill,
+    and the fault messages, over ``_WATERFILLING_INSTANCES`` random
+    instances waterfilled as one batch."""
+    q, n = layout.q, _WATERFILLING_INSTANCES
+    levels = np.empty((4, n))  # p_su, coef, nu_uc, sigma2_v4 of each instance
+    h = np.empty((n, 2, layout.m), dtype=complex)  # h_su, h_24
+    for i in range(n):
+        scenario = build_scenario(float(rng.uniform(0.2, 1.5)),
+                                  float(rng.uniform(0.5, 4.0)),
+                                  float(rng.uniform(0.0, 25.0)), "su")
+        levels[:, i] = (scenario.p_su, uc_power_coefficient(scenario),
+                        srx_noise_floor(scenario), scenario.sigma2_v[4])
+        h[i, 0] = zmcscg(rng, layout.m)
+        h[i, 1] = zmcscg(rng, layout.m)
+    p_su, coef, nu_uc, nu_vc = levels
+    gain = np.abs(h) ** 2
+    thr = waterfill_thresholds(coef[:, None], nu_uc[:, None], nu_vc[:, None],
+                               gain[:, 0, list(layout.uc_indices)],
+                               gain[:, 1, list(layout.vc_indices)])
+    spend, mu = waterfill_power(thr, p_su)
+    residual, shortfall = waterfill_faults(thr, spend, mu, coef, p_su, q)
+    resid = np.abs(residual) / p_su
+    rate = np.log2(1.0 + spend / thr).sum(axis=1)
+    n_beat = 0
+    for vc_fraction in (0.25, 0.4):
+        g = vc_fraction * p_su / layout.m_vc
+        uni = np.where(np.arange(layout.m) < q, ((p_su - layout.m_vc * g) / q)[:, None],
+                       g[:, None])
+        n_beat += int(np.count_nonzero(
+            rate < np.log2(1.0 + uni / thr).sum(axis=1) - 1e-12))
+    faults = []
+    if resid.max() > 1e-9:
+        worst = int(resid.argmax())
+        faults.append(f"instance {worst} misses the budget by {residual[worst]:.3e}")
+    if shortfall.max() > 1e-12:
+        worst = int(shortfall.argmax())
+        faults.append(f"{np.count_nonzero(shortfall > 1e-12)} instances leave an "
+                      f"inactive subcarrier below the water level, worst {worst} "
+                      f"by {shortfall[worst]:.3e} of it")
+    return float(resid.max()), n_beat, faults
 
 
 def _random_search_best(layout, scenario, h_su, h_24, n_points, rng,

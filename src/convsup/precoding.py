@@ -27,7 +27,9 @@ __all__ = [
     "power_residual",
     "uniform_profile",
     "waterfilling_profile",
+    "waterfill_thresholds",
     "waterfill_power",
+    "waterfill_faults",
     "csit_objective",
     "realize_precoders",
 ]
@@ -104,42 +106,84 @@ def uniform_profile(layout: VcLayout, scenario: NetworkScenario, g: float) -> Po
                         vc_power=np.full(layout.m_vc, g))
 
 
-def waterfill_power(thresholds: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray]:
+def waterfill_thresholds(coef, nu_uc, nu_vc, gain_uc: np.ndarray,
+                         gain_vc: np.ndarray) -> np.ndarray:
+    """Activation thresholds of the CSIT waterfilling, in transmit-power units.
+
+    A used subcarrier costs ``coef`` (:func:`uc_power_coefficient`) per unit
+    of weight and sees the noise floor ``nu_uc`` (:func:`srx_noise_floor`),
+    so its threshold is ``coef * nu_uc / gain_uc``; a virtual one fills
+    against ``nu_vc / gain_vc`` (nu_vc is sigma2_v4).  Gains run along the
+    last axis, used subcarriers first in the result; the three levels are
+    scalars or broadcast over the leading axes, e.g. ``(n, 1)`` columns for
+    n instances.  A zero gain is a dead channel (infinite threshold).
+    """
+    with np.errstate(divide="ignore"):
+        return np.concatenate([coef * nu_uc / gain_uc, nu_vc / gain_vc], axis=-1)
+
+
+def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndarray]:
     """Exact common water level, in power units, by sort and cumulative sum.
 
     ``thresholds``: (K,) or (n, K) activation levels (inf allowed for dead
-    channels).  Returns ``(spend, mu)`` with per-dimension allocations
-    ``spend = max(mu - thresholds, 0)`` summing to the budget up to
-    rounding.  With the excesses ``d`` above the smallest threshold sorted
+    channels); ``budget``: one positive budget for every row, or an ``(n,)``
+    array of one per row.  Returns ``(spend, mu)`` with per-dimension
+    allocations ``spend = max(mu - thresholds, 0)`` summing to the budget up
+    to rounding.  With the excesses ``d`` above the smallest threshold sorted
     ascending, k dimensions active put the excess level at
     ``(budget + d_1 + ... + d_k) / k``; the active count is the largest k
     whose level clears ``d_k`` (Palomar & Fonollosa, IEEE TSP 2005).
     Working on the excess keeps the level accurate when the budget is tiny
-    against the threshold scale.
+    against the threshold scale.  Every row is computed as it would be
+    alone, so a batch gives the bits of row-by-row calls.
     """
     thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
-    if budget <= 0:
-        raise ValueError("power budget must be positive")
+    budget = np.asarray(budget, dtype=float)
+    if budget.shape not in ((), thresholds.shape[:1]):
+        raise ValueError(f"budget of shape {budget.shape} does not match "
+                         f"{thresholds.shape[0]} rows of thresholds")
+    if not np.all((budget > 0) & np.isfinite(budget)):
+        raise ValueError("power budget must be positive and finite")
     ordered = np.sort(thresholds, axis=1)  # inf (dead) thresholds sort last
     bottom = ordered[:, :1]
     if not np.isfinite(bottom).all():
         raise ValueError("all channels are dead: no subcarrier can be activated")
     excess = ordered - bottom
-    levels = (budget + np.cumsum(excess, axis=1)) / np.arange(1, excess.shape[1] + 1)
+    levels = ((budget[..., None] + np.cumsum(excess, axis=1))
+              / np.arange(1, excess.shape[1] + 1))
     n_active = np.count_nonzero(levels > excess, axis=1)
     xi = levels[np.arange(levels.shape[0]), n_active - 1]
     return np.maximum(xi[:, None] - (thresholds - bottom), 0.0), bottom[:, 0] + xi
+
+
+def waterfill_faults(thresholds: np.ndarray, spend: np.ndarray, mu, coef, budget,
+                     q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Optimality bookkeeping of waterfilled allocations, row by row.
+
+    ``thresholds`` and ``spend`` are (K,) or (n, K) in transmit-power units
+    with the ``q`` used subcarriers first; ``mu``, ``coef`` (the used-branch
+    cost per unit weight) and ``budget`` are scalars or (n,).  Returns the
+    signed budget residual ``coef * sum(a) + sum(g) - budget`` with
+    ``a = spend_uc / coef`` and the shortfall ``max(1 - t / mu)`` over the
+    inactive dimensions, 0 when none sits below the water level (active
+    ones sit exactly at ``mu`` by construction of ``[mu - t]+``).
+    """
+    coef = np.asarray(coef, dtype=float)
+    a = spend[..., :q] / coef[..., None]
+    residual = coef * a.sum(axis=-1) + spend[..., q:].sum(axis=-1) - budget
+    below = np.where(spend == 0.0, 1.0 - thresholds / np.asarray(mu)[..., None], 0.0)
+    return residual, np.maximum(below.max(axis=-1), 0.0)
 
 
 def waterfilling_profile(layout: VcLayout, scenario: NetworkScenario,
                          h_su: np.ndarray, h_24: np.ndarray) -> PowerProfile:
     """Capacity-maximizing allocation for known channels.
 
-    Waterfills transmit power: a used subcarrier costs
-    (sigma2_12 * P_pu + sigma2_v2) per unit of weight, so its activation
-    threshold is that cost times (sigma2_14 * P_pu + sigma2_v4)/|h_su|^2,
-    while a virtual one fills against sigma2_v4/|h_24|^2; the common level
-    ``mu`` (in power units) is the exact one of :func:`waterfill_power`.
+    Waterfills transmit power over the thresholds of
+    :func:`waterfill_thresholds`; the common level ``mu`` (in power units)
+    is the exact one of :func:`waterfill_power`.  A budget residual above
+    1e-9 relative or an inactive subcarrier below the water level raises
+    ``AssertionError``.
     """
     h_su = np.asarray(h_su)
     h_24 = np.asarray(h_24)
@@ -148,30 +192,22 @@ def waterfilling_profile(layout: VcLayout, scenario: NetworkScenario,
     if not (np.all(np.isfinite(h_su)) and np.all(np.isfinite(h_24))):
         raise ValueError("channel entries must be finite")
 
-    nu_uc = srx_noise_floor(scenario)
     coef = uc_power_coefficient(scenario)
-    uc = list(layout.uc_indices)
-    vc = list(layout.vc_indices)
-    with np.errstate(divide="ignore"):
-        t_uc = coef * nu_uc / np.abs(h_su[uc]) ** 2
-        t_vc = scenario.sigma2_v[4] / np.abs(h_24[vc]) ** 2
-    thresholds = np.concatenate([t_uc, t_vc])
+    thresholds = waterfill_thresholds(
+        coef, srx_noise_floor(scenario), scenario.sigma2_v[4],
+        np.abs(h_su[list(layout.uc_indices)]) ** 2,
+        np.abs(h_24[list(layout.vc_indices)]) ** 2)
     spend, mu_arr = waterfill_power(thresholds, scenario.p_su)
     spend, mu = spend[0], float(mu_arr[0])
 
-    a = spend[: layout.q] / coef
-    g = spend[layout.q:]
-    # optimality bookkeeping: budget met to tolerance, every inactive
-    # dimension has its threshold at or above the water level (active ones
-    # sit exactly at mu by construction of [mu - t]+)
-    spent = coef * a.sum() + g.sum()
-    if abs(spent - scenario.p_su) > 1e-9 * scenario.p_su:
-        raise AssertionError(
-            f"budget residual {spent - scenario.p_su:.3e} exceeds tolerance")
-    inactive = np.concatenate([t_uc[a == 0.0], t_vc[g == 0.0]])
-    if inactive.size and np.min(inactive) < mu * (1.0 - 1e-12):
+    residual, shortfall = waterfill_faults(thresholds, spend, mu, coef,
+                                           scenario.p_su, layout.q)
+    if abs(residual) > 1e-9 * scenario.p_su:
+        raise AssertionError(f"budget residual {residual:.3e} exceeds tolerance")
+    if shortfall > 1e-12:
         raise AssertionError("inactive subcarrier below the water level")
-    return PowerProfile(layout=layout, uc_power=a, vc_power=g, mu=mu)
+    return PowerProfile(layout=layout, uc_power=spend[: layout.q] / coef,
+                        vc_power=spend[layout.q:], mu=mu)
 
 
 def csit_objective(profile: PowerProfile, scenario: NetworkScenario,

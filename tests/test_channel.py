@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import convsup.channel
 from convsup.channel import (LINKS, LinkSpec, NetworkScenario, draw_channels,
                              frequency_response, link_output, toeplitz_pair,
                              zmcscg)
@@ -182,9 +183,64 @@ class TestLinkOutput:
             h0, h1 = toeplitz_pair(taps[i], 5, p)
             assert np.abs(got[i] - (h0 @ u_cur[i] + h1 @ u_prev[i])).max() <= 1e-12
 
+    @staticmethod
+    def full_batch(taps, offset, cur, prev):
+        # one shift-and-add over the whole batch, without row passes
+        p = cur.shape[-1]
+        stream = np.concatenate(np.broadcast_arrays(prev, cur), axis=-1)
+        out = taps[..., 0, None] * stream[..., p - offset:2 * p - offset]
+        for ell in range(1, taps.shape[-1]):
+            out += taps[..., ell, None] * stream[..., p - offset - ell:2 * p - offset - ell]
+        return out
+
+    @pytest.mark.parametrize("order,theta", [(3, 2), (0, 0), (3, 0), (0, 15),
+                                             (15, 0), (7, 8)])
+    def test_row_passes_keep_the_bits(self, order, theta, monkeypatch):
+        p, n = 16, 23
+        monkeypatch.setattr(convsup.channel, "_LINK_ROWS", 5)  # 4 full passes and 3 rows
+        rng = np.random.default_rng(5)
+        taps = zmcscg(rng, (n, order + 1))
+        u_prev = zmcscg(rng, (n, p))
+        u_cur = zmcscg(rng, (n, p))
+        assert np.array_equal(link_output(taps, theta, u_cur, u_prev),
+                              self.full_batch(taps, theta, u_cur, u_prev))
+        # one frame, and one filter with a silent previous block over a batch
+        assert np.array_equal(link_output(taps[0], theta, u_cur[0], u_prev[0]),
+                              self.full_batch(taps[0], theta, u_cur[0], u_prev[0]))
+        assert np.array_equal(link_output(taps[0], theta, u_cur),
+                              self.full_batch(taps[0], theta, u_cur, np.zeros(p)))
+
+    def test_batch_axes_broadcast(self, monkeypatch):
+        p = 16
+        monkeypatch.setattr(convsup.channel, "_LINK_ROWS", 4)
+        rng = np.random.default_rng(6)
+        taps = zmcscg(rng, (3, 1, 4))
+        u_cur = zmcscg(rng, (5, p))
+        u_prev = zmcscg(rng, p)
+        got = link_output(taps, 2, u_cur, u_prev)
+        assert got.shape == (3, 5, p)
+        assert np.array_equal(got, self.full_batch(taps, 2, u_cur, u_prev))
+
     def test_rejects_overlong_spread(self):
         with pytest.raises(ValueError):
             link_output(np.ones(4, dtype=complex), 5, np.zeros(8, dtype=complex))
+
+
+class TestComplexGaussian:
+    @pytest.mark.parametrize("variance", [0.3, np.array([[0.5], [2.0], [1e-3]])])
+    def test_bits_match_the_complex_expression(self, variance):
+        rng = np.random.default_rng(7)
+        re = rng.standard_normal((3, 6))
+        im = rng.standard_normal((3, 6))
+        want = np.sqrt(np.asarray(variance, dtype=float) / 2.0) * (re + 1j * im)
+        got = convsup.channel._complex_gaussian(re, im, variance)
+        assert got.dtype == complex and np.array_equal(got, want)
+
+    def test_zmcscg_draws_real_then_imaginary_parts(self):
+        got = zmcscg(np.random.default_rng(8), (2, 3), 4.0)
+        rng = np.random.default_rng(8)
+        re, im = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        assert np.array_equal(got, np.sqrt(2.0) * (re + 1j * im))
 
 
 class TestLinkSpec:

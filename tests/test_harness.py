@@ -12,13 +12,17 @@ import numpy as np
 import pytest
 import scipy
 
+import convsup.harness
+import convsup.precoding
 from convsup.channel import draw_channels, zmcscg
 from convsup.cli import main as cli_main
 from convsup.harness import (SCHEMES, ScenarioSpec, SweepConfig, build_scenario,
                              emit_csv, evaluate_scheme, realized_rates,
                              reference_link_specs, resolve_d12, run_sweep,
-                             stx_position, validate_suite)
-from convsup.precoding import realize_precoders, srx_noise_floor, uniform_profile
+                             stx_position, validate_suite, waterfilling_check)
+from convsup.precoding import (realize_precoders, srx_noise_floor,
+                               uc_power_coefficient, uniform_profile,
+                               waterfill_power, waterfilling_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
 from convsup.transceiver import FrameConfig
 
@@ -30,6 +34,11 @@ def load_benchmark_gates():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# stdout of `convsup validate --seed 20260809 --trials 5000 --frames 100`
+GOLDEN_VALIDATE = (Path(__file__).parent / "data"
+                   / "validate_seed20260809_trials5000_frames100.txt")
 
 
 def small_config(**overrides):
@@ -221,6 +230,9 @@ class TestValidateSuite:
                      for line in err.splitlines())
         assert times.keys() == gates.VALIDATE_EXPECTED.keys()
         assert all(float(t) >= 0.0 for t in times.values())
+        # the report of a seed is deterministic: the same bytes as the
+        # recorded run of this configuration
+        assert out == GOLDEN_VALIDATE.read_text()
 
     def test_realized_det_rate_stays_below_diag_rate(self):
         scenario, ctx, layout, l_cp = ScenarioSpec().build()
@@ -249,6 +261,73 @@ class TestValidateSuite:
             assert abs(det[i] - logdet / np.log(2.0)) <= 1e-9 * abs(det[i])
             want_diag = np.log2(1.0 + np.diag(gram).real / nu).sum()
             assert abs(diag[i] - want_diag) <= 1e-9 * want_diag
+
+
+class TestWaterfillingCheck:
+    def test_batched_allocation_matches_the_profile(self, monkeypatch):
+        # the check draws its instances one by one and waterfills them in
+        # one batch; replaying the draws through waterfilling_profile must
+        # give the same allocation bits
+        calls = []
+
+        def spy(thresholds, budget):
+            result = waterfill_power(thresholds, budget)
+            calls.append((np.shape(thresholds), result[0]))
+            return result
+
+        monkeypatch.setattr(convsup.harness, "_WATERFILLING_INSTANCES", 20)
+        monkeypatch.setattr(convsup.harness, "waterfill_power", spy)
+        ok, _ = waterfilling_check(np.random.default_rng(31), search_points=1000)
+        assert ok
+        shape, spend = calls[0]
+        assert shape == (20, 8)
+        layout = build_vc_layout(build_spectral_context(8, 5), (0, 4))
+        rng = np.random.default_rng(31)
+        for row in spend:
+            scenario = build_scenario(float(rng.uniform(0.2, 1.5)),
+                                      float(rng.uniform(0.5, 4.0)),
+                                      float(rng.uniform(0.0, 25.0)), "su")
+            prof = waterfilling_profile(layout, scenario, zmcscg(rng, 8), zmcscg(rng, 8))
+            assert np.array_equal(row[:layout.q] / uc_power_coefficient(scenario),
+                                  prof.uc_power)
+            assert np.array_equal(row[layout.q:], prof.vc_power)
+
+    def test_overspent_budget_fails_the_check(self, monkeypatch):
+        def overspend(thresholds, budget):
+            spend, mu = waterfill_power(thresholds, budget)
+            return 1.01 * spend, mu
+
+        # the batch alone: the overspent rates beat every uniform split and
+        # the search instance passes, so only the budget check can fail it
+        monkeypatch.setattr(convsup.harness, "waterfill_power", overspend)
+        ok, detail = waterfilling_check(np.random.default_rng(32), search_points=1000)
+        assert not ok
+        assert re.search(r"max budget residual 1\.00e-02, uniform splits beat it 0x", detail)
+        assert re.search(r"instance \d+ misses the budget by \d\.\d{3}e-0\d", detail)
+        assert "random profiles trails by" in detail
+        # waterfilling_profile's own fault on the search instance is reported too
+        monkeypatch.setattr(convsup.precoding, "waterfill_power", overspend)
+        ok, detail = waterfilling_check(np.random.default_rng(32), search_points=1000)
+        assert not ok
+        assert "search instance: budget residual 1.000e-02 exceeds tolerance" in detail
+
+    def test_level_fault_fails_the_check(self, monkeypatch):
+        # starving the best subcarrier of every row leaves an inactive
+        # threshold below the water level while the budget is still spent
+        def starve(thresholds, budget):
+            spend, mu = waterfill_power(thresholds, budget)
+            best = np.argmin(thresholds, axis=1)
+            rows = np.arange(spend.shape[0])
+            moved = spend[rows, best]
+            spend[rows, best] = 0.0
+            spend[rows, np.argmax(spend, axis=1)] += moved
+            return spend, mu
+
+        monkeypatch.setattr(convsup.harness, "waterfill_power", starve)
+        ok, detail = waterfilling_check(np.random.default_rng(33), search_points=1000)
+        assert not ok
+        assert re.search(r"\d+ instances leave an inactive subcarrier below the "
+                         r"water level, worst \d+", detail)
 
 
 class TestSchemeOrdering:

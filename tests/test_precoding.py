@@ -157,6 +157,27 @@ class TestWaterfillPower:
             assert s_i.shape == (1, t.shape[1])
             assert np.array_equal(s_i[0], spend[i]) and mu_i[0] == mu[i]
 
+    def test_per_row_budgets_equal_scalar_calls(self):
+        rng = np.random.default_rng(24)
+        t = self.thresholds(rng, n=40)
+        budgets = rng.uniform(1e-3, 5.0, size=40)
+        spend, mu = waterfill_power(t, budgets)
+        for i, (row, budget) in enumerate(zip(t, budgets)):
+            s_i, mu_i = waterfill_power(row, float(budget))
+            assert np.array_equal(s_i[0], spend[i]) and np.array_equal(mu_i[0], mu[i])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_a_bad_entry_in_the_budgets(self, bad):
+        budgets = np.array([1.0, bad, 2.0])
+        with pytest.raises(ValueError):
+            waterfill_power(np.ones((3, 4)), budgets)
+
+    def test_rejects_budgets_of_the_wrong_shape(self):
+        with pytest.raises(ValueError):
+            waterfill_power(np.ones((3, 4)), np.ones(2))
+        with pytest.raises(ValueError):
+            waterfill_power(np.ones((3, 4)), np.ones((3, 1)))
+
     def test_level_matches_bracketed_root(self):
         from scipy.optimize import brentq
         t = self.thresholds(np.random.default_rng(23), n=30)
