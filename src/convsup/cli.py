@@ -11,11 +11,22 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .capacity import outage_closed_form
 from .capacity import psi as psi_fn
 from .harness import SweepConfig, emit_csv, run_sweep, validate_suite
+
+
+def _check_output_dir(out) -> None:
+    """Raise ``OSError`` naming the directory of ``out`` when it is missing
+    or not writable, so that a sweep does not run only to fail at the end."""
+    directory = os.path.dirname(os.fspath(out)) or "."
+    if not os.path.isdir(directory):
+        raise OSError(f"output directory {directory!r} does not exist")
+    if not os.access(directory, os.W_OK):
+        raise OSError(f"output directory {directory!r} is not writable")
 
 
 def _cmd_sweep(args) -> int:
@@ -25,14 +36,22 @@ def _cmd_sweep(args) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.trials is not None:
             cfg = dataclasses.replace(cfg, n_trials=args.trials)
+        _check_output_dir(args.out)
         rows, manifest = run_sweep(cfg, threads=args.threads)
     except (OSError, ValueError) as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return 2
-    emit_csv(rows, args.out)
     manifest_path = str(args.out) + ".manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    target = args.out
+    try:
+        emit_csv(rows, target)
+        target = manifest_path
+        with open(target, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        print(f"sweep aborted: cannot write {target}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     print(f"wrote {len(rows)} rows to {args.out} (manifest: {manifest_path})")
     return 0
 

@@ -6,20 +6,26 @@ import json
 import os
 import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from scipy import integrate, special, stats
 
+import convsup.cli
 import convsup.harness
 import convsup.precoding
+from convsup.capacity import bessel_k, psi
 from convsup.channel import draw_channels, zmcscg
 from convsup.cli import main as cli_main
 from convsup.harness import (SCHEMES, ScenarioSpec, SweepConfig, build_scenario,
                              emit_csv, evaluate_scheme, realized_rates,
                              reference_link_specs, resolve_d12, run_sweep,
-                             stx_position, validate_suite, waterfilling_check)
+                             special_functions_check, stx_position,
+                             validate_suite, waterfilling_check)
 from convsup.precoding import (realize_precoders, srx_noise_floor,
                                uc_power_coefficient, uniform_profile,
                                waterfill_power, waterfilling_profile)
@@ -161,6 +167,17 @@ class TestRunSweep:
             "scipy": scipy.__version__, "threads": 2,
             "cpu_count": os.cpu_count()}
 
+    def test_manifest_records_task_timing(self):
+        cfg = small_config()
+        rows, manifest = run_sweep(cfg, threads=2)
+        timing = json.loads(json.dumps(manifest["timing"]))
+        assert timing.keys() == {"task_s", "total_s"}
+        assert len(timing["task_s"]) == len(rows) == 4
+        assert all(t > 0.0 for t in timing["task_s"])
+        assert timing["total_s"] >= max(timing["task_s"])
+        # timings go to the manifest only: the rows do not depend on them
+        assert rows == run_sweep(cfg, threads=1)[0]
+
     def test_zero_power_secondary_has_no_effect(self):
         ctx = build_spectral_context(16, 5)
         layout = build_vc_layout(ctx, (0, 8))
@@ -261,6 +278,124 @@ class TestValidateSuite:
             assert abs(det[i] - logdet / np.log(2.0)) <= 1e-9 * abs(det[i])
             want_diag = np.log2(1.0 + np.diag(gram).real / nu).sum()
             assert abs(diag[i] - want_diag) <= 1e-9 * want_diag
+
+
+class TestSpecialFunctionReferences:
+    """The trapezoid sums behind ``special_functions_check`` against the
+    adaptive quadrature they replace, and the check's own power to fail."""
+
+    def test_psi_reference_matches_adaptive_quadrature(self):
+        a = convsup.harness._PSI_GRID
+        got = convsup.harness._psi_trapezoid(a)
+        for aa, value in zip(a, got):
+            ref, _ = integrate.quad(lambda u: np.exp(-u) * np.log1p(aa * u),
+                                    0, np.inf, limit=400)
+            assert abs(value - ref) <= 1e-9 * ref, aa
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_bessel_reference_matches_adaptive_quadrature(self, order):
+        # K_a(x) = sqrt(pi) (x/2)^a / Gamma(a+1/2) int_1^inf e^{-xt}
+        # (t^2-1)^(a-1/2) dt, whose prefactor is 1 for a = 0 and x for a = 1
+        x = np.array(convsup.harness._K_GRID)
+        got = convsup.harness._bessel_k_trapezoid(order, x)
+        for xx, value in zip(x, got):
+            val, _ = integrate.quad(
+                lambda t: np.exp(-xx * t) * (t * t - 1.0) ** (order - 0.5),
+                1.0, np.inf, limit=400, epsabs=1e-14, epsrel=1e-12)
+            ref = xx ** order * val
+            assert abs(value - ref) <= 1e-9 * ref, xx
+
+    @pytest.mark.parametrize("name,wrong", [
+        ("psi", lambda a: psi(a) * (1.0 + 1e-7)),
+        ("bessel_k", lambda order, x: bessel_k(order, x) * (1.0 + 1e-7)),
+    ], ids=["psi", "bessel_k"])
+    def test_a_slightly_wrong_function_fails_the_check(self, monkeypatch, name,
+                                                        wrong):
+        assert special_functions_check()[0]
+        monkeypatch.setattr(convsup.harness, name, wrong)
+        ok, detail = special_functions_check()
+        assert not ok, detail
+
+
+class TestKsTest:
+    """``harness._ks_test`` against ``scipy.stats.kstest``.  Exponential
+    samples are tested against exponential laws whose scale is off by
+    k / sqrt(n), k from 0 to 3.75, so the statistics range from typical to
+    far in the tail at every n."""
+
+    @pytest.mark.parametrize("n", [100, 141, 5000, 100_000])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        cases = []
+        for k in np.arange(0.0, 4.0, 0.25):
+            scale = 1.0 + np.e * k / np.sqrt(n)
+            x = rng.exponential(size=n)
+
+            def cdf(v, scale=scale):
+                return -special.expm1(-(v / scale))
+
+            d, p = convsup.harness._ks_test(x, cdf)
+            want = stats.kstest(x, "expon", args=(0.0, scale))
+            assert d == want.statistic
+            tail = n * d * d >= 2.2
+            if tail and n > 140:
+                assert p == want.pvalue
+            if n >= 5000:
+                assert abs(p - want.pvalue) <= 0.005
+            assert (p > 0.01) == (want.pvalue > 0.01), (k, p, want.pvalue)
+            cases.append((tail, want.pvalue > 0.01))
+        # both p-value rules and both verdicts are exercised
+        assert {tail for tail, _ in cases} == {True, False}
+        assert {verdict for _, verdict in cases} == {True, False}
+
+    def test_callable_cdf_as_in_the_product_density_check(self):
+        rng = np.random.default_rng(7)
+        z = rng.exponential(size=20_000) * rng.exponential(size=20_000)
+
+        def cdf(v):
+            t = 2.0 * np.sqrt(v)
+            return 1.0 - t * special.k1(t)
+
+        d, p = convsup.harness._ks_test(z, cdf)
+        want = stats.kstest(z, cdf)
+        assert d == want.statistic
+        assert abs(p - want.pvalue) <= 0.005
+        assert p > 0.01
+
+
+def test_the_program_never_imports_scipy_stats_or_integrate(tmp_path):
+    # in a fresh interpreter, because pytest itself imports scipy.stats
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "sweep_variable": "snr_pu_db", "grid": [20.0], "schemes": ["ocr"],
+        "n_trials": 200, "scenario": {"m_subcarriers": 16, "l_su": 5,
+                                      "vc_indices": [0, 8]}}))
+    script = f"""
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "integrate"]))
+
+from convsup import cli
+seen = {{"import": loaded()}}
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["validate", "--trials", "100", "--frames", "1"])
+seen["validate"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["sweep_rc"] = cli.main(["sweep", "--config", {str(cfg_path)!r},
+                                 "--out", {str(tmp_path / "out.csv")!r}])
+seen["sweep"] = loaded()
+print(json.dumps(seen))
+"""
+    src = str(Path(convsup.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen == {"import": [], "validate": [], "sweep_rc": 0, "sweep": []}
 
 
 class TestWaterfillingCheck:
@@ -435,6 +570,47 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and names in lines[0]
+
+    @pytest.mark.parametrize("unwritable", [False, True], ids=["missing", "read-only"])
+    def test_sweep_checks_the_output_directory_first(self, tmp_path, capsys,
+                                                      monkeypatch, unwritable):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sweep_variable": "snr_pu_db",
+                                        "grid": [20.0], "schemes": ["ocr"],
+                                        "n_trials": 200}))
+        calls = []
+        monkeypatch.setattr(convsup.cli, "run_sweep",
+                            lambda *args, **kwargs: calls.append(args))
+        out_dir = tmp_path / "missing_dir"
+        if unwritable:
+            # root may write anywhere, so the permission test is stubbed
+            out_dir.mkdir()
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
+        rc = cli_main(["sweep", "--config", str(cfg_path),
+                       "--out", str(out_dir / "x.csv")])
+        captured = capsys.readouterr()
+        assert rc == 2 and calls == []
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and str(out_dir) in lines[0]
+
+    @pytest.mark.parametrize("blocked", ["csv", "manifest"])
+    def test_sweep_reports_a_failed_write(self, tmp_path, capsys, blocked):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "sweep_variable": "snr_pu_db", "grid": [20.0], "schemes": ["ocr"],
+            "n_trials": 200, "scenario": {"m_subcarriers": 16, "l_su": 5,
+                                          "vc_indices": [0, 8]}}))
+        out_path = tmp_path / "out.csv"
+        # a directory where the file should go makes open() fail
+        target = out_path if blocked == "csv" else tmp_path / "out.csv.manifest.json"
+        target.mkdir()
+        rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and str(target) in lines[0]
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         raw = {
