@@ -21,9 +21,8 @@ from .transceiver import (FrameConfig, FrameSimulator, FrameTrace, NoiseBlocks,
 from .capacity import (CapacityReport, baseline_nocr, baseline_nocr_quad,
                        baseline_ocr, bessel_k, c_pu_direct, c_pu_lower,
                        c_pu_lower_quad, c_su_lower_csit, c_su_lower_nocsit,
-                       c_su_lower_nocsit_quad, check_pu_monotonicity,
-                       exponential_integral_neg, kappa, outage_closed_form,
-                       outage_mc, psi, pu_outage_probability)
+                       c_su_lower_nocsit_quad, check_pu_monotonicity, kappa,
+                       outage_closed_form, outage_mc, psi, pu_outage_probability)
 from .harness import (SCHEMES, CheckResult, ScenarioSpec, SweepConfig,
                       ValidationReport, build_scenario, emit_csv,
                       evaluate_scheme, reference_link_specs, run_sweep,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sps
 
-from .channel import NetworkScenario
+from .channel import NetworkScenario, mean_se, trials
 from .precoding import (PowerProfile, srx_noise_floor, uc_power_coefficient,
                         waterfill_power, waterfill_thresholds)
 from .spectral import VcLayout
@@ -27,7 +27,6 @@ from .spectral import VcLayout
 __all__ = [
     "EULER_GAMMA",
     "CapacityReport",
-    "exponential_integral_neg",
     "psi",
     "bessel_k",
     "kappa",
@@ -53,7 +52,6 @@ __all__ = [
 EULER_GAMMA = float(np.euler_gamma)
 LOG2E = 1.0 / np.log(2.0)
 
-_CHUNK = 20_000  # Monte Carlo trials per vectorized batch
 GL_NODES = 64  # Gauss-Laguerre nodes per axis of the *_quad rates
 _NOCR_STEP = 0.2  # trapezoid step in ln u of baseline_nocr_quad
 
@@ -76,15 +74,6 @@ def _laguerre_2d(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
-
-def exponential_integral_neg(x):
-    """Exponential integral Ei(x) for strictly negative arguments."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x >= 0):
-        raise ValueError("exponential_integral_neg requires x < 0")
-    out = _sps.expi(x)
-    return out if out.ndim else float(out)
-
 
 _PSI_SEAM = 700.0  # exp(1/a) overflows just above 1/a = 709
 
@@ -177,15 +166,10 @@ def outage_mc(scenario: NetworkScenario, profile: PowerProfile, n_trials: int,
     often the effective SNR falls below the direct one; the per-subcarrier
     weight cancels, so the count is profile independent under common draws.
     """
-    a_m = float(profile.uc_power[0])
-    s23 = scenario.link_variance(2, 3)
-    s12 = scenario.link_variance(1, 2)
-    s13 = scenario.link_variance(1, 3)
-    h23_sq = s23 * rng.exponential(size=n_trials)
-    fx_sq = a_m * rng.exponential(size=n_trials)
-    gain = h23_sq * fx_sq * s12 / s13
-    penalty = a_m * s23 * scenario.sigma2_v[2] / scenario.sigma2_v[3]
-    p_hat = float(np.mean(gain < penalty))
+    relay, noise = _pu_relay_terms(scenario, float(profile.uc_power[0]),
+                                   rng.exponential(size=n_trials),
+                                   rng.exponential(size=n_trials))
+    p_hat = float(np.mean(relay < noise))
     return p_hat, float(np.sqrt(max(p_hat * (1 - p_hat), 1e-300) / n_trials))
 
 
@@ -202,33 +186,44 @@ def c_pu_direct(scenario: NetworkScenario, layout: VcLayout) -> float:
     return layout.q * LOG2E / layout.m * psi(snr_13_direct(scenario))
 
 
+def _pu_relay_terms(scenario: NetworkScenario, a, e_relay, e_filter):
+    """Relayed primary signal and relayed secondary-chain noise at the
+    primary receiver, relative to the direct signal and the receiver noise,
+    on a used subcarrier of weight ``a`` with the relay gain |h23|^2 =
+    s23 * e_relay and the filter gain |f|^2 = a * e_filter (e_relay and
+    e_filter unit exponentials)."""
+    s23 = scenario.link_variance(2, 3)
+    relay = ((s23 * e_relay) * (a * e_filter) * scenario.link_variance(1, 2)
+             / scenario.link_variance(1, 3))
+    return relay, a * s23 * scenario.sigma2_v[2] / scenario.sigma2_v[3]
+
+
+def _pu_snr(scenario: NetworkScenario, a, e_relay, e_filter):
+    """Worst-case primary SNR snr_13 (1 + relay) / (1 + noise) of the terms
+    of ``_pu_relay_terms``: below the direct snr_13 exactly when the relayed
+    noise outweighs the relayed signal."""
+    relay, noise = _pu_relay_terms(scenario, a, e_relay, e_filter)
+    return snr_13_direct(scenario) * (1.0 + relay) / (1.0 + noise)
+
+
 def c_pu_lower_trials(scenario: NetworkScenario, layout: VcLayout,
                       profile: PowerProfile, n_trials: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Per-trial samples of the primary worst-case rate under a
     channel-independent profile (bits/s/Hz)."""
-    s12 = scenario.link_variance(1, 2)
-    s13 = scenario.link_variance(1, 3)
-    s23 = scenario.link_variance(2, 3)
-    snr_direct = snr_13_direct(scenario)
-    a = profile.uc_power
-    denom = 1.0 + a * s23 * scenario.sigma2_v[2] / scenario.sigma2_v[3]
-    vals = np.empty(n_trials)
-    for start in range(0, n_trials, _CHUNK):
-        n = min(_CHUNK, n_trials - start)
-        h23_sq = s23 * rng.exponential(size=(n, layout.q))
-        fx_sq = a[None, :] * rng.exponential(size=(n, layout.q))
-        gam = snr_direct * (1.0 + h23_sq * fx_sq * s12 / s13) / denom[None, :]
-        vals[start:start + n] = (LOG2E / layout.m) * psi(gam).sum(axis=1)
-    return vals
+    def sample(n):
+        shape = (n, layout.q)
+        gam = _pu_snr(scenario, profile.uc_power, rng.exponential(size=shape),
+                      rng.exponential(size=shape))
+        return (LOG2E / layout.m) * psi(gam).sum(axis=1)
+    return trials(n_trials, sample)
 
 
 def c_pu_lower(scenario: NetworkScenario, layout: VcLayout, profile: PowerProfile,
                n_trials: int, rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo estimate (value, standard error) of the primary
     worst-case ergodic rate with the secondary active."""
-    vals = c_pu_lower_trials(scenario, layout, profile, n_trials, rng)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_trials))
+    return mean_se(c_pu_lower_trials(scenario, layout, profile, n_trials, rng))
 
 
 def c_pu_lower_quad(scenario: NetworkScenario, layout: VcLayout,
@@ -237,15 +232,9 @@ def c_pu_lower_quad(scenario: NetworkScenario, layout: VcLayout,
     profile: the mean of ``c_pu_lower_trials`` by 2-D Gauss-Laguerre over
     the relay gain |h23|^2/s23 and the filter gain |f|^2/a, once per
     distinct weight a."""
-    s12 = scenario.link_variance(1, 2)
-    s13 = scenario.link_variance(1, 3)
-    s23 = scenario.link_variance(2, 3)
     a, count = np.unique(profile.uc_power, return_counts=True)
-    denom = 1.0 + a * s23 * scenario.sigma2_v[2] / scenario.sigma2_v[3]
     e1, e2, w = _laguerre_2d(GL_NODES)
-    gam = (snr_13_direct(scenario)
-           * (1.0 + (a * s23 * s12 / s13)[:, None] * (e1 * e2)[None, :])
-           / denom[:, None])
+    gam = _pu_snr(scenario, a[:, None], e1, e2)
     return float(LOG2E / layout.m * (count * (psi(gam) @ w)).sum())
 
 
@@ -253,17 +242,24 @@ def c_pu_lower_quad(scenario: NetworkScenario, layout: VcLayout,
 # secondary-user capacity
 # ---------------------------------------------------------------------------
 
+def _relayed_gain(scenario: NetworkScenario, e0, e1=1.0):
+    """s24 E0 (s12 |x_pu|^2 + sigma2_v2) with |x_pu|^2 = P_pu E1: the
+    composite used-subcarrier gain |h24 (h12 x_pu + v2)|^2 before its
+    innermost relay-gain exponential E2.  ``e1 = 1.0`` is a constant-modulus
+    primary symbol."""
+    return (scenario.link_variance(2, 4) * e0
+            * (scenario.link_variance(1, 2) * (scenario.p_pu * e1)
+               + scenario.sigma2_v[2]))
+
+
 def _composite_gain(rng: np.random.Generator, scenario: NetworkScenario, shape,
                     constant_modulus: bool = False) -> np.ndarray:
-    """Composite used-subcarrier gain |h24 (h12 x_pu + v2)|^2, drawn exactly
-    in law as s24 E0 (s12 |x_pu|^2 + sigma2_v2) E2 with |x_pu|^2 = P_pu E1
-    (or P_pu when ``constant_modulus``) and E0, E1, E2 unit exponentials,
-    in that draw order."""
-    gain = scenario.link_variance(2, 4) * rng.exponential(size=shape)
-    x_sq = (scenario.p_pu if constant_modulus
-            else scenario.p_pu * rng.exponential(size=shape))
-    gain = gain * (scenario.link_variance(1, 2) * x_sq + scenario.sigma2_v[2])
-    return gain * rng.exponential(size=shape)
+    """Composite used-subcarrier gain ``_relayed_gain`` times E2, drawn
+    exactly in law with E0, E1, E2 unit exponentials in that draw order (no
+    E1 when ``constant_modulus``)."""
+    e0 = rng.exponential(size=shape)
+    e1 = 1.0 if constant_modulus else rng.exponential(size=shape)
+    return _relayed_gain(scenario, e0, e1) * rng.exponential(size=shape)
 
 
 def c_su_lower_csit(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
@@ -278,17 +274,15 @@ def c_su_lower_csit(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
     s24 = scenario.link_variance(2, 4)
     levels = (uc_power_coefficient(scenario), srx_noise_floor(scenario),
               scenario.sigma2_v[4])
-    q = layout.q
     n_vc = layout.m_vc if use_vcs else 0
-    vals = np.empty(n_trials)
-    for start in range(0, n_trials, _CHUNK):
-        n = min(_CHUNK, n_trials - start)
-        gains = _composite_gain(rng, scenario, (n, q))
+
+    def sample(n):
+        gains = _composite_gain(rng, scenario, (n, layout.q))
         thr = waterfill_thresholds(*levels, gains,
                                    s24 * rng.exponential(size=(n, n_vc)))
         spend, _ = waterfill_power(thr, scenario.p_su)
-        vals[start:start + n] = np.log2(1.0 + spend / thr).sum(axis=1) / layout.m
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_trials))
+        return np.log2(1.0 + spend / thr).sum(axis=1) / layout.m
+    return mean_se(trials(n_trials, sample))
 
 
 def _gamma4_scale(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:
@@ -296,13 +290,18 @@ def _gamma4_scale(scenario: NetworkScenario, layout: VcLayout, g: float) -> floa
             / (layout.q * srx_noise_floor(scenario) * uc_power_coefficient(scenario)))
 
 
+def _vc_snr(scenario: NetworkScenario, g):
+    """Mean SNR of a virtual subcarrier carrying power ``g`` on the direct
+    secondary link."""
+    return scenario.link_variance(2, 4) * g / scenario.sigma2_v[4]
+
+
 def _nocsit_setup(scenario: NetworkScenario, layout: VcLayout, g: float):
     """Used-subcarrier SNR scale per unit composite gain and the closed-form
     virtual-subcarrier term M_vc * psi(snr_24), in nats."""
     if g < 0 or layout.m_vc * g > scenario.p_su:
         raise ValueError("virtual-subcarrier power outside the budget")
-    snr_24 = scenario.link_variance(2, 4) * g / scenario.sigma2_v[4]
-    vc_term = layout.m_vc * psi(snr_24) if (layout.m_vc and g > 0) else 0.0
+    vc_term = layout.m_vc * psi(_vc_snr(scenario, g)) if (layout.m_vc and g > 0) else 0.0
     return _gamma4_scale(scenario, layout, g), vc_term
 
 
@@ -318,14 +317,12 @@ def c_su_lower_nocsit(scenario: NetworkScenario, layout: VcLayout, g: float,
     exponentially.  ``c_su_lower_nocsit_quad`` is the exact value.
     """
     scale, vc_term = _nocsit_setup(scenario, layout, g)
-    vals = np.empty(n_trials)
-    for start in range(0, n_trials, _CHUNK):
-        n = min(_CHUNK, n_trials - start)
+
+    def sample(n):
         gam = scale * _composite_gain(rng, scenario, (n, layout.q),
                                       constant_modulus=constant_modulus)
-        vals[start:start + n] = (LOG2E / layout.m) * (np.log(1.0 + gam).sum(axis=1)
-                                                      + vc_term)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_trials))
+        return (LOG2E / layout.m) * (np.log(1.0 + gam).sum(axis=1) + vc_term)
+    return mean_se(trials(n_trials, sample))
 
 
 def c_su_lower_nocsit_quad(scenario: NetworkScenario, layout: VcLayout, g: float,
@@ -337,12 +334,10 @@ def c_su_lower_nocsit_quad(scenario: NetworkScenario, layout: VcLayout, g: float
     scale, vc_term = _nocsit_setup(scenario, layout, g)
     if constant_modulus:
         e0, w = _laguerre(GL_NODES)
-        x_sq = scenario.p_pu
+        e1 = 1.0
     else:
         e0, e1, w = _laguerre_2d(GL_NODES)
-        x_sq = scenario.p_pu * e1
-    gain = scenario.link_variance(2, 4) * e0 * (scenario.link_variance(1, 2) * x_sq
-                                                + scenario.sigma2_v[2])
+    gain = _relayed_gain(scenario, e0, e1)
     uc = layout.q * float(psi(scale * gain) @ w) if scale > 0 else 0.0
     return float(LOG2E / layout.m * (uc + vc_term))
 
@@ -353,14 +348,12 @@ def baseline_ocr(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
     virtual subcarriers with g = P_su / M_vc (exact capacity, no relaying)."""
     if layout.m_vc == 0:
         return 0.0, 0.0
-    g = scenario.p_su / layout.m_vc
-    snr = scenario.link_variance(2, 4) * g / scenario.sigma2_v[4]
-    vals = np.empty(n_trials)
-    for start in range(0, n_trials, _CHUNK):
-        n = min(_CHUNK, n_trials - start)
+    snr = _vc_snr(scenario, scenario.p_su / layout.m_vc)
+
+    def sample(n):
         draws = np.log2(1.0 + snr * rng.exponential(size=(n, layout.m_vc)))
-        vals[start:start + n] = draws.sum(axis=1) / layout.m
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_trials))
+        return draws.sum(axis=1) / layout.m
+    return mean_se(trials(n_trials, sample))
 
 
 def baseline_nocr(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
@@ -373,12 +366,11 @@ def baseline_nocr(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
     """
     a = scenario.p_su / (layout.q * uc_power_coefficient(scenario))
     nu_uc = srx_noise_floor(scenario)
-    vals = np.empty(n_trials)
-    for start in range(0, n_trials, _CHUNK):
-        n = min(_CHUNK, n_trials - start)
+
+    def sample(n):
         gain_sum = _composite_gain(rng, scenario, (n, layout.q)).sum(axis=1)
-        vals[start:start + n] = np.log2(1.0 + a * gain_sum / nu_uc) / layout.m
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_trials))
+        return np.log2(1.0 + a * gain_sum / nu_uc) / layout.m
+    return mean_se(trials(n_trials, sample))
 
 
 def baseline_nocr_quad(scenario: NetworkScenario, layout: VcLayout) -> float:
@@ -401,9 +393,7 @@ def baseline_nocr_quad(scenario: NetworkScenario, layout: VcLayout) -> float:
     c = scenario.p_su / (layout.q * uc_power_coefficient(scenario)
                          * srx_noise_floor(scenario))
     e1, w = _laguerre(GL_NODES)
-    s24 = scenario.link_variance(2, 4)
-    gain = s24 * (scenario.link_variance(1, 2) * scenario.p_pu * e1
-                  + scenario.sigma2_v[2])
+    gain = _relayed_gain(scenario, 1.0, e1)
     mean_x = c * layout.q * float(gain @ w)
     u = np.exp(np.arange(4.0, -max(0.0, np.log(mean_x)) - 32.0, -_NOCR_STEP))
     deficit = _psi_deficit(c * u[:, None] * gain[None, :]) @ w  # 1 - L(c u)
@@ -418,8 +408,7 @@ def baseline_nocr_quad(scenario: NetworkScenario, layout: VcLayout) -> float:
 def nocsit_low_snr_approx(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:
     """Low-SNR closed form (constant-modulus primary symbols): the used-
     subcarrier sum collapses to its mean SNR."""
-    s24 = scenario.link_variance(2, 4)
-    snr_24 = s24 * g / scenario.sigma2_v[4]
+    snr_24 = _vc_snr(scenario, g)
     snr_14 = scenario.link_variance(1, 4) * scenario.p_pu / scenario.sigma2_v[4]
     uc = snr_24 * (scenario.p_su / g - layout.m_vc) / (1.0 + snr_14)
     return LOG2E / layout.m * (uc + layout.m_vc * psi(snr_24))
@@ -429,25 +418,26 @@ def nocsit_high_snr_approx(scenario: NetworkScenario, layout: VcLayout, g: float
     """High-SNR closed form (constant-modulus primary symbols): the log
     asymptote absorbs the innermost fading layer, leaving psi of the mean
     SNR minus Euler's constant per used subcarrier."""
-    s24 = scenario.link_variance(2, 4)
-    snr_24 = s24 * g / scenario.sigma2_v[4]
-    gam_mean = s24 * (scenario.p_su - layout.m_vc * g) / (layout.q * srx_noise_floor(scenario))
+    gam_mean = (scenario.link_variance(2, 4) * (scenario.p_su - layout.m_vc * g)
+                / (layout.q * srx_noise_floor(scenario)))
     uc = layout.q * (psi(gam_mean) - EULER_GAMMA)
-    return LOG2E / layout.m * (uc + layout.m_vc * psi(snr_24))
+    return LOG2E / layout.m * (uc + layout.m_vc * psi(_vc_snr(scenario, g)))
 
 
 # ---------------------------------------------------------------------------
 # monotonicity of the primary bound in the secondary budget
 # ---------------------------------------------------------------------------
 
-def check_pu_monotonicity(scenario: NetworkScenario, layout: VcLayout,
-                          psu_grid, n_trials: int, seed: int,
-                          g_fraction: float = 0.5,
-                          kappa_gate: float = 0.1) -> tuple[bool, dict]:
-    """Check that the primary worst-case rate is non-decreasing in the
-    secondary budget, under common random numbers across the grid.
+_KAPPA_GATE = 0.1  # largest outage parameter of the monotonicity claim
 
-    Applies only when the outage parameter satisfies kappa <= ``kappa_gate``;
+
+def check_pu_monotonicity(scenario: NetworkScenario, layout: VcLayout,
+                          psu_grid, n_trials: int, seed: int) -> tuple[bool, dict]:
+    """Check that the primary worst-case rate is non-decreasing in the
+    secondary budget, under common random numbers across the grid, with
+    half of each budget on the virtual subcarriers.
+
+    Applies only when the outage parameter satisfies kappa <= 0.1;
     outside that regime the report says so and no claim is made.  The
     report lists the Monte Carlo ``means`` with their ``stderrs`` and the
     ``exact`` rates (``c_pu_lower_quad``) at every grid point.
@@ -459,33 +449,33 @@ def check_pu_monotonicity(scenario: NetworkScenario, layout: VcLayout,
     if len(psu_grid) < 2 or np.any(np.diff(psu_grid) < 0):
         raise ValueError("budget grid must be non-decreasing with >= 2 points")
     k = kappa(scenario)
-    report = {"kappa": k, "grid": psu_grid, "violations": [], "hypothesis_met": k <= kappa_gate}
+    report = {"kappa": k, "grid": psu_grid, "violations": [],
+              "hypothesis_met": k <= _KAPPA_GATE}
     if not report["hypothesis_met"]:
-        report["note"] = (f"kappa={k:.3g} exceeds the gate {kappa_gate}; "
+        report["note"] = (f"kappa={k:.3g} exceeds the gate {_KAPPA_GATE}; "
                           "monotonicity is not asserted")
         return True, report
 
-    trials = []
+    samples = []
     exact = []
     for p_su in psu_grid:
         sc = replace(scenario, p_su=p_su)
-        g = g_fraction * p_su / layout.m_vc if layout.m_vc else 0.0
+        g = 0.5 * p_su / layout.m_vc if layout.m_vc else 0.0
         profile = uniform_profile(layout, sc, g)
         rng = np.random.default_rng(seed)  # same stream at every grid point
-        trials.append(c_pu_lower_trials(sc, layout, profile, n_trials, rng))
+        samples.append(c_pu_lower_trials(sc, layout, profile, n_trials, rng))
         exact.append(c_pu_lower_quad(sc, layout, profile))
     ok = True
     for i in range(1, len(psu_grid)):
-        diff = trials[i] - trials[i - 1]
-        d_mean = float(diff.mean())
-        d_se = float(diff.std(ddof=1) / np.sqrt(n_trials))
+        d_mean, d_se = mean_se(samples[i] - samples[i - 1])
         if d_mean < -3.0 * d_se:
             ok = False
             report["violations"].append(
                 {"from": psu_grid[i - 1], "to": psu_grid[i],
                  "delta": d_mean, "stderr": d_se})
-    report["means"] = [float(t.mean()) for t in trials]
-    report["stderrs"] = [float(t.std(ddof=1) / np.sqrt(n_trials)) for t in trials]
+    stats = [mean_se(vals) for vals in samples]
+    report["means"] = [mean for mean, _ in stats]
+    report["stderrs"] = [se for _, se in stats]
     report["exact"] = exact
     return ok, report
 
@@ -502,17 +492,13 @@ class CapacityReport:
     c_pu_direct: float
     delta_c_pu: float
     c_su_lower: float
-    mode: str
     p_out: float
-    n_trials: int
     std_err: dict
     estimators: dict  # method of each rate: "quadrature", "mc", "closed_form"
-    cp_efficiency: float = 1.0
 
     def __post_init__(self):
         numbers = {name: getattr(self, name) for name in (
-            "c_pu_lower", "c_pu_direct", "delta_c_pu", "c_su_lower", "p_out",
-            "cp_efficiency")}
+            "c_pu_lower", "c_pu_direct", "delta_c_pu", "c_su_lower", "p_out")}
         numbers.update((f"std_err[{key!r}]", v) for key, v in self.std_err.items())
         for name, value in numbers.items():
             if not np.isfinite(value):

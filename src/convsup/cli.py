@@ -49,6 +49,8 @@ def _cmd_sweep(args) -> int:
         with open(target, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
     except OSError as exc:
+        if target == manifest_path:  # a CSV without its manifest is no result
+            os.remove(args.out)
         print(f"sweep aborted: cannot write {target}: {exc.strerror or exc}",
               file=sys.stderr)
         return 2

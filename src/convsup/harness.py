@@ -23,7 +23,7 @@ import scipy
 from scipy import special
 
 from . import __version__
-from .channel import LinkSpec, NetworkScenario, draw_channels, zmcscg
+from .channel import LinkSpec, NetworkScenario, draw_channels, trials, zmcscg
 from .capacity import (CapacityReport, baseline_nocr_quad, baseline_ocr,
                        bessel_k, c_pu_direct, c_pu_lower_quad, c_su_lower_csit,
                        c_su_lower_nocsit_quad, check_pu_monotonicity, kappa,
@@ -35,10 +35,9 @@ from .precoding import (csit_objective, power_residual, realize_precoders,
 from .spectral import (InconsistentResponseError, build_spectral_context,
                        build_vc_layout, filter_frequency_response,
                        min_norm_filter)
-from .transceiver import (FRAME_CHUNK, FrameConfig, FrameSimulator,
-                          draw_noise_blocks, pu_frequency_model,
-                          required_cp_length, srx_frequency_model,
-                          stx_power_mc, zero_noise)
+from .transceiver import (FrameConfig, FrameSimulator, draw_noise_blocks,
+                          pu_frequency_model, required_cp_length,
+                          srx_frequency_model, stx_power_mc, zero_noise)
 
 __all__ = [
     "SCHEMES",
@@ -242,8 +241,7 @@ class SweepConfig:
 
 def evaluate_scheme(scheme: str, scenario: NetworkScenario, layout, csit: bool,
                     n_trials: int, rng: np.random.Generator,
-                    vc_power_fraction: float = 0.5,
-                    cp_efficiency: float = 1.0) -> CapacityReport:
+                    vc_power_fraction: float = 0.5) -> CapacityReport:
     """Capacity report of one scheme at one configuration.  Rates under the
     uniform profile are exact quadratures with standard error 0; the ocr
     secondary rate and the waterfilled CSIT secondary rate are Monte Carlo
@@ -253,13 +251,10 @@ def evaluate_scheme(scheme: str, scenario: NetworkScenario, layout, csit: bool,
     if scheme == "ocr":
         su, su_se = baseline_ocr(scenario, layout, n_trials, rng)
         return CapacityReport(c_pu_lower=direct, c_pu_direct=direct,
-                              delta_c_pu=0.0, c_su_lower=su,
-                              mode="CSIT" if csit else "NOCSIT",
-                              p_out=0.0, n_trials=n_trials,
+                              delta_c_pu=0.0, c_su_lower=su, p_out=0.0,
                               std_err={"c_pu_lower": 0.0, "c_su_lower": su_se},
                               estimators={"c_pu_lower": "closed_form",
-                                          "c_su_lower": "mc"},
-                              cp_efficiency=cp_efficiency)
+                                          "c_su_lower": "mc"})
 
     if scheme == "proposed_with_vcs":
         g = vc_power_fraction * scenario.p_su / layout.m_vc if layout.m_vc else 0.0
@@ -282,13 +277,10 @@ def evaluate_scheme(scheme: str, scenario: NetworkScenario, layout, csit: bool,
         su = c_su_lower_nocsit_quad(scenario, layout, g)
     return CapacityReport(c_pu_lower=pu, c_pu_direct=direct,
                           delta_c_pu=pu - direct, c_su_lower=su,
-                          mode="CSIT" if csit else "NOCSIT",
                           p_out=pu_outage_probability(scenario),
-                          n_trials=n_trials,
                           std_err={"c_pu_lower": 0.0, "c_su_lower": su_se},
                           estimators={"c_pu_lower": "quadrature",
-                                      "c_su_lower": su_method},
-                          cp_efficiency=cp_efficiency)
+                                      "c_su_lower": su_method})
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1):
@@ -318,8 +310,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
         scheme = cfg.schemes[si]
         rng = np.random.default_rng(children[task_idx])
         rep = evaluate_scheme(scheme, scenario, layout, cfg.csit, cfg.n_trials,
-                              rng, vc_power_fraction=spec.vc_power_fraction,
-                              cp_efficiency=layout.m / (layout.m + l_cp))
+                              rng, vc_power_fraction=spec.vc_power_fraction)
         return {
             "sweep_var": float(cfg.grid[gi]),
             "scheme": scheme,
@@ -432,25 +423,16 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _reference_setup(snr_db=20.0, d12_ratio=0.3, d12_ref="d13", power_ratio=1.0,
-                     snr_ref="pu"):
-    spec = ScenarioSpec(d12_ratio=d12_ratio, d12_ref=d12_ref,
-                        power_ratio=power_ratio, snr_db=snr_db, snr_ref=snr_ref)
-    scenario, ctx, layout, l_cp = spec.build()
+def _reference_setup():
+    scenario, ctx, layout, l_cp = ScenarioSpec().build()
     cfg = FrameConfig(ctx=ctx, layout=layout, l_cp=l_cp,
                       specs=reference_link_specs())
     return scenario, cfg
 
 
-def _frame_batches(n_frames):
-    for start in range(0, n_frames, FRAME_CHUNK):
-        yield min(FRAME_CHUNK, n_frames - start)
-
-
-def _max_rel_err(got, model) -> float:
-    """Worst over frames of the frame's max |got - model| over max |model|."""
-    return float(np.max(np.abs(got - model).max(axis=-1)
-                        / np.abs(model).max(axis=-1)))
+def _rel_err(got, model) -> np.ndarray:
+    """Per frame, max |got - model| over max |model|."""
+    return np.abs(got - model).max(axis=-1) / np.abs(model).max(axis=-1)
 
 
 def frame_equivalence_errors(scenario, cfg, n_frames, rng,
@@ -458,15 +440,16 @@ def frame_equivalence_errors(scenario, cfg, n_frames, rng,
     """Worst relative deviation of the simulated chain from the
     per-subcarrier models at both receivers, over random frames with random
     previous-frame content (exercising interference removal).  All frames
-    of a batch run as two batched steps: a random warm-up frame that feeds
-    the inter-block path, then the measured frame."""
+    of a batch of ``channel.trials`` run as two batched steps: a random
+    warm-up frame that feeds the inter-block path, then the measured
+    frame."""
     layout, ctx = cfg.layout, cfg.ctx
     g = 0.5 * scenario.p_su / layout.m_vc if layout.m_vc else 0.0
     profile = uniform_profile(layout, scenario, g)
     pre = realize_precoders(ctx, layout, profile)
     sim = FrameSimulator(cfg, pre)
-    worst_pu = worst_su = 0.0
-    for n in _frame_batches(n_frames):
+
+    def sample(n):
         sim.reset()
         for _ in range(2):
             channels = draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(n,))
@@ -485,9 +468,10 @@ def frame_equivalence_errors(scenario, cfg, n_frames, rng,
                                       v2_f=v2_f, v3_f=v3_f)
         model_su = srx_frequency_model(channels, pre, layout, x_pu, x1, x2,
                                        v2_f=v2_f, v4_f=v4_f)
-        worst_pu = max(worst_pu, _max_rel_err(trace.y_pu_f, model_pu))
-        worst_su = max(worst_su, _max_rel_err(trace.y_su_f, model_su))
-    return worst_pu, worst_su
+        return np.stack([_rel_err(trace.y_pu_f, model_pu),
+                         _rel_err(trace.y_su_f, model_su)], axis=-1)
+    worst_pu, worst_su = trials(n_frames, sample).max(axis=0)
+    return float(worst_pu), float(worst_su)
 
 
 def relayed_noise_identity_error(scenario, cfg, n_frames, rng) -> float:
@@ -498,10 +482,10 @@ def relayed_noise_identity_error(scenario, cfg, n_frames, rng) -> float:
     profile = uniform_profile(layout, scenario, 0.0)
     pre = realize_precoders(ctx, layout, profile)
     sim = FrameSimulator(cfg, pre)
-    worst = 0.0
     zeros_pu = np.zeros(layout.q)
     zeros_vc = np.zeros(layout.m_vc)
-    for n in _frame_batches(n_frames):
+
+    def sample(n):
         sim.reset()
         for _ in range(2):
             channels = draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(n,))
@@ -511,8 +495,8 @@ def relayed_noise_identity_error(scenario, cfg, n_frames, rng) -> float:
             noises = replace(zero_noise(cfg, (n,)), v2=v2)
             trace = sim.step(channels, zeros_pu, x1, zeros_vc, noises)
         model = (channels.freq[2, 3] * (x1 @ pre.a.T) * (w_block @ ctx.w_dft.T))
-        worst = max(worst, _max_rel_err(trace.y_pu_f, model))
-    return worst
+        return _rel_err(trace.y_pu_f, model)
+    return float(trials(n_frames, sample).max())
 
 
 def validate_suite(seed: int = 20260809, trials: int = 100_000,
@@ -774,8 +758,7 @@ def _waterfill_instances(layout, rng):
     return float(resid.max()), n_beat, faults
 
 
-def _random_search_best(layout, scenario, h_su, h_24, n_points, rng,
-                        chunk=200_000):
+def _random_search_best(layout, scenario, h_su, h_24, n_points, rng):
     # the SRx noise floor is written out here, not taken from
     # precoding.srx_noise_floor, so the oracle stays independent of it
     nu_uc = scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4]
@@ -785,20 +768,16 @@ def _random_search_best(layout, scenario, h_su, h_24, n_points, rng,
     gains_uc = np.abs(np.asarray(h_su)[uc]) ** 2 / nu_uc
     gains_vc = np.abs(np.asarray(h_24)[vc]) ** 2 / scenario.sigma2_v[4]
     k = len(uc) + len(vc)
-    best = -np.inf
-    done = 0
-    while done < n_points:
-        n = min(chunk, n_points - done)
+
+    def sample(n):
         w = rng.exponential(size=(n, k))
         w /= w.sum(axis=1, keepdims=True)
         spend = w * scenario.p_su
         a = spend[:, : len(uc)] / coef
         g = spend[:, len(uc):]
-        obj = (np.log2(1.0 + a * gains_uc).sum(axis=1)
-               + np.log2(1.0 + g * gains_vc).sum(axis=1))
-        best = max(best, float(obj.max()))
-        done += n
-    return best
+        return (np.log2(1.0 + a * gains_uc).sum(axis=1)
+                + np.log2(1.0 + g * gains_vc).sum(axis=1))
+    return float(trials(n_points, sample).max())
 
 
 def channel_statistics_check(scenario, specs, n_draws, rng):

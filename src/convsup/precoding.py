@@ -229,8 +229,7 @@ class PrecoderSet:
     """Realized precoder pair.
 
     ``profile`` holds the *realized* per-subcarrier powers (squared row
-    norms of A and G); ``requested`` the profile the construction aimed at.
-    The used-subcarrier branch can only shape its Gram matrix inside a
+    norms of A and G).  The used-subcarrier branch can only shape its Gram matrix inside a
     rank-N family, so realized row norms ripple around the request while the
     total spent budget is matched exactly; ``max_uc_mismatch`` records the
     worst relative per-row deviation.
@@ -241,7 +240,6 @@ class PrecoderSet:
     a: np.ndarray
     g: np.ndarray
     profile: PowerProfile
-    requested: PowerProfile
     max_uc_mismatch: float
 
 
@@ -300,4 +298,4 @@ def realize_precoders(ctx: SpectralContext, layout: VcLayout,
     max_mismatch = float(rel.max()) if rel.size else 0.0
 
     return PrecoderSet(c=c, d=d, a=a_mat, g=g_mat, profile=realized,
-                       requested=profile, max_uc_mismatch=max_mismatch)
+                       max_uc_mismatch=max_mismatch)

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
+_SYNTH_TOL = 1e-9  # relative residual above which a response is not realizable
 
 
 class InconsistentResponseError(ValueError):
@@ -54,7 +55,6 @@ class SpectralContext:
     l_su: int
     w_idft: np.ndarray
     w_dft: np.ndarray
-    j_pad: np.ndarray
     pi_idft: np.ndarray
 
 
@@ -111,8 +111,6 @@ def build_spectral_context(m: int, l_su: int) -> SpectralContext:
 
     w_idft = idft_matrix(m)
     w_dft = w_idft.conj().T
-    j_pad = np.zeros((m, l_su + 1))
-    j_pad[: l_su + 1, : l_su + 1] = np.eye(l_su + 1)
     pi_idft = w_dft[:, : l_su + 1].copy()
 
     eye_err = np.abs(w_dft @ w_idft - np.eye(m)).max()
@@ -127,7 +125,7 @@ def build_spectral_context(m: int, l_su: int) -> SpectralContext:
         raise AssertionError(f"pi_idft does not annihilate the tail rows: {null_err:.3e}")
 
     return SpectralContext(m=m, l_su=l_su, w_idft=w_idft, w_dft=w_dft,
-                           j_pad=j_pad, pi_idft=pi_idft)
+                           pi_idft=pi_idft)
 
 
 def build_vc_layout(ctx: SpectralContext, vc_indices) -> VcLayout:
@@ -178,16 +176,16 @@ def build_vc_layout(ctx: SpectralContext, vc_indices) -> VcLayout:
 
 def filter_frequency_response(ctx: SpectralContext, f_tilde: np.ndarray) -> np.ndarray:
     """M-point frequency response of the order-``l_su`` filter ``f_tilde``:
-    sqrt(M) * W_dft * J * f_tilde, along the last axis (leading axes are a
+    sqrt(M) * W_dft * J * f_tilde with J the zero padding to M samples, so
+    W_dft * J = ``pi_idft``; along the last axis (leading axes are a
     batch)."""
     f_tilde = np.asarray(f_tilde)
     if f_tilde.shape[-1:] != (ctx.l_su + 1,):
         raise ValueError(f"expected {ctx.l_su + 1} filter taps, got shape {f_tilde.shape}")
-    return np.sqrt(ctx.m) * (f_tilde @ (ctx.w_dft @ ctx.j_pad).T)
+    return np.sqrt(ctx.m) * (f_tilde @ ctx.pi_idft.T)
 
 
-def min_norm_filter(ctx: SpectralContext, f: np.ndarray,
-                    rel_tol: float = 1e-9) -> np.ndarray:
+def min_norm_filter(ctx: SpectralContext, f: np.ndarray) -> np.ndarray:
     """Minimal-norm filter taps whose frequency response equals ``f``, along
     the last axis (leading axes are a batch).
 
@@ -198,10 +196,11 @@ def min_norm_filter(ctx: SpectralContext, f: np.ndarray,
     f = np.asarray(f, dtype=complex)
     if f.shape[-1:] != (ctx.m,):
         raise ValueError(f"expected {ctx.m}-vectors, got shape {f.shape}")
-    f_tilde = (f @ (ctx.j_pad.T @ ctx.w_idft).T) / np.sqrt(ctx.m)
+    # J^T W_idft: the first l_su + 1 rows of the IDFT
+    f_tilde = (f @ ctx.w_idft[: ctx.l_su + 1].T) / np.sqrt(ctx.m)
     resid = np.linalg.norm(filter_frequency_response(ctx, f_tilde) - f, axis=-1)
     scale = np.linalg.norm(f, axis=-1)
-    bad = resid > rel_tol * np.maximum(scale, np.finfo(float).tiny)
+    bad = resid > _SYNTH_TOL * np.maximum(scale, np.finfo(float).tiny)
     if np.any(bad):
         worst = np.max(resid[bad] / scale[bad])
         raise InconsistentResponseError(

@@ -19,12 +19,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .channel import ChannelRealization, LinkSpec, NetworkScenario, link_output, zmcscg
+from .channel import (ChannelRealization, LinkSpec, NetworkScenario, link_output,
+                      mean_se, trials, zmcscg)
 from .precoding import PrecoderSet
 from .spectral import SpectralContext, VcLayout, min_norm_filter
 
 __all__ = [
-    "FRAME_CHUNK",
     "FrameConfig",
     "NoiseBlocks",
     "FrameTrace",
@@ -40,8 +40,6 @@ __all__ = [
     "write_frame_traces",
     "read_frame_traces",
 ]
-
-FRAME_CHUNK = 20_000  # frames per batch of the Monte Carlo chain oracles
 
 
 def required_cp_length(specs: Mapping[tuple[int, int], LinkSpec], l_su: int) -> int:
@@ -77,14 +75,10 @@ class FrameConfig:
             raise ValueError(
                 f"cyclic prefix {self.l_cp} shorter than the interference "
                 f"bound {need}")
-        relay_3 = (self.specs[1, 2].order + self.l_su + self.specs[2, 3].order
-                   + self.specs[1, 2].offset + self.specs[2, 3].offset)
-        if relay_3 > self.p - 1:
+        # every link's spread is at most that of a path through it
+        if need > self.p - 1:
             raise ValueError(
-                f"relayed path spread {relay_3} exceeds one block ({self.p - 1})")
-        for link, spec in self.specs.items():
-            if spec.order + spec.offset > self.p - 1:
-                raise ValueError(f"link {link} spread exceeds one block")
+                f"path spread {need} exceeds one block ({self.p - 1})")
 
     @property
     def m(self) -> int:
@@ -148,9 +142,6 @@ class FrameTrace:
     """All blocks of one simulated primary symbol period (per frame of a
     batch)."""
 
-    x_pu: np.ndarray
-    x_su_1: np.ndarray
-    x_su_2: np.ndarray
     u_pu_t: np.ndarray
     y2_t: np.ndarray
     z2_t: np.ndarray
@@ -158,8 +149,6 @@ class FrameTrace:
     y4_t: np.ndarray
     y_pu_f: np.ndarray
     y_su_f: np.ndarray
-    noises: NoiseBlocks
-    channels: ChannelRealization
 
 
 def pu_transmit(x_pu: np.ndarray, cfg: FrameConfig) -> np.ndarray:
@@ -219,13 +208,9 @@ class FrameSimulator:
 
         self._prev_u_pu = u_pu
         self._prev_z2 = z2
-        return FrameTrace(x_pu=np.asarray(x_pu, dtype=complex),
-                          x_su_1=np.asarray(x_su_1, dtype=complex),
-                          x_su_2=np.asarray(x_su_2, dtype=complex),
-                          u_pu_t=u_pu, y2_t=y2, z2_t=z2, y3_t=y3, y4_t=y4,
+        return FrameTrace(u_pu_t=u_pu, y2_t=y2, z2_t=z2, y3_t=y3, y4_t=y4,
                           y_pu_f=_apply(cfg.ctx.w_dft, _cp_remove(y3, cfg.l_cp)),
-                          y_su_f=_apply(cfg.ctx.w_dft, _cp_remove(y4, cfg.l_cp)),
-                          noises=noises, channels=channels)
+                          y_su_f=_apply(cfg.ctx.w_dft, _cp_remove(y4, cfg.l_cp)))
 
 
 def _frequency_inputs(pre: PrecoderSet, layout: VcLayout, x_pu, x_su_1, x_su_2):
@@ -265,26 +250,24 @@ def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
     ||z2||^2 (prefix excluded; the unitary DFT keeps it the frequency-domain
     energy).
 
-    Each batch of up to ``FRAME_CHUNK`` frames runs the h12 link and
+    Each batch of frames of ``channel.trials`` runs the h12 link and
     ``stx_process`` with a zero previous block: inter-block interference
     only touches samples the prefix removal drops, so that gives the
     steady-state statistic.
     """
     spec12 = cfg.specs[1, 2]
-    var12 = (spec12.variance if spec12.variance is not None
-             else scenario.link_variance(1, 2))
-    powers = np.empty(n_frames)
-    for start in range(0, n_frames, FRAME_CHUNK):
-        n = min(FRAME_CHUNK, n_frames - start)
-        taps = zmcscg(rng, (n, spec12.order + 1), var12 / (spec12.order + 1))
+
+    def sample(n):
+        taps = zmcscg(rng, (n, spec12.order + 1),
+                      scenario.link_variance(1, 2) / (spec12.order + 1))
         x_pu = zmcscg(rng, (n, cfg.layout.q), scenario.p_pu)
         x1 = zmcscg(rng, (n, cfg.layout.n_sym))
         x2 = zmcscg(rng, (n, cfg.layout.m_vc))
         v2 = zmcscg(rng, (n, cfg.p), scenario.sigma2_v[2])
         y2 = link_output(taps, spec12.offset, pu_transmit(x_pu, cfg)) + v2
         z2 = _cp_remove(stx_process(y2, x1, x2, pre, cfg), cfg.l_cp)
-        powers[start:start + n] = np.sum(z2.real ** 2 + z2.imag ** 2, axis=-1)
-    return float(powers.mean()), float(powers.std(ddof=1) / np.sqrt(n_frames))
+        return np.sum(z2.real ** 2 + z2.imag ** 2, axis=-1)
+    return mean_se(trials(n_frames, sample))
 
 
 _TRACE_MAGIC = b"CVSPTRC1"

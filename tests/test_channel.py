@@ -249,8 +249,6 @@ class TestLinkSpec:
             LinkSpec(order=-1, offset=0)
         with pytest.raises(ValueError):
             LinkSpec(order=0, offset=-2)
-        with pytest.raises(ValueError):
-            LinkSpec(order=0, offset=0, variance=0.0)
 
     def test_missing_link_rejected(self, scenario):
         specs = reference_link_specs()

@@ -15,6 +15,7 @@ import pytest
 import scipy
 from scipy import integrate, special, stats
 
+import convsup.channel
 import convsup.cli
 import convsup.harness
 import convsup.precoding
@@ -42,9 +43,9 @@ def load_benchmark_gates():
     return module
 
 
+DATA = Path(__file__).parent / "data"
 # stdout of `convsup validate --seed 20260809 --trials 5000 --frames 100`
-GOLDEN_VALIDATE = (Path(__file__).parent / "data"
-                   / "validate_seed20260809_trials5000_frames100.txt")
+GOLDEN_VALIDATE = DATA / "validate_seed20260809_trials5000_frames100.txt"
 
 
 def small_config(**overrides):
@@ -127,6 +128,18 @@ class TestRunSweep:
                 row["c_pu_lower"] - row["c_pu_direct"], abs=1e-15)
         assert manifest["grid_points"][0]["l_cp"] == 11
         assert manifest["rate_anchor_hz"] == 20e6
+
+    @pytest.mark.parametrize("csit", [True, False], ids=["csit", "nocsit"])
+    def test_rows_across_the_batch_boundary_are_pinned(self, tmp_path, csit):
+        # every Monte Carlo rate of the sweep draws 25 000 trials, in
+        # batches of 20 000 and 5 000: the CSV is the recorded one, byte
+        # for byte
+        cfg = small_config(schemes=SCHEMES, csit=csit, n_trials=25_000)
+        assert cfg.n_trials > convsup.channel._CHUNK
+        rows, _ = run_sweep(cfg)
+        emit_csv(rows, tmp_path / "out.csv")
+        golden = DATA / f"sweep_m16_trials25000_{'csit' if csit else 'nocsit'}.csv"
+        assert (tmp_path / "out.csv").read_bytes() == golden.read_bytes()
 
     def test_thread_count_does_not_change_results(self):
         cfg = small_config()
@@ -611,6 +624,8 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and str(target) in lines[0]
+        # neither file is left behind: a CSV without its manifest is no result
+        assert not out_path.is_file()
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         raw = {
