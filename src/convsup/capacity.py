@@ -54,6 +54,9 @@ LOG2E = 1.0 / np.log(2.0)
 
 GL_NODES = 64  # Gauss-Laguerre nodes per axis of the *_quad rates
 _NOCR_STEP = 0.2  # trapezoid step in ln u of baseline_nocr_quad
+# trials per waterfilling pass of c_su_lower_csit: the ~10 (rows, K)
+# temporaries of a 512-row block stay in cache
+_CSIT_ROWS = 512
 
 
 @functools.cache
@@ -252,14 +255,27 @@ def _relayed_gain(scenario: NetworkScenario, e0, e1=1.0):
                + scenario.sigma2_v[2]))
 
 
+def _relay_exponentials(rng: np.random.Generator, shape,
+                        constant_modulus: bool = False) -> np.ndarray:
+    """The unit exponentials (E0, E1, E2) of ``shape`` composite gains,
+    stacked along a new first axis and drawn in that order; (E0, E2) when
+    ``constant_modulus`` (no E1)."""
+    return rng.exponential(size=(2 if constant_modulus else 3, *np.atleast_1d(shape)))
+
+
+def _composite_law(scenario: NetworkScenario, draws: np.ndarray) -> np.ndarray:
+    """Composite used-subcarrier gain ``_relayed_gain`` times E2 of stacked
+    ``_relay_exponentials`` draws (any slice of their trailing axes); two
+    stacked draws (E0, E2) leave E1 at its constant-modulus 1."""
+    return _relayed_gain(scenario, draws[0], *draws[1:-1]) * draws[-1]
+
+
 def _composite_gain(rng: np.random.Generator, scenario: NetworkScenario, shape,
                     constant_modulus: bool = False) -> np.ndarray:
     """Composite used-subcarrier gain ``_relayed_gain`` times E2, drawn
     exactly in law with E0, E1, E2 unit exponentials in that draw order (no
     E1 when ``constant_modulus``)."""
-    e0 = rng.exponential(size=shape)
-    e1 = 1.0 if constant_modulus else rng.exponential(size=shape)
-    return _relayed_gain(scenario, e0, e1) * rng.exponential(size=shape)
+    return _composite_law(scenario, _relay_exponentials(rng, shape, constant_modulus))
 
 
 def c_su_lower_csit(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
@@ -269,7 +285,11 @@ def c_su_lower_csit(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
     Each trial draws the composite used-subcarrier gain (relay gain times
     relayed primary symbol plus secondary-chain noise) and the direct
     virtual-subcarrier gain, waterfills the budget over the active
-    dimensions, and scores the resulting rate.
+    dimensions, and scores the resulting rate.  A batch takes all of its
+    exponentials first (E0, E1 and E2 of the used subcarriers, then the
+    virtual-subcarrier gains), then waterfills and scores them in blocks of
+    ``_CSIT_ROWS`` trials, so the per-trial temporaries stay in cache; every
+    row is computed as it would be alone, so the blocks do not change a bit.
     """
     s24 = scenario.link_variance(2, 4)
     levels = (uc_power_coefficient(scenario), srx_noise_floor(scenario),
@@ -277,11 +297,16 @@ def c_su_lower_csit(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
     n_vc = layout.m_vc if use_vcs else 0
 
     def sample(n):
-        gains = _composite_gain(rng, scenario, (n, layout.q))
-        thr = waterfill_thresholds(*levels, gains,
-                                   s24 * rng.exponential(size=(n, n_vc)))
-        spend, _ = waterfill_power(thr, scenario.p_su)
-        return np.log2(1.0 + spend / thr).sum(axis=1) / layout.m
+        draws = _relay_exponentials(rng, (n, layout.q))
+        vc_draws = rng.exponential(size=(n, n_vc))
+        rate = np.empty(n)
+        for lo in range(0, n, _CSIT_ROWS):
+            hi = min(lo + _CSIT_ROWS, n)
+            thr = waterfill_thresholds(*levels, _composite_law(scenario, draws[:, lo:hi]),
+                                       s24 * vc_draws[lo:hi])
+            spend, _ = waterfill_power(thr, scenario.p_su)
+            rate[lo:hi] = np.log2(1.0 + spend / thr).sum(axis=1)
+        return rate / layout.m
     return mean_se(trials(n_trials, sample))
 
 

@@ -86,8 +86,9 @@ class NetworkScenario:
                 raise ValueError(f"missing coordinates for node {node}")
             if not np.all(np.isfinite(self.coords[node])):
                 raise ValueError(f"coordinates of node {node} must be finite")
-        if not np.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
+        if not (np.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"path-loss exponent eta must be positive and "
+                             f"finite, got {self.eta}")
         for name in ("p_pu", "p_su"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"power budget {name} must be positive and "

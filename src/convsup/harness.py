@@ -142,6 +142,9 @@ class ScenarioSpec:
             if not (_is_number(value) and math.isfinite(value)):
                 raise ValueError(f"scenario field {name!r} must be a finite "
                                  f"number, got {value!r}")
+        if self.d12_ratio <= 0:
+            raise ValueError("scenario field 'd12_ratio' must be positive, "
+                             f"got {self.d12_ratio!r}")
         for name in ("m_subcarriers", "l_su"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"scenario field {name!r} must be an integer, "
@@ -197,6 +200,8 @@ class SweepConfig:
             raise ValueError(f"schemes must be a non-empty subset of {SCHEMES}")
         if self.n_trials < 100:
             raise ValueError("n_trials must be at least 100")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
@@ -506,13 +511,16 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
 
     Each ``*_check`` function below is the one implementation of its oracle
     and returns ``(ok, detail)``; the acceptance tests call the same
-    functions with their own seeds and sizes.  ``trials`` below 100 or
-    ``n_frames`` below 1 raise ``ValueError`` before any check runs.
+    functions with their own seeds and sizes.  ``trials`` below 100,
+    ``n_frames`` below 1 or a negative ``seed`` raise ``ValueError`` before
+    any check runs.
     """
     if trials < 100:
         raise ValueError(f"trials must be at least 100, got {trials}")
     if n_frames < 1:
         raise ValueError(f"frames must be at least 1, got {n_frames}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     checks: list[CheckResult] = []
     root = np.random.SeedSequence(seed)
     streams = [np.random.default_rng(s) for s in root.spawn(16)]
@@ -763,21 +771,23 @@ def _random_search_best(layout, scenario, h_su, h_24, n_points, rng):
     # precoding.srx_noise_floor, so the oracle stays independent of it
     nu_uc = scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4]
     coef = uc_power_coefficient(scenario)
-    uc = list(layout.uc_indices)
-    vc = list(layout.vc_indices)
-    gains_uc = np.abs(np.asarray(h_su)[uc]) ** 2 / nu_uc
-    gains_vc = np.abs(np.asarray(h_24)[vc]) ** 2 / scenario.sigma2_v[4]
-    k = len(uc) + len(vc)
+    # SNR per unit share of the budget: spend / coef on a used subcarrier
+    # against nu_uc, spend on a virtual one against sigma2_v4
+    scale = scenario.p_su * np.concatenate([
+        np.abs(np.asarray(h_su)[list(layout.uc_indices)]) ** 2 / nu_uc / coef,
+        np.abs(np.asarray(h_24)[list(layout.vc_indices)]) ** 2 / scenario.sigma2_v[4]])
 
     def sample(n):
-        w = rng.exponential(size=(n, k))
-        w /= w.sum(axis=1, keepdims=True)
-        spend = w * scenario.p_su
-        a = spend[:, : len(uc)] / coef
-        g = spend[:, len(uc):]
-        return (np.log2(1.0 + a * gains_uc).sum(axis=1)
-                + np.log2(1.0 + g * gains_vc).sum(axis=1))
-    return float(trials(n_points, sample).max())
+        # a uniform point of the simplex scores log2 prod_k (1 + x_k); the
+        # product of a few factors cannot overflow, and log2 is monotone, so
+        # only the best product is taken to the log
+        w = rng.exponential(size=(n, scale.size))
+        total = w.sum(axis=1, keepdims=True)
+        w *= scale
+        w /= total
+        w += 1.0
+        return w.prod(axis=1)
+    return float(np.log2(trials(n_points, sample).max()))
 
 
 def channel_statistics_check(scenario, specs, n_draws, rng):

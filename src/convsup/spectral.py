@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 __all__ = [
     "SpectralContext",
@@ -157,11 +156,10 @@ def build_vc_layout(ctx: SpectralContext, vc_indices) -> VcLayout:
         r_vc = 0
     else:
         pi_vc_h = ctx.pi_idft[list(vc), :]  # M_vc x (l_su+1), rows at vc indices
-        sv = np.linalg.svd(pi_vc_h, compute_uv=False)
+        # the right singular vectors past the numerical rank span the null space
+        _, sv, vh = np.linalg.svd(pi_vc_h)
         r_vc = int(np.sum(sv > 1e-10 * sv[0]))
-        upsilon = null_space(pi_vc_h, rcond=1e-10)
-        if upsilon.shape[1] != ctx.l_su + 1 - r_vc:
-            raise AssertionError("null-space dimension disagrees with numerical rank")
+        upsilon = vh[r_vc:].conj().T
         resid = np.abs(pi_vc_h @ upsilon).max()
         if resid > _ORTHO_TOL:
             raise AssertionError(f"null-space residual too large: {resid:.3e}")

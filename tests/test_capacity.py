@@ -19,10 +19,11 @@ from convsup.capacity import (CapacityReport, EULER_GAMMA, _composite_gain,
                               check_pu_monotonicity, kappa,
                               nocsit_high_snr_approx, nocsit_low_snr_approx,
                               outage_mc, psi, pu_outage_probability)
-from convsup.channel import draw_channels, zmcscg
+from convsup.channel import draw_channels, mean_se, zmcscg
 from convsup.harness import build_scenario, reference_link_specs, resolve_d12
 from convsup.precoding import (PowerProfile, srx_noise_floor, uc_power_coefficient,
-                               uniform_profile)
+                               uniform_profile, waterfill_power,
+                               waterfill_thresholds)
 from convsup.spectral import build_spectral_context, build_vc_layout
 
 
@@ -351,6 +352,43 @@ def test_monte_carlo_rates_across_the_batch_boundary():
                    "nocsit_constant_modulus": (0.31505790809987144,
                                                0.00015612068005046978),
                    "nocr": (0.07461948410447916, 0.0001972247754851152)}
+
+
+@pytest.mark.parametrize("use_vcs", [True, False], ids=["vcs", "no-vcs"])
+@pytest.mark.parametrize("n", [
+    1, capacity._CSIT_ROWS - 1, capacity._CSIT_ROWS, capacity._CSIT_ROWS + 1,
+    channel._CHUNK + capacity._CSIT_ROWS + 1])
+def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, monkeypatch):
+    # the estimator draws each batch at once and waterfills it in row
+    # blocks; a whole-batch evaluation of the same draws must give every
+    # row, and so the mean and stderr, to the bit
+    _, layout = layout64
+    scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+    s24 = scenario.link_variance(2, 4)
+    n_vc = layout.m_vc if use_vcs else 0
+
+    def reference(rng):
+        rows = []
+        for start in range(0, n, channel._CHUNK):
+            k = min(channel._CHUNK, n - start)
+            e0, e1, e2 = (rng.exponential(size=(k, layout.q)) for _ in range(3))
+            gain_vc = s24 * rng.exponential(size=(k, n_vc))
+            thr = waterfill_thresholds(
+                uc_power_coefficient(scenario), srx_noise_floor(scenario),
+                scenario.sigma2_v[4], capacity._relayed_gain(scenario, e0, e1) * e2,
+                gain_vc)
+            spend, _ = waterfill_power(thr, scenario.p_su)
+            rows.append(np.log2(1.0 + spend / thr).sum(axis=1) / layout.m)
+        return np.concatenate(rows)
+
+    want = reference(np.random.default_rng(n))
+    if n > 1:  # one row has no stderr
+        assert (c_su_lower_csit(scenario, layout, n, np.random.default_rng(n),
+                                use_vcs=use_vcs) == mean_se(want))
+    monkeypatch.setattr(capacity, "mean_se", lambda vals: vals)
+    got = c_su_lower_csit(scenario, layout, n, np.random.default_rng(n),
+                          use_vcs=use_vcs)
+    assert got.shape == (n,) and np.array_equal(got, want)
 
 
 class TestQuadrature:

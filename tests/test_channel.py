@@ -31,6 +31,10 @@ class TestScenario:
         with pytest.raises(ValueError):
             NetworkScenario(coords=coords, eta=3.0, p_pu=1.0, p_su=1.0,
                             sigma2_v={2: 1, 3: 0.0, 4: 1})
+        for eta in (0.0, -3.0):
+            with pytest.raises(ValueError, match="eta"):
+                NetworkScenario(coords=coords, eta=eta, p_pu=1.0, p_su=1.0,
+                                sigma2_v={2: 1, 3: 1, 4: 1})
         coords_bad = {**coords, 2: (0, 0)}
         with pytest.raises(ValueError):
             NetworkScenario(coords=coords_bad, eta=3.0, p_pu=1.0, p_su=1.0,

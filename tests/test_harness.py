@@ -387,8 +387,8 @@ def test_the_program_never_imports_scipy_stats_or_integrate(tmp_path):
 import contextlib, io, json, sys
 
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "integrate"]))
+    return sorted(m for m in sys.modules if m.split(".")[:2] in (
+        ["scipy", "stats"], ["scipy", "integrate"], ["scipy", "linalg"]))
 
 from convsup import cli
 seen = {{"import": loaded()}}
@@ -536,12 +536,18 @@ class TestCli:
         ({"grid": 20}, "grid"),
         ({"grid": [20.0, "25"]}, "grid"),
         ({"scenario": 3}, "scenario"),
+        ({"scenario": {"eta": 0}}, "eta"),
+        ({"scenario": {"eta": -3}}, "eta"),
+        ({"scenario": {"d12_ratio": -0.3}}, "d12_ratio"),
+        ({"sweep_variable": "d12_ratio", "grid": [0.3, -0.3]}, "d12_ratio"),
+        ({"seed": -1}, "seed"),
     ], ids=["unknown-scenario-key", "missing-sweep-variable", "nan-eta",
             "missing-file", "missing-grid", "unknown-config-key", "nan-grid",
             "string-csit", "float-n_trials", "float-seed", "float-m_subcarriers",
             "float-l_su", "float-vc_index", "scalar-vc_indices",
             "string-d12_ratio", "scalar-grid", "string-grid-entry",
-            "scalar-scenario"])
+            "scalar-scenario", "zero-eta", "negative-eta", "negative-d12_ratio",
+            "negative-d12_ratio-grid", "negative-seed"])
     def test_sweep_rejects_bad_config(self, tmp_path, capsys, change, names):
         cfg_path = tmp_path / "cfg.json"
         if change is not None:
@@ -576,7 +582,8 @@ class TestCli:
         (["--trials", "0"], "trials"),
         (["--trials", "99"], "trials"),
         (["--frames", "0"], "frames"),
-    ], ids=["zero-trials", "99-trials", "zero-frames"])
+        (["--seed", "-1"], "seed"),
+    ], ids=["zero-trials", "99-trials", "zero-frames", "negative-seed"])
     def test_validate_rejects_bad_sizes(self, capsys, argv, names):
         assert cli_main(["validate", *argv]) == 2
         captured = capsys.readouterr()
