@@ -15,9 +15,8 @@ from .precoding import (PowerProfile, PrecoderSet, PrecoderRankError,
                         uniform_profile, waterfilling_profile)
 from .transceiver import (FrameConfig, FrameSimulator, FrameTrace, NoiseBlocks,
                           draw_noise_blocks, pu_frequency_model, pu_transmit,
-                          read_frame_traces, required_cp_length,
-                          srx_frequency_model, stx_power_mc, stx_process,
-                          write_frame_traces, zero_noise)
+                          required_cp_length, srx_frequency_model,
+                          stx_power_mc, stx_process, zero_noise)
 from .capacity import (CapacityReport, baseline_nocr, baseline_nocr_quad,
                        baseline_ocr, bessel_k, c_pu_direct, c_pu_lower,
                        c_pu_lower_quad, c_su_lower_csit, c_su_lower_nocsit,

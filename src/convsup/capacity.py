@@ -209,16 +209,29 @@ def _pu_snr(scenario: NetworkScenario, a, e_relay, e_filter):
     return snr_13_direct(scenario) * (1.0 + relay) / (1.0 + noise)
 
 
+def _pu_exponentials(rng: np.random.Generator, shape) -> np.ndarray:
+    """The unit exponentials (e_relay, e_filter) of ``_pu_relay_terms`` for
+    ``shape`` used subcarriers, stacked along a new first axis and drawn in
+    that order."""
+    return rng.exponential(size=(2, *shape))
+
+
+def _pu_rate_law(scenario: NetworkScenario, layout: VcLayout,
+                 profile: PowerProfile, draws: np.ndarray) -> np.ndarray:
+    """Per-trial primary worst-case rate (bits/s/Hz) of stacked
+    ``_pu_exponentials`` draws of shape (2, trials, q)."""
+    gam = _pu_snr(scenario, profile.uc_power, draws[0], draws[1])
+    return (LOG2E / layout.m) * psi(gam).sum(axis=1)
+
+
 def c_pu_lower_trials(scenario: NetworkScenario, layout: VcLayout,
                       profile: PowerProfile, n_trials: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Per-trial samples of the primary worst-case rate under a
     channel-independent profile (bits/s/Hz)."""
     def sample(n):
-        shape = (n, layout.q)
-        gam = _pu_snr(scenario, profile.uc_power, rng.exponential(size=shape),
-                      rng.exponential(size=shape))
-        return (LOG2E / layout.m) * psi(gam).sum(axis=1)
+        return _pu_rate_law(scenario, layout, profile,
+                            _pu_exponentials(rng, (n, layout.q)))
     return trials(n_trials, sample)
 
 
@@ -465,7 +478,10 @@ def check_pu_monotonicity(scenario: NetworkScenario, layout: VcLayout,
     Applies only when the outage parameter satisfies kappa <= 0.1;
     outside that regime the report says so and no claim is made.  The
     report lists the Monte Carlo ``means`` with their ``stderrs`` and the
-    ``exact`` rates (``c_pu_lower_quad``) at every grid point.
+    ``exact`` rates (``c_pu_lower_quad``) at every grid point.  The grid
+    shares one draw: each batch of ``default_rng(seed)``'s exponentials
+    is scored at every budget, so every budget sees the numbers that
+    ``c_pu_lower_trials`` would draw from a fresh ``default_rng(seed)``.
     """
     from dataclasses import replace
     from .precoding import uniform_profile
@@ -481,15 +497,22 @@ def check_pu_monotonicity(scenario: NetworkScenario, layout: VcLayout,
                           "monotonicity is not asserted")
         return True, report
 
-    samples = []
+    points = []
     exact = []
     for p_su in psu_grid:
         sc = replace(scenario, p_su=p_su)
         g = 0.5 * p_su / layout.m_vc if layout.m_vc else 0.0
         profile = uniform_profile(layout, sc, g)
-        rng = np.random.default_rng(seed)  # same stream at every grid point
-        samples.append(c_pu_lower_trials(sc, layout, profile, n_trials, rng))
+        points.append((sc, profile))
         exact.append(c_pu_lower_quad(sc, layout, profile))
+    rng = np.random.default_rng(seed)
+
+    def sample(n):
+        draws = _pu_exponentials(rng, (n, layout.q))
+        return np.stack([_pu_rate_law(sc, layout, profile, draws)
+                         for sc, profile in points], axis=1)
+    # one contiguous row of per-trial rates per budget
+    samples = np.ascontiguousarray(trials(n_trials, sample).T)
     ok = True
     for i in range(1, len(psu_grid)):
         d_mean, d_se = mean_se(samples[i] - samples[i - 1])

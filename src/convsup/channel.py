@@ -10,7 +10,7 @@ driver of every Monte Carlo estimator in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -44,13 +44,19 @@ def zmcscg(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
 
 def trials(n: int, sample) -> np.ndarray:
     """``sample(k)`` over consecutive batches of at most ``_CHUNK`` draws that
-    add up to ``n``, concatenated in order along the first axis."""
+    add up to ``n``, concatenated in order along the first axis; ``n`` must
+    be at least 1."""
+    if n < 1:
+        raise ValueError(f"the number of draws must be at least 1, got {n}")
     return np.concatenate([sample(min(_CHUNK, n - start))
                            for start in range(0, n, _CHUNK)])
 
 
 def mean_se(vals: np.ndarray) -> tuple[float, float]:
-    """Sample mean of per-draw values and its standard error."""
+    """Sample mean of per-draw values and its standard error; fewer than two
+    values have no standard error and raise ``ValueError``."""
+    if len(vals) < 2:
+        raise ValueError(f"a standard error needs at least 2 draws, got {len(vals)}")
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
 
@@ -58,8 +64,10 @@ def _complex_gaussian(re: np.ndarray, im: np.ndarray, variance) -> np.ndarray:
     # unit real normals -> complex samples of the given total variance,
     # scaled straight into the two halves of one complex array
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im), scale.shape),
-                   dtype=complex)
+    shape = np.shape(re)
+    if scale.ndim or np.shape(im) != shape:
+        shape = np.broadcast_shapes(shape, np.shape(im), scale.shape)
+    out = np.empty(shape, dtype=complex)
     np.multiply(scale, re, out=out.real)
     np.multiply(scale, im, out=out.imag)
     return out
@@ -71,7 +79,7 @@ class NetworkScenario:
 
     Distances are dimensionless (primary Tx-Rx distance normalized to 1 in
     the reference layout); link variances follow the path-loss law
-    sigma2 = d^(-eta).
+    sigma2 = d^(-eta) and are computed once, when the scenario is built.
     """
 
     coords: Mapping[int, tuple[float, float]]
@@ -79,12 +87,13 @@ class NetworkScenario:
     p_pu: float
     p_su: float
     sigma2_v: Mapping[int, float]
+    _variances: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for node in (1, 2, 3, 4):
             if node not in self.coords:
                 raise ValueError(f"missing coordinates for node {node}")
-            if not np.all(np.isfinite(self.coords[node])):
+            if not all(math.isfinite(c) for c in self.coords[node]):
                 raise ValueError(f"coordinates of node {node} must be finite")
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"path-loss exponent eta must be positive and "
@@ -97,9 +106,13 @@ class NetworkScenario:
             if not 0 < self.sigma2_v.get(node, 0.0) < np.inf:
                 raise ValueError(f"noise variance at node {node} must be "
                                  "positive and finite")
+        variances = {}
         for i, j in LINKS:
-            if self.distance(i, j) <= 0:
+            d = self.distance(i, j)
+            if d <= 0:
                 raise ValueError(f"nodes {i} and {j} are co-located")
+            variances[i, j] = d ** (-self.eta)
+        object.__setattr__(self, "_variances", variances)
 
     def distance(self, i: int, j: int) -> float:
         a = np.asarray(self.coords[i], dtype=float)
@@ -107,7 +120,8 @@ class NetworkScenario:
         return float(np.linalg.norm(a - b))
 
     def link_variance(self, i: int, j: int) -> float:
-        return self.distance(i, j) ** (-self.eta)
+        """Variance d^(-eta) of link (i, j), one of ``LINKS``."""
+        return self._variances[i, j]
 
 
 @dataclass(frozen=True)

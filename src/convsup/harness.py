@@ -780,14 +780,42 @@ def _random_search_best(layout, scenario, h_su, h_24, n_points, rng):
     def sample(n):
         # a uniform point of the simplex scores log2 prod_k (1 + x_k); the
         # product of a few factors cannot overflow, and log2 is monotone, so
-        # only the best product is taken to the log
-        w = rng.exponential(size=(n, scale.size))
-        total = w.sum(axis=1, keepdims=True)
-        w *= scale
+        # only the best product is taken to the log.  The points are the
+        # columns of w, so each reduction over a point's K coordinates runs
+        # over whole rows, in the order of numpy's own: the bits of
+        # sum(axis=1) and prod(axis=1) of the (n, K) draw without numpy's
+        # slow loops over short rows
+        w = rng.exponential(size=(n, scale.size)).T.copy()
+        total = _pairwise_sum(w)
+        w *= scale[:, None]
         w /= total
         w += 1.0
-        return w.prod(axis=1)
+        return w.prod(axis=0)
     return float(np.log2(trials(n_points, sample).max()))
+
+
+def _pairwise_sum(rows):
+    """Elementwise sum of the K rows of ``rows`` in the association order of
+    numpy's pairwise summation of K numbers: fewer than 8 left to right; up
+    to 128 in 8 running partial sums, combined as a balanced tree, and then
+    the K mod 8 last ones; more split in two at a multiple of 8."""
+    k = len(rows)
+    if k < 8:
+        total = 0.0 + rows[0]
+        for row in rows[1:]:
+            total = total + row
+        return total
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+    part = list(rows[:8])
+    for i in range(8, k - k % 8):
+        part[i % 8] = part[i % 8] + rows[i]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5])
+                                                           + (part[6] + part[7]))
+    for row in rows[k - k % 8:]:
+        total = total + row
+    return total
 
 
 def channel_statistics_check(scenario, specs, n_draws, rng):

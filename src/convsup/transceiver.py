@@ -13,7 +13,6 @@ independent frames: a batch shape ``()`` is one frame.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,8 +36,6 @@ __all__ = [
     "pu_frequency_model",
     "srx_frequency_model",
     "stx_power_mc",
-    "write_frame_traces",
-    "read_frame_traces",
 ]
 
 
@@ -268,58 +265,3 @@ def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
         z2 = _cp_remove(stx_process(y2, x1, x2, pre, cfg), cfg.l_cp)
         return np.sum(z2.real ** 2 + z2.imag ** 2, axis=-1)
     return mean_se(trials(n_frames, sample))
-
-
-_TRACE_MAGIC = b"CVSPTRC1"
-_TRACE_HEADER = struct.Struct("<IIIQQ")  # M, L_cp, L_su, seed, n_frames
-_TRACE_BLOCKS = ("u_pu_t", "y2_t", "z2_t", "y3_t", "y4_t", "y_pu_f", "y_su_f")
-
-
-def write_frame_traces(path, cfg: FrameConfig, seed: int, traces) -> None:
-    """Dump traces as little-endian float64 interleaved re/im.
-
-    Layout: magic, then ``<IIIQQ`` header (M, L_cp, L_su, seed, n_frames);
-    per frame the blocks u_pu_t, y2_t, z2_t, y3_t, y4_t (P complex each)
-    followed by y_pu_f, y_su_f (M complex each).  Each trace must be one
-    frame: a batched trace raises ``ValueError`` before the file is opened.
-    """
-    traces = list(traces)
-    sizes = dict(zip(_TRACE_BLOCKS, [cfg.p] * 5 + [cfg.m] * 2))
-    for tr in traces:
-        for name, size in sizes.items():
-            if np.shape(getattr(tr, name)) != (size,):
-                raise ValueError(f"trace block {name} has shape "
-                                 f"{np.shape(getattr(tr, name))}, expected one "
-                                 f"frame of {size} samples")
-    with open(path, "wb") as fh:
-        fh.write(_TRACE_MAGIC)
-        fh.write(_TRACE_HEADER.pack(cfg.m, cfg.l_cp, cfg.l_su, seed, len(traces)))
-        for tr in traces:
-            for name in _TRACE_BLOCKS:
-                fh.write(np.ascontiguousarray(getattr(tr, name), dtype="<c16").tobytes())
-
-
-def read_frame_traces(path):
-    """Read a trace dump; returns (header dict, list of per-frame block dicts).
-
-    Raises ``ValueError`` when the file is not a trace dump or its size
-    differs from the size its header implies (truncated or padded)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(_TRACE_MAGIC):
-        raise ValueError("not a frame-trace dump")
-    start = len(_TRACE_MAGIC) + _TRACE_HEADER.size
-    if len(data) < start:
-        raise ValueError(f"trace file is {len(data)} bytes, shorter than its "
-                         f"{start}-byte header")
-    m, l_cp, l_su, seed, n_frames = _TRACE_HEADER.unpack_from(data, len(_TRACE_MAGIC))
-    sizes = [m + l_cp] * 5 + [m] * 2
-    expected = start + 16 * sum(sizes) * n_frames
-    if len(data) != expected:
-        raise ValueError(f"trace file is {len(data)} bytes but its header "
-                         f"implies {expected} bytes")
-    blocks = np.frombuffer(data, dtype="<c16", offset=start).reshape(n_frames, sum(sizes))
-    frames = [dict(zip(_TRACE_BLOCKS, np.split(row.copy(), np.cumsum(sizes)[:-1])))
-              for row in blocks]
-    header = {"m": m, "l_cp": l_cp, "l_su": l_su, "seed": seed, "n_frames": n_frames}
-    return header, frames

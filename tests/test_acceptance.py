@@ -43,8 +43,9 @@ import time
 import numpy as np
 import pytest
 
-from convsup.capacity import (c_pu_direct, c_pu_lower, c_su_lower_csit,
-                              c_su_lower_nocsit, check_pu_monotonicity)
+from convsup.capacity import (c_pu_direct, c_pu_lower, c_pu_lower_quad,
+                              c_su_lower_csit, c_su_lower_nocsit,
+                              c_su_lower_nocsit_quad, check_pu_monotonicity)
 from convsup.channel import draw_channels, zmcscg
 from convsup.harness import (build_scenario, channel_statistics_check,
                              frame_equivalence_errors, outage_check,
@@ -197,6 +198,30 @@ def test_criterion_7c_su_capacity_anchor_nocsit(reference):
     assert _report(
         "criterion 7c-NOCSIT (C_SU >= 0.40 b/s/Hz at d12/d14=0.7, SNR_SU=20dB)",
         ok_no, f"measured {nocsit:.4f} +- {se_n:.1e} ({nocsit * 20:.1f} Mbps)")
+
+
+def test_red_anchor_table_quadrature_column(reference):
+    # the quadrature column of the table in this module's docstring, to the
+    # digits printed there: c_pu_lower_quad - c_pu_direct for 7a and 7b,
+    # c_su_lower_nocsit_quad for 7c-NOCSIT, at the configurations of the
+    # three tests
+    _, layout, _ = reference
+    printed = {line.split()[0]: line.split()[4] for line in __doc__.splitlines()
+               if line.split()[:1] in (["7a"], ["7b"], ["7c-NOCSIT"])}
+
+    def pu_gain(power_ratio):
+        scenario = build_scenario(resolve_d12(0.3, "d13"), power_ratio, 20.0, "pu")
+        profile = uniform_profile(layout, scenario, 0.5 * scenario.p_su / layout.m_vc)
+        return (c_pu_lower_quad(scenario, layout, profile)
+                - c_pu_direct(scenario, layout))
+
+    su = build_scenario(resolve_d12(0.7, "d14"), 1.0, 20.0, "su")
+    quad = {"7a": pu_gain(1.0), "7b": pu_gain(2.0),
+            "7c-NOCSIT": c_su_lower_nocsit_quad(su, layout, 0.5 * su.p_su / layout.m_vc)}
+    assert printed.keys() == quad.keys()
+    for name, text in printed.items():
+        digits = len(text.split(".")[1])
+        assert f"{quad[name]:.{digits}f}" == text, name
 
 
 def test_criterion_7d_trends(reference):

@@ -6,6 +6,9 @@ or the end-to-end frame simulator); Monte Carlo comparisons use 3-sigma
 bands on reported standard errors.
 """
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -391,6 +394,29 @@ def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, monkeypatch):
     assert got.shape == (n,) and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n_trials", [0, 1])
+@pytest.mark.parametrize("estimator", ["c_su_lower_csit", "c_pu_lower",
+                                       "c_su_lower_nocsit", "baseline_ocr",
+                                       "baseline_nocr"])
+def test_too_few_trials_are_rejected(estimator, n_trials, layout64):
+    # no draws, or one draw without a standard error, is a one-line
+    # ValueError naming the count, not a NaN stderr or a numpy warning
+    _, layout = layout64
+    scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+    g = 0.5 * scenario.p_su / layout.m_vc
+    run = {"c_su_lower_csit": lambda n, rng: c_su_lower_csit(scenario, layout, n, rng),
+           "c_pu_lower": lambda n, rng: c_pu_lower(
+               scenario, layout, uniform_profile(layout, scenario, g), n, rng),
+           "c_su_lower_nocsit": lambda n, rng: c_su_lower_nocsit(
+               scenario, layout, g, n, rng),
+           "baseline_ocr": lambda n, rng: baseline_ocr(scenario, layout, n, rng),
+           "baseline_nocr": lambda n, rng: baseline_nocr(scenario, layout, n, rng)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"got {n_trials}$"):
+            run[estimator](n_trials, np.random.default_rng(0))
+
+
 class TestQuadrature:
     """The *_quad rates against their Monte Carlo oracles."""
 
@@ -518,6 +544,43 @@ class TestMonotonicity:
         ok, report = check_pu_monotonicity(scenario, layout, [0.5, 1.0], 1000, 13)
         assert ok and not report["hypothesis_met"]
         assert "not asserted" in report["note"]
+
+    @pytest.mark.parametrize("n_trials", [5000, 25_000])
+    def test_one_draw_matches_a_fresh_stream_per_budget(self, layout64, n_trials):
+        # the grid scores one common draw at every budget; drawing it again
+        # from a re-seeded generator at every budget, in the estimator's
+        # batches (25 000 crosses the batch boundary), must give the same
+        # report to the bit
+        _, layout = layout64
+        scenario = build_scenario(0.05 ** (2.0 / 3.0), 1.0, 20.0, "pu")
+        grid = [float(p) for p in np.geomspace(0.25, 2.0, 8)]
+        seed = 20260809
+        ok, report = check_pu_monotonicity(scenario, layout, grid, n_trials, seed)
+        samples, exact = [], []
+        for p_su in grid:
+            sc = replace(scenario, p_su=p_su)
+            profile = uniform_profile(layout, sc, 0.5 * p_su / layout.m_vc)
+            rng = np.random.default_rng(seed)
+            rows = []
+            for start in range(0, n_trials, channel._CHUNK):
+                shape = (min(channel._CHUNK, n_trials - start), layout.q)
+                e_relay = rng.exponential(size=shape)
+                e_filter = rng.exponential(size=shape)
+                gam = capacity._pu_snr(sc, profile.uc_power, e_relay, e_filter)
+                rows.append(capacity.LOG2E / layout.m * psi(gam).sum(axis=1))
+            samples.append(np.concatenate(rows))
+            exact.append(c_pu_lower_quad(sc, layout, profile))
+        violations = []
+        for i in range(1, len(grid)):
+            d_mean, d_se = mean_se(samples[i] - samples[i - 1])
+            if d_mean < -3.0 * d_se:
+                violations.append({"from": grid[i - 1], "to": grid[i],
+                                   "delta": d_mean, "stderr": d_se})
+        assert report["means"] == [mean_se(v)[0] for v in samples]
+        assert report["stderrs"] == [mean_se(v)[1] for v in samples]
+        assert report["exact"] == exact
+        assert report["violations"] == violations
+        assert ok == (not violations)
 
     def test_rejects_decreasing_grid(self, layout64):
         _, layout = layout64

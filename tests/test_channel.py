@@ -1,6 +1,8 @@
 """Channel-model tests: frequency responses, Toeplitz block operators and
 the fading-law statistics of the tap generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -22,6 +24,20 @@ class TestScenario:
         assert scenario.link_variance(1, 3) == pytest.approx(1.0)
         d12 = scenario.distance(1, 2)
         assert scenario.link_variance(1, 2) == pytest.approx(d12 ** -3.0)
+
+    def test_stored_link_variance_is_the_path_loss_law(self):
+        # the variances are computed when a scenario is built, also when
+        # dataclasses.replace builds it; each is d^(-eta) to the bit
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            coords = {node: tuple(rng.uniform(-3.0, 3.0, size=2)) for node in (1, 2, 3, 4)}
+            scenario = NetworkScenario(coords=coords, eta=float(rng.uniform(2.0, 5.0)),
+                                       p_pu=1.0, p_su=1.0, sigma2_v={2: 1, 3: 1, 4: 1})
+            moved = replace(scenario, eta=float(rng.uniform(2.0, 5.0)),
+                            coords={**coords, 2: tuple(rng.uniform(-3.0, 3.0, size=2))})
+            for sc in (scenario, moved):
+                for link in LINKS:
+                    assert sc.link_variance(*link) == sc.distance(*link) ** (-sc.eta)
 
     def test_rejects_bad_parameters(self):
         coords = {1: (0, 0), 2: (1, 0), 3: (2, 0), 4: (0, 1)}

@@ -248,6 +248,12 @@ class TestValidateSuite:
         assert gate[0].status == "SKIP"
         assert "PASS" in rendered
 
+    def test_one_frame_passes(self, capsys):
+        # the frame oracles take a max over frames, not a standard error,
+        # so a single frame is a valid size
+        assert cli_main(["validate", "--trials", "5000", "--frames", "1"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_benchmark_configuration_passes_its_gate(self, capsys):
         rc = cli_main(["validate", "--seed", "20260809", "--trials", "5000",
                        "--frames", "100"])
@@ -439,6 +445,52 @@ class TestWaterfillingCheck:
             assert np.array_equal(row[:layout.q] / uc_power_coefficient(scenario),
                                   prof.uc_power)
             assert np.array_equal(row[layout.q:], prof.vc_power)
+
+    @pytest.mark.parametrize("seed", [33, 34])
+    def test_random_search_matches_numpy_row_reductions(self, seed, monkeypatch):
+        # the search sums and multiplies each point's coordinates as rows
+        # of the transposed draw; numpy's sum(axis=1) and prod(axis=1) of
+        # the (n, K) draw must give every product, and so the best, to the
+        # bit, over batches of which the last is short
+        chunk = convsup.channel._CHUNK
+        n = 2 * chunk + 777
+        layout = build_vc_layout(build_spectral_context(8, 5), (0, 4))
+        scenario = build_scenario(0.7, 1.0, 15.0, "su")
+        rng = np.random.default_rng(seed)
+        h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
+        scale = scenario.p_su * np.concatenate([
+            np.abs(h_su[list(layout.uc_indices)]) ** 2 / srx_noise_floor(scenario)
+            / uc_power_coefficient(scenario),
+            np.abs(h_24[list(layout.vc_indices)]) ** 2 / scenario.sigma2_v[4]])
+        products = []
+        for start in range(0, n, chunk):
+            w = rng.exponential(size=(min(chunk, n - start), scale.size))
+            total = w.sum(axis=1, keepdims=True)
+            w *= scale
+            w /= total
+            w += 1.0
+            products.append(w.prod(axis=1))
+        want = np.concatenate(products)
+
+        seen = []
+
+        def spy(n_points, sample):
+            out = convsup.channel.trials(n_points, sample)
+            seen.append(out)
+            return out
+        monkeypatch.setattr(convsup.harness, "trials", spy)
+        rng = np.random.default_rng(seed)
+        h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
+        best = convsup.harness._random_search_best(layout, scenario, h_su, h_24, n, rng)
+        assert np.array_equal(seen[0], want)
+        assert best == float(np.log2(want.max()))
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 23, 128, 129, 300])
+    def test_pairwise_sum_matches_numpy_row_sums(self, k):
+        w = np.random.default_rng(k).standard_normal((500, k))
+        rows = w.T.copy()
+        assert np.array_equal(convsup.harness._pairwise_sum(rows), w.sum(axis=1))
+        assert np.array_equal(rows, w.T)
 
     def test_overspent_budget_fails_the_check(self, monkeypatch):
         def overspend(thresholds, budget):

@@ -12,10 +12,9 @@ from convsup.precoding import (PowerProfile, PrecoderSet, realize_precoders,
 from convsup.spectral import build_spectral_context, build_vc_layout
 from convsup.transceiver import (FrameConfig, FrameSimulator, NoiseBlocks,
                                  draw_noise_blocks, pu_frequency_model,
-                                 pu_transmit, read_frame_traces,
-                                 required_cp_length, srx_frequency_model,
-                                 stx_power_mc, stx_process,
-                                 write_frame_traces, zero_noise)
+                                 pu_transmit, required_cp_length,
+                                 srx_frequency_model, stx_power_mc,
+                                 stx_process, zero_noise)
 
 
 def reference_config(m=64, l_su=10, vc=(0, 16, 32, 48), l_cp=None, enforce=True):
@@ -379,52 +378,3 @@ class TestReplayDeterminism:
             assert np.array_equal(a.y_pu_f, b.y_pu_f)
             assert np.array_equal(a.z2_t, b.z2_t)
 
-
-class TestTraceDump:
-    def test_round_trip(self, setup, tmp_path):
-        scenario, cfg, pre = setup
-        rng = np.random.default_rng(14)
-        sim = FrameSimulator(cfg, pre)
-        traces = []
-        for _ in range(3):
-            ch = draw_channels(scenario, cfg.specs, cfg.m, rng)
-            traces.append(sim.step(ch, zmcscg(rng, 60, scenario.p_pu),
-                                   zmcscg(rng, 7), zmcscg(rng, 4),
-                                   zero_noise(cfg)))
-        path = tmp_path / "frames.bin"
-        write_frame_traces(path, cfg, seed=99, traces=traces)
-        header, frames = read_frame_traces(path)
-        assert header == {"m": 64, "l_cp": 16, "l_su": 10, "seed": 99,
-                          "n_frames": 3}
-        for tr, frame in zip(traces, frames):
-            assert np.array_equal(frame["z2_t"], tr.z2_t)
-            assert np.array_equal(frame["y_su_f"], tr.y_su_f)
-
-    def test_batched_trace_is_rejected(self, setup, tmp_path):
-        scenario, cfg, pre = setup
-        rng = np.random.default_rng(22)
-        ch = draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(2,))
-        trace = FrameSimulator(cfg, pre).step(
-            ch, zmcscg(rng, (2, 60), scenario.p_pu), zmcscg(rng, (2, 7)),
-            zmcscg(rng, (2, 4)), zero_noise(cfg, (2,)))
-        path = tmp_path / "frames.bin"
-        with pytest.raises(ValueError, match="one frame"):
-            write_frame_traces(path, cfg, seed=1, traces=[trace])
-        assert not path.exists()
-
-    @pytest.mark.parametrize("cut,pad", [(16, b""), (0, b"\0" * 16)],
-                             ids=["truncated", "padded"])
-    def test_size_mismatch_is_rejected(self, setup, tmp_path, cut, pad):
-        scenario, cfg, pre = setup
-        rng = np.random.default_rng(15)
-        sim = FrameSimulator(cfg, pre)
-        ch = draw_channels(scenario, cfg.specs, cfg.m, rng)
-        trace = sim.step(ch, zmcscg(rng, 60, scenario.p_pu), zmcscg(rng, 7),
-                         zmcscg(rng, 4), zero_noise(cfg))
-        path = tmp_path / "frames.bin"
-        write_frame_traces(path, cfg, seed=1, traces=[trace])
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) - cut] + pad)
-        wrong = len(data) - cut + len(pad)
-        with pytest.raises(ValueError, match=f"{wrong} bytes.*implies {len(data)}"):
-            read_frame_traces(path)
