@@ -115,9 +115,10 @@ class NetworkScenario:
         object.__setattr__(self, "_variances", variances)
 
     def distance(self, i: int, j: int) -> float:
-        a = np.asarray(self.coords[i], dtype=float)
-        b = np.asarray(self.coords[j], dtype=float)
-        return float(np.linalg.norm(a - b))
+        # the dot product np.linalg.norm takes, to the bit, without its
+        # overhead; math.hypot rounds differently
+        d = np.subtract(self.coords[i], self.coords[j], dtype=float)
+        return math.sqrt(d.dot(d))
 
     def link_variance(self, i: int, j: int) -> float:
         """Variance d^(-eta) of link (i, j), one of ``LINKS``."""

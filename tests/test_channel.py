@@ -2,6 +2,7 @@
 the fading-law statistics of the tap generator."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import convsup.channel
 from convsup.channel import (LINKS, LinkSpec, NetworkScenario, draw_channels,
                              frequency_response, link_output, toeplitz_pair,
                              zmcscg)
-from convsup.harness import build_scenario, reference_link_specs
+from convsup.harness import build_scenario, reference_link_specs, resolve_d12
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,22 @@ class TestScenario:
             for sc in (scenario, moved):
                 for link in LINKS:
                     assert sc.link_variance(*link) == sc.distance(*link) ** (-sc.eta)
+
+    def test_distance_is_the_numpy_norm_to_the_bit(self):
+        def norm(a, b):
+            return float(np.linalg.norm(np.asarray(a, dtype=float)
+                                        - np.asarray(b, dtype=float)))
+
+        rng = np.random.default_rng(29)
+        pairs = rng.uniform(-3.0, 3.0, size=(100_000, 2, 2))
+        # a bare stand-in for the coordinates is enough to call the method
+        for a, b in pairs.tolist():
+            stand_in = SimpleNamespace(coords={1: tuple(a), 2: tuple(b)})
+            assert NetworkScenario.distance(stand_in, 1, 2) == norm(a, b)
+        for d12, ref in [(0.3, "d13"), (0.1, "d13"), (0.7, "d14"), (1.3, "d14")]:
+            sc = build_scenario(resolve_d12(d12, ref), 1.0, 20.0, "pu")
+            for i, j in LINKS:
+                assert sc.distance(i, j) == norm(sc.coords[i], sc.coords[j])
 
     def test_rejects_bad_parameters(self):
         coords = {1: (0, 0), 2: (1, 0), 3: (2, 0), 4: (0, 1)}

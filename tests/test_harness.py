@@ -382,6 +382,114 @@ class TestKsTest:
         assert p > 0.01
 
 
+def full_ks(sample, cdf):
+    """(D, p, whether D+ holds the supremum) with the CDF evaluated at every
+    sorted point: the definition the block search must reproduce."""
+    x = np.sort(sample)
+    n = x.size
+    f = cdf(x)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - f)
+    d_minus = np.max(f - np.arange(0.0, n) / n)
+    d = float(max(d_plus, d_minus))
+    if n * d * d >= 2.2:
+        p = min(1.0, 2.0 * float(special.smirnov(n, d)))
+    else:
+        p = float(special.kolmogorov(np.sqrt(n) * d))
+    return d, p, bool(d_plus > d_minus)
+
+
+def wiggle(v):
+    """-1e-15, 0 or +1e-15 by the low bits of each value: a computed CDF
+    that steps down by rounding where the true law rises."""
+    return 1e-15 * (np.asarray(v, dtype=float).view(np.int64) % 3 - 1)
+
+
+def with_wiggle(target, step):
+    """The first float at or above ``target`` that ``wiggle`` moves by
+    ``step`` (-1, 0 or +1) times 1e-15."""
+    v = np.float64(target)
+    while wiggle(v) != step * 1e-15:
+        v = np.nextafter(v, np.inf)
+    return v
+
+
+class TestKsBlockBound:
+    """``harness._ks_test`` evaluates the CDF only at block edges and in
+    the blocks whose bound can hold the supremum; (D, p) must be those of
+    the full evaluation to the bit."""
+
+    @staticmethod
+    def laws(n, rng):
+        """(sample, cdf) pairs: exponential samples against laws scaled
+        both ways and mirrored, so the supremum falls in D+ and in D-,
+        tied samples, a law with CDF values of exactly 0 and 1, and a CDF
+        with rounding-level wiggles.  Each law departs from its sample by
+        about 1/sqrt(n), so n D^2 stays below 2.2: above it
+        ``special.smirnov`` at n = 1M takes over a second."""
+        c = 0.5 / np.sqrt(n)
+        x = np.sort(rng.exponential(size=n))  # sorted once, for speed
+        for scale in (1.0 / (1.0 + 2 * c), 1.0, 1.0 + 2 * c):
+            yield x, lambda v, s=scale: -special.expm1(-(v / s))
+        # the mirror image, P(-X <= v) = e^v: D+ and D- trade places
+        yield -x, np.exp
+        # ties: the sample floored to a grid of step c, about sqrt(n) / c
+        # points per value at the mode
+        yield np.floor(x / c) * c, lambda v: -special.expm1(-v)
+        # the law stretched by 2c, so that F is 0 on the lowest ~c n points
+        # and 1 on the highest
+        yield x, lambda v: np.clip((1.0 + 2 * c) * -special.expm1(-v) - c, 0.0, 1.0)
+        yield x, lambda v: -special.expm1(-v) + wiggle(v)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 5000, 1_000_000])
+    def test_matches_full_evaluation(self, n):
+        rng = np.random.default_rng(n + 11)
+        sides = set()
+        for sample, cdf in self.laws(n, rng):
+            d, p, plus = full_ks(sample, cdf)
+            assert convsup.harness._ks_test(sample, cdf) == (d, p)
+            sides.add(plus)
+        if n > 1:  # one point has D+ = 1 - F and D- = F only
+            assert sides == {True, False}
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_rounding_wiggle_inside_a_block(self, side):
+        # one block of 64 points whose largest term sits inside it and
+        # exceeds the edge bound by the CDF's wiggle: F(x_0) is 1e-15 high
+        # (D+) or F(x_63) 1e-15 low (D-), so only the margin keeps the
+        # block open
+        if side == "plus":
+            x0 = with_wiggle(0.25, +1)
+            inner = with_wiggle(np.nextafter(x0, 1.0), -1)
+            x = [x0] + [inner] * 62 + [with_wiggle(0.25 + 1 / 64, 0)]
+        else:
+            inner = with_wiggle(0.75, +1)
+            x = ([with_wiggle(0.75 - 1 / 64, 0)] + [inner] * 62
+                 + [with_wiggle(np.nextafter(inner, 1.0), -1)])
+
+        def cdf(v):
+            return v + wiggle(v)
+
+        d, p, plus = full_ks(np.array(x), cdf)
+        assert plus == (side == "plus")
+        assert convsup.harness._ks_test(np.array(x), cdf) == (d, p)
+
+    def test_evaluates_few_points(self):
+        n = 1_000_000
+        rng = np.random.default_rng(5)
+        z = rng.exponential(size=n) * rng.exponential(size=n)
+        seen = []
+
+        def cdf(v):
+            seen.append(v.size)
+            t = 2.0 * np.sqrt(v)
+            return 1.0 - t * special.k1(t)
+
+        got = convsup.harness._ks_test(z, cdf)
+        evaluated = sum(seen)
+        assert got == full_ks(z, cdf)[:2]
+        assert evaluated <= 0.06 * n, evaluated / n
+
+
 def test_the_program_never_imports_scipy_stats_or_integrate(tmp_path):
     # in a fresh interpreter, because pytest itself imports scipy.stats
     cfg_path = tmp_path / "cfg.json"
@@ -593,13 +701,20 @@ class TestCli:
         ({"scenario": {"d12_ratio": -0.3}}, "d12_ratio"),
         ({"sweep_variable": "d12_ratio", "grid": [0.3, -0.3]}, "d12_ratio"),
         ({"seed": -1}, "seed"),
+        ({"grid": [1e308]}, "snr_db"),
+        ({"grid": [-4000]}, "snr_db"),
+        ({"sweep_variable": "d12_ratio", "grid": [0.3],
+          "scenario": {"snr_db": 5000}}, "snr_db"),
+        ({"schemes": ["ocr", "ocr"]}, "schemes"),
     ], ids=["unknown-scenario-key", "missing-sweep-variable", "nan-eta",
             "missing-file", "missing-grid", "unknown-config-key", "nan-grid",
             "string-csit", "float-n_trials", "float-seed", "float-m_subcarriers",
             "float-l_su", "float-vc_index", "scalar-vc_indices",
             "string-d12_ratio", "scalar-grid", "string-grid-entry",
             "scalar-scenario", "zero-eta", "negative-eta", "negative-d12_ratio",
-            "negative-d12_ratio-grid", "negative-seed"])
+            "negative-d12_ratio-grid", "negative-seed", "overflowing-snr-grid",
+            "underflowing-snr-grid", "overflowing-scenario-snr_db",
+            "duplicate-schemes"])
     def test_sweep_rejects_bad_config(self, tmp_path, capsys, change, names):
         cfg_path = tmp_path / "cfg.json"
         if change is not None:
