@@ -291,9 +291,11 @@ def _composite_gain(rng: np.random.Generator, scenario: NetworkScenario, shape,
     return _composite_law(scenario, _relay_exponentials(rng, shape, constant_modulus))
 
 
-def c_su_lower_csit(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
-                    rng: np.random.Generator, use_vcs: bool = True) -> tuple[float, float]:
-    """Secondary worst-case ergodic rate with per-realization waterfilling.
+def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
+                    rng: np.random.Generator,
+                    use_vcs: bool = True) -> list[tuple[float, float]]:
+    """Secondary worst-case ergodic rate with per-realization waterfilling,
+    as (value, standard error) at each of ``scenarios``.
 
     Each trial draws the composite used-subcarrier gain (relay gain times
     relayed primary symbol plus secondary-chain noise) and the direct
@@ -303,24 +305,32 @@ def c_su_lower_csit(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
     virtual-subcarrier gains), then waterfills and scores them in blocks of
     ``_CSIT_ROWS`` trials, so the per-trial temporaries stay in cache; every
     row is computed as it would be alone, so the blocks do not change a bit.
+
+    The law of those unit exponentials depends on ``layout`` only, so the
+    scenarios share one draw (common random numbers): each block is scored
+    at every scenario, and every scenario gets the numbers that a call with
+    it alone, on a generator in the same state, would return.
     """
-    s24 = scenario.link_variance(2, 4)
-    levels = (uc_power_coefficient(scenario), srx_noise_floor(scenario),
-              scenario.sigma2_v[4])
+    points = [(sc, sc.link_variance(2, 4),
+               (uc_power_coefficient(sc), srx_noise_floor(sc), sc.sigma2_v[4]))
+              for sc in scenarios]
     n_vc = layout.m_vc if use_vcs else 0
 
     def sample(n):
         draws = _relay_exponentials(rng, (n, layout.q))
         vc_draws = rng.exponential(size=(n, n_vc))
-        rate = np.empty(n)
+        rate = np.empty((n, len(points)))
         for lo in range(0, n, _CSIT_ROWS):
             hi = min(lo + _CSIT_ROWS, n)
-            thr = waterfill_thresholds(*levels, _composite_law(scenario, draws[:, lo:hi]),
-                                       s24 * vc_draws[lo:hi])
-            spend, _ = waterfill_power(thr, scenario.p_su)
-            rate[lo:hi] = np.log2(1.0 + spend / thr).sum(axis=1)
+            for j, (sc, s24, levels) in enumerate(points):
+                thr = waterfill_thresholds(*levels, _composite_law(sc, draws[:, lo:hi]),
+                                           s24 * vc_draws[lo:hi])
+                spend, _ = waterfill_power(thr, sc.p_su)
+                rate[lo:hi, j] = np.log2(1.0 + spend / thr).sum(axis=1)
         return rate / layout.m
-    return mean_se(trials(n_trials, sample))
+    # one contiguous row of per-trial rates per scenario
+    samples = np.ascontiguousarray(trials(n_trials, sample).T)
+    return [mean_se(vals) for vals in samples]
 
 
 def _gamma4_scale(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:

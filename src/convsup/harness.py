@@ -14,7 +14,6 @@ import json
 import math
 import os
 import platform
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -56,6 +55,8 @@ __all__ = [
 ]
 
 SCHEMES = ("proposed_with_vcs", "proposed_without_vcs", "ocr", "nocr")
+# schemes whose secondary rate is waterfilled per realization under CSIT
+_WATERFILLED = ("proposed_with_vcs", "proposed_without_vcs")
 SWEEP_VARIABLES = ("snr_pu_db", "snr_su_db", "d12_ratio", "power_ratio")
 RATE_ANCHOR_HZ = 20e6  # Wi-Fi-style sampling rate used to quote bits/s
 
@@ -69,6 +70,11 @@ _D14 = math.dist(_NODE_PTX, _NODE_SRX)
 # bounds leave for rounding of the computed CDF (see _ks_test)
 _KS_BLOCK = 64
 _KS_MARGIN = 1e-12
+# accepted SNR anchors.  The rates multiply two noise-scale terms (the
+# used-branch cost sigma2_12 P_pu + sigma2_v2 times the SRx noise floor),
+# which leave the float range near -1530 dB; at high SNR the noise only
+# adds to signal terms, and 3000 dB keeps the noise variance a normal float
+_SNR_DB_RANGE = (-1000.0, 3000.0)
 
 
 def reference_link_specs() -> dict[tuple[int, int], LinkSpec]:
@@ -150,14 +156,10 @@ class ScenarioSpec:
         if self.d12_ratio <= 0:
             raise ValueError("scenario field 'd12_ratio' must be positive, "
                              f"got {self.d12_ratio!r}")
-        try:
-            snr = 10 ** (self.snr_db / 10)
-        except OverflowError:
-            snr = math.inf
-        # a normal float, so that the noise variance 1/snr is finite too
-        if not sys.float_info.min <= snr <= sys.float_info.max:
-            raise ValueError("scenario field 'snr_db' must make 10^(snr_db/10) "
-                             f"a finite, normal float, got {self.snr_db!r}")
+        lo, hi = _SNR_DB_RANGE
+        if not lo <= self.snr_db <= hi:
+            raise ValueError(f"scenario field 'snr_db' must lie in [{lo:g}, {hi:g}] "
+                             f"dB, got {self.snr_db!r}")
         for name in ("m_subcarriers", "l_su"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"scenario field {name!r} must be an integer, "
@@ -259,79 +261,93 @@ class SweepConfig:
                    scenario=ScenarioSpec(**sc))
 
 
-def evaluate_scheme(scheme: str, scenario: NetworkScenario, layout, csit: bool,
+def evaluate_scheme(scheme: str, scenarios, layout, csit: bool,
                     n_trials: int, rng: np.random.Generator,
-                    vc_power_fraction: float = 0.5) -> CapacityReport:
-    """Capacity report of one scheme at one configuration.  Rates under the
-    uniform profile are exact quadratures with standard error 0; the ocr
-    secondary rate and the waterfilled CSIT secondary rate are Monte Carlo
-    over ``n_trials`` draws of ``rng``; the report's ``estimators`` names
-    the method of each rate."""
-    direct = c_pu_direct(scenario, layout)
+                    vc_power_fraction: float = 0.5) -> list[CapacityReport]:
+    """Capacity reports of one scheme at each of ``scenarios``, which share
+    ``layout``.  Rates under the uniform profile are exact quadratures with
+    standard error 0; the ocr secondary rate and the waterfilled CSIT
+    secondary rate are Monte Carlo over ``n_trials`` draws of ``rng``; the
+    report's ``estimators`` names the method of each rate.  The CSIT rate
+    scores one draw at every scenario (``c_su_lower_csit``); the ocr rate
+    draws each scenario's trials in turn."""
+    direct = [c_pu_direct(sc, layout) for sc in scenarios]
     if scheme == "ocr":
-        su, su_se = baseline_ocr(scenario, layout, n_trials, rng)
-        return CapacityReport(c_pu_lower=direct, c_pu_direct=direct,
-                              delta_c_pu=0.0, c_su_lower=su, p_out=0.0,
-                              std_err={"c_pu_lower": 0.0, "c_su_lower": su_se},
-                              estimators={"c_pu_lower": "closed_form",
-                                          "c_su_lower": "mc"})
-
-    if scheme == "proposed_with_vcs":
-        g = vc_power_fraction * scenario.p_su / layout.m_vc if layout.m_vc else 0.0
-        use_vcs = True
-    elif scheme == "proposed_without_vcs":
-        g, use_vcs = 0.0, False
-    elif scheme == "nocr":
-        g, use_vcs = 0.0, False
+        pu, p_out = direct, [0.0] * len(scenarios)
+        su = [baseline_ocr(sc, layout, n_trials, rng) for sc in scenarios]
+        methods = ("closed_form", "mc")
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    pu = c_pu_lower_quad(scenario, layout, uniform_profile(layout, scenario, g))
-    su_se, su_method = 0.0, "quadrature"
-    if scheme == "nocr":
-        su = baseline_nocr_quad(scenario, layout)
-    elif csit:
-        su, su_se = c_su_lower_csit(scenario, layout, n_trials, rng, use_vcs=use_vcs)
-        su_method = "mc"
-    else:
-        su = c_su_lower_nocsit_quad(scenario, layout, g)
-    return CapacityReport(c_pu_lower=pu, c_pu_direct=direct,
-                          delta_c_pu=pu - direct, c_su_lower=su,
-                          p_out=pu_outage_probability(scenario),
-                          std_err={"c_pu_lower": 0.0, "c_su_lower": su_se},
-                          estimators={"c_pu_lower": "quadrature",
-                                      "c_su_lower": su_method})
+        if scheme == "proposed_with_vcs":
+            g = [vc_power_fraction * sc.p_su / layout.m_vc if layout.m_vc else 0.0
+                 for sc in scenarios]
+            use_vcs = True
+        elif scheme in ("proposed_without_vcs", "nocr"):
+            g, use_vcs = [0.0] * len(scenarios), False
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        pu = [c_pu_lower_quad(sc, layout, uniform_profile(layout, sc, gi))
+              for sc, gi in zip(scenarios, g)]
+        p_out = [pu_outage_probability(sc) for sc in scenarios]
+        methods = ("quadrature", "quadrature")
+        if scheme == "nocr":
+            su = [(baseline_nocr_quad(sc, layout), 0.0) for sc in scenarios]
+        elif csit:
+            su = c_su_lower_csit(scenarios, layout, n_trials, rng, use_vcs=use_vcs)
+            methods = ("quadrature", "mc")
+        else:
+            su = [(c_su_lower_nocsit_quad(sc, layout, gi), 0.0)
+                  for sc, gi in zip(scenarios, g)]
+    return [CapacityReport(c_pu_lower=p, c_pu_direct=d, delta_c_pu=p - d,
+                           c_su_lower=s, p_out=o,
+                           std_err={"c_pu_lower": 0.0, "c_su_lower": se},
+                           estimators=dict(zip(("c_pu_lower", "c_su_lower"), methods)))
+            for p, d, (s, se), o in zip(pu, direct, su, p_out)]
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1):
     """Run the sweep; returns (rows, manifest).
 
-    One row per (grid value, scheme); every task draws from its own child of
-    the root seed, indexed by position, so results do not depend on the
-    thread count, which must be at least 1.  The manifest's ``timing`` holds
-    the wall seconds of each task, in task order, and of the whole sweep;
-    they never enter the rows.
+    One row per (grid value, scheme), in that order.  Each row draws from
+    the child of the root seed at its position, so results do not depend on
+    the thread count, which must be at least 1; the row's ``seed`` tag
+    names that child.  With ``csit`` the waterfilled rows of one proposed
+    scheme are a single task: its ``c_su_lower_csit`` scores one draw, from
+    the child of the scheme's first row, at every grid point, and every row
+    of the scheme carries that child's tag.  Those tasks are queued first,
+    since they take most of the time.  The manifest's ``timing`` holds the
+    wall seconds of each task, in task order, and of the whole sweep; they
+    never enter the rows.
     """
     if not (_is_integer(threads) and threads >= 1):
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     start = time.perf_counter()
-    tasks = [(gi, si) for gi in range(len(cfg.grid)) for si in range(len(cfg.schemes))]
-    children = np.random.SeedSequence(cfg.seed).spawn(len(tasks))
+    n_schemes = len(cfg.schemes)
+    children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.grid) * n_schemes)
     resolved = []
     for gi, value in enumerate(cfg.grid):
         spec = cfg.scenario.with_sweep_value(cfg.sweep_variable, value)
         scenario, ctx, layout, l_cp = spec.build()
         resolved.append((spec, scenario, ctx, layout, l_cp))
+    # a task is one scheme at a tuple of grid indices; the layout, and with
+    # it the law of the CSIT draws, is the same at every grid point
+    grid_points = tuple(range(len(cfg.grid)))
+    shared = [si for si, scheme in enumerate(cfg.schemes)
+              if cfg.csit and scheme in _WATERFILLED]
+    tasks = ([(si, grid_points) for si in shared]
+             + [(si, (gi,)) for gi in grid_points for si in range(n_schemes)
+                if si not in shared])
 
-    def work(task_idx: int) -> tuple[dict, dict, float]:
+    def work(task_idx: int) -> tuple[list, dict, float]:
         task_start = time.perf_counter()
-        gi, si = tasks[task_idx]
-        spec, scenario, ctx, layout, l_cp = resolved[gi]
+        si, gis = tasks[task_idx]
+        spec, _, _, layout, _ = resolved[gis[0]]
+        child = gis[0] * n_schemes + si
         scheme = cfg.schemes[si]
-        rng = np.random.default_rng(children[task_idx])
-        rep = evaluate_scheme(scheme, scenario, layout, cfg.csit, cfg.n_trials,
-                              rng, vc_power_fraction=spec.vc_power_fraction)
-        return {
+        reports = evaluate_scheme(scheme, [resolved[gi][1] for gi in gis], layout,
+                                  cfg.csit, cfg.n_trials,
+                                  np.random.default_rng(children[child]),
+                                  vc_power_fraction=spec.vc_power_fraction)
+        rows = [((gi, si), {
             "sweep_var": float(cfg.grid[gi]),
             "scheme": scheme,
             "c_pu_lower": rep.c_pu_lower,
@@ -343,15 +359,17 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
             "stderr_delta_c_pu": rep.std_err["c_pu_lower"],
             "stderr_c_su_lower": rep.std_err["c_su_lower"],
             "n_trials": cfg.n_trials,
-            "seed": f"{cfg.seed}/{task_idx}",
-        }, rep.estimators, time.perf_counter() - task_start
+            "seed": f"{cfg.seed}/{child}",
+        }) for gi, rep in zip(gis, reports)]
+        return rows, reports[0].estimators, time.perf_counter() - task_start
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, range(len(tasks))))
     else:
         results = [work(i) for i in range(len(tasks))]
-    rows = [row for row, _, _ in results]
+    by_position = dict(row for rows, _, _ in results for row in rows)
+    rows = [by_position[gi, si] for gi in grid_points for si in range(n_schemes)]
 
     manifest = {
         "version": __version__,
@@ -362,7 +380,8 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
             "threads": threads,
             "cpu_count": os.cpu_count(),
         },
-        "estimators": {row["scheme"]: how for row, how, _ in results},
+        "estimators": {cfg.schemes[si]: how
+                       for (si, _), (_, how, _) in zip(tasks, results)},
         "config": {
             "sweep_variable": cfg.sweep_variable,
             "grid": list(cfg.grid),

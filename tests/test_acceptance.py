@@ -177,7 +177,7 @@ def test_criterion_7b_pu_gain_anchor_double_power(reference):
 def test_criterion_7c_su_capacity_anchor_csit(reference):
     _, layout, _ = reference
     scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, 20.0, "su")
-    csit, se_c = c_su_lower_csit(scenario, layout, TRIALS, _rng(73))
+    [(csit, se_c)] = c_su_lower_csit([scenario], layout, TRIALS, _rng(73))
     ok_csit = csit >= 0.55 - 3.0 * se_c
     assert _report(
         "criterion 7c-CSIT (C_SU >= 0.55 b/s/Hz at d12/d14=0.7, SNR_SU=20dB)",
@@ -252,7 +252,7 @@ def test_criterion_7d_trends(reference):
     for i, ratio in enumerate((0.3, 0.5, 0.7)):
         scenario = build_scenario(resolve_d12(ratio, "d14"), 1.0, 20.0, "su")
         g = 0.5 * scenario.p_su / layout.m_vc
-        cs.append(c_su_lower_csit(scenario, layout, TRIALS, _rng(770 + i)))
+        cs += c_su_lower_csit([scenario], layout, TRIALS, _rng(770 + i))
         no.append(c_su_lower_nocsit(scenario, layout, g, TRIALS, _rng(780 + i)))
     for series in (cs, no):
         for (v0, s0), (v1, s1) in zip(series, series[1:]):

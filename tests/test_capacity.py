@@ -233,15 +233,16 @@ class TestSecondaryCapacity:
     def test_csit_vanishes_without_power(self, layout64):
         _, layout = layout64
         scenario = build_scenario(1.0, 1e-9, 20.0, "pu")
-        val, _ = c_su_lower_csit(scenario, layout, 2000, np.random.default_rng(0))
+        [(val, _)] = c_su_lower_csit([scenario], layout, 2000,
+                                     np.random.default_rng(0))
         assert val <= 1e-6
 
     def test_csit_beats_nocsit(self, layout64):
         _, layout = layout64
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, 20.0, "su")
         g = scenario.p_su / (2 * layout.m_vc)
-        cs, se_c = c_su_lower_csit(scenario, layout, 30_000,
-                                   np.random.default_rng(1))
+        [(cs, se_c)] = c_su_lower_csit([scenario], layout, 30_000,
+                                       np.random.default_rng(1))
         no, se_n = c_su_lower_nocsit(scenario, layout, g, 30_000,
                                      np.random.default_rng(2))
         assert cs - no >= -3.0 * np.hypot(se_c, se_n)
@@ -386,11 +387,11 @@ def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, monkeypatch):
 
     want = reference(np.random.default_rng(n))
     if n > 1:  # one row has no stderr
-        assert (c_su_lower_csit(scenario, layout, n, np.random.default_rng(n),
-                                use_vcs=use_vcs) == mean_se(want))
+        assert (c_su_lower_csit([scenario], layout, n, np.random.default_rng(n),
+                                use_vcs=use_vcs) == [mean_se(want)])
     monkeypatch.setattr(capacity, "mean_se", lambda vals: vals)
-    got = c_su_lower_csit(scenario, layout, n, np.random.default_rng(n),
-                          use_vcs=use_vcs)
+    [got] = c_su_lower_csit([scenario], layout, n, np.random.default_rng(n),
+                            use_vcs=use_vcs)
     assert got.shape == (n,) and np.array_equal(got, want)
 
 
@@ -404,7 +405,7 @@ def test_too_few_trials_are_rejected(estimator, n_trials, layout64):
     _, layout = layout64
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
     g = 0.5 * scenario.p_su / layout.m_vc
-    run = {"c_su_lower_csit": lambda n, rng: c_su_lower_csit(scenario, layout, n, rng),
+    run = {"c_su_lower_csit": lambda n, rng: c_su_lower_csit([scenario], layout, n, rng),
            "c_pu_lower": lambda n, rng: c_pu_lower(
                scenario, layout, uniform_profile(layout, scenario, g), n, rng),
            "c_su_lower_nocsit": lambda n, rng: c_su_lower_nocsit(

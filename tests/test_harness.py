@@ -15,11 +15,12 @@ import pytest
 import scipy
 from scipy import integrate, special, stats
 
+import convsup.capacity
 import convsup.channel
 import convsup.cli
 import convsup.harness
 import convsup.precoding
-from convsup.capacity import bessel_k, psi
+from convsup.capacity import bessel_k, c_su_lower_csit, psi
 from convsup.channel import draw_channels, zmcscg
 from convsup.cli import main as cli_main
 from convsup.harness import (SCHEMES, ScenarioSpec, SweepConfig, build_scenario,
@@ -141,11 +142,47 @@ class TestRunSweep:
         golden = DATA / f"sweep_m16_trials25000_{'csit' if csit else 'nocsit'}.csv"
         assert (tmp_path / "out.csv").read_bytes() == golden.read_bytes()
 
-    def test_thread_count_does_not_change_results(self):
-        cfg = small_config()
-        rows_a, _ = run_sweep(cfg, threads=1)
-        rows_b, _ = run_sweep(cfg, threads=3)
-        assert rows_a == rows_b
+    @pytest.mark.parametrize("csit", [False, True], ids=["nocsit", "csit"])
+    def test_thread_count_does_not_change_results(self, tmp_path, csit):
+        cfg = small_config(schemes=SCHEMES, csit=csit)
+        written = []
+        for threads in (1, 2, 3):
+            path = tmp_path / f"threads{threads}.csv"
+            emit_csv(run_sweep(cfg, threads=threads)[0], path)
+            written.append(path.read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+
+    def test_csit_rows_of_a_scheme_share_one_stream(self):
+        # each waterfilled scheme draws its trials once, from the child seed
+        # of its first row, and scores them at every grid point: every row is
+        # the one-scenario estimator on that child, to the bit, across the
+        # batch and row-block boundaries
+        n = convsup.channel._CHUNK + convsup.capacity._CSIT_ROWS + 1
+        cfg = small_config(grid=(10.0, 15.0, 20.0), schemes=SCHEMES, csit=True,
+                           n_trials=n)
+        rows, _ = run_sweep(cfg)
+        children = np.random.SeedSequence(cfg.seed).spawn(len(rows))
+        for position, row in enumerate(rows):
+            if row["scheme"] not in ("proposed_with_vcs", "proposed_without_vcs"):
+                assert row["seed"] == f"{cfg.seed}/{position}"
+                continue
+            si = cfg.schemes.index(row["scheme"])
+            assert row["seed"] == f"{cfg.seed}/{si}"
+            spec = cfg.scenario.with_sweep_value(cfg.sweep_variable, row["sweep_var"])
+            scenario, _, layout, _ = spec.build()
+            want = c_su_lower_csit([scenario], layout, cfg.n_trials,
+                                   np.random.default_rng(children[si]),
+                                   use_vcs=row["scheme"] == "proposed_with_vcs")
+            assert [(row["c_su_lower"], row["stderr_c_su_lower"])] == want
+
+    @pytest.mark.parametrize("csit", [False, True], ids=["nocsit", "csit"])
+    def test_lowest_accepted_snr_runs(self, csit):
+        # warnings are errors in this suite: the bottom of the accepted SNR
+        # range runs every scheme without one
+        rows, _ = run_sweep(small_config(grid=(-1000.0,), schemes=SCHEMES,
+                                         csit=csit))
+        assert all(np.isfinite(row[k]) for row in rows
+                   for k in ("c_pu_lower", "c_su_lower", "stderr_c_su_lower"))
 
     def test_ocr_rows_report_direct_capacity(self):
         cfg = small_config()
@@ -195,8 +232,8 @@ class TestRunSweep:
         ctx = build_spectral_context(16, 5)
         layout = build_vc_layout(ctx, (0, 8))
         scenario = build_scenario(0.3, 1e-12, 20.0, "pu")
-        rep = evaluate_scheme("proposed_with_vcs", scenario, layout, False,
-                              200, np.random.default_rng(0))
+        [rep] = evaluate_scheme("proposed_with_vcs", [scenario], layout, False,
+                                200, np.random.default_rng(0))
         assert rep.delta_c_pu == pytest.approx(0.0, abs=1e-9)
 
     def test_infeasible_layout_aborts_with_diagnostic(self):
@@ -649,8 +686,8 @@ class TestSchemeOrdering:
         reports = {}
         for i, scheme in enumerate(("proposed_with_vcs", "proposed_without_vcs",
                                     "nocr")):
-            reports[scheme] = evaluate_scheme(
-                scheme, scenario, layout, False, 30_000,
+            [reports[scheme]] = evaluate_scheme(
+                scheme, [scenario], layout, False, 30_000,
                 np.random.default_rng((ratio, snr, i).__hash__() % 2**32))
         for hi, lo in (("proposed_with_vcs", "proposed_without_vcs"),
                        ("proposed_without_vcs", "nocr")):
@@ -703,6 +740,7 @@ class TestCli:
         ({"seed": -1}, "seed"),
         ({"grid": [1e308]}, "snr_db"),
         ({"grid": [-4000]}, "snr_db"),
+        ({"grid": [-3000]}, "snr_db"),
         ({"sweep_variable": "d12_ratio", "grid": [0.3],
           "scenario": {"snr_db": 5000}}, "snr_db"),
         ({"schemes": ["ocr", "ocr"]}, "schemes"),
@@ -713,7 +751,8 @@ class TestCli:
             "string-d12_ratio", "scalar-grid", "string-grid-entry",
             "scalar-scenario", "zero-eta", "negative-eta", "negative-d12_ratio",
             "negative-d12_ratio-grid", "negative-seed", "overflowing-snr-grid",
-            "underflowing-snr-grid", "overflowing-scenario-snr_db",
+            "underflowing-snr-grid", "snr-grid-below-range",
+            "overflowing-scenario-snr_db",
             "duplicate-schemes"])
     def test_sweep_rejects_bad_config(self, tmp_path, capsys, change, names):
         cfg_path = tmp_path / "cfg.json"
