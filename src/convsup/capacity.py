@@ -54,8 +54,8 @@ LOG2E = 1.0 / np.log(2.0)
 
 GL_NODES = 64  # Gauss-Laguerre nodes per axis of the *_quad rates
 _NOCR_STEP = 0.2  # trapezoid step in ln u of baseline_nocr_quad
-# trials per waterfilling pass of c_su_lower_csit: the ~10 (rows, K)
-# temporaries of a 512-row block stay in cache
+# trials per waterfilling pass of c_su_lower_csit: the few (rows, K)
+# arrays of a 512-row block stay in cache
 _CSIT_ROWS = 512
 
 
@@ -120,7 +120,11 @@ def _psi_deficit(b: np.ndarray) -> np.ndarray:
     """1 - psi(b)/b = E[b u / (1 + b u)] for a unit exponential u, without
     the cancellation of the difference at small b."""
     small = b < 1.0 / _PSI_SEAM
-    return np.where(small, b * _psi_series(b, 1), 1.0 - psi(b) / b)
+    out = np.empty_like(b)
+    out[small] = b[small] * _psi_series(b[small], 1)
+    big = ~small
+    out[big] = 1.0 - psi(b[big]) / b[big]
+    return out
 
 
 def bessel_k(order: int, x):
@@ -258,14 +262,23 @@ def c_pu_lower_quad(scenario: NetworkScenario, layout: VcLayout,
 # secondary-user capacity
 # ---------------------------------------------------------------------------
 
-def _relayed_gain(scenario: NetworkScenario, e0, e1=1.0):
+def _relay_factors(scenario: NetworkScenario, e0, e1=1.0):
+    """The draws of ``_relayed_gain`` scaled by their link variances, s24 E0
+    and s12 |x_pu|^2 with |x_pu|^2 = P_pu E1; they depend on the scenario
+    through s24, s12 and P_pu only."""
+    return (scenario.link_variance(2, 4) * e0,
+            scenario.link_variance(1, 2) * (scenario.p_pu * e1))
+
+
+def _relayed_gain(scenario: NetworkScenario, e0, e1=1.0, *, factors=None, out=None):
     """s24 E0 (s12 |x_pu|^2 + sigma2_v2) with |x_pu|^2 = P_pu E1: the
     composite used-subcarrier gain |h24 (h12 x_pu + v2)|^2 before its
     innermost relay-gain exponential E2.  ``e1 = 1.0`` is a constant-modulus
-    primary symbol."""
-    return (scenario.link_variance(2, 4) * e0
-            * (scenario.link_variance(1, 2) * (scenario.p_pu * e1)
-               + scenario.sigma2_v[2]))
+    primary symbol.  ``factors``, when given, are the ``_relay_factors`` of
+    the draws, computed once for the scenarios that share them, and ``out``
+    receives the gain."""
+    s24_e0, s12_x = _relay_factors(scenario, e0, e1) if factors is None else factors
+    return np.multiply(s24_e0, np.add(s12_x, scenario.sigma2_v[2], out=out), out=out)
 
 
 def _relay_exponentials(rng: np.random.Generator, shape,
@@ -303,15 +316,20 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
     dimensions, and scores the resulting rate.  A batch takes all of its
     exponentials first (E0, E1 and E2 of the used subcarriers, then the
     virtual-subcarrier gains), then waterfills and scores them in blocks of
-    ``_CSIT_ROWS`` trials, so the per-trial temporaries stay in cache; every
-    row is computed as it would be alone, so the blocks do not change a bit.
+    ``_CSIT_ROWS`` trials, in buffers that every block reuses; every row is
+    computed as it would be alone, so the blocks do not change a bit.
 
     The law of those unit exponentials depends on ``layout`` only, so the
     scenarios share one draw (common random numbers): each block is scored
     at every scenario, and every scenario gets the numbers that a call with
-    it alone, on a generator in the same state, would return.
+    it alone, on a generator in the same state, would return.  The factors
+    s24 E0 and s12 P_pu E1 (``_relay_factors``) and the virtual-subcarrier
+    gains s24 E of a block are computed once for consecutive scenarios with
+    the same (s24, s12, P_pu), e.g. every point of an SNR sweep, so a
+    scenario only adds its sigma2_v2, multiplies by them and by E2, and
+    divides.
     """
-    points = [(sc, sc.link_variance(2, 4),
+    points = [(sc, (sc.link_variance(2, 4), sc.link_variance(1, 2), sc.p_pu),
                (uc_power_coefficient(sc), srx_noise_floor(sc), sc.sigma2_v[4]))
               for sc in scenarios]
     n_vc = layout.m_vc if use_vcs else 0
@@ -320,13 +338,25 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
         draws = _relay_exponentials(rng, (n, layout.q))
         vc_draws = rng.exponential(size=(n, n_vc))
         rate = np.empty((n, len(points)))
+        gain_buf = np.empty((min(n, _CSIT_ROWS), layout.q))
+        thr_buf = np.empty((min(n, _CSIT_ROWS), layout.q + n_vc))
         for lo in range(0, n, _CSIT_ROWS):
             hi = min(lo + _CSIT_ROWS, n)
-            for j, (sc, s24, levels) in enumerate(points):
-                thr = waterfill_thresholds(*levels, _composite_law(sc, draws[:, lo:hi]),
-                                           s24 * vc_draws[lo:hi])
+            e0, e1, e2 = draws[:, lo:hi]
+            gain, thr = gain_buf[:hi - lo], thr_buf[:hi - lo]
+            shared = None
+            for j, (sc, key, levels) in enumerate(points):
+                if key != shared:
+                    shared = key
+                    factors = _relay_factors(sc, e0, e1)
+                    gain_vc = sc.link_variance(2, 4) * vc_draws[lo:hi]
+                _relayed_gain(sc, e0, e1, factors=factors, out=gain)
+                gain *= e2
+                waterfill_thresholds(*levels, gain, gain_vc, out=thr)
                 spend, _ = waterfill_power(thr, sc.p_su)
-                rate[lo:hi, j] = np.log2(1.0 + spend / thr).sum(axis=1)
+                spend /= thr
+                spend += 1.0
+                rate[lo:hi, j] = np.log2(spend, out=spend).sum(axis=1)
         return rate / layout.m
     # one contiguous row of per-trial rates per scenario
     samples = np.ascontiguousarray(trials(n_trials, sample).T)

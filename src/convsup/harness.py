@@ -75,6 +75,10 @@ _KS_MARGIN = 1e-12
 # which leave the float range near -1530 dB; at high SNR the noise only
 # adds to signal terms, and 3000 dB keeps the noise variance a normal float
 _SNR_DB_RANGE = (-1000.0, 3000.0)
+# accepted P_su/P_pu, -80 to +40 dB.  Inside it every scheme runs across the
+# whole SNR range; at 3000 dB a larger ratio overflows the primary SNR terms,
+# and a smaller one makes the secondary-anchored noise variance subnormal
+_POWER_RATIO_RANGE = (1e-8, 1e4)
 
 
 def reference_link_specs() -> dict[tuple[int, int], LinkSpec]:
@@ -160,6 +164,10 @@ class ScenarioSpec:
         if not lo <= self.snr_db <= hi:
             raise ValueError(f"scenario field 'snr_db' must lie in [{lo:g}, {hi:g}] "
                              f"dB, got {self.snr_db!r}")
+        lo, hi = _POWER_RATIO_RANGE
+        if not lo <= self.power_ratio <= hi:
+            raise ValueError(f"scenario field 'power_ratio' must lie in [{lo:g}, "
+                             f"{hi:g}], got {self.power_ratio!r}")
         for name in ("m_subcarriers", "l_su"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"scenario field {name!r} must be an integer, "
@@ -182,13 +190,20 @@ class ScenarioSpec:
 
     def build(self):
         """Returns (scenario, ctx, layout, l_cp)."""
-        d12 = resolve_d12(self.d12_ratio, self.d12_ref)
-        scenario = build_scenario(d12, self.power_ratio, self.snr_db,
-                                  self.snr_ref, self.eta)
+        return (self.network(), *self.spectral())
+
+    def network(self) -> NetworkScenario:
+        """The scenario: geometry, powers and noise variances."""
+        return build_scenario(resolve_d12(self.d12_ratio, self.d12_ref),
+                              self.power_ratio, self.snr_db, self.snr_ref, self.eta)
+
+    def spectral(self):
+        """Returns (ctx, layout, l_cp), which depend on ``m_subcarriers``,
+        ``l_su`` and ``vc_indices`` only; no sweep variable changes them."""
         ctx = build_spectral_context(self.m_subcarriers, self.l_su)
         layout = build_vc_layout(ctx, self.vc_indices)
         l_cp = required_cp_length(reference_link_specs(), self.l_su)
-        return scenario, ctx, layout, l_cp
+        return ctx, layout, l_cp
 
 
 @dataclass(frozen=True)
@@ -323,11 +338,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
     start = time.perf_counter()
     n_schemes = len(cfg.schemes)
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.grid) * n_schemes)
-    resolved = []
-    for gi, value in enumerate(cfg.grid):
-        spec = cfg.scenario.with_sweep_value(cfg.sweep_variable, value)
-        scenario, ctx, layout, l_cp = spec.build()
-        resolved.append((spec, scenario, ctx, layout, l_cp))
+    specs = [cfg.scenario.with_sweep_value(cfg.sweep_variable, value)
+             for value in cfg.grid]
+    scenarios = [spec.network() for spec in specs]
+    _, layout, l_cp = cfg.scenario.spectral()
     # a task is one scheme at a tuple of grid indices; the layout, and with
     # it the law of the CSIT draws, is the same at every grid point
     grid_points = tuple(range(len(cfg.grid)))
@@ -340,13 +354,12 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
     def work(task_idx: int) -> tuple[list, dict, float]:
         task_start = time.perf_counter()
         si, gis = tasks[task_idx]
-        spec, _, _, layout, _ = resolved[gis[0]]
         child = gis[0] * n_schemes + si
         scheme = cfg.schemes[si]
-        reports = evaluate_scheme(scheme, [resolved[gi][1] for gi in gis], layout,
+        reports = evaluate_scheme(scheme, [scenarios[gi] for gi in gis], layout,
                                   cfg.csit, cfg.n_trials,
                                   np.random.default_rng(children[child]),
-                                  vc_power_fraction=spec.vc_power_fraction)
+                                  vc_power_fraction=cfg.scenario.vc_power_fraction)
         rows = [((gi, si), {
             "sweep_var": float(cfg.grid[gi]),
             "scheme": scheme,
@@ -405,7 +418,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
                 "l_cp": l_cp,
                 "cp_efficiency": layout.m / (layout.m + l_cp),
             }
-            for gi, (spec, scenario, ctx, layout, l_cp) in enumerate(resolved)
+            for gi, (spec, scenario) in enumerate(zip(specs, scenarios))
         ],
         "timing": {"task_s": [seconds for _, _, seconds in results],
                    "total_s": time.perf_counter() - start},

@@ -107,7 +107,7 @@ def uniform_profile(layout: VcLayout, scenario: NetworkScenario, g: float) -> Po
 
 
 def waterfill_thresholds(coef, nu_uc, nu_vc, gain_uc: np.ndarray,
-                         gain_vc: np.ndarray) -> np.ndarray:
+                         gain_vc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Activation thresholds of the CSIT waterfilling, in transmit-power units.
 
     A used subcarrier costs ``coef`` (:func:`uc_power_coefficient`) per unit
@@ -117,9 +117,17 @@ def waterfill_thresholds(coef, nu_uc, nu_vc, gain_uc: np.ndarray,
     last axis, used subcarriers first in the result; the three levels are
     scalars or broadcast over the leading axes, e.g. ``(n, 1)`` columns for
     n instances.  A zero gain is a dead channel (infinite threshold).
+    ``out``, when given, receives the thresholds in place of a new array;
+    ``gain_uc`` may be its used-subcarrier part.
     """
+    q = gain_uc.shape[-1]
+    if out is None:
+        lead = np.broadcast_shapes(gain_uc.shape[:-1], gain_vc.shape[:-1])
+        out = np.empty((*lead, q + gain_vc.shape[-1]))
     with np.errstate(divide="ignore"):
-        return np.concatenate([coef * nu_uc / gain_uc, nu_vc / gain_vc], axis=-1)
+        np.divide(coef * nu_uc, gain_uc, out=out[..., :q])
+        np.divide(nu_vc, gain_vc, out=out[..., q:])
+    return out
 
 
 def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndarray]:
@@ -144,16 +152,20 @@ def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndar
                          f"{thresholds.shape[0]} rows of thresholds")
     if not np.all((budget > 0) & np.isfinite(budget)):
         raise ValueError("power budget must be positive and finite")
-    ordered = np.sort(thresholds, axis=1)  # inf (dead) thresholds sort last
-    bottom = ordered[:, :1]
+    excess = np.sort(thresholds, axis=1)  # inf (dead) thresholds sort last
+    bottom = excess[:, :1].copy()
     if not np.isfinite(bottom).all():
         raise ValueError("all channels are dead: no subcarrier can be activated")
-    excess = ordered - bottom
-    levels = ((budget[..., None] + np.cumsum(excess, axis=1))
-              / np.arange(1, excess.shape[1] + 1))
+    excess -= bottom
+    levels = np.cumsum(excess, axis=1)
+    levels += budget[..., None]
+    levels /= np.arange(1, excess.shape[1] + 1)
     n_active = np.count_nonzero(levels > excess, axis=1)
     xi = levels[np.arange(levels.shape[0]), n_active - 1]
-    return np.maximum(xi[:, None] - (thresholds - bottom), 0.0), bottom[:, 0] + xi
+    # the level array becomes the spend max(xi - (thresholds - bottom), 0)
+    spend = np.subtract(thresholds, bottom, out=levels)
+    np.subtract(xi[:, None], spend, out=spend)
+    return np.maximum(spend, 0.0, out=spend), bottom[:, 0] + xi
 
 
 def waterfill_faults(thresholds: np.ndarray, spend: np.ndarray, mu, coef, budget,

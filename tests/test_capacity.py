@@ -106,6 +106,16 @@ class TestPsi:
             want = float(1 - z * mpmath.exp(z) * mpmath.e1(z))
             assert got_k == pytest.approx(want, rel=1e-12, abs=0.0), float(b_k)
 
+    def test_deficit_evaluates_each_branch_on_its_own_arguments(self):
+        # warnings are errors in this suite: the small-b series never sees
+        # a huge b, where its Horner steps would overflow
+        b = np.array([1e-300, 1e-5, 1.0 / 700.0, 3.0, 1e200, 1e300])
+        got = _psi_deficit(b)
+        assert got[0] == b[0]
+        assert got[1] == pytest.approx(b[1] * (1 - 2 * b[1] + 6 * b[1] ** 2), rel=1e-14)
+        assert np.array_equal(got[2:4], 1.0 - psi(b[2:4]) / b[2:4])
+        assert np.array_equal(got[4:], [1.0, 1.0])
+
 
 class TestBesselK:
     def test_small_argument_limit(self):

@@ -23,7 +23,8 @@ import convsup.precoding
 from convsup.capacity import bessel_k, c_su_lower_csit, psi
 from convsup.channel import draw_channels, zmcscg
 from convsup.cli import main as cli_main
-from convsup.harness import (SCHEMES, ScenarioSpec, SweepConfig, build_scenario,
+from convsup.harness import (_POWER_RATIO_RANGE, SCHEMES, SWEEP_VARIABLES,
+                             ScenarioSpec, SweepConfig, build_scenario,
                              emit_csv, evaluate_scheme, realized_rates,
                              reference_link_specs, resolve_d12, run_sweep,
                              special_functions_check, stx_position,
@@ -152,14 +153,19 @@ class TestRunSweep:
             written.append(path.read_bytes())
         assert written[1] == written[0] and written[2] == written[0]
 
-    def test_csit_rows_of_a_scheme_share_one_stream(self):
+    @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+    def test_csit_rows_of_a_scheme_share_one_stream(self, variable):
         # each waterfilled scheme draws its trials once, from the child seed
         # of its first row, and scores them at every grid point: every row is
         # the one-scenario estimator on that child, to the bit, across the
-        # batch and row-block boundaries
+        # batch and row-block boundaries, whether the grid moves only the
+        # noise (the grid points share the factors of a block), s24 and s12
+        # (d12_ratio) or P_su (power_ratio)
+        grid = {"d12_ratio": (0.2, 0.3, 0.5),
+                "power_ratio": (0.5, 1.0, 2.0)}.get(variable, (10.0, 15.0, 20.0))
         n = convsup.channel._CHUNK + convsup.capacity._CSIT_ROWS + 1
-        cfg = small_config(grid=(10.0, 15.0, 20.0), schemes=SCHEMES, csit=True,
-                           n_trials=n)
+        cfg = small_config(sweep_variable=variable, grid=grid, schemes=SCHEMES,
+                           csit=True, n_trials=n)
         rows, _ = run_sweep(cfg)
         children = np.random.SeedSequence(cfg.seed).spawn(len(rows))
         for position, row in enumerate(rows):
@@ -183,6 +189,30 @@ class TestRunSweep:
                                          csit=csit))
         assert all(np.isfinite(row[k]) for row in rows
                    for k in ("c_pu_lower", "c_su_lower", "stderr_c_su_lower"))
+
+    @pytest.mark.parametrize("csit", [False, True], ids=["nocsit", "csit"])
+    @pytest.mark.parametrize("variable", ["snr_pu_db", "snr_su_db"])
+    @pytest.mark.parametrize("power_ratio", _POWER_RATIO_RANGE, ids=["lowest", "highest"])
+    def test_power_ratio_range_ends_run(self, power_ratio, variable, csit):
+        # warnings are errors in this suite: both ends of the accepted
+        # power_ratio range run every scheme without one
+        spec = ScenarioSpec(power_ratio=power_ratio, m_subcarriers=16, l_su=5,
+                            vc_indices=(0, 8))
+        rows, _ = run_sweep(small_config(sweep_variable=variable, grid=(0.0, 20.0, 30.0),
+                                         schemes=SCHEMES, csit=csit, scenario=spec))
+        assert all(np.isfinite(row[k]) for row in rows
+                   for k in ("c_pu_lower", "c_su_lower", "stderr_c_su_lower"))
+
+    def test_spectral_context_is_built_once_per_sweep(self, monkeypatch):
+        # no sweep variable changes the subcarriers, the filter length or
+        # the VC layout, so the whole sweep shares one context
+        calls = []
+        real = convsup.harness.build_spectral_context
+        monkeypatch.setattr(convsup.harness, "build_spectral_context",
+                            lambda *a: calls.append(a) or real(*a))
+        rows, manifest = run_sweep(small_config(grid=(10.0, 15.0, 20.0)))
+        assert len(calls) == 1 and len(manifest["grid_points"]) == 3
+        assert {p["l_cp"] for p in manifest["grid_points"]} == {11}
 
     def test_ocr_rows_report_direct_capacity(self):
         cfg = small_config()
@@ -744,6 +774,11 @@ class TestCli:
         ({"sweep_variable": "d12_ratio", "grid": [0.3],
           "scenario": {"snr_db": 5000}}, "snr_db"),
         ({"schemes": ["ocr", "ocr"]}, "schemes"),
+        ({"sweep_variable": "snr_su_db", "scenario": {"power_ratio": 1e200}},
+         "power_ratio"),
+        ({"scenario": {"power_ratio": 1e-300}}, "power_ratio"),
+        ({"scenario": {"power_ratio": 0}}, "power_ratio"),
+        ({"sweep_variable": "power_ratio", "grid": [1.0, 1e5]}, "power_ratio"),
     ], ids=["unknown-scenario-key", "missing-sweep-variable", "nan-eta",
             "missing-file", "missing-grid", "unknown-config-key", "nan-grid",
             "string-csit", "float-n_trials", "float-seed", "float-m_subcarriers",
@@ -753,7 +788,8 @@ class TestCli:
             "negative-d12_ratio-grid", "negative-seed", "overflowing-snr-grid",
             "underflowing-snr-grid", "snr-grid-below-range",
             "overflowing-scenario-snr_db",
-            "duplicate-schemes"])
+            "duplicate-schemes", "huge-power_ratio", "tiny-power_ratio",
+            "zero-power_ratio", "power_ratio-grid-above-range"])
     def test_sweep_rejects_bad_config(self, tmp_path, capsys, change, names):
         cfg_path = tmp_path / "cfg.json"
         if change is not None:

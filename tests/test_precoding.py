@@ -150,12 +150,20 @@ class TestWaterfillPower:
             assert np.all(spend[np.isinf(t)] == 0.0)
 
     def test_batched_equals_row_by_row(self):
+        # every row, dead (inf) channels included, is the row alone to the
+        # bit, and the thresholds are left as they were
         t = self.thresholds(np.random.default_rng(22), n=40)
+        given = t.copy()
         spend, mu = waterfill_power(t, 2.5)
+        assert np.array_equal(t, given)
+        dead = np.isinf(t).any(axis=1)
+        assert 0 < dead.sum() < len(t)
         for i, row in enumerate(t):
             s_i, mu_i = waterfill_power(row, 2.5)
             assert s_i.shape == (1, t.shape[1])
             assert np.array_equal(s_i[0], spend[i]) and mu_i[0] == mu[i]
+            assert np.all(s_i[0][np.isinf(row)] == 0.0)
+        assert np.array_equal(t, given)
 
     def test_per_row_budgets_equal_scalar_calls(self):
         rng = np.random.default_rng(24)
