@@ -14,10 +14,11 @@ separately as the M/(M+L_cp) factor).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sps
+from numpy.polynomial.laguerre import laggauss
 
 from .channel import NetworkScenario, mean_se, trials
 from .precoding import (PowerProfile, srx_noise_floor, uc_power_coefficient,
@@ -63,7 +64,7 @@ _CSIT_ROWS = 512
 def _laguerre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes and weights: sum_i w_i f(x_i) ~ E[f(u)] for a
     unit exponential u."""
-    return np.polynomial.laguerre.laggauss(n_nodes)
+    return laggauss(n_nodes)
 
 
 def _laguerre_2d(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,33 +78,95 @@ def _laguerre_2d(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
+#
+# psi and K_0, K_1 are numpy kernels: importing the package does not load
+# scipy.special.  Each element takes the terms of its own band of the
+# argument, whatever else its array holds.
 
-_PSI_SEAM = 700.0  # exp(1/a) overflows just above 1/a = 709
+
+def _e1_series(terms: int) -> tuple[float, ...]:
+    """(-1)^(k+1) / (k k!) for k = terms..1: the E1 power series without
+    its -gamma - ln z, highest order first."""
+    return tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(terms, 0, -1))
+
+
+# z exp(z) E1(z) = E[1/(1 + a u)] for a unit exponential u and a = 1/z in
+# [0, 1] as the (10, 10) rational c + sum_k r_k / (a + s_k), fitted
+# near-minimax at 50 digits with mpmath (Sanathanan-Koerner iteration with
+# Lawson weights; relative error 1.4e-17 over [0, 1]); the (s_k, r_k) are
+# in the order of summation, smallest term first, and the sum is 1 at a = 0
+_PSI_RATIONAL_C = 0.019165484638155577
+_PSI_RATIONAL = (
+    (0.068365151819964391552, 1.908286512536868944e-7),
+    (0.10233948430193723897, 0.000022261407820807035711),
+    (0.15113238753982426533, 0.00052609704800284897937),
+    (0.22592502567206977078, 0.0049399100293816117215),
+    (0.34673187522340859939, 0.024927966989361187815),
+    (13.937262201047968282, 1.5939046148120381697),
+    (0.55405530354498181333, 0.081392708737101888929),
+    (3.9728002303487591034, 0.74625636022532171896),
+    (0.94092789399369698333, 0.19704072861280386299),
+    (1.7637907592052246179, 0.39659706991254568167))
+# psi's bands of z = 1/a as (upper edge, series coefficients), None for the
+# rational; each series is cut where its first omitted term at the
+# band's upper edge is below 2^-60 of E1
+_PSI_BANDS = ((2.0 ** -6, _e1_series(7)), (1.0, _e1_series(19)), (math.inf, None))
+_PSI_BLOCK = 8192  # elements per pass of psi: a long array's temporaries stay in cache
+_DEFICIT_SEAM = 1.0 / 700.0  # below it _psi_deficit takes its series
 
 
 def psi(a):
     """E[ln(1 + a*u)] for a unit exponential u, i.e. the integral of
-    exp(-u) ln(1 + a*u); equals exp(1/a) * E1(1/a).  Vectorized; requires
-    a > 0 and tends to a as a -> 0+.
+    exp(-u) ln(1 + a*u); equals exp(z) * E1(z) with z = 1/a.  Vectorized;
+    requires a > 0 and tends to a as a -> 0+.
 
-    For 1/a <= 700 the library E1 is scaled by exp(1/a); beyond, where that
-    factor overflows, the asymptotic series a * sum_k (-1)^k k! a^k is cut
-    after k = 8, whose first omitted term is below 1e-20 relative.
+    For z <= 1 it is exp(z) (ln a - gamma + sum_k (-1)^(k+1) z^k/(k k!)),
+    the E1 power series in Horner form, with 7 terms up to z = 2^-6 and
+    19 above.  For z > 1 it is a times a rational in a, in partial
+    fractions, which takes a subnormal a (z = inf) too.  Every element takes
+    the operations of its own band, whatever else its array holds, and a
+    scalar runs as a one-element array, so it gets the bits it would get
+    inside any array.  The error stays within 3 ulp of the exact value over
+    the whole float range (see the tests).
     """
     arr = np.asarray(a, dtype=float)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise ValueError("psi requires strictly positive finite arguments")
-    with np.errstate(over="ignore"):  # subnormal a gives z = inf: tail branch
-        z = 1.0 / arr
-    tail = z > _PSI_SEAM
-    if not tail.any():
-        out = np.exp(z) * _sps.exp1(z)
-    else:
-        out = np.empty_like(arr)
-        head = ~tail
-        out[head] = np.exp(z[head]) * _sps.exp1(z[head])
-        out[tail] = arr[tail] * _psi_series(arr[tail], 0)
-    return out if out.ndim else float(out)
+    flat = arr.reshape(-1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _PSI_BLOCK):
+        a_blk = flat[lo:lo + _PSI_BLOCK]
+        with np.errstate(over="ignore"):  # subnormal a gives z = inf
+            z = 1.0 / a_blk
+        out[lo:lo + _PSI_BLOCK] = _psi_kernel(z, a_blk)
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+
+
+def _psi_kernel(z, a):
+    """psi of an array, each element by the kernel of its z-band; the
+    array is split only where it spans several bands."""
+    out = None
+    below = None  # the elements of the lower bands
+    for edge, coef in _PSI_BANDS:
+        inside = z <= edge
+        sel = inside if below is None else inside & ~below
+        if sel.all():
+            return _psi_band(z, a, coef)
+        if sel.any():
+            if out is None:
+                out = np.empty_like(a)
+            out[sel] = _psi_band(z[sel], a[sel], coef)
+        below = inside
+    return out
+
+
+def _psi_band(z, a, coef):
+    if coef is None:
+        acc = _PSI_RATIONAL_C
+        for pole, residue in _PSI_RATIONAL:
+            acc = acc + residue / (a + pole)
+        return a * acc
+    return ((np.log(a) - EULER_GAMMA) + z * _horner(z, coef)) * np.exp(z)
 
 
 def _psi_series(a, first: int):
@@ -119,7 +182,7 @@ def _psi_series(a, first: int):
 def _psi_deficit(b: np.ndarray) -> np.ndarray:
     """1 - psi(b)/b = E[b u / (1 + b u)] for a unit exponential u, without
     the cancellation of the difference at small b."""
-    small = b < 1.0 / _PSI_SEAM
+    small = b < _DEFICIT_SEAM
     out = np.empty_like(b)
     out[small] = b[small] * _psi_series(b[small], 1)
     big = ~small
@@ -127,15 +190,109 @@ def _psi_deficit(b: np.ndarray) -> np.ndarray:
     return out
 
 
+# Chebyshev coefficients, highest order first, of the expansions of Cephes
+# (S. L. Moshier, Methods and Programs for Mathematical Functions, 1989),
+# recomputed at 60 digits with mpmath: K0(x) + ln(x/2) I0(x) and
+# x (K1(x) - ln(x/2) I1(x)) in x^2 - 2 for x <= 2, and exp(x) sqrt(x) K(x)
+# in 8/x - 2 for x > 2
+_K0_SMALL = (
+    1.37446543588075089694e-16, 4.25981614279108257652e-14,
+    1.03496952576336245851e-11, 1.90451637722020885897e-9,
+    2.53479107902614945731e-7, 2.28621210311945178608e-5,
+    1.26461541144692592338e-3, 3.59799365153615016266e-2,
+    3.44289899924628486886e-1, -5.35327393233902768720e-1)
+_K1_SMALL = (
+    -7.02386347938628759718e-18, -2.42744985051936593393e-15,
+    -6.66690169419932900609e-13, -1.41148839263352776110e-10,
+    -2.21338763073472585583e-8, -2.43340614156596823496e-6,
+    -1.73028895751305206302e-4, -6.97572385963986435018e-3,
+    -1.22611180822657148235e-1, -3.53155960776544875667e-1,
+    1.52530022733894777053e0)
+_K0_LARGE = (
+    5.30043377117733577104e-18, -1.64758059398426328153e-17,
+    5.21039177764355411254e-17, -1.67823112575490063832e-16,
+    5.51205599940433336489e-16, -1.84859337792090716941e-15,
+    6.34007647627664596613e-15, -2.22751332674629636045e-14,
+    8.03289077506837436945e-14, -2.98009692314817835483e-13,
+    1.14034058820734423473e-12, -4.51459788337451917507e-12,
+    1.85594911495492655497e-11, -7.95748924447739703773e-11,
+    3.57739728140032844716e-10, -1.69753450938906151564e-9,
+    8.57403401741422608582e-9, -4.66048989768794766556e-8,
+    2.76681363944501507614e-7, -1.83175552271911948478e-6,
+    1.39498137188764993641e-5, -1.28495495816278026384e-4,
+    1.56988388573005337491e-3, -3.14481013119645005427e-2,
+    2.44030308206595545468e0)
+_K1_LARGE = (
+    -5.75674448207330245029e-18, 1.79405104788635729143e-17,
+    -5.68946284919364837425e-17, 1.83809357524304542556e-16,
+    -6.05704727064301782278e-16, 2.03870316623986087993e-15,
+    -7.01983708921476885131e-15, 2.47715442421959868133e-14,
+    -8.97670518201014606915e-14, 3.34841966605224312010e-13,
+    -1.28917396094982293520e-12, 5.13963967348234354040e-12,
+    -2.12996783842779102155e-11, 9.21831518760531412583e-11,
+    -4.19035475934192558424e-10, 2.01504975519703461615e-9,
+    -1.03457624656780970267e-8, 5.74108412545004929231e-8,
+    -3.50196060308781254210e-7, 2.40648494783721711706e-6,
+    -1.93619797416608296002e-5, 1.95215518471351631108e-4,
+    -2.85781685962277938680e-3, 1.03923736576817238437e-1,
+    2.72062619048444266945e0)
+# power series of I0 and I1/(x/2) in (x/2)^2, highest order first: the
+# first omitted term is below 2^-60 of the sum for x <= 2
+_I0_SERIES = tuple(1.0 / math.factorial(k) ** 2 for k in range(13, -1, -1))
+_I1_SERIES = tuple(1.0 / (math.factorial(k) * math.factorial(k + 1))
+                   for k in range(13, -1, -1))
+
+
+def _chebyshev(y, coef):
+    """Clenshaw sum c_0/2 + sum_k c_k T_k(y/2) of ``coef`` = (c_n, ..., c_0),
+    Cephes' chbevl."""
+    b0, b1, b2 = coef[0], 0.0, 0.0
+    for c in coef[1:]:
+        b0, b1, b2 = y * b0 - b1 + c, b0, b1
+    return 0.5 * (b0 - b2)
+
+
+def _horner(x, coef):
+    """sum_k c_k x^k of ``coef`` = (c_n, ..., c_0)."""
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
 def bessel_k(order: int, x):
-    """Modified Bessel function of the second kind, orders 0 and 1 only."""
+    """Modified Bessel function of the second kind, orders 0 and 1 only,
+    for x > 0 (inf gives 0).
+
+    Cephes' two Chebyshev expansions: for x <= 2 the smooth part left after
+    the logarithmic singularity ln(x/2) I(x), with I0 and I1 from their
+    power series; for x > 2 exp(x) sqrt(x) K(x) in 8/x - 2.
+    """
     if order not in (0, 1):
         raise ValueError("only orders 0 and 1 are supported")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise ValueError("bessel_k requires x > 0")
-    out = _sps.k0(arr) if order == 0 else _sps.k1(arr)
-    return out if out.ndim else float(out)
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    small = flat <= 2.0
+    if small.any():
+        xs = flat[small]
+        x2 = xs * xs
+        log_half = np.log(0.5 * xs)
+        if order == 0:
+            out[small] = (_chebyshev(x2 - 2.0, _K0_SMALL)
+                          - log_half * _horner(0.25 * x2, _I0_SERIES))
+        else:
+            out[small] = (log_half * (0.5 * xs) * _horner(0.25 * x2, _I1_SERIES)
+                          + _chebyshev(x2 - 2.0, _K1_SMALL) / xs)
+    large = ~small
+    if large.any():
+        xl = flat[large]
+        out[large] = (np.exp(-xl) * _chebyshev(8.0 / xl - 2.0,
+                                                _K0_LARGE if order == 0 else _K1_LARGE)
+                      / np.sqrt(xl))
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ driver of every Monte Carlo estimator in the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -111,7 +112,15 @@ class NetworkScenario:
             d = self.distance(i, j)
             if d <= 0:
                 raise ValueError(f"nodes {i} and {j} are co-located")
-            variances[i, j] = d ** (-self.eta)
+            try:
+                variance = d ** -float(self.eta)
+            except OverflowError:
+                variance = math.inf
+            if not sys.float_info.min <= variance < math.inf:
+                raise ValueError(f"path-loss exponent eta={self.eta!r} puts the variance "
+                                 f"d^(-eta) of link {i}-{j} (d = {d:.6g}) outside the "
+                                 "normal floats")
+            variances[i, j] = variance
         object.__setattr__(self, "_variances", variances)
 
     def distance(self, i: int, j: int) -> float:

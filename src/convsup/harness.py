@@ -19,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
+import numpy.random  # with the package, not lazily at a sweep's first generator
 import scipy
-from scipy import special
 
 from . import __version__
 from .channel import LinkSpec, NetworkScenario, draw_channels, trials, zmcscg
@@ -58,6 +58,8 @@ SCHEMES = ("proposed_with_vcs", "proposed_without_vcs", "ocr", "nocr")
 # schemes whose secondary rate is waterfilled per realization under CSIT
 _WATERFILLED = ("proposed_with_vcs", "proposed_without_vcs")
 SWEEP_VARIABLES = ("snr_pu_db", "snr_su_db", "d12_ratio", "power_ratio")
+# the SNR anchor that each SNR sweep variable sets
+_SWEPT_SNR_REF = {"snr_pu_db": "pu", "snr_su_db": "su"}
 RATE_ANCHOR_HZ = 20e6  # Wi-Fi-style sampling rate used to quote bits/s
 
 _NODE_PTX = (-0.5, 0.0)
@@ -157,6 +159,10 @@ class ScenarioSpec:
             if not (_is_number(value) and math.isfinite(value)):
                 raise ValueError(f"scenario field {name!r} must be a finite "
                                  f"number, got {value!r}")
+        for name, allowed in (("d12_ref", ("d13", "d14")), ("snr_ref", ("pu", "su"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"scenario field {name!r} must be one of {allowed}, "
+                                 f"got {getattr(self, name)!r}")
         if self.d12_ratio <= 0:
             raise ValueError("scenario field 'd12_ratio' must be positive, "
                              f"got {self.d12_ratio!r}")
@@ -178,10 +184,8 @@ class ScenarioSpec:
                              f"integers, got {self.vc_indices!r}")
 
     def with_sweep_value(self, variable: str, value: float) -> "ScenarioSpec":
-        if variable == "snr_pu_db":
-            return replace(self, snr_db=float(value), snr_ref="pu")
-        if variable == "snr_su_db":
-            return replace(self, snr_db=float(value), snr_ref="su")
+        if variable in _SWEPT_SNR_REF:
+            return replace(self, snr_db=float(value), snr_ref=_SWEPT_SNR_REF[variable])
         if variable == "d12_ratio":
             return replace(self, d12_ratio=float(value))
         if variable == "power_ratio":
@@ -234,6 +238,10 @@ class SweepConfig:
             raise ValueError("n_trials must be at least 100")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # every grid point's scenario must build (path-loss variances,
+        # anchors), so that a bad one stops the sweep before it runs
+        for value in self.grid:
+            self.scenario.with_sweep_value(self.sweep_variable, value).network()
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
@@ -267,13 +275,20 @@ class SweepConfig:
             if key in raw and not _is_integer(raw[key]):
                 raise ValueError(f"config key {key!r} must be an integer, "
                                  f"got {raw[key]!r}")
-        return cls(sweep_variable=raw["sweep_variable"],
-                   grid=tuple(float(v) for v in raw["grid"]),
-                   schemes=tuple(raw.get("schemes", SCHEMES)),
-                   csit=csit,
-                   n_trials=raw.get("n_trials", 100_000),
-                   seed=raw.get("seed", 0),
-                   scenario=ScenarioSpec(**sc))
+        cfg = cls(sweep_variable=raw["sweep_variable"],
+                  grid=tuple(float(v) for v in raw["grid"]),
+                  schemes=tuple(raw.get("schemes", SCHEMES)),
+                  csit=csit,
+                  n_trials=raw.get("n_trials", 100_000),
+                  seed=raw.get("seed", 0),
+                  scenario=ScenarioSpec(**sc))
+        # an SNR sweep anchors its SNR itself: a given snr_ref must agree
+        swept_ref = _SWEPT_SNR_REF.get(cfg.sweep_variable)
+        if swept_ref is not None and sc.get("snr_ref", swept_ref) != swept_ref:
+            raise ValueError(f"scenario key 'snr_ref' is {sc['snr_ref']!r}, but the "
+                             f"sweep variable {cfg.sweep_variable!r} anchors the SNR "
+                             f"at {swept_ref!r}")
+        return cfg
 
 
 def evaluate_scheme(scheme: str, scenarios, layout, csit: bool,
@@ -402,7 +417,8 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
             "csit": cfg.csit,
             "n_trials": cfg.n_trials,
             "seed": cfg.seed,
-            "scenario": asdict(cfg.scenario),
+            # the anchor the rows ran at: an SNR sweep sets its own
+            "scenario": dict(asdict(cfg.scenario), snr_ref=specs[0].snr_ref),
         },
         "rate_anchor_hz": RATE_ANCHOR_HZ,
         "link_specs": {f"{i}-{j}": {"order": s.order, "offset": s.offset}
@@ -676,7 +692,8 @@ _REF_STEP = 0.2
 
 def special_functions_check():
     """psi and K_0, K_1 against trapezoid sums of their integrals, which
-    use neither exp1 nor k0 or k1, plus both asymptotes of psi."""
+    share no code with the series, rational and Chebyshev kernels, plus both
+    asymptotes of psi."""
     ref = _psi_trapezoid(_PSI_GRID)
     worst_psi = float(np.max(np.abs(psi(_PSI_GRID) - ref) / ref))
     x = np.array(_K_GRID)
@@ -879,9 +896,9 @@ def channel_statistics_check(scenario, specs, n_draws, rng):
     mean_dev = abs(mag12.mean() - s12) / (s12 / np.sqrt(n_draws))
     cross = np.abs(np.mean(h12_0 * h23_0.conj()))
     cross_se = np.sqrt(s12 * s23 / n_draws)
-    # scipy's expm1, not numpy's, so the law is scipy's expon to the bit
-    _, p12 = _ks_test(mag12, lambda v: -special.expm1(-(v / s12)))
-    _, p23 = _ks_test(np.abs(h23_0) ** 2, lambda v: -special.expm1(-(v / s23)))
+    # the exponential CDF 1 - exp(-v/s) as -expm1(-v/s), exact near v = 0
+    _, p12 = _ks_test(mag12, lambda v: -np.expm1(-(v / s12)))
+    _, p23 = _ks_test(np.abs(h23_0) ** 2, lambda v: -np.expm1(-(v / s23)))
     ok = mean_dev <= 3.0 and cross <= 3.0 * cross_se and min(p12, p23) > 0.01
     return ok, (f"|H12|^2 mean within {mean_dev:.1f} se, cross-corr "
                 f"{cross / cross_se:.1f} se, KS p={p12:.3f} (|H12|^2) and "
@@ -896,7 +913,7 @@ def product_density_check(scenario, n_draws, rng):
 
     def cdf(v):
         t = 2.0 * np.sqrt(v / s23)  # v > 0: every draw is positive
-        return 1.0 - t * special.k1(t)
+        return 1.0 - t * bessel_k(1, t)
 
     _, p = _ks_test(z, cdf)
     return p > 0.01, f"product-magnitude law KS p={p:.3f} over {n_draws} draws"
@@ -926,12 +943,7 @@ def _ks_test(sample, cdf):
     bound leaves the margin alone to cover them.)  On a 1M-point sample
     about 4 % of the points are evaluated.
 
-    The p-value takes the rule of R. Simard and P. L'Ecuyer (J. Stat.
-    Softw. 39(11), 2011) for the upper tail, n D^2 >= 2.2: twice the
-    one-sided Smirnov tail, the branch scipy's ``kstwo.sf`` takes there
-    for n > 140.  Elsewhere it is Kolmogorov's limit law at sqrt(n) D,
-    which stays above 0.024 there, so for n >= 100 a verdict at p > 0.01
-    is the exact distribution's.
+    The p-value is ``_ks_pvalue(n, D)``.
     """
     x = np.sort(sample)
     n = x.size
@@ -945,9 +957,31 @@ def _ks_test(sample, cdf):
     inner = (open_first[:, None] + np.arange(1, _KS_BLOCK - 1)).ravel()
     inner = inner[inner < n - 1]
     d = float(max(d_edges, _ks_terms(inner, cdf(x[inner]), n)))
+    return d, _ks_pvalue(n, d)
+
+
+def _ks_pvalue(n: int, d: float) -> float:
+    """p-value of a two-sided one-sample Kolmogorov-Smirnov statistic ``d``
+    of ``n`` points, by the rule of R. Simard and P. L'Ecuyer (J. Stat.
+    Softw. 39(11), 2011) for the upper tail.
+
+    At n D^2 >= 2.2 it is twice the one-sided Smirnov tail, the branch
+    scipy's ``kstwo.sf`` takes there for n > 140; ``scipy.special`` is
+    imported in that branch only.  Elsewhere it is Kolmogorov's limit law
+    1 - K(y) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 y^2) at y = sqrt(n) D,
+    which stays above 0.024 there, so for n >= 100 a verdict at p > 0.01
+    is the exact distribution's.  25 terms, summed exactly rounded, leave
+    a tail below exp(-50) for y >= 0.2; below 0.2, where the series has
+    not converged, 1 - K(y) is within 1e-12 of 1 and the p-value is 1.
+    """
     if n * d * d >= 2.2:
-        return d, min(1.0, 2.0 * float(special.smirnov(n, d)))
-    return d, float(special.kolmogorov(math.sqrt(n) * d))
+        from scipy.special import smirnov
+        return min(1.0, 2.0 * float(smirnov(n, d)))
+    y = math.sqrt(n) * d
+    if y < 0.2:
+        return 1.0
+    return 2.0 * math.fsum((-1) ** (k - 1) * math.exp(-2.0 * k * k * y * y)
+                           for k in range(1, 26))
 
 
 def _ks_terms(index, cdfvals, n):

@@ -23,6 +23,14 @@ confirms the Monte Carlo values, so the estimators are not at fault:
     7b          0.028662 +- 2.0e-5     0.028698     0.09
     7c-NOCSIT   0.3992   +- 1.1e-4     0.39922      0.40
 
+The anchors of 7a and 7b cannot both hold in this model, at any setting.
+Doubling P_su multiplies the primary gain Delta = c_pu_lower - c_pu_direct
+by only 1.67 to 2.00, at all 540 quadrature points of the grid d12/d13 in
+{0.1, 0.2, 0.3, 0.5, 0.7}, SNR_pu in {0, 10, 20, 30} dB,
+vc_power_fraction in {0, 0.5, 0.9}, eta in {2, 3, 4} and P_su/P_pu in
+{0.25, 1, 4}.  The anchor of 7b is 6 times that of 7a (0.09 against
+0.015), so at least one of the two was read at another setting.
+
 Whether the reference configuration or the anchors are wrong cannot be
 settled from the repository.  That configuration is the node geometry,
 eta = 3, the even split vc_power_fraction = 0.5 of the secondary budget

@@ -143,6 +143,97 @@ class TestBesselK:
             bessel_k(0, 0.0)
 
 
+def ulps(got, want):
+    """|got - want| in units in the last place of ``want``."""
+    want = np.asarray(want, dtype=float)
+    return np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))
+
+
+class TestKernels:
+    """The numpy kernels of psi and K_0, K_1 against 40-digit mpmath, and
+    the Kolmogorov-Smirnov p-value against scipy.special."""
+
+    PSI_ULPS = 3
+    K_ULPS = {0: 10, 1: 6}
+
+    def test_psi_within_ulps_over_the_float_range(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        rng = np.random.default_rng(16)
+        # z = 1/a from 1e-300 to 1e300, dense on both sides of z = 2^-6
+        # and z = 1, where the kernel changes
+        z = np.concatenate([10.0 ** rng.uniform(-300, 300, 300),
+                            rng.uniform(0.0, 0.05, 100), rng.uniform(0.05, 1.0, 100),
+                            rng.uniform(1.0, 4.0, 100), 10.0 ** rng.uniform(0, 3, 100),
+                            [2.0 ** -6, np.nextafter(2.0 ** -6, 1), 1.0,
+                             np.nextafter(1.0, 2)]])
+        a = 1.0 / z
+        want = []
+        for a_k in a:
+            z_k = 1 / mpmath.mpf(float(a_k))
+            if z_k < 1e15:
+                want.append(float(mpmath.exp(z_k) * mpmath.e1(z_k)))
+            else:  # the asymptotic series a (1 - a + 2a^2), exact to 6a^3
+                want.append(float(mpmath.mpf(float(a_k)) * (1 - 1 / z_k + 2 / z_k ** 2)))
+        err = ulps(psi(a), want)
+        assert err.max() <= self.PSI_ULPS, (err.max(), z[err.argmax()])
+
+    def test_psi_takes_subnormal_arguments(self):
+        # z = 1/a overflows to inf, and psi(a) = a to the last bit
+        a = np.array([5e-324, 1e-310, 2.2e-308])
+        assert np.array_equal(psi(a), a)
+        assert psi(5e-324) == 5e-324
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_bessel_k_within_ulps_over_its_domain(self, order):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        rng = np.random.default_rng(order)
+        # up to x = 700, where K is still a normal float
+        x = np.concatenate([10.0 ** rng.uniform(-300, np.log10(700.0), 100),
+                            rng.uniform(0.0, 2.0, 100), rng.uniform(2.0, 30.0, 50),
+                            [2.0, np.nextafter(2.0, 3)]])
+        want = [float(mpmath.besselk(order, mpmath.mpf(float(v)))) for v in x]
+        err = ulps(bessel_k(order, x), want)
+        assert err.max() <= self.K_ULPS[order], (err.max(), x[err.argmax()])
+
+    def test_scalar_and_vector_calls_give_the_same_bits(self):
+        rng = np.random.default_rng(3)
+        # every band of psi and of K in one array, in random order
+        a = rng.permutation(np.concatenate([
+            10.0 ** rng.uniform(-300, 300, 50), 1.0 / rng.uniform(0, 2 ** -6, 50),
+            1.0 / rng.uniform(2 ** -6, 1, 50), rng.uniform(0, 1, 50), [5e-324]]))
+        vector = psi(a)
+        for scalar in (float, np.float64, np.asarray):
+            assert np.array_equal([psi(scalar(v)) for v in a], vector)
+        x = a[a > 1e-300]
+        for order in (0, 1):
+            assert np.array_equal([bessel_k(order, float(v)) for v in x],
+                                  bessel_k(order, x))
+
+    def test_ks_pvalue_matches_kolmogorov(self):
+        # below n D^2 = 2.2 the p-value is Kolmogorov's limit law at
+        # y = sqrt(n) D, within 2e-14 relative of scipy's for y >= 0.2 and
+        # 1 below, where 1 - K(y) is within 1e-12 of 1
+        from scipy.special import kolmogorov
+        from convsup.harness import _ks_pvalue
+        n = 10_000
+        for y in np.linspace(0.0, np.sqrt(2.2), 400, endpoint=False):
+            d = y / np.sqrt(n)
+            got, want = _ks_pvalue(n, d), float(kolmogorov(np.sqrt(n) * d))
+            bound = 1e-12 if np.sqrt(n) * d < 0.2 else 2e-14 * want
+            assert abs(got - want) <= bound, y
+
+    def test_ks_pvalue_tail_is_twice_smirnov(self):
+        from scipy.special import smirnov
+        from convsup.harness import _ks_pvalue
+        for n in (100, 141, 5000, 100_000):
+            for nd2 in (2.21, 3.0, 8.0, 50.0):
+                d = np.sqrt(nd2 / n)
+                assert n * d * d >= 2.2
+                assert _ks_pvalue(n, d) == min(1.0, 2.0 * float(smirnov(n, d)))
+
+
 class TestOutage:
     def test_closed_form_frozen_point(self):
         # kappa = 1 under equal noise figures: 1 - 2 K1(2)
@@ -361,8 +452,8 @@ def test_monte_carlo_rates_across_the_batch_boundary():
            "nocsit_constant_modulus": c_su_lower_nocsit(
                scenario, layout, g, n, rng(3), constant_modulus=True),
            "nocr": baseline_nocr(scenario, layout, n, rng(5))}
-    assert got == {"c_pu_lower": (5.203338382619126, 0.00014886146078347753),
-                   "nocsit": (0.3119365463216414, 0.00020077040379299176),
+    assert got == {"c_pu_lower": (5.203338382619126, 0.0001488614607834775),
+                   "nocsit": (0.31193654632164153, 0.00020077040379299176),
                    "nocsit_constant_modulus": (0.31505790809987144,
                                                0.00015612068005046978),
                    "nocr": (0.07461948410447916, 0.0001972247754851152)}

@@ -247,6 +247,15 @@ class TestRunSweep:
             "scipy": scipy.__version__, "threads": 2,
             "cpu_count": os.cpu_count()}
 
+    @pytest.mark.parametrize("variable, anchor", [
+        ("snr_pu_db", "pu"), ("snr_su_db", "su"), ("d12_ratio", "pu")])
+    def test_manifest_records_the_snr_anchor_the_rows_ran_at(self, variable, anchor):
+        # the default scenario says "pu"; an SNR sweep sets its own anchor
+        grid = (0.5,) if variable == "d12_ratio" else (20.0,)
+        _, manifest = run_sweep(small_config(sweep_variable=variable, grid=grid,
+                                             schemes=("ocr",)))
+        assert manifest["config"]["scenario"]["snr_ref"] == anchor
+
     def test_manifest_records_task_timing(self):
         cfg = small_config()
         rows, manifest = run_sweep(cfg, threads=2)
@@ -440,7 +449,7 @@ class TestKsTest:
 
         def cdf(v):
             t = 2.0 * np.sqrt(v)
-            return 1.0 - t * special.k1(t)
+            return 1.0 - t * bessel_k(1, t)
 
         d, p = convsup.harness._ks_test(z, cdf)
         want = stats.kstest(z, cdf)
@@ -458,11 +467,7 @@ def full_ks(sample, cdf):
     d_plus = np.max(np.arange(1.0, n + 1) / n - f)
     d_minus = np.max(f - np.arange(0.0, n) / n)
     d = float(max(d_plus, d_minus))
-    if n * d * d >= 2.2:
-        p = min(1.0, 2.0 * float(special.smirnov(n, d)))
-    else:
-        p = float(special.kolmogorov(np.sqrt(n) * d))
-    return d, p, bool(d_plus > d_minus)
+    return d, convsup.harness._ks_pvalue(n, d), bool(d_plus > d_minus)
 
 
 def wiggle(v):
@@ -549,7 +554,7 @@ class TestKsBlockBound:
         def cdf(v):
             seen.append(v.size)
             t = 2.0 * np.sqrt(v)
-            return 1.0 - t * special.k1(t)
+            return 1.0 - t * bessel_k(1, t)
 
         got = convsup.harness._ks_test(z, cdf)
         evaluated = sum(seen)
@@ -558,7 +563,9 @@ class TestKsBlockBound:
 
 
 def test_the_program_never_imports_scipy_stats_or_integrate(tmp_path):
-    # in a fresh interpreter, because pytest itself imports scipy.stats
+    # nor scipy.linalg or scipy.special, after import, a passing validate
+    # and a sweep; in a fresh interpreter, because pytest itself imports
+    # scipy.stats
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "sweep_variable": "snr_pu_db", "grid": [20.0], "schemes": ["ocr"],
@@ -569,12 +576,13 @@ import contextlib, io, json, sys
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[:2] in (
-        ["scipy", "stats"], ["scipy", "integrate"], ["scipy", "linalg"]))
+        ["scipy", "stats"], ["scipy", "integrate"], ["scipy", "linalg"],
+        ["scipy", "special"]))
 
 from convsup import cli
 seen = {{"import": loaded()}}
 with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(["validate", "--trials", "100", "--frames", "1"])
+    seen["validate_rc"] = cli.main(["validate", "--trials", "100", "--frames", "1"])
 seen["validate"] = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     seen["sweep_rc"] = cli.main(["sweep", "--config", {str(cfg_path)!r},
@@ -589,7 +597,8 @@ print(json.dumps(seen))
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
-    assert seen == {"import": [], "validate": [], "sweep_rc": 0, "sweep": []}
+    assert seen == {"import": [], "validate_rc": 0, "validate": [], "sweep_rc": 0,
+                    "sweep": []}
 
 
 class TestWaterfillingCheck:
@@ -779,6 +788,13 @@ class TestCli:
         ({"scenario": {"power_ratio": 1e-300}}, "power_ratio"),
         ({"scenario": {"power_ratio": 0}}, "power_ratio"),
         ({"sweep_variable": "power_ratio", "grid": [1.0, 1e5]}, "power_ratio"),
+        ({"scenario": {"eta": 1e6}}, "eta"),
+        ({"sweep_variable": "d12_ratio", "grid": [1.0, 0.001],
+          "scenario": {"eta": 120}}, "eta"),
+        ({"sweep_variable": "d12_ratio", "grid": [0.3],
+          "scenario": {"snr_ref": "bogus"}}, "snr_ref"),
+        ({"scenario": {"snr_ref": "su"}}, "snr_ref"),
+        ({"sweep_variable": "snr_su_db", "scenario": {"snr_ref": "pu"}}, "snr_ref"),
     ], ids=["unknown-scenario-key", "missing-sweep-variable", "nan-eta",
             "missing-file", "missing-grid", "unknown-config-key", "nan-grid",
             "string-csit", "float-n_trials", "float-seed", "float-m_subcarriers",
@@ -789,7 +805,9 @@ class TestCli:
             "underflowing-snr-grid", "snr-grid-below-range",
             "overflowing-scenario-snr_db",
             "duplicate-schemes", "huge-power_ratio", "tiny-power_ratio",
-            "zero-power_ratio", "power_ratio-grid-above-range"])
+            "zero-power_ratio", "power_ratio-grid-above-range", "overflowing-eta",
+            "eta-overflowing-one-grid-point", "unknown-snr_ref",
+            "snr_ref-against-snr_pu_db", "snr_ref-against-snr_su_db"])
     def test_sweep_rejects_bad_config(self, tmp_path, capsys, change, names):
         cfg_path = tmp_path / "cfg.json"
         if change is not None:
