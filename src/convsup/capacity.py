@@ -533,10 +533,10 @@ def _vc_snr(scenario: NetworkScenario, g):
 
 def _nocsit_setup(scenario: NetworkScenario, layout: VcLayout, g: float):
     """Used-subcarrier SNR scale per unit composite gain and the closed-form
-    virtual-subcarrier term M_vc * psi(snr_24), in nats."""
+    virtual-subcarrier term M_vc * psi(snr_24), in nats (0 if snr_24 is 0)."""
     if g < 0 or layout.m_vc * g > scenario.p_su:
         raise ValueError("virtual-subcarrier power outside the budget")
-    vc_term = layout.m_vc * psi(_vc_snr(scenario, g)) if (layout.m_vc and g > 0) else 0.0
+    vc_term = layout.m_vc * psi(snr) if (snr := _vc_snr(scenario, g)) > 0 else 0.0
     return _gamma4_scale(scenario, layout, g), vc_term
 
 

@@ -72,23 +72,14 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_psi(args) -> int:
+def _cmd_closed_form(args) -> int:
+    """``psi`` or ``outage``: the closed form at the one argument."""
     try:
-        value = psi_fn(args.a)
+        value = args.closed_form(args.x)
     except ValueError as exc:
-        print(f"psi: {exc}", file=sys.stderr)
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     print(f"{value:.17e}")
-    return 0
-
-
-def _cmd_outage(args) -> int:
-    try:
-        p = outage_closed_form(args.kappa)
-    except ValueError as exc:
-        print(f"outage: {exc}", file=sys.stderr)
-        return 2
-    print(f"{p:.17e}")
     return 0
 
 
@@ -114,13 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=_cmd_validate)
 
     p_psi = sub.add_parser("psi", help="evaluate E[ln(1 + A u)], u unit exponential")
-    p_psi.add_argument("a", type=float, help="positive scale A")
-    p_psi.set_defaults(func=_cmd_psi)
+    p_psi.add_argument("x", metavar="a", type=float, help="positive scale A")
+    p_psi.set_defaults(func=_cmd_closed_form, closed_form=psi_fn)
 
     p_out = sub.add_parser("outage", help="closed-form primary outage probability")
-    p_out.add_argument("kappa", type=float,
+    p_out.add_argument("x", metavar="kappa", type=float,
                        help="(sigma13/sigma12)*(sigma_v2/sigma_v3)")
-    p_out.set_defaults(func=_cmd_outage)
+    p_out.set_defaults(func=_cmd_closed_form, closed_form=outage_closed_form)
     return parser
 
 

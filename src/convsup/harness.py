@@ -14,6 +14,7 @@ import json
 import math
 import os
 import platform
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -72,15 +73,6 @@ _D14 = math.dist(_NODE_PTX, _NODE_SRX)
 # bounds leave for rounding of the computed CDF (see _ks_test)
 _KS_BLOCK = 64
 _KS_MARGIN = 1e-12
-# accepted SNR anchors.  The rates multiply two noise-scale terms (the
-# used-branch cost sigma2_12 P_pu + sigma2_v2 times the SRx noise floor),
-# which leave the float range near -1530 dB; at high SNR the noise only
-# adds to signal terms, and 3000 dB keeps the noise variance a normal float
-_SNR_DB_RANGE = (-1000.0, 3000.0)
-# accepted P_su/P_pu, -80 to +40 dB.  Inside it every scheme runs across the
-# whole SNR range; at 3000 dB a larger ratio overflows the primary SNR terms,
-# and a smaller one makes the secondary-anchored noise variance subnormal
-_POWER_RATIO_RANGE = (1e-8, 1e4)
 
 
 def reference_link_specs() -> dict[tuple[int, int], LinkSpec]:
@@ -100,11 +92,8 @@ def stx_position(d12: float) -> tuple[float, float]:
 
 
 def resolve_d12(ratio: float, ref: str) -> float:
-    if ref == "d13":
-        return ratio * _D13
-    if ref == "d14":
-        return ratio * _D14
-    raise ValueError(f"d12_ref must be 'd13' or 'd14', got {ref!r}")
+    check_accepted(d12_ref=ref)
+    return ratio * (_D13 if ref == "d13" else _D14)
 
 
 def build_scenario(d12: float, power_ratio: float, snr_db: float,
@@ -113,26 +102,103 @@ def build_scenario(d12: float, power_ratio: float, snr_db: float,
     noise variance at all receivers set by the chosen SNR anchor."""
     p_pu = 1.0
     p_su = power_ratio * p_pu
-    if snr_ref == "pu":
-        sigma2 = p_pu / 10 ** (snr_db / 10)
-    elif snr_ref == "su":
-        sigma2 = p_su / 10 ** (snr_db / 10)
-    else:
-        raise ValueError(f"snr_ref must be 'pu' or 'su', got {snr_ref!r}")
+    check_accepted(snr_ref=snr_ref)
+    sigma2 = (p_pu if snr_ref == "pu" else p_su) / 10 ** (snr_db / 10)
     return NetworkScenario(
         coords={1: _NODE_PTX, 2: stx_position(d12), 3: _NODE_PRX, 4: _NODE_SRX},
         eta=eta, p_pu=p_pu, p_su=p_su,
         sigma2_v={2: sigma2, 3: sigma2, 4: sigma2})
 
 
-def _is_integer(value) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class Accepts:
+    """A row of ``ACCEPTED``: an integer or finite number in [lo, hi] (lo
+    excluded when ``lo_open``), a bool, or one of ``choices``; with ``items``
+    a list of them.  ``str`` words the rejection and the README table."""
+
+    kind: str  # "integer", "number", "bool" or "choice"
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+    choices: tuple[str, ...] = ()
+    items: str = ""  # "", or a list: "any", "distinct" or "monotone"
+
+    def admits(self, value) -> bool:
+        if not self.items:
+            return self._admits_one(value)
+        if not (isinstance(value, tuple) and all(map(self._admits_one, value))):
+            return False
+        if self.items == "distinct":
+            return 0 < len(value) == len(set(value))
+        diffs = np.diff(value)
+        return self.items == "any" or bool(value) and (all(diffs > 0) or all(diffs < 0))
+
+    def _admits_one(self, value) -> bool:
+        if self.kind in ("bool", "choice"):
+            return (isinstance(value, bool) if self.kind == "bool"
+                    else isinstance(value, str) and value in self.choices)
+        # JSON true/false load as bool, a subclass of int
+        types = (int, np.integer) + ((float, np.floating) if self.kind == "number" else ())
+        if isinstance(value, bool) or not isinstance(value, types):
+            return False
+        # exact comparisons, which NaN fails, as does an integer beyond the floats
+        above = value > self.lo if self.lo_open else value >= self.lo
+        return above and value <= self.hi and abs(value) <= sys.float_info.max
+
+    def __str__(self) -> str:
+        one = {"bool": "true or false", "choice": "one of " + ", ".join(map(repr, self.choices)),
+               "integer": "an integer", "number": "a finite number"}[self.kind]
+        if self.kind in ("integer", "number"):
+            one += (f" in {'(' if self.lo_open or self.lo == -math.inf else '['}{self.lo:g}, "
+                    f"{self.hi:g}{']' if self.hi < math.inf else ')'}")
+        lists = {"any": "a list", "distinct": "a non-empty list without repeats",
+                 "monotone": "a non-empty, strictly monotone list"}
+        return f"{lists[self.items]}, each entry {one}" if self.items else one
 
 
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
+_M_MAX = 256
+_TRIALS = Accepts("integer", lo=100)
+# One row per externally settable value.  In the measured number ranges
+# every scheme runs without a warning, with and without CSIT, at 0, 20 and
+# 30 dB and the SNR ends, the other rows anywhere; README: cross-field rules.
+ACCEPTED = {
+    "sweep_variable": Accepts("choice", choices=SWEEP_VARIABLES),
+    # each value also goes through the swept field's row
+    "grid": Accepts("number", items="monotone"),
+    "schemes": Accepts("choice", choices=SCHEMES, items="distinct"),
+    "csit": Accepts("bool"),
+    # a standard error, and validate's KS p-value rule, need 100 draws
+    "n_trials": _TRIALS,
+    "seed": Accepts("integer", lo=0),  # what SeedSequence takes
+    # runs from 1e-20 to 1e15 at eta 10; a log of 0 at 1e-22, psi(0) at 1e16
+    "d12_ratio": Accepts("number", lo=1e-6, hi=1e6),
+    "d12_ref": Accepts("choice", choices=("d13", "d14")),
+    # at the former 3000 dB SNR top, a subnormal noise below, an overflow above
+    "power_ratio": Accepts("number", lo=1e-8, hi=1e4),
+    # noise variances overflow when multiplied below -1530 dB; the primary
+    # SNR from 2989 dB, with one used subcarrier at eta 10 and top power ratio
+    "snr_db": Accepts("number", lo=-1000.0, hi=2900.0),
+    "snr_ref": Accepts("choice", choices=("pu", "su")),
+    # physical exponents lie in 2-6; runs up to 25, psi(0) at 26 at d12 1e6
+    "eta": Accepts("number", lo=0.0, hi=10.0, lo_open=True),
+    # spectral.py's dense M x M range; the 100k-trial CSIT reference sweep
+    # peaks at 305 MiB here (112 MiB at 64), about linear in M
+    "m_subcarriers": Accepts("integer", lo=2, hi=_M_MAX),
+    "l_su": Accepts("integer", lo=0, hi=_M_MAX - 1),
+    "vc_indices": Accepts("integer", lo=0, hi=_M_MAX - 1, items="any"),
+    "vc_power_fraction": Accepts("number", lo=0.0, hi=1.0),  # of the budget
+    # no row depends on it; the pool starts at most one thread per task
+    "threads": Accepts("integer", lo=1),
+    "trials": _TRIALS,
+    "n_frames": Accepts("integer", lo=1),
+}
+
+
+def check_accepted(**values) -> None:
+    """Raise ``ValueError`` naming the first value its ``ACCEPTED`` row rejects."""
+    for name, value in values.items():
+        if not ACCEPTED[name].admits(value):
+            raise ValueError(f"{name} must be {ACCEPTED[name]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -153,44 +219,13 @@ class ScenarioSpec:
     vc_power_fraction: float = 0.5
 
     def __post_init__(self):
-        for name in ("d12_ratio", "power_ratio", "snr_db", "eta",
-                     "vc_power_fraction"):
-            value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value)):
-                raise ValueError(f"scenario field {name!r} must be a finite "
-                                 f"number, got {value!r}")
-        for name, allowed in (("d12_ref", ("d13", "d14")), ("snr_ref", ("pu", "su"))):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"scenario field {name!r} must be one of {allowed}, "
-                                 f"got {getattr(self, name)!r}")
-        if self.d12_ratio <= 0:
-            raise ValueError("scenario field 'd12_ratio' must be positive, "
-                             f"got {self.d12_ratio!r}")
-        lo, hi = _SNR_DB_RANGE
-        if not lo <= self.snr_db <= hi:
-            raise ValueError(f"scenario field 'snr_db' must lie in [{lo:g}, {hi:g}] "
-                             f"dB, got {self.snr_db!r}")
-        lo, hi = _POWER_RATIO_RANGE
-        if not lo <= self.power_ratio <= hi:
-            raise ValueError(f"scenario field 'power_ratio' must lie in [{lo:g}, "
-                             f"{hi:g}], got {self.power_ratio!r}")
-        for name in ("m_subcarriers", "l_su"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"scenario field {name!r} must be an integer, "
-                                 f"got {getattr(self, name)!r}")
-        if not (isinstance(self.vc_indices, tuple)
-                and all(_is_integer(v) for v in self.vc_indices)):
-            raise ValueError("scenario field 'vc_indices' must be a list of "
-                             f"integers, got {self.vc_indices!r}")
+        check_accepted(**vars(self))
 
     def with_sweep_value(self, variable: str, value: float) -> "ScenarioSpec":
+        check_accepted(sweep_variable=variable)
         if variable in _SWEPT_SNR_REF:
             return replace(self, snr_db=float(value), snr_ref=_SWEPT_SNR_REF[variable])
-        if variable == "d12_ratio":
-            return replace(self, d12_ratio=float(value))
-        if variable == "power_ratio":
-            return replace(self, power_ratio=float(value))
-        raise ValueError(f"unknown sweep variable {variable!r}")
+        return replace(self, **{variable: float(value)})
 
     def build(self):
         """Returns (scenario, ctx, layout, l_cp)."""
@@ -223,23 +258,9 @@ class SweepConfig:
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
 
     def __post_init__(self):
-        if self.sweep_variable not in SWEEP_VARIABLES:
-            raise ValueError(f"sweep_variable must be one of {SWEEP_VARIABLES}")
-        diffs = np.diff(self.grid)
-        if (len(self.grid) == 0 or not np.all(np.isfinite(self.grid))
-                or not (np.all(diffs > 0) or np.all(diffs < 0))):
-            raise ValueError("grid must be non-empty, finite and strictly monotone")
-        unknown = set(self.schemes) - set(SCHEMES)
-        if unknown or not self.schemes:
-            raise ValueError(f"schemes must be a non-empty subset of {SCHEMES}")
-        if len(set(self.schemes)) < len(self.schemes):
-            raise ValueError(f"schemes must not repeat, got {list(self.schemes)}")
-        if self.n_trials < 100:
-            raise ValueError("n_trials must be at least 100")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        # every grid point's scenario must build (path-loss variances,
-        # anchors), so that a bad one stops the sweep before it runs
+        check_accepted(**{k: v for k, v in vars(self).items() if k != "scenario"})
+        # every grid point's scenario must build (the swept field's row,
+        # path-loss variances), so that a bad one stops the sweep early
         for value in self.grid:
             self.scenario.with_sweep_value(self.sweep_variable, value).network()
 
@@ -254,7 +275,6 @@ class SweepConfig:
         sc = raw.get("scenario", {})
         if not isinstance(sc, dict):
             raise ValueError(f"config key 'scenario' must be an object, got {sc!r}")
-        sc = dict(sc)
         for where, keys, known in (("config", raw, fields(cls)),
                                    ("scenario", sc, fields(ScenarioSpec))):
             unknown = sorted(set(keys) - {f.name for f in known})
@@ -263,25 +283,11 @@ class SweepConfig:
         for key in ("sweep_variable", "grid"):
             if key not in raw:
                 raise ValueError(f"config is missing the required key {key!r}")
-        if not (isinstance(raw["grid"], list) and all(map(_is_number, raw["grid"]))):
-            raise ValueError(f"config key 'grid' must be a list of numbers, "
-                             f"got {raw['grid']!r}")
-        if isinstance(sc.get("vc_indices"), list):
-            sc["vc_indices"] = tuple(sc["vc_indices"])
-        csit = raw.get("csit", False)
-        if not isinstance(csit, bool):
-            raise ValueError(f"config key 'csit' must be true or false, got {csit!r}")
-        for key in ("n_trials", "seed"):
-            if key in raw and not _is_integer(raw[key]):
-                raise ValueError(f"config key {key!r} must be an integer, "
-                                 f"got {raw[key]!r}")
-        cfg = cls(sweep_variable=raw["sweep_variable"],
-                  grid=tuple(float(v) for v in raw["grid"]),
-                  schemes=tuple(raw.get("schemes", SCHEMES)),
-                  csit=csit,
-                  n_trials=raw.get("n_trials", 100_000),
-                  seed=raw.get("seed", 0),
-                  scenario=ScenarioSpec(**sc))
+
+        def tupled(obj):  # JSON lists become the tuples the dataclasses take
+            return {k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}
+        cfg = cls(**{"schemes": SCHEMES, "csit": False, "n_trials": 100_000, "seed": 0,
+                     **tupled(raw), "scenario": ScenarioSpec(**tupled(sc))})
         # an SNR sweep anchors its SNR itself: a given snr_ref must agree
         swept_ref = _SWEPT_SNR_REF.get(cfg.sweep_variable)
         if swept_ref is not None and sc.get("snr_ref", swept_ref) != swept_ref:
@@ -308,8 +314,7 @@ def evaluate_scheme(scheme: str, scenarios, layout, csit: bool,
         methods = ("closed_form", "mc")
     else:
         if scheme == "proposed_with_vcs":
-            g = [vc_power_fraction * sc.p_su / layout.m_vc if layout.m_vc else 0.0
-                 for sc in scenarios]
+            g = [_vc_power(vc_power_fraction, sc.p_su, layout.m_vc) for sc in scenarios]
             use_vcs = True
         elif scheme in ("proposed_without_vcs", "nocr"):
             g, use_vcs = [0.0] * len(scenarios), False
@@ -334,6 +339,14 @@ def evaluate_scheme(scheme: str, scenarios, layout, csit: bool,
             for p, d, (s, se), o in zip(pu, direct, su, p_out)]
 
 
+def _vc_power(fraction: float, p_su: float, m_vc: int) -> float:
+    """Power g of each VC for ``fraction`` of ``p_su``, rounded so m_vc g <= p_su."""
+    g = fraction * p_su / m_vc if m_vc else 0.0
+    while m_vc * g > p_su:
+        g = math.nextafter(g, 0.0)
+    return g
+
+
 def run_sweep(cfg: SweepConfig, threads: int = 1):
     """Run the sweep; returns (rows, manifest).
 
@@ -348,8 +361,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
     wall seconds of each task, in task order, and of the whole sweep; they
     never enter the rows.
     """
-    if not (_is_integer(threads) and threads >= 1):
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    check_accepted(threads=threads)
     start = time.perf_counter()
     n_schemes = len(cfg.schemes)
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.grid) * n_schemes)
@@ -412,7 +424,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
                        for (si, _), (_, how, _) in zip(tasks, results)},
         "config": {
             "sweep_variable": cfg.sweep_variable,
-            "grid": list(cfg.grid),
+            "grid": list(map(float, cfg.grid)),
             "schemes": list(cfg.schemes),
             "csit": cfg.csit,
             "n_trials": cfg.n_trials,
@@ -574,16 +586,10 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
 
     Each ``*_check`` function below is the one implementation of its oracle
     and returns ``(ok, detail)``; the acceptance tests call the same
-    functions with their own seeds and sizes.  ``trials`` below 100,
-    ``n_frames`` below 1 or a negative ``seed`` raise ``ValueError`` before
-    any check runs.
+    functions with their own seeds and sizes.  Sizes or a seed outside
+    their rows of ``ACCEPTED`` raise ``ValueError`` before any check runs.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be at least 100, got {trials}")
-    if n_frames < 1:
-        raise ValueError(f"frames must be at least 1, got {n_frames}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_accepted(seed=seed, trials=trials, n_frames=n_frames)
     checks: list[CheckResult] = []
     root = np.random.SeedSequence(seed)
     streams = [np.random.default_rng(s) for s in root.spawn(16)]

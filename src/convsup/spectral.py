@@ -131,13 +131,13 @@ def build_vc_layout(ctx: SpectralContext, vc_indices) -> VcLayout:
     """Build the virtual-subcarrier layout for the given index set.
 
     ``upsilon_vc`` is an orthonormal null-space basis computed by SVD with a
-    relative singular-value threshold of 1e-10.
+    relative singular-value threshold of 1e-10 (``ValueError`` where it fails).
     """
     vc = tuple(sorted(int(i) for i in vc_indices))
     if len(set(vc)) != len(vc):
-        raise ValueError(f"virtual-subcarrier indices must be distinct: {vc}")
+        raise ValueError(f"vc_indices must be distinct: {vc}")
     if vc and (vc[0] < 0 or vc[-1] >= ctx.m):
-        raise ValueError(f"virtual-subcarrier indices out of range [0, {ctx.m}): {vc}")
+        raise ValueError(f"vc_indices out of range [0, {ctx.m}): {vc}")
     m_vc = len(vc)
     if ctx.l_su + 1 <= m_vc:
         raise ValueError(
@@ -157,16 +157,18 @@ def build_vc_layout(ctx: SpectralContext, vc_indices) -> VcLayout:
     else:
         pi_vc_h = ctx.pi_idft[list(vc), :]  # M_vc x (l_su+1), rows at vc indices
         # the right singular vectors past the numerical rank span the null space
-        _, sv, vh = np.linalg.svd(pi_vc_h)
+        try:
+            _, sv, vh = np.linalg.svd(pi_vc_h)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"vc_indices {vc} at l_su={ctx.l_su}: {exc}") from exc
         r_vc = int(np.sum(sv > 1e-10 * sv[0]))
         upsilon = vh[r_vc:].conj().T
         resid = np.abs(pi_vc_h @ upsilon).max()
-        if resid > _ORTHO_TOL:
-            raise AssertionError(f"null-space residual too large: {resid:.3e}")
-        if r_vc != min(ctx.l_su + 1, m_vc):
-            raise AssertionError(
-                f"rank of the virtual-subcarrier rows is {r_vc}, expected "
-                f"{min(ctx.l_su + 1, m_vc)}")
+        if r_vc != min(ctx.l_su + 1, m_vc) or resid > _ORTHO_TOL:
+            raise ValueError(
+                f"vc_indices {vc} at l_su={ctx.l_su} give rows of rank {r_vc} "
+                f"(expected {min(ctx.l_su + 1, m_vc)}) and a null-space residual "
+                f"{resid:.3e} (at most {_ORTHO_TOL:g})")
 
     return VcLayout(m=ctx.m, l_su=ctx.l_su, vc_indices=vc, uc_indices=uc,
                     theta=theta, xi=xi, upsilon_vc=upsilon, r_vc=r_vc)

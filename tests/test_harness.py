@@ -3,6 +3,7 @@ round trip and the CLI surface."""
 
 import importlib.util
 import json
+import math
 import os
 import platform
 import re
@@ -23,7 +24,7 @@ import convsup.precoding
 from convsup.capacity import bessel_k, c_su_lower_csit, psi
 from convsup.channel import draw_channels, zmcscg
 from convsup.cli import main as cli_main
-from convsup.harness import (_POWER_RATIO_RANGE, SCHEMES, SWEEP_VARIABLES,
+from convsup.harness import (ACCEPTED, SCHEMES, SWEEP_VARIABLES,
                              ScenarioSpec, SweepConfig, build_scenario,
                              emit_csv, evaluate_scheme, realized_rates,
                              reference_link_specs, resolve_d12, run_sweep,
@@ -58,6 +59,35 @@ def small_config(**overrides):
                                       vc_indices=(0, 8)))
     base.update(overrides)
     return SweepConfig(**base)
+
+
+# other scenario fields that keep an end of a row runnable (l_su below
+# m_subcarriers, VC indices below it and fewer than l_su + 1), or that make
+# it harder: with this budget 3 * (p_su / 3) rounds above p_su
+_END_COMPANIONS = {("m_subcarriers", 2): {"l_su": 1, "vc_indices": (1,)},
+                   ("l_su", 0): {"vc_indices": ()},
+                   ("l_su", 255): {"m_subcarriers": 256},
+                   ("vc_indices", 255): {"m_subcarriers": 256},
+                   ("vc_power_fraction", 1.0): {"power_ratio": 0.0016220417389788647,
+                                                "vc_indices": (0, 5, 10)}}
+
+
+def _range_end_cases():
+    """(row, end, csit) for both ends of every bounded numeric row of
+    ACCEPTED but power_ratio, which test_power_ratio_range_ends_run covers;
+    an excluded end is replaced by the next float inside.  validate's own
+    rows run once, the others with and without CSIT."""
+    for name, row in ACCEPTED.items():
+        if row.kind not in ("integer", "number") or name == "power_ratio":
+            continue
+        for label, end in (("lowest", row.lo), ("highest", row.hi)):
+            if not math.isfinite(end):
+                continue
+            if label == "lowest" and row.lo_open:
+                end = math.nextafter(end, math.inf)
+            for csit in ((None,) if name in ("trials", "n_frames") else (False, True)):
+                tag = "" if csit is None else "-csit" if csit else "-nocsit"
+                yield pytest.param(name, end, csit, id=f"{name}-{label}{tag}")
 
 
 class TestGeometry:
@@ -185,14 +215,16 @@ class TestRunSweep:
     def test_lowest_accepted_snr_runs(self, csit):
         # warnings are errors in this suite: the bottom of the accepted SNR
         # range runs every scheme without one
-        rows, _ = run_sweep(small_config(grid=(-1000.0,), schemes=SCHEMES,
-                                         csit=csit))
+        rows, _ = run_sweep(small_config(grid=(ACCEPTED["snr_db"].lo,),
+                                         schemes=SCHEMES, csit=csit))
         assert all(np.isfinite(row[k]) for row in rows
                    for k in ("c_pu_lower", "c_su_lower", "stderr_c_su_lower"))
 
     @pytest.mark.parametrize("csit", [False, True], ids=["nocsit", "csit"])
     @pytest.mark.parametrize("variable", ["snr_pu_db", "snr_su_db"])
-    @pytest.mark.parametrize("power_ratio", _POWER_RATIO_RANGE, ids=["lowest", "highest"])
+    @pytest.mark.parametrize("power_ratio", [ACCEPTED["power_ratio"].lo,
+                                             ACCEPTED["power_ratio"].hi],
+                             ids=["lowest", "highest"])
     def test_power_ratio_range_ends_run(self, power_ratio, variable, csit):
         # warnings are errors in this suite: both ends of the accepted
         # power_ratio range run every scheme without one
@@ -202,6 +234,35 @@ class TestRunSweep:
                                          schemes=SCHEMES, csit=csit, scenario=spec))
         assert all(np.isfinite(row[k]) for row in rows
                    for k in ("c_pu_lower", "c_su_lower", "stderr_c_su_lower"))
+
+    @pytest.mark.parametrize("name, end, csit", list(_range_end_cases()))
+    def test_accepted_range_ends_run(self, name, end, csit):
+        # warnings are errors in this suite: each end of every bounded
+        # numeric row of ACCEPTED runs every scheme without one, at 0, 20
+        # and 30 dB
+        if name in ("trials", "n_frames"):  # validate's own rows
+            report = validate_suite(**{"seed": 1, "trials": 3000, "n_frames": 20,
+                                       "search_points": 20_000, name: end})
+            assert {c.status for c in report.checks} <= {"PASS", "FAIL", "SKIP"}
+            return
+        spec = {"m_subcarriers": 16, "l_su": 5, "vc_indices": (0, 8),
+                **_END_COMPANIONS.get((name, end), {})}
+        cfg = {"grid": (0.0, 20.0, 30.0), "schemes": SCHEMES, "csit": csit}
+        variables, threads = ("snr_pu_db",), 1
+        if name == "snr_db":  # the grid sets it, under both anchors
+            cfg["grid"], variables = (end,), ("snr_pu_db", "snr_su_db")
+        elif name == "threads":
+            threads = end
+        elif name in ("n_trials", "seed"):
+            cfg[name] = end
+        else:
+            spec[name] = (end,) if name == "vc_indices" else end
+        for variable in variables:
+            rows, _ = run_sweep(small_config(sweep_variable=variable,
+                                             scenario=ScenarioSpec(**spec), **cfg),
+                                threads=threads)
+            assert all(np.isfinite(row[k]) for row in rows
+                       for k in ("c_pu_lower", "c_su_lower", "stderr_c_su_lower"))
 
     def test_spectral_context_is_built_once_per_sweep(self, monkeypatch):
         # no sweep variable changes the subcarriers, the filter length or
@@ -795,6 +856,19 @@ class TestCli:
           "scenario": {"snr_ref": "bogus"}}, "snr_ref"),
         ({"scenario": {"snr_ref": "su"}}, "snr_ref"),
         ({"sweep_variable": "snr_su_db", "scenario": {"snr_ref": "pu"}}, "snr_ref"),
+        ({"scenario": {"vc_power_fraction": 1.5}}, "vc_power_fraction"),
+        ({"scenario": {"vc_power_fraction": -0.5}}, "vc_power_fraction"),
+        ({"scenario": {"m_subcarriers": 100000}}, "m_subcarriers"),
+        ({"scenario": {"m_subcarriers": 257}}, "m_subcarriers"),
+        ({"scenario": {"l_su": 256}}, "l_su"),
+        ({"scenario": {"vc_indices": [0, 256]}}, "vc_indices"),
+        ({"scenario": {"eta": 10.5}}, "eta"),
+        ({"scenario": {"d12_ratio": 2e6}}, "d12_ratio"),
+        ({"grid": [2901.0]}, "snr_db"),
+        ({"scenario": {"l_su": 16, "vc_indices": list(range(16))}}, "vc_indices"),
+        (lambda: small_config(n_trials=200.5), "n_trials"),
+        (lambda: small_config(seed=1.5), "seed"),
+        (lambda: ScenarioSpec(vc_power_fraction=2.0), "vc_power_fraction"),
     ], ids=["unknown-scenario-key", "missing-sweep-variable", "nan-eta",
             "missing-file", "missing-grid", "unknown-config-key", "nan-grid",
             "string-csit", "float-n_trials", "float-seed", "float-m_subcarriers",
@@ -807,8 +881,19 @@ class TestCli:
             "duplicate-schemes", "huge-power_ratio", "tiny-power_ratio",
             "zero-power_ratio", "power_ratio-grid-above-range", "overflowing-eta",
             "eta-overflowing-one-grid-point", "unknown-snr_ref",
-            "snr_ref-against-snr_pu_db", "snr_ref-against-snr_su_db"])
+            "snr_ref-against-snr_pu_db", "snr_ref-against-snr_su_db",
+            "vc_power_fraction-above-one", "negative-vc_power_fraction",
+            "huge-m_subcarriers", "m_subcarriers-above-cap", "l_su-above-range",
+            "vc_index-above-range", "eta-above-range", "d12_ratio-above-range",
+            "snr-grid-above-range", "degenerate-vc_indices",
+            "python-float-n_trials", "python-float-seed",
+            "python-vc_power_fraction-above-one"])
     def test_sweep_rejects_bad_config(self, tmp_path, capsys, change, names):
+        if callable(change):  # built in Python: one line naming the key
+            with pytest.raises(ValueError, match=names) as info:
+                change()
+            assert len(str(info.value).splitlines()) == 1
+            return
         cfg_path = tmp_path / "cfg.json"
         if change is not None:
             raw = {"sweep_variable": "snr_pu_db", "grid": [20.0],
@@ -843,8 +928,17 @@ class TestCli:
         (["--trials", "99"], "trials"),
         (["--frames", "0"], "frames"),
         (["--seed", "-1"], "seed"),
-    ], ids=["zero-trials", "99-trials", "zero-frames", "negative-seed"])
+        (lambda: validate_suite(trials=200.5), "trials"),
+        (lambda: validate_suite(seed=1.5), "seed"),
+        (lambda: validate_suite(n_frames=1.5), "n_frames"),
+    ], ids=["zero-trials", "99-trials", "zero-frames", "negative-seed",
+            "python-float-trials", "python-float-seed", "python-float-n_frames"])
     def test_validate_rejects_bad_sizes(self, capsys, argv, names):
+        if callable(argv):  # values the integer options cannot carry
+            with pytest.raises(ValueError, match=names) as info:
+                argv()
+            assert len(str(info.value).splitlines()) == 1
+            return
         assert cli_main(["validate", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
