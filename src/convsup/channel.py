@@ -39,8 +39,16 @@ _CHUNK = 20_000
 def zmcscg(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
     """Zero-mean circularly symmetric complex Gaussian samples with the given
     total variance (half per real dimension)."""
-    return _complex_gaussian(rng.standard_normal(shape), rng.standard_normal(shape),
-                             variance)
+    normals = rng.standard_normal(shape)
+    if np.ndim(variance):
+        return _complex_gaussian(normals, rng.standard_normal(shape), variance)
+    # all real parts, then all imaginary parts, through one float buffer
+    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+    out = np.empty(normals.shape, dtype=complex)
+    np.multiply(scale, normals, out=out.real)
+    rng.standard_normal(normals.shape, out=normals)
+    np.multiply(scale, normals, out=out.imag)
+    return out
 
 
 def trials(n: int, sample) -> np.ndarray:

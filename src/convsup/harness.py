@@ -1013,6 +1013,8 @@ def power_accounting_check(scenario, cfg, n_frames, rng):
 
 
 _RATE_DRAWS = 1000
+# draws per block of realized_rates: R is (block, M, K) complex
+_RATE_ROWS = 200
 
 
 def realized_rates(scenario, cfg, pre, n_draws, rng):
@@ -1025,7 +1027,9 @@ def realized_rates(scenario, cfg, pre, n_draws, rng):
     turns it into log2 det(I_K + R^H diag(1/nu) R), one batched K x K
     ``slogdet``.  The diag-rate sums log2(1 + (R R^H)_mm / nu_m) over the
     subcarriers, the per-subcarrier form the C_SU bound takes; Hadamard's
-    inequality puts it above the det-rate on every draw.
+    inequality puts it above the det-rate on every draw.  The draws are
+    taken whole; R and its Gram run over blocks of ``_RATE_ROWS`` draws,
+    with the same bits at any block size.
     """
     layout = cfg.layout
     ch = draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(n_draws,))
@@ -1034,10 +1038,16 @@ def realized_rates(scenario, cfg, pre, n_draws, rng):
     h24 = ch.freq[2, 4]
     h_su = h24 * (ch.freq[1, 2] * (x_pu @ layout.theta.T) + v2)
     nu = np.where(layout.uc_mask(), srx_noise_floor(scenario), scenario.sigma2_v[4])
-    rx = np.concatenate([h_su[..., None] * pre.a, h24[..., None] * pre.g], axis=-1)
-    gram = rx.conj().swapaxes(-1, -2) @ (rx / nu[:, None])
-    _, logdet = np.linalg.slogdet(np.eye(rx.shape[-1]) + gram)  # Hermitian PD
-    diag = np.log2(1.0 + np.sum(np.abs(rx) ** 2, axis=-1) / nu).sum(axis=-1)
+    eye = np.eye(pre.a.shape[-1] + pre.g.shape[-1])
+    logdet = np.empty(n_draws)
+    diag = np.empty(n_draws)
+    for lo in range(0, n_draws, _RATE_ROWS):
+        rows = slice(lo, lo + _RATE_ROWS)
+        rx = np.concatenate([h_su[rows, :, None] * pre.a, h24[rows, :, None] * pre.g],
+                            axis=-1)
+        gram = rx.conj().swapaxes(-1, -2) @ (rx / nu[:, None])
+        logdet[rows] = np.linalg.slogdet(eye + gram)[1]  # Hermitian PD
+        diag[rows] = np.log2(1.0 + np.sum(np.abs(rx) ** 2, axis=-1) / nu).sum(axis=-1)
     return logdet / np.log(2.0), diag
 
 

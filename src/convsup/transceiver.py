@@ -38,6 +38,10 @@ __all__ = [
     "stx_power_mc",
 ]
 
+# frames per pass of the chain in stx_power_mc: its intermediates are a few
+# (block, P) complex arrays whatever the batch
+_POWER_ROWS = 1024
+
 
 def required_cp_length(specs: Mapping[tuple[int, int], LinkSpec], l_su: int) -> int:
     """Smallest cyclic prefix that removes inter-block interference at both
@@ -241,6 +245,19 @@ def srx_frequency_model(channels: ChannelRealization, pre: PrecoderSet,
     return h_su * f_resp + h24 * g_x + h14 * theta_x + v4_f
 
 
+def _row_blocks(n: int, size: int):
+    """Consecutive slices of about ``size`` rows that cover ``n`` rows, none of
+    them a single row unless ``n`` is 1: numpy multiplies one row by a matrix
+    with BLAS gemv, whose last bits differ from those of the gemm that a
+    taller block of the same rows takes."""
+    size = max(size, 2)
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= size + 1 else lo + size
+        yield slice(lo, hi)
+        lo = hi
+
+
 def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
                  n_frames: int, rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the transmitted block energy
@@ -250,7 +267,10 @@ def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
     Each batch of frames of ``channel.trials`` runs the h12 link and
     ``stx_process`` with a zero previous block: inter-block interference
     only touches samples the prefix removal drops, so that gives the
-    steady-state statistic.
+    steady-state statistic.  A batch is drawn whole and then runs through
+    the chain in blocks of ``_POWER_ROWS`` frames, so the chain's
+    intermediates stay that small; every frame's energy has the same bits
+    at any block size.
     """
     spec12 = cfg.specs[1, 2]
 
@@ -261,7 +281,11 @@ def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
         x1 = zmcscg(rng, (n, cfg.layout.n_sym))
         x2 = zmcscg(rng, (n, cfg.layout.m_vc))
         v2 = zmcscg(rng, (n, cfg.p), scenario.sigma2_v[2])
-        y2 = link_output(taps, spec12.offset, pu_transmit(x_pu, cfg)) + v2
-        z2 = _cp_remove(stx_process(y2, x1, x2, pre, cfg), cfg.l_cp)
-        return np.sum(z2.real ** 2 + z2.imag ** 2, axis=-1)
+        energy = np.empty(n)
+        for rows in _row_blocks(n, _POWER_ROWS):
+            y2 = link_output(taps[rows], spec12.offset, pu_transmit(x_pu[rows], cfg))
+            y2 += v2[rows]
+            z2 = _cp_remove(stx_process(y2, x1[rows], x2[rows], pre, cfg), cfg.l_cp)
+            np.sum(z2.real ** 2 + z2.imag ** 2, axis=-1, out=energy[rows])
+        return energy
     return mean_se(trials(n_frames, sample))

@@ -6,11 +6,14 @@ or the end-to-end frame simulator); Monte Carlo comparisons use 3-sigma
 bands on reported standard errors.
 """
 
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from convsup import capacity, channel
@@ -23,7 +26,8 @@ from convsup.capacity import (CapacityReport, EULER_GAMMA, _composite_gain,
                               nocsit_high_snr_approx, nocsit_low_snr_approx,
                               outage_mc, psi, pu_outage_probability)
 from convsup.channel import draw_channels, mean_se, zmcscg
-from convsup.harness import build_scenario, reference_link_specs, resolve_d12
+from convsup.harness import (ACCEPTED, ScenarioSpec, _vc_power, build_scenario,
+                             reference_link_specs, resolve_d12)
 from convsup.precoding import (PowerProfile, srx_noise_floor, uc_power_coefficient,
                                uniform_profile, waterfill_power,
                                waterfill_thresholds)
@@ -689,6 +693,68 @@ class TestMonotonicity:
         scenario = build_scenario(0.1, 1.0, 20.0, "pu")
         with pytest.raises(ValueError):
             check_pu_monotonicity(scenario, layout, [2.0, 1.0], 1000, 0)
+
+
+@st.composite
+def doubling_cases(draw):
+    """A ``ScenarioSpec`` drawn anywhere in its ``ACCEPTED`` rows, with room
+    for twice its secondary budget: the power ratio up to half its top and
+    the SNR 10 log10(2) dB below its top, as a budget anchored at the
+    secondary doubles with its SNR.  The gain is positive mostly for a
+    relay nearer the primary transmitter than its receiver, at physical
+    SNRs and path-loss exponents, so the two ratios are drawn on a log
+    scale, and half the time the d12 ratio is drawn below 1, the SNR from
+    -20 to 60 dB and eta from 2 to 6.  Inside draws that the cross-field
+    rules reject are discarded."""
+    def number(name, hi=None, often=None, log=False):
+        row = ACCEPTED[name]
+        lo, hi = row.lo, row.hi if hi is None else hi
+        scale = math.log10 if log else float
+        whole = st.floats(scale(lo), scale(hi), exclude_min=row.lo_open)
+        value = draw(whole if often is None else st.one_of(st.floats(*often), whole))
+        return min(max(10.0 ** value, lo), hi) if log else value
+    m = draw(st.integers(ACCEPTED["m_subcarriers"].lo, ACCEPTED["m_subcarriers"].hi))
+    l_su = draw(st.integers(0, m - 1))
+    fields = {
+        "d12_ratio": number("d12_ratio", often=(-6.0, 0.0), log=True),
+        "d12_ref": draw(st.sampled_from(ACCEPTED["d12_ref"].choices)),
+        "power_ratio": number("power_ratio", ACCEPTED["power_ratio"].hi / 2, log=True),
+        "snr_db": number("snr_db", ACCEPTED["snr_db"].hi - 3.02, (-20.0, 60.0)),
+        "snr_ref": draw(st.sampled_from(ACCEPTED["snr_ref"].choices)),
+        "eta": number("eta", often=(2.0, 6.0)),
+        "m_subcarriers": m,
+        "l_su": l_su,
+        "vc_indices": tuple(draw(st.lists(st.integers(0, m - 1), unique=True,
+                                          max_size=l_su))),
+        "vc_power_fraction": number("vc_power_fraction"),
+    }
+    try:
+        return ScenarioSpec(**fields).build()[::2], fields["vc_power_fraction"]
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(doubling_cases())
+@example((ScenarioSpec().build()[::2], 0.5))  # the reference point of 7a and 7b
+def test_pu_gain_at_most_doubles_with_the_budget(case):
+    # Delta(P) = c_pu_lower_quad - c_pu_direct under the uniform profile of
+    # the sweep: doubling P_su at most doubles a positive primary gain, the
+    # bound that makes the 7a and 7b anchors (0.015 and 0.09) inconsistent.
+    # A difference of two rates carries their rounding, a few ulp of the
+    # larger (1.3e-15 of it at worst over 3000 random scenarios), so the
+    # bound holds to 64 eps of the larger rate
+    (scenario, layout), fraction = case
+
+    def delta(sc):
+        profile = uniform_profile(layout, sc, _vc_power(fraction, sc.p_su, layout.m_vc))
+        lower, direct = c_pu_lower_quad(sc, layout, profile), c_pu_direct(sc, layout)
+        return lower - direct, max(lower, direct)
+    gain, rate = delta(scenario)
+    event(f"positive gain: {gain > 0.0}")
+    if gain > 0.0:
+        gain2, rate2 = delta(replace(scenario, p_su=2.0 * scenario.p_su))
+        assert gain2 <= 2.0 * gain + 64 * np.finfo(float).eps * max(rate, rate2)
 
 
 class TestCapacityReport:
