@@ -39,12 +39,10 @@ _CHUNK = 20_000
 def zmcscg(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
     """Zero-mean circularly symmetric complex Gaussian samples with the given
     total variance (half per real dimension)."""
-    normals = rng.standard_normal(shape)
-    if np.ndim(variance):
-        return _complex_gaussian(normals, rng.standard_normal(shape), variance)
     # all real parts, then all imaginary parts, through one float buffer
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    out = np.empty(normals.shape, dtype=complex)
+    normals = rng.standard_normal(shape)
+    out = np.empty(np.broadcast_shapes(normals.shape, scale.shape), dtype=complex)
     np.multiply(scale, normals, out=out.real)
     rng.standard_normal(normals.shape, out=normals)
     np.multiply(scale, normals, out=out.imag)

@@ -1029,7 +1029,8 @@ def realized_rates(scenario, cfg, pre, n_draws, rng):
     subcarriers, the per-subcarrier form the C_SU bound takes; Hadamard's
     inequality puts it above the det-rate on every draw.  The draws are
     taken whole; R and its Gram run over blocks of ``_RATE_ROWS`` draws,
-    with the same bits at any block size.
+    with the same bits at any block size on the installed BLAS (guarded by
+    ``tests/test_row_blocks.py``).
     """
     layout = cfg.layout
     ch = draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(n_draws,))

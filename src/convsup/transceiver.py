@@ -249,7 +249,10 @@ def _row_blocks(n: int, size: int):
     """Consecutive slices of about ``size`` rows that cover ``n`` rows, none of
     them a single row unless ``n`` is 1: numpy multiplies one row by a matrix
     with BLAS gemv, whose last bits differ from those of the gemm that a
-    taller block of the same rows takes."""
+    taller block of the same rows takes.  That blocks of two or more rows
+    keep the bits of the whole batch was checked on the installed BLAS and
+    is guarded by ``tests/test_row_blocks.py``; other BLAS builds may route
+    short blocks through other kernels."""
     size = max(size, 2)
     lo = 0
     while lo < n:
@@ -269,8 +272,8 @@ def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
     only touches samples the prefix removal drops, so that gives the
     steady-state statistic.  A batch is drawn whole and then runs through
     the chain in blocks of ``_POWER_ROWS`` frames, so the chain's
-    intermediates stay that small; every frame's energy has the same bits
-    at any block size.
+    intermediates stay that small; on the installed BLAS every frame's
+    energy has the same bits at any block size (see ``_row_blocks``).
     """
     spec12 = cfg.specs[1, 2]
 

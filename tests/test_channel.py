@@ -274,27 +274,21 @@ class TestComplexGaussian:
         assert got.dtype == complex and np.array_equal(got, want)
 
     def test_zmcscg_draws_real_then_imaginary_parts(self):
-        got = zmcscg(np.random.default_rng(8), (2, 3), 4.0)
-        rng = np.random.default_rng(8)
-        re, im = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
-        assert np.array_equal(got, np.sqrt(2.0) * (re + 1j * im))
-
-    @pytest.mark.parametrize("shape, variance", [
-        ((4, 5), 0.7), (9, 1.0), ((), 2.0), ((2, 3), np.array([0.5, 2.0, 1e-3])),
-        ((3,), np.array([[1.0], [4.0]]))])
-    def test_zmcscg_keeps_its_bits_and_stream(self, shape, variance):
-        # one float buffer for both halves, scalar or broadcast variance: the
-        # bits of scale * (re + 1j * im) over separate draws, and the stream
-        # left where two draws of ``shape`` leave it
-        got = zmcscg(np.random.default_rng(8), shape, variance)
-        rng = np.random.default_rng(8)
-        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-        want = np.sqrt(np.asarray(variance, dtype=float) / 2.0) * (re + 1j * im)
-        assert got.dtype == complex and got.shape == want.shape
-        assert np.array_equal(got, want)
-        rest = np.random.default_rng(8)
-        zmcscg(rest, shape, variance)
-        assert np.array_equal(rest.standard_normal(5), rng.standard_normal(5))
+        # scalar or broadcast variance: the bits of scale * (re + 1j * im)
+        # over separate draws, and the stream left where two draws of
+        # ``shape`` leave it
+        for shape, variance in [((2, 3), 4.0), ((4, 5), 0.7), (9, 1.0), ((), 2.0),
+                                ((2, 3), np.array([0.5, 2.0, 1e-3])),
+                                ((3,), np.array([[1.0], [4.0]]))]:
+            got = zmcscg(np.random.default_rng(8), shape, variance)
+            rng = np.random.default_rng(8)
+            re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+            want = np.sqrt(np.asarray(variance, dtype=float) / 2.0) * (re + 1j * im)
+            assert got.dtype == complex and got.shape == want.shape, shape
+            assert np.array_equal(got, want), (shape, variance)
+            rest = np.random.default_rng(8)
+            zmcscg(rest, shape, variance)
+            assert np.array_equal(rest.standard_normal(5), rng.standard_normal(5))
 
 
 class TestLinkSpec:
