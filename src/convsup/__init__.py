@@ -22,7 +22,6 @@ from .capacity import (CapacityReport, baseline_nocr, baseline_nocr_quad,
                        c_pu_lower_quad, c_su_lower_csit, c_su_lower_nocsit,
                        c_su_lower_nocsit_quad, check_pu_monotonicity, kappa,
                        outage_closed_form, outage_mc, psi, pu_outage_probability)
-from .harness import (SCHEMES, CheckResult, ScenarioSpec, SweepConfig,
-                      ValidationReport, build_scenario, emit_csv,
-                      evaluate_scheme, reference_link_specs, run_sweep,
-                      validate_suite)
+from .harness import (SCHEMES, ScenarioSpec, SweepConfig, build_scenario,
+                      emit_csv, evaluate_scheme, reference_link_specs, run_sweep)
+from .validation import CheckResult, ValidationReport, validate_suite

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .channel import NetworkScenario, mean_se, trials
-from .precoding import (PowerProfile, srx_noise_floor, uc_power_coefficient,
-                        waterfill_power, waterfill_thresholds)
+from .precoding import (PowerProfile, _vc_power, srx_noise_floor,
+                        uc_power_coefficient, uniform_profile, waterfill_power,
+                        waterfill_thresholds)
 from .spectral import VcLayout
 
 __all__ = [
@@ -331,8 +332,7 @@ def outage_mc(scenario: NetworkScenario, profile: PowerProfile, n_trials: int,
     weight cancels, so the count is profile independent under common draws.
     """
     relay, noise = _pu_relay_terms(scenario, float(profile.uc_power[0]),
-                                   rng.exponential(size=n_trials),
-                                   rng.exponential(size=n_trials))
+                                   *_pu_exponentials(rng, (n_trials,)))
     p_hat = float(np.mean(relay < noise))
     return p_hat, float(np.sqrt(max(p_hat * (1 - p_hat), 1e-300) / n_trials))
 
@@ -385,14 +385,17 @@ def _pu_rate_law(scenario: NetworkScenario, layout: VcLayout,
     return (LOG2E / layout.m) * psi(gam).sum(axis=1)
 
 
-def c_pu_lower_trials(scenario: NetworkScenario, layout: VcLayout,
-                      profile: PowerProfile, n_trials: int,
+def c_pu_lower_trials(points, layout: VcLayout, n_trials: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Per-trial samples of the primary worst-case rate under a
-    channel-independent profile (bits/s/Hz)."""
+    """Per-trial samples of the primary worst-case rate (bits/s/Hz) at each
+    of ``points``, (scenario, channel-independent profile) pairs that share
+    ``layout``: an (n_trials, len(points)) array.  Each batch of
+    exponentials is drawn once and scored at every point, so a point's
+    column holds the numbers a one-point call draws."""
     def sample(n):
-        return _pu_rate_law(scenario, layout, profile,
-                            _pu_exponentials(rng, (n, layout.q)))
+        draws = _pu_exponentials(rng, (n, layout.q))
+        return np.stack([_pu_rate_law(sc, layout, profile, draws)
+                         for sc, profile in points], axis=1)
     return trials(n_trials, sample)
 
 
@@ -400,7 +403,7 @@ def c_pu_lower(scenario: NetworkScenario, layout: VcLayout, profile: PowerProfil
                n_trials: int, rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo estimate (value, standard error) of the primary
     worst-case ergodic rate with the secondary active."""
-    return mean_se(c_pu_lower_trials(scenario, layout, profile, n_trials, rng))
+    return mean_se(c_pu_lower_trials([(scenario, profile)], layout, n_trials, rng)[:, 0])
 
 
 def c_pu_lower_quad(scenario: NetworkScenario, layout: VcLayout,
@@ -676,13 +679,9 @@ def check_pu_monotonicity(scenario: NetworkScenario, layout: VcLayout,
     outside that regime the report says so and no claim is made.  The
     report lists the Monte Carlo ``means`` with their ``stderrs`` and the
     ``exact`` rates (``c_pu_lower_quad``) at every grid point.  The grid
-    shares one draw: each batch of ``default_rng(seed)``'s exponentials
-    is scored at every budget, so every budget sees the numbers that
-    ``c_pu_lower_trials`` would draw from a fresh ``default_rng(seed)``.
+    shares one draw of ``c_pu_lower_trials`` from ``default_rng(seed)``, so
+    every budget sees the numbers a one-budget call would draw.
     """
-    from dataclasses import replace
-    from .precoding import uniform_profile
-
     psu_grid = [float(p) for p in psu_grid]
     if len(psu_grid) < 2 or np.any(np.diff(psu_grid) < 0):
         raise ValueError("budget grid must be non-decreasing with >= 2 points")
@@ -698,18 +697,12 @@ def check_pu_monotonicity(scenario: NetworkScenario, layout: VcLayout,
     exact = []
     for p_su in psu_grid:
         sc = replace(scenario, p_su=p_su)
-        g = 0.5 * p_su / layout.m_vc if layout.m_vc else 0.0
-        profile = uniform_profile(layout, sc, g)
+        profile = uniform_profile(layout, sc, _vc_power(0.5, p_su, layout.m_vc))
         points.append((sc, profile))
         exact.append(c_pu_lower_quad(sc, layout, profile))
-    rng = np.random.default_rng(seed)
-
-    def sample(n):
-        draws = _pu_exponentials(rng, (n, layout.q))
-        return np.stack([_pu_rate_law(sc, layout, profile, draws)
-                         for sc, profile in points], axis=1)
     # one contiguous row of per-trial rates per budget
-    samples = np.ascontiguousarray(trials(n_trials, sample).T)
+    samples = np.ascontiguousarray(c_pu_lower_trials(
+        points, layout, n_trials, np.random.default_rng(seed)).T)
     ok = True
     for i in range(1, len(psu_grid)):
         d_mean, d_se = mean_se(samples[i] - samples[i - 1])

@@ -16,7 +16,8 @@ import sys
 
 from .capacity import outage_closed_form
 from .capacity import psi as psi_fn
-from .harness import SweepConfig, emit_csv, run_sweep, validate_suite
+from .harness import SweepConfig, emit_csv, run_sweep
+from .validation import validate_suite
 
 
 def _check_output_dir(out) -> None:

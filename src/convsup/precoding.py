@@ -11,6 +11,7 @@ the transmit budget
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,14 @@ def uniform_profile(layout: VcLayout, scenario: NetworkScenario, g: float) -> Po
     return PowerProfile(layout=layout,
                         uc_power=np.full(layout.q, a),
                         vc_power=np.full(layout.m_vc, g))
+
+
+def _vc_power(fraction: float, p_su: float, m_vc: int) -> float:
+    """Power g of each VC for ``fraction`` of ``p_su``, rounded so m_vc g <= p_su."""
+    g = fraction * p_su / m_vc if m_vc else 0.0
+    while m_vc * g > p_su:
+        g = math.nextafter(g, 0.0)
+    return g
 
 
 def waterfill_thresholds(coef, nu_uc, nu_vc, gain_uc: np.ndarray,

@@ -3,7 +3,7 @@ with the measured numbers at the criterion's stated tolerance.
 
 The oracles of criteria 3, 4, 5 and of the criterion-8 property suites
 are the checks ``convsup validate`` runs (the ``*_check`` functions of
-``convsup.harness``); each test calls them with its own seed tags and
+``convsup.validation``); each test calls them with its own seed tags and
 sizes, so every oracle has one implementation.  Every oracle is
 independent of the code path it checks: adaptive quadrature for special
 functions, scalar convolution and per-subcarrier models for the simulator
@@ -55,13 +55,14 @@ from convsup.capacity import (c_pu_direct, c_pu_lower, c_pu_lower_quad,
                               c_su_lower_csit, c_su_lower_nocsit,
                               c_su_lower_nocsit_quad, check_pu_monotonicity)
 from convsup.channel import draw_channels, zmcscg
-from convsup.harness import (build_scenario, channel_statistics_check,
-                             frame_equivalence_errors, outage_check,
-                             power_accounting_check, product_density_check,
-                             reference_link_specs, relayed_noise_identity_error,
-                             resolve_d12, spectral_consistency_check,
-                             special_functions_check, validate_suite,
-                             waterfilling_check)
+from convsup.harness import build_scenario, reference_link_specs, resolve_d12
+from convsup.validation import (_reference_setup, channel_statistics_check,
+                                frame_equivalence_errors, outage_check,
+                                power_accounting_check, product_density_check,
+                                relayed_noise_identity_error,
+                                spectral_consistency_check,
+                                special_functions_check, validate_suite,
+                                waterfilling_check)
 from convsup.precoding import realize_precoders, uniform_profile
 from convsup.spectral import build_spectral_context, build_vc_layout
 from convsup.transceiver import FrameConfig, required_cp_length
@@ -90,11 +91,10 @@ def reference():
     return ctx, layout, cfg
 
 
-def test_criterion_1_frequency_domain_equivalence(reference):
-    _, _, cfg = reference
-    scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+def test_criterion_1_frequency_domain_equivalence():
+    scenario, cfg, _, pre = _reference_setup()
     start = time.monotonic()
-    worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, 1000, _rng(1))
+    worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, pre, 1000, _rng(1))
     elapsed = time.monotonic() - start
     ok = worst_pu <= 1e-10 and worst_su <= 1e-10 and elapsed <= 60.0
     assert _report(
@@ -274,14 +274,13 @@ def test_criterion_7d_trends(reference):
     assert _report("criterion 7d (monotone trends)", ok, "; ".join(details))
 
 
-def test_criterion_8_property_suites(reference):
-    _, _, cfg = reference
-    scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+def test_criterion_8_property_suites():
+    scenario, cfg, _, pre = _reference_setup()
     rng = _rng(81)  # the product draws continue the consistency stream
     results = [spectral_consistency_check(rng),
                product_density_check(scenario, 1_000_000, rng),
                channel_statistics_check(scenario, cfg.specs, TRIALS, _rng(82)),
-               power_accounting_check(scenario, cfg, TRIALS, _rng(83))]
+               power_accounting_check(scenario, cfg, pre, TRIALS, _rng(83))]
     ok = all(passed for passed, _ in results)
     details = [detail for _, detail in results]
 

@@ -1,5 +1,5 @@
 """Every function that the benchmark's traced run measures by name exists and
-is public.
+is public, and the validation suite is where the traced run can see it.
 
 The traced run wraps the functions in each ``convsup`` module's ``__all__``
 (and a fixed list of methods) and reports one metric per declared name; a
@@ -11,6 +11,9 @@ that such a deletion fails here first.
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,28 @@ def test_measured_callable_is_public(path):
     else:
         assert len(path) == 2
     assert inspect.isfunction(obj) and obj.__module__ == module.__name__
+
+
+def test_validation_is_imported_with_the_cli():
+    # the traced run re-points globals only in convsup modules already
+    # imported when it installs, so the checks must come in with the CLI,
+    # in a fresh interpreter (this one has imported every module)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, convsup.cli; "
+         "print('convsup.validation' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])),
+        capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["True"], done.stderr
+
+
+def test_validation_names_resolve_from_the_package_and_left_the_harness():
+    import convsup
+    import convsup.harness
+    import convsup.validation
+    for name in convsup.validation.__all__:
+        assert getattr(convsup, name) is getattr(convsup.validation, name)
+    left = {"validate_suite", "CheckResult", "ValidationReport"} & set(vars(convsup.harness))
+    checks = [name for name in vars(convsup.harness) if name.endswith("_check")]
+    assert not left and not checks, (left, checks)

@@ -26,11 +26,11 @@ from convsup.capacity import (CapacityReport, EULER_GAMMA, _composite_gain,
                               nocsit_high_snr_approx, nocsit_low_snr_approx,
                               outage_mc, psi, pu_outage_probability)
 from convsup.channel import draw_channels, mean_se, zmcscg
-from convsup.harness import (ACCEPTED, ScenarioSpec, _vc_power, build_scenario,
+from convsup.harness import (ACCEPTED, ScenarioSpec, build_scenario,
                              reference_link_specs, resolve_d12)
-from convsup.precoding import (PowerProfile, srx_noise_floor, uc_power_coefficient,
-                               uniform_profile, waterfill_power,
-                               waterfill_thresholds)
+from convsup.precoding import (PowerProfile, _vc_power, srx_noise_floor,
+                               uc_power_coefficient, uniform_profile,
+                               waterfill_power, waterfill_thresholds)
 from convsup.spectral import build_spectral_context, build_vc_layout
 
 
@@ -220,7 +220,7 @@ class TestKernels:
         # y = sqrt(n) D, within 2e-14 relative of scipy's for y >= 0.2 and
         # 1 below, where 1 - K(y) is within 1e-12 of 1
         from scipy.special import kolmogorov
-        from convsup.harness import _ks_pvalue
+        from convsup.validation import _ks_pvalue
         n = 10_000
         for y in np.linspace(0.0, np.sqrt(2.2), 400, endpoint=False):
             d = y / np.sqrt(n)
@@ -230,7 +230,7 @@ class TestKernels:
 
     def test_ks_pvalue_tail_is_twice_smirnov(self):
         from scipy.special import smirnov
-        from convsup.harness import _ks_pvalue
+        from convsup.validation import _ks_pvalue
         for n in (100, 141, 5000, 100_000):
             for nd2 in (2.21, 3.0, 8.0, 50.0):
                 d = np.sqrt(nd2 / n)

@@ -21,20 +21,19 @@ import convsup.channel
 import convsup.cli
 import convsup.harness
 import convsup.precoding
+import convsup.validation
 from convsup.capacity import bessel_k, c_su_lower_csit, psi
 from convsup.channel import draw_channels, zmcscg
 from convsup.cli import main as cli_main
 from convsup.harness import (ACCEPTED, SCHEMES, SWEEP_VARIABLES,
                              ScenarioSpec, SweepConfig, build_scenario,
-                             emit_csv, evaluate_scheme, realized_rates,
-                             reference_link_specs, resolve_d12, run_sweep,
-                             special_functions_check, stx_position,
-                             validate_suite, waterfilling_check)
-from convsup.precoding import (realize_precoders, srx_noise_floor,
-                               uc_power_coefficient, uniform_profile,
+                             emit_csv, evaluate_scheme, resolve_d12, run_sweep,
+                             stx_position)
+from convsup.precoding import (srx_noise_floor, uc_power_coefficient,
                                waterfill_power, waterfilling_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
-from convsup.transceiver import FrameConfig
+from convsup.validation import (realized_rates, special_functions_check,
+                                validate_suite, waterfilling_check)
 
 
 def load_benchmark_gates():
@@ -408,11 +407,8 @@ class TestValidateSuite:
         assert out == GOLDEN_VALIDATE.read_text()
 
     def test_realized_det_rate_stays_below_diag_rate(self):
-        scenario, ctx, layout, l_cp = ScenarioSpec().build()
-        cfg = FrameConfig(ctx=ctx, layout=layout, l_cp=l_cp,
-                          specs=reference_link_specs())
-        profile = uniform_profile(layout, scenario, 0.5 * scenario.p_su / layout.m_vc)
-        pre = realize_precoders(ctx, layout, profile)
+        scenario, cfg, _, pre = convsup.validation._reference_setup()
+        layout = cfg.layout
         det, diag = realized_rates(scenario, cfg, pre, 300, np.random.default_rng(5))
         assert det.shape == diag.shape == (300,)
         assert np.all(det <= diag + 1e-9)
@@ -441,8 +437,8 @@ class TestSpecialFunctionReferences:
     adaptive quadrature they replace, and the check's own power to fail."""
 
     def test_psi_reference_matches_adaptive_quadrature(self):
-        a = convsup.harness._PSI_GRID
-        got = convsup.harness._psi_trapezoid(a)
+        a = convsup.validation._PSI_GRID
+        got = convsup.validation._psi_trapezoid(a)
         for aa, value in zip(a, got):
             ref, _ = integrate.quad(lambda u: np.exp(-u) * np.log1p(aa * u),
                                     0, np.inf, limit=400)
@@ -452,8 +448,8 @@ class TestSpecialFunctionReferences:
     def test_bessel_reference_matches_adaptive_quadrature(self, order):
         # K_a(x) = sqrt(pi) (x/2)^a / Gamma(a+1/2) int_1^inf e^{-xt}
         # (t^2-1)^(a-1/2) dt, whose prefactor is 1 for a = 0 and x for a = 1
-        x = np.array(convsup.harness._K_GRID)
-        got = convsup.harness._bessel_k_trapezoid(order, x)
+        x = np.array(convsup.validation._K_GRID)
+        got = convsup.validation._bessel_k_trapezoid(order, x)
         for xx, value in zip(x, got):
             val, _ = integrate.quad(
                 lambda t: np.exp(-xx * t) * (t * t - 1.0) ** (order - 0.5),
@@ -468,13 +464,13 @@ class TestSpecialFunctionReferences:
     def test_a_slightly_wrong_function_fails_the_check(self, monkeypatch, name,
                                                         wrong):
         assert special_functions_check()[0]
-        monkeypatch.setattr(convsup.harness, name, wrong)
+        monkeypatch.setattr(convsup.validation, name, wrong)
         ok, detail = special_functions_check()
         assert not ok, detail
 
 
 class TestKsTest:
-    """``harness._ks_test`` against ``scipy.stats.kstest``.  Exponential
+    """``validation._ks_test`` against ``scipy.stats.kstest``.  Exponential
     samples are tested against exponential laws whose scale is off by
     k / sqrt(n), k from 0 to 3.75, so the statistics range from typical to
     far in the tail at every n."""
@@ -490,7 +486,7 @@ class TestKsTest:
             def cdf(v, scale=scale):
                 return -special.expm1(-(v / scale))
 
-            d, p = convsup.harness._ks_test(x, cdf)
+            d, p = convsup.validation._ks_test(x, cdf)
             want = stats.kstest(x, "expon", args=(0.0, scale))
             assert d == want.statistic
             tail = n * d * d >= 2.2
@@ -512,7 +508,7 @@ class TestKsTest:
             t = 2.0 * np.sqrt(v)
             return 1.0 - t * bessel_k(1, t)
 
-        d, p = convsup.harness._ks_test(z, cdf)
+        d, p = convsup.validation._ks_test(z, cdf)
         want = stats.kstest(z, cdf)
         assert d == want.statistic
         assert abs(p - want.pvalue) <= 0.005
@@ -528,7 +524,7 @@ def full_ks(sample, cdf):
     d_plus = np.max(np.arange(1.0, n + 1) / n - f)
     d_minus = np.max(f - np.arange(0.0, n) / n)
     d = float(max(d_plus, d_minus))
-    return d, convsup.harness._ks_pvalue(n, d), bool(d_plus > d_minus)
+    return d, convsup.validation._ks_pvalue(n, d), bool(d_plus > d_minus)
 
 
 def wiggle(v):
@@ -547,7 +543,7 @@ def with_wiggle(target, step):
 
 
 class TestKsBlockBound:
-    """``harness._ks_test`` evaluates the CDF only at block edges and in
+    """``validation._ks_test`` evaluates the CDF only at block edges and in
     the blocks whose bound can hold the supremum; (D, p) must be those of
     the full evaluation to the bit."""
 
@@ -579,7 +575,7 @@ class TestKsBlockBound:
         sides = set()
         for sample, cdf in self.laws(n, rng):
             d, p, plus = full_ks(sample, cdf)
-            assert convsup.harness._ks_test(sample, cdf) == (d, p)
+            assert convsup.validation._ks_test(sample, cdf) == (d, p)
             sides.add(plus)
         if n > 1:  # one point has D+ = 1 - F and D- = F only
             assert sides == {True, False}
@@ -604,7 +600,7 @@ class TestKsBlockBound:
 
         d, p, plus = full_ks(np.array(x), cdf)
         assert plus == (side == "plus")
-        assert convsup.harness._ks_test(np.array(x), cdf) == (d, p)
+        assert convsup.validation._ks_test(np.array(x), cdf) == (d, p)
 
     def test_evaluates_few_points(self):
         n = 1_000_000
@@ -617,7 +613,7 @@ class TestKsBlockBound:
             t = 2.0 * np.sqrt(v)
             return 1.0 - t * bessel_k(1, t)
 
-        got = convsup.harness._ks_test(z, cdf)
+        got = convsup.validation._ks_test(z, cdf)
         evaluated = sum(seen)
         assert got == full_ks(z, cdf)[:2]
         assert evaluated <= 0.06 * n, evaluated / n
@@ -674,8 +670,8 @@ class TestWaterfillingCheck:
             calls.append((np.shape(thresholds), result[0]))
             return result
 
-        monkeypatch.setattr(convsup.harness, "_WATERFILLING_INSTANCES", 20)
-        monkeypatch.setattr(convsup.harness, "waterfill_power", spy)
+        monkeypatch.setattr(convsup.validation, "_WATERFILLING_INSTANCES", 20)
+        monkeypatch.setattr(convsup.validation, "waterfill_power", spy)
         ok, _ = waterfilling_check(np.random.default_rng(31), search_points=1000)
         assert ok
         shape, spend = calls[0]
@@ -693,10 +689,9 @@ class TestWaterfillingCheck:
 
     @pytest.mark.parametrize("seed", [33, 34])
     def test_random_search_matches_numpy_row_reductions(self, seed, monkeypatch):
-        # the search sums and multiplies each point's coordinates as rows
-        # of the transposed draw; numpy's sum(axis=1) and prod(axis=1) of
-        # the (n, K) draw must give every product, and so the best, to the
-        # bit, over batches of which the last is short
+        # the search sums and multiplies each point's coordinates as the K
+        # rows of the transposed draw, in order: every product, and so the
+        # best, to the bit, over batches of which the last is short
         chunk = convsup.channel._CHUNK
         n = 2 * chunk + 777
         layout = build_vc_layout(build_spectral_context(8, 5), (0, 4))
@@ -710,7 +705,9 @@ class TestWaterfillingCheck:
         products = []
         for start in range(0, n, chunk):
             w = rng.exponential(size=(min(chunk, n - start), scale.size))
-            total = w.sum(axis=1, keepdims=True)
+            total = w[:, :1].copy()
+            for k in range(1, scale.size):
+                total += w[:, k:k + 1]
             w *= scale
             w /= total
             w += 1.0
@@ -723,19 +720,12 @@ class TestWaterfillingCheck:
             out = convsup.channel.trials(n_points, sample)
             seen.append(out)
             return out
-        monkeypatch.setattr(convsup.harness, "trials", spy)
+        monkeypatch.setattr(convsup.validation, "trials", spy)
         rng = np.random.default_rng(seed)
         h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
-        best = convsup.harness._random_search_best(layout, scenario, h_su, h_24, n, rng)
+        best = convsup.validation._random_search_best(layout, scenario, h_su, h_24, n, rng)
         assert np.array_equal(seen[0], want)
         assert best == float(np.log2(want.max()))
-
-    @pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 23, 128, 129, 300])
-    def test_pairwise_sum_matches_numpy_row_sums(self, k):
-        w = np.random.default_rng(k).standard_normal((500, k))
-        rows = w.T.copy()
-        assert np.array_equal(convsup.harness._pairwise_sum(rows), w.sum(axis=1))
-        assert np.array_equal(rows, w.T)
 
     def test_overspent_budget_fails_the_check(self, monkeypatch):
         def overspend(thresholds, budget):
@@ -744,7 +734,7 @@ class TestWaterfillingCheck:
 
         # the batch alone: the overspent rates beat every uniform split and
         # the search instance passes, so only the budget check can fail it
-        monkeypatch.setattr(convsup.harness, "waterfill_power", overspend)
+        monkeypatch.setattr(convsup.validation, "waterfill_power", overspend)
         ok, detail = waterfilling_check(np.random.default_rng(32), search_points=1000)
         assert not ok
         assert re.search(r"max budget residual 1\.00e-02, uniform splits beat it 0x", detail)
@@ -768,7 +758,7 @@ class TestWaterfillingCheck:
             spend[rows, np.argmax(spend, axis=1)] += moved
             return spend, mu
 
-        monkeypatch.setattr(convsup.harness, "waterfill_power", starve)
+        monkeypatch.setattr(convsup.validation, "waterfill_power", starve)
         ok, detail = waterfilling_check(np.random.default_rng(33), search_points=1000)
         assert not ok
         assert re.search(r"\d+ instances leave an inactive subcarrier below the "

@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 
 import convsup.channel
-import convsup.harness
 import convsup.transceiver
-from convsup.harness import realized_rates
+import convsup.validation
 from convsup.transceiver import stx_power_mc
+from convsup.validation import realized_rates
 
 MIB = 2 ** 20
 
 
 @pytest.fixture(scope="module")
 def setup():
-    scenario, cfg = convsup.harness._reference_setup()
-    _, pre = convsup.harness._reference_precoders(scenario, cfg)
+    scenario, cfg, _, pre = convsup.validation._reference_setup()
     return scenario, cfg, pre
 
 
@@ -60,7 +59,7 @@ def test_row_blocks_cover_the_rows_without_single_rows(n, size):
 def test_rate_blocks_keep_every_draw(setup, rows, monkeypatch):
     scenario, cfg, pre = setup
     want = realized_rates(scenario, cfg, pre, 401, np.random.default_rng(3))
-    monkeypatch.setattr(convsup.harness, "_RATE_ROWS", rows)
+    monkeypatch.setattr(convsup.validation, "_RATE_ROWS", rows)
     got = realized_rates(scenario, cfg, pre, 401, np.random.default_rng(3))
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from convsup.channel import ChannelRealization, LinkSpec, draw_channels, zmcscg
-from convsup.harness import (build_scenario, frame_equivalence_errors,
-                             reference_link_specs, relayed_noise_identity_error)
+from convsup.harness import build_scenario, reference_link_specs
 from convsup.precoding import (PowerProfile, PrecoderSet, realize_precoders,
                                uniform_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
@@ -15,6 +14,7 @@ from convsup.transceiver import (FrameConfig, FrameSimulator, NoiseBlocks,
                                  pu_transmit, required_cp_length,
                                  srx_frequency_model, stx_power_mc,
                                  stx_process, zero_noise)
+from convsup.validation import frame_equivalence_errors, relayed_noise_identity_error
 
 
 def reference_config(m=64, l_su=10, vc=(0, 16, 32, 48), l_cp=None, enforce=True):
@@ -157,16 +157,16 @@ class TestSimulateFrame:
         assert np.abs(tr.y_pu_f - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_matches_frequency_models_with_random_history(self, setup):
-        scenario, cfg, _ = setup
+        scenario, cfg, pre = setup
         rng = np.random.default_rng(6)
-        worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, 25, rng)
+        worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, pre, 25, rng)
         assert worst_pu <= 1e-10
         assert worst_su <= 1e-10
 
     def test_prefixed_noise_keeps_models_exact(self, setup):
-        scenario, cfg, _ = setup
+        scenario, cfg, pre = setup
         rng = np.random.default_rng(7)
-        worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, 10, rng,
+        worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, pre, 10, rng,
                                                       noiseless=False)
         assert worst_pu <= 1e-10
         assert worst_su <= 1e-10
@@ -209,7 +209,7 @@ class TestSimulateFrame:
         # one sample short and generic channels leak the previous block
         short = FrameConfig(ctx=cfg.ctx, layout=cfg.layout, l_cp=cfg.l_cp - 1,
                             specs=cfg.specs, enforce_cp=False)
-        worst_pu, _ = frame_equivalence_errors(scenario, short, 10,
+        worst_pu, _ = frame_equivalence_errors(scenario, short, pre, 10,
                                                np.random.default_rng(10))
         assert worst_pu > 1e-6
 
