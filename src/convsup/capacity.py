@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .channel import NetworkScenario, mean_se, trials
+from .channel import Moments, NetworkScenario, mean_se, trials
 from .precoding import (PowerProfile, _vc_power, srx_noise_floor,
                         uc_power_coefficient, uniform_profile, waterfill_power,
                         waterfill_thresholds)
@@ -56,8 +56,9 @@ LOG2E = 1.0 / np.log(2.0)
 
 GL_NODES = 64  # Gauss-Laguerre nodes per axis of the *_quad rates
 _NOCR_STEP = 0.2  # trapezoid step in ln u of baseline_nocr_quad
-# trials per waterfilling pass of c_su_lower_csit: the few (rows, K)
-# arrays of a 512-row block stay in cache
+# trials per pass of c_su_lower_csit's waterfilling and of
+# c_pu_lower_trials: the few (rows, K) arrays of a 512-row block stay in
+# cache; c_su_lower_csit also draws per block, so this fixes its stream
 _CSIT_ROWS = 512
 
 
@@ -331,9 +332,12 @@ def outage_mc(scenario: NetworkScenario, profile: PowerProfile, n_trials: int,
     often the effective SNR falls below the direct one; the per-subcarrier
     weight cancels, so the count is profile independent under common draws.
     """
-    relay, noise = _pu_relay_terms(scenario, float(profile.uc_power[0]),
-                                   *_pu_exponentials(rng, (n_trials,)))
-    p_hat = float(np.mean(relay < noise))
+    a = float(profile.uc_power[0])
+
+    def sample(n):
+        relay, noise = _pu_relay_terms(scenario, a, *_pu_exponentials(rng, (n,)))
+        return relay < noise
+    p_hat = float(trials(n_trials, sample).mean)
     return p_hat, float(np.sqrt(max(p_hat * (1 - p_hat), 1e-300) / n_trials))
 
 
@@ -386,16 +390,25 @@ def _pu_rate_law(scenario: NetworkScenario, layout: VcLayout,
 
 
 def c_pu_lower_trials(points, layout: VcLayout, n_trials: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Per-trial samples of the primary worst-case rate (bits/s/Hz) at each
-    of ``points``, (scenario, channel-independent profile) pairs that share
-    ``layout``: an (n_trials, len(points)) array.  Each batch of
-    exponentials is drawn once and scored at every point, so a point's
-    column holds the numbers a one-point call draws."""
+                      rng: np.random.Generator) -> Moments:
+    """The per-trial primary worst-case rate (bits/s/Hz) at each of
+    ``points``, (scenario, channel-independent profile) pairs that share
+    ``layout``, followed by the differences of consecutive points' rates,
+    folded by ``trials``: 2 len(points) - 1 columns.  Each batch of
+    exponentials is drawn once and scored at every point (common random
+    numbers), so a point's column holds the numbers a one-point call
+    draws."""
     def sample(n):
         draws = _pu_exponentials(rng, (n, layout.q))
-        return np.stack([_pu_rate_law(sc, layout, profile, draws)
-                         for sc, profile in points], axis=1)
+        out = np.empty((n, 2 * len(points) - 1))
+        # scored in row blocks: a whole batch's (n, q) temporaries would be
+        # mapped and faulted in afresh for every point
+        for lo in range(0, n, _CSIT_ROWS):
+            block = draws[:, lo:lo + _CSIT_ROWS]
+            rates = [_pu_rate_law(sc, layout, profile, block) for sc, profile in points]
+            out[lo:lo + _CSIT_ROWS] = np.stack(
+                rates + [b - a for a, b in zip(rates, rates[1:])], axis=1)
+        return out
     return trials(n_trials, sample)
 
 
@@ -403,7 +416,7 @@ def c_pu_lower(scenario: NetworkScenario, layout: VcLayout, profile: PowerProfil
                n_trials: int, rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo estimate (value, standard error) of the primary
     worst-case ergodic rate with the secondary active."""
-    return mean_se(c_pu_lower_trials([(scenario, profile)], layout, n_trials, rng)[:, 0])
+    return mean_se(c_pu_lower_trials([(scenario, profile)], layout, n_trials, rng))[0]
 
 
 def c_pu_lower_quad(scenario: NetworkScenario, layout: VcLayout,
@@ -473,11 +486,13 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
     Each trial draws the composite used-subcarrier gain (relay gain times
     relayed primary symbol plus secondary-chain noise) and the direct
     virtual-subcarrier gain, waterfills the budget over the active
-    dimensions, and scores the resulting rate.  A batch takes all of its
-    exponentials first (E0, E1 and E2 of the used subcarriers, then the
-    virtual-subcarrier gains), then waterfills and scores them in blocks of
-    ``_CSIT_ROWS`` trials, in buffers that every block reuses; every row is
-    computed as it would be alone, so the blocks do not change a bit.
+    dimensions, and scores the resulting rate.  Each batch of ``trials``
+    runs in blocks of ``_CSIT_ROWS`` trials: a block draws its exponentials
+    (E0, E1 and E2 of the used subcarriers, then the virtual-subcarrier
+    gains), then waterfills and scores them in buffers that every block
+    reuses, so the draws held at any time are one block's, whatever
+    ``n_trials``.  ``_CSIT_ROWS`` and ``channel._CHUNK`` together fix how
+    the random stream is consumed.
 
     The law of those unit exponentials depends on ``layout`` only, so the
     scenarios share one draw (common random numbers): each block is scored
@@ -495,21 +510,20 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
     n_vc = layout.m_vc if use_vcs else 0
 
     def sample(n):
-        draws = _relay_exponentials(rng, (n, layout.q))
-        vc_draws = rng.exponential(size=(n, n_vc))
         rate = np.empty((n, len(points)))
         gain_buf = np.empty((min(n, _CSIT_ROWS), layout.q))
         thr_buf = np.empty((min(n, _CSIT_ROWS), layout.q + n_vc))
         for lo in range(0, n, _CSIT_ROWS):
             hi = min(lo + _CSIT_ROWS, n)
-            e0, e1, e2 = draws[:, lo:hi]
+            e0, e1, e2 = _relay_exponentials(rng, (hi - lo, layout.q))
+            vc_draws = rng.exponential(size=(hi - lo, n_vc))
             gain, thr = gain_buf[:hi - lo], thr_buf[:hi - lo]
             shared = None
             for j, (sc, key, levels) in enumerate(points):
                 if key != shared:
                     shared = key
                     factors = _relay_factors(sc, e0, e1)
-                    gain_vc = sc.link_variance(2, 4) * vc_draws[lo:hi]
+                    gain_vc = sc.link_variance(2, 4) * vc_draws
                 _relayed_gain(sc, e0, e1, factors=factors, out=gain)
                 gain *= e2
                 waterfill_thresholds(*levels, gain, gain_vc, out=thr)
@@ -517,10 +531,9 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
                 spend /= thr
                 spend += 1.0
                 rate[lo:hi, j] = np.log2(spend, out=spend).sum(axis=1)
-        return rate / layout.m
-    # one contiguous row of per-trial rates per scenario
-    samples = np.ascontiguousarray(trials(n_trials, sample).T)
-    return [mean_se(vals) for vals in samples]
+        rate /= layout.m
+        return rate
+    return mean_se(trials(n_trials, sample))
 
 
 def _gamma4_scale(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:
@@ -700,20 +713,19 @@ def check_pu_monotonicity(scenario: NetworkScenario, layout: VcLayout,
         profile = uniform_profile(layout, sc, _vc_power(0.5, p_su, layout.m_vc))
         points.append((sc, profile))
         exact.append(c_pu_lower_quad(sc, layout, profile))
-    # one contiguous row of per-trial rates per budget
-    samples = np.ascontiguousarray(c_pu_lower_trials(
-        points, layout, n_trials, np.random.default_rng(seed)).T)
+    # the rates at every budget, then the steps between consecutive budgets
+    stats = mean_se(c_pu_lower_trials(points, layout, n_trials,
+                                      np.random.default_rng(seed)))
+    rates, steps = stats[:len(points)], stats[len(points):]
     ok = True
-    for i in range(1, len(psu_grid)):
-        d_mean, d_se = mean_se(samples[i] - samples[i - 1])
+    for i, (d_mean, d_se) in enumerate(steps, 1):
         if d_mean < -3.0 * d_se:
             ok = False
             report["violations"].append(
                 {"from": psu_grid[i - 1], "to": psu_grid[i],
                  "delta": d_mean, "stderr": d_se})
-    stats = [mean_se(vals) for vals in samples]
-    report["means"] = [mean for mean, _ in stats]
-    report["stderrs"] = [se for _, se in stats]
+    report["means"] = [mean for mean, _ in rates]
+    report["stderrs"] = [se for _, se in rates]
     report["exact"] = exact
     return ok, report
 

@@ -3,8 +3,8 @@
 One realization covers a single multicarrier symbol period.  Taps are drawn
 i.i.d. zero-mean circularly symmetric complex Gaussian with a flat power
 profile, scaled so each frequency-domain coefficient has the geometric link
-variance d^(-eta).  ``trials`` and ``mean_se`` are the one batch-and-reduce
-driver of every Monte Carlo estimator in the package.
+variance d^(-eta).  ``trials`` is the one batch-and-fold driver of every
+Monte Carlo estimator in the package, and ``mean_se`` reads what it folds.
 """
 
 from __future__ import annotations
@@ -49,22 +49,78 @@ def zmcscg(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
     return out
 
 
-def trials(n: int, sample) -> np.ndarray:
-    """``sample(k)`` over consecutive batches of at most ``_CHUNK`` draws that
-    add up to ``n``, concatenated in order along the first axis; ``n`` must
-    be at least 1."""
+@dataclass
+class Moments:
+    """Running per-column statistics of the draws that ``trials`` folds: the
+    count, the mean, M2 (the sum of squared deviations from the mean) and
+    the maximum.  Each array has the shape of one draw's values: 0-d for a
+    scalar per draw, (k,) for a row of k columns."""
+
+    count: int
+    mean: np.ndarray
+    m2: np.ndarray
+    max: np.ndarray
+
+
+def trials(n: int, sample) -> Moments:
+    """Fold ``sample(k)`` over consecutive batches of at most ``_CHUNK`` draws
+    that add up to ``n`` (at least 1) into per-column ``Moments``; the draws
+    run along the first axis of each batch.
+
+    Each column of a batch is copied into one contiguous array and takes
+    the operations of numpy's ``mean`` and ``std(ddof=1)`` there, and each
+    later batch joins the running state by the pairwise update of Chan,
+    Golub and LeVeque.  So one batch (``n <= _CHUNK``) gives the statistics
+    of the draws to the bit, more batches agree with those of the
+    concatenated draws to rounding, and memory stays that of one batch at
+    any ``n``.  Nothing of a batch outlives its fold, so a sampler whose
+    temporaries are much larger than its values keeps its own buffers
+    across batches, or the allocator may return them to the system and
+    fault them in again every batch.
+    """
     if n < 1:
         raise ValueError(f"the number of draws must be at least 1, got {n}")
-    return np.concatenate([sample(min(_CHUNK, n - start))
-                           for start in range(0, n, _CHUNK)])
+    state = None
+    for start in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - start)
+        vals = np.asarray(sample(k))
+        shape = vals.shape[1:]
+        columns = vals.reshape(k, -1)
+        mean, m2, top = np.empty((3, columns.shape[1]))
+        col = np.empty(k)
+        for j in range(columns.shape[1]):
+            np.copyto(col, columns[:, j])
+            mean[j] = col.sum() / k
+            top[j] = col.max()
+            col -= mean[j]
+            col *= col
+            m2[j] = col.sum()
+        del vals, columns, col  # the next batch is drawn without this one
+        if state is None:
+            state = Moments(k, mean, m2, top)
+            continue
+        total = state.count + k
+        delta = mean - state.mean
+        state.mean += delta * (k / total)
+        delta *= delta
+        state.m2 += m2 + delta * (state.count * k / total)
+        np.maximum(state.max, top, out=state.max)
+        state.count = total
+    return Moments(state.count, *(a.reshape(shape) for a in
+                                  (state.mean, state.m2, state.max)))
 
 
-def mean_se(vals: np.ndarray) -> tuple[float, float]:
-    """Sample mean of per-draw values and its standard error; fewer than two
-    values have no standard error and raise ``ValueError``."""
-    if len(vals) < 2:
-        raise ValueError(f"a standard error needs at least 2 draws, got {len(vals)}")
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+def mean_se(moments: Moments):
+    """Sample mean of the folded draws and its standard error: a pair of
+    floats for a scalar per draw, a list of pairs, one per column, for a
+    row; fewer than two draws have no standard error and raise
+    ``ValueError``."""
+    n = moments.count
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 draws, got {n}")
+    se = np.sqrt(moments.m2 / (n - 1)) / np.sqrt(n)
+    pairs = list(zip(moments.mean.ravel().tolist(), se.ravel().tolist()))
+    return pairs if moments.mean.ndim else pairs[0]
 
 
 def _complex_gaussian(re: np.ndarray, im: np.ndarray, variance) -> np.ndarray:

@@ -168,7 +168,7 @@ ACCEPTED = {
     # physical exponents lie in 2-6; runs up to 25, psi(0) at 26 at d12 1e6
     "eta": Accepts("number", lo=0.0, hi=10.0, lo_open=True),
     # spectral.py's dense M x M range; the 100k-trial CSIT reference sweep
-    # peaks at 305 MiB here (112 MiB at 64), about linear in M
+    # on 2 threads peaks at 81 MiB here (52 MiB at 64)
     "m_subcarriers": Accepts("integer", lo=2, hi=_M_MAX),
     "l_su": Accepts("integer", lo=0, hi=_M_MAX - 1),
     "vc_indices": Accepts("integer", lo=0, hi=_M_MAX - 1, items="any"),
@@ -426,6 +426,12 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
             }
             for gi, (spec, scenario) in enumerate(zip(specs, scenarios))
         ],
+        # the standard error of each row's rates over the rate, from the
+        # folded moments; 0 for an exact rate
+        "rel_stderr": [{"sweep_var": row["sweep_var"], "scheme": row["scheme"],
+                        **{rate: row[f"stderr_{rate}"] / row[rate] if row[f"stderr_{rate}"]
+                           else 0.0 for rate in ("c_pu_lower", "c_su_lower")}}
+                       for row in rows],
         "timing": {"task_s": [seconds for _, _, seconds in results],
                    "total_s": time.perf_counter() - start},
     }

@@ -18,7 +18,7 @@ import numpy as np
 
 from .capacity import (bessel_k, check_pu_monotonicity, outage_mc, psi,
                        pu_outage_probability)
-from .channel import draw_channels, trials, zmcscg
+from .channel import _CHUNK, draw_channels, trials, zmcscg
 from .harness import (ScenarioSpec, build_scenario, check_accepted,
                       reference_link_specs)
 from .precoding import (_vc_power, csit_objective, power_residual,
@@ -115,7 +115,7 @@ def frame_equivalence_errors(scenario, cfg, pre, n_frames, rng,
                                        v2_f=v2_f, v4_f=v4_f)
         return np.stack([_rel_err(trace.y_pu_f, model_pu),
                          _rel_err(trace.y_su_f, model_su)], axis=-1)
-    worst_pu, worst_su = trials(n_frames, sample).max(axis=0)
+    worst_pu, worst_su = trials(n_frames, sample).max
     return float(worst_pu), float(worst_su)
 
 
@@ -141,7 +141,7 @@ def relayed_noise_identity_error(scenario, cfg, n_frames, rng) -> float:
             trace = sim.step(channels, zeros_pu, x1, zeros_vc, noises)
         model = (channels.freq[2, 3] * (x1 @ pre.a.T) * (w_block @ ctx.w_dft.T))
         return _rel_err(trace.y_pu_f, model)
-    return float(trials(n_frames, sample).max())
+    return float(trials(n_frames, sample).max)
 
 
 def validate_suite(seed: int = 20260809, trials: int = 100_000,
@@ -412,19 +412,24 @@ def _random_search_best(layout, scenario, h_su, h_24, n_points, rng):
         np.abs(np.asarray(h_su)[list(layout.uc_indices)]) ** 2 / nu_uc / coef,
         np.abs(np.asarray(h_24)[list(layout.vc_indices)]) ** 2 / scenario.sigma2_v[4]])
 
+    # one buffer of transposed draws for every batch: freeing it after each
+    # batch would let the allocator trim the heap top and fault it in again
+    w_buf = np.empty((scale.size, min(n_points, _CHUNK)))
+
     def sample(n):
         # a uniform point of the simplex scores log2 prod_k (1 + x_k); the
         # product of a few factors cannot overflow, and log2 is monotone, so
         # only the best product is taken to the log.  The points are the
         # columns of w, so each reduction over a point's K coordinates runs
         # over whole rows, not numpy's slow loops over short rows
-        w = rng.exponential(size=(n, scale.size)).T.copy()
+        w = w_buf[:, :n]
+        np.copyto(w, rng.exponential(size=(n, scale.size)).T)
         total = w.sum(axis=0)
         w *= scale[:, None]
         w /= total
         w += 1.0
         return w.prod(axis=0)
-    return float(np.log2(trials(n_points, sample).max()))
+    return float(np.log2(trials(n_points, sample).max))
 
 
 def channel_statistics_check(scenario, specs, n_draws, rng):

