@@ -34,19 +34,35 @@ _LINK_ROWS = 128  # frames per pass of link_output: 128 x 2p samples stay in cac
 # draws per vectorized batch of every Monte Carlo loop; the batches fix how
 # each estimator consumes its random stream
 _CHUNK = 20_000
+# normals per fill of zmcscg's float buffer: 32 KiB, which stays in cache
+_NORMAL_FILL = 4096
 
 
 def zmcscg(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
     """Zero-mean circularly symmetric complex Gaussian samples with the given
-    total variance (half per real dimension)."""
-    # all real parts, then all imaginary parts, through one float buffer
+    total variance (half per real dimension).
+
+    The draw takes all real parts of ``shape``, then all imaginary parts,
+    as two ``standard_normal(shape)`` calls would.  Each part is filled
+    ``_NORMAL_FILL`` normals at a time into one small float buffer and
+    scaled from there into the complex output, so no whole-size float copy
+    is made; consecutive fills consume the stream exactly as one call does.
+    An array ``variance`` broadcasts against ``shape``: the unit draws are
+    then scaled into the broadcast shape, with the bits of
+    ``sqrt(variance / 2) * (re + 1j * im)``.
+    """
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    normals = rng.standard_normal(shape)
-    out = np.empty(np.broadcast_shapes(normals.shape, scale.shape), dtype=complex)
-    np.multiply(scale, normals, out=out.real)
-    rng.standard_normal(normals.shape, out=normals)
-    np.multiply(scale, normals, out=out.imag)
-    return out
+    out = np.empty(shape, dtype=complex)
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, _NORMAL_FILL))
+    # an array scale is applied after the draw, where it can broadcast
+    factor = 1.0 if scale.ndim else scale
+    for part in (flat.real, flat.imag):
+        for lo in range(0, flat.size, _NORMAL_FILL):
+            fill = buf[:flat.size - lo]
+            rng.standard_normal(out=fill)
+            np.multiply(fill, factor, out=part[lo:lo + fill.size])
+    return _complex_gaussian(out.real, out.imag, variance) if scale.ndim else out
 
 
 @dataclass

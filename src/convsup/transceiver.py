@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 # frames per pass of the chain in stx_power_mc: its intermediates are a few
-# (block, P) complex arrays whatever the batch
-_POWER_ROWS = 1024
+# (block, P) complex arrays whatever the batch, about 0.3 MB each at the
+# reference size
+_POWER_ROWS = 256
 
 
 def required_cp_length(specs: Mapping[tuple[int, int], LinkSpec], l_su: int) -> int:
@@ -270,10 +271,12 @@ def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
     Each batch of frames of ``channel.trials`` runs the h12 link and
     ``stx_process`` with a zero previous block: inter-block interference
     only touches samples the prefix removal drops, so that gives the
-    steady-state statistic.  A batch is drawn whole and then runs through
-    the chain in blocks of ``_POWER_ROWS`` frames, so the chain's
-    intermediates stay that small; on the installed BLAS every frame's
-    energy has the same bits at any block size (see ``_row_blocks``).
+    steady-state statistic.  A batch is drawn whole, in the stream order
+    of the unblocked chain, and then runs through the chain in blocks of
+    ``_POWER_ROWS`` frames, so the batch's complex draws are the only
+    large arrays and the chain's intermediates stay that small; on the
+    installed BLAS every frame's energy has the same bits at any block size
+    (see ``_row_blocks``).
     """
     spec12 = cfg.specs[1, 2]
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .capacity import (bessel_k, check_pu_monotonicity, outage_mc, psi,
                        pu_outage_probability)
-from .channel import _CHUNK, draw_channels, trials, zmcscg
+from .channel import (_CHUNK, _complex_gaussian, draw_channels,
+                      frequency_response, trials, zmcscg)
 from .harness import (ScenarioSpec, build_scenario, check_accepted,
                       reference_link_specs)
 from .precoding import (_vc_power, csit_objective, power_residual,
@@ -364,15 +365,17 @@ def _waterfill_instances(layout, rng):
     instances waterfilled as one batch."""
     q, n = layout.q, _WATERFILLING_INSTANCES
     levels = np.empty((4, n))  # p_su, coef, nu_uc, sigma2_v4 of each instance
-    h = np.empty((n, 2, layout.m), dtype=complex)  # h_su, h_24
+    # per instance the normals of two zmcscg(rng, M) draws in their order:
+    # re h_su, im h_su, re h_24, im h_24
+    normals = np.empty((n, 4, layout.m))
     for i in range(n):
         scenario = build_scenario(float(rng.uniform(0.2, 1.5)),
                                   float(rng.uniform(0.5, 4.0)),
                                   float(rng.uniform(0.0, 25.0)), "su")
         levels[:, i] = (scenario.p_su, uc_power_coefficient(scenario),
                         srx_noise_floor(scenario), scenario.sigma2_v[4])
-        h[i, 0] = zmcscg(rng, layout.m)
-        h[i, 1] = zmcscg(rng, layout.m)
+        rng.standard_normal(out=normals[i])
+    h = _complex_gaussian(normals[:, 0::2], normals[:, 1::2], 1.0)  # h_su, h_24
     p_su, coef, nu_uc, nu_vc = levels
     gain = np.abs(h) ** 2
     thr = waterfill_thresholds(coef[:, None], nu_uc[:, None], nu_vc[:, None],
@@ -459,7 +462,12 @@ def product_density_check(scenario, n_draws, rng):
     """The product of two unit exponentials, scaled by sigma2_23, against
     its K-function law P(Z <= v) = 1 - t K1(t), t = 2 sqrt(v / sigma2_23)."""
     s23 = scenario.link_variance(2, 3)
-    z = s23 * rng.exponential(size=n_draws) * rng.exponential(size=n_draws)
+    # (s23 * E1) * E2 in place: the second factor is drawn and multiplied
+    # in batches of _CHUNK, which consume the stream as one draw does
+    z = rng.exponential(size=n_draws)
+    z *= s23
+    for lo in range(0, n_draws, _CHUNK):
+        z[lo:lo + _CHUNK] *= rng.exponential(size=min(_CHUNK, n_draws - lo))
 
     def cdf(v):
         t = 2.0 * np.sqrt(v / s23)  # v > 0: every draw is positive
@@ -493,9 +501,11 @@ def _ks_test(sample, cdf):
     bound leaves the margin alone to cover them.)  On a 1M-point sample
     about 4 % of the points are evaluated.
 
-    The p-value is ``_ks_pvalue(n, D)``.
+    The p-value is ``_ks_pvalue(n, D)``.  ``sample`` is sorted in place,
+    so a caller that needs its order passes a copy.
     """
-    x = np.sort(sample)
+    x = sample
+    x.sort()
     n = x.size
     first = np.arange(0, n, _KS_BLOCK)
     last = np.minimum(first + (_KS_BLOCK - 1), n - 1)
@@ -551,8 +561,9 @@ def power_accounting_check(scenario, cfg, pre, n_frames, rng):
 
 
 _RATE_DRAWS = 1000
-# draws per block of realized_rates: R is (block, M, K) complex
-_RATE_ROWS = 200
+# draws per block of realized_rates: R and its temporaries are a few
+# (block, M, K) complex arrays, 0.56 MB each at the reference size
+_RATE_ROWS = 50
 
 
 def realized_rates(scenario, cfg, pre, n_draws, rng):
@@ -569,13 +580,19 @@ def realized_rates(scenario, cfg, pre, n_draws, rng):
     taken whole; R and its Gram run over blocks of ``_RATE_ROWS`` draws,
     with the same bits at any block size on the installed BLAS (guarded by
     ``tests/test_row_blocks.py``).
+
+    The taps of every link are drawn at M = 1, since the normals of a
+    draw do not depend on M, and only H12 and H24 are formed at M.
     """
     layout = cfg.layout
-    ch = draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(n_draws,))
+    ch = draw_channels(scenario, cfg.specs, 1, rng, batch=(n_draws,))
+    h12, h24 = (frequency_response(ch.taps[link], ch.offsets[link], cfg.m)
+                for link in ((1, 2), (2, 4)))
     x_pu = zmcscg(rng, (n_draws, layout.q), scenario.p_pu)
     v2 = zmcscg(rng, (n_draws, cfg.m), scenario.sigma2_v[2])
-    h24 = ch.freq[2, 4]
-    h_su = h24 * (ch.freq[1, 2] * (x_pu @ layout.theta.T) + v2)
+    # out of place: numpy's complex multiply is not bit-symmetric in its
+    # operands, so an in-place rewrite would move the last bits
+    h_su = h24 * (h12 * (x_pu @ layout.theta.T) + v2)
     nu = np.where(layout.uc_mask(), srx_noise_floor(scenario), scenario.sigma2_v[4])
     eye = np.eye(pre.a.shape[-1] + pre.g.shape[-1])
     logdet = np.empty(n_draws)

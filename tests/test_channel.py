@@ -14,6 +14,9 @@ from convsup.channel import (LINKS, LinkSpec, NetworkScenario, draw_channels,
                              zmcscg)
 from convsup.harness import build_scenario, reference_link_specs, resolve_d12
 
+# normals per fill of zmcscg's buffer
+FILL = convsup.channel._NORMAL_FILL
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -289,6 +292,38 @@ class TestComplexGaussian:
             rest = np.random.default_rng(8)
             zmcscg(rest, shape, variance)
             assert np.array_equal(rest.standard_normal(5), rng.standard_normal(5))
+
+    @staticmethod
+    def whole_size_draw(rng, shape, variance):
+        """zmcscg as it was before its buffered fill: each part drawn as one
+        whole-size float array and scaled into the output."""
+        scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+        normals = rng.standard_normal(shape)
+        out = np.empty(np.broadcast_shapes(normals.shape, scale.shape), dtype=complex)
+        np.multiply(scale, normals, out=out.real)
+        rng.standard_normal(normals.shape, out=normals)
+        np.multiply(scale, normals, out=out.imag)
+        return out
+
+    @pytest.mark.parametrize("shape", [1, FILL - 1, FILL, FILL + 1, (3, FILL), (7, 613)])
+    @pytest.mark.parametrize("variance", ["scalar", "column", "row"])
+    def test_buffered_fill_keeps_the_whole_size_draw(self, shape, variance):
+        # around the buffer size, with a scalar variance, a column that
+        # broadcasts over the rows (and widens a 1-D draw into two rows) and
+        # a row over the last axis: the same bits, and the stream left where
+        # the whole-size draw leaves it
+        last = np.shape(np.empty(shape))[-1]
+        rows = shape[0] if isinstance(shape, tuple) else 2
+        variance = {"scalar": 0.7,
+                    "column": np.geomspace(0.5, 2.0, rows)[:, None],
+                    "row": np.geomspace(1e-3, 4.0, last)}[variance]
+        rng = np.random.default_rng(9)
+        got = zmcscg(rng, shape, variance)
+        ref = np.random.default_rng(9)
+        want = self.whole_size_draw(ref, shape, variance)
+        assert got.dtype == complex and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert rng.standard_normal() == ref.standard_normal()
 
 
 class TestLinkSpec:

@@ -30,7 +30,8 @@ from convsup.harness import (ACCEPTED, SCHEMES, SWEEP_VARIABLES,
                              emit_csv, evaluate_scheme, resolve_d12, run_sweep,
                              stx_position)
 from convsup.precoding import (srx_noise_floor, uc_power_coefficient,
-                               waterfill_power, waterfilling_profile)
+                               waterfill_power, waterfill_thresholds,
+                               waterfilling_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
 from convsup.validation import (realized_rates, special_functions_check,
                                 validate_suite, waterfilling_check)
@@ -534,6 +535,20 @@ class TestKsTest:
         assert abs(p - want.pvalue) <= 0.005
         assert p > 0.01
 
+    def test_sorts_the_sample_in_place(self):
+        # the statistic of a sorted copy, as before the sort moved in place,
+        # and the caller's array left sorted
+        rng = np.random.default_rng(8)
+        sample = rng.exponential(size=5000)
+        before = sample.copy()
+
+        def cdf(v):
+            return -special.expm1(-v)
+
+        got = convsup.validation._ks_test(sample, cdf)
+        assert got == convsup.validation._ks_test(np.sort(before), cdf)
+        assert np.array_equal(sample, np.sort(before))
+
 
 def full_ks(sample, cdf):
     """(D, p, whether D+ holds the supremum) with the CDF evaluated at every
@@ -706,6 +721,41 @@ class TestWaterfillingCheck:
             assert np.array_equal(row[:layout.q] / uc_power_coefficient(scenario),
                                   prof.uc_power)
             assert np.array_equal(row[layout.q:], prof.vc_power)
+
+    def test_instances_keep_the_draws_of_the_instance_loop(self, monkeypatch):
+        # one normal fill per instance and one batched scaling give the
+        # levels and channel gains of the loop that drew each instance's
+        # channels with two zmcscg calls, and leave the stream where it did
+        n = 50
+        layout = build_vc_layout(build_spectral_context(8, 5), (0, 4))
+        ref = np.random.default_rng(35)
+        levels = np.empty((4, n))
+        h = np.empty((n, 2, layout.m), dtype=complex)
+        for i in range(n):
+            scenario = build_scenario(float(ref.uniform(0.2, 1.5)),
+                                      float(ref.uniform(0.5, 4.0)),
+                                      float(ref.uniform(0.0, 25.0)), "su")
+            levels[:, i] = (scenario.p_su, uc_power_coefficient(scenario),
+                            srx_noise_floor(scenario), scenario.sigma2_v[4])
+            h[i, 0] = zmcscg(ref, layout.m)
+            h[i, 1] = zmcscg(ref, layout.m)
+        gain = np.abs(h) ** 2
+        want = (levels[1][:, None], levels[2][:, None], levels[3][:, None],
+                gain[:, 0, list(layout.uc_indices)], gain[:, 1, list(layout.vc_indices)])
+        seen = []
+
+        def spy(*args):
+            seen.append(args)
+            return waterfill_thresholds(*args)
+
+        monkeypatch.setattr(convsup.validation, "_WATERFILLING_INSTANCES", n)
+        monkeypatch.setattr(convsup.validation, "waterfill_thresholds", spy)
+        rng = np.random.default_rng(35)
+        convsup.validation._waterfill_instances(layout, rng)
+        assert len(seen) == 1
+        for got, expected in zip(seen[0], want, strict=True):
+            assert np.array_equal(got, expected)
+        assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("seed", [33, 34])
     def test_random_search_matches_numpy_row_reductions(self, seed, record_trials):

@@ -1,5 +1,6 @@
-"""The estimators and validate oracles that run in row blocks or fold their
-batches: the same bits at every block size, and working memory bounded by
+"""The estimators and validate oracles that run in row blocks, fold their
+batches or draw through small buffers: the same bits at every block size
+and as the whole-array code they replaced, and working memory bounded by
 the block or the batch, not by the number of draws."""
 
 import tracemalloc
@@ -11,16 +12,24 @@ import convsup.channel
 import convsup.transceiver
 import convsup.validation
 from convsup.capacity import baseline_ocr, c_su_lower_csit
+from convsup.channel import draw_channels, zmcscg
 from convsup.harness import ScenarioSpec
+from convsup.precoding import srx_noise_floor
 from convsup.transceiver import stx_power_mc
-from convsup.validation import realized_rates
+from convsup.validation import (power_accounting_check, precoder_structure_check,
+                                product_density_check, realized_rates)
 
 MIB = 2 ** 20
 
 
 @pytest.fixture(scope="module")
-def setup():
-    scenario, cfg, _, pre = convsup.validation._reference_setup()
+def reference():
+    return convsup.validation._reference_setup()
+
+
+@pytest.fixture(scope="module")
+def setup(reference):
+    scenario, cfg, _, pre = reference
     return scenario, cfg, pre
 
 
@@ -62,6 +71,62 @@ def test_rate_blocks_keep_every_draw(setup, rows, monkeypatch):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def whole_draw_rates(scenario, cfg, pre, n_draws, rng):
+    """realized_rates as it was before it drew its channels at M = 1: every
+    link's M-point response formed, and blocks of 200 draws."""
+    layout = cfg.layout
+    ch = draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(n_draws,))
+    x_pu = zmcscg(rng, (n_draws, layout.q), scenario.p_pu)
+    v2 = zmcscg(rng, (n_draws, cfg.m), scenario.sigma2_v[2])
+    h24 = ch.freq[2, 4]
+    h_su = h24 * (ch.freq[1, 2] * (x_pu @ layout.theta.T) + v2)
+    nu = np.where(layout.uc_mask(), srx_noise_floor(scenario), scenario.sigma2_v[4])
+    eye = np.eye(pre.a.shape[-1] + pre.g.shape[-1])
+    logdet = np.empty(n_draws)
+    diag = np.empty(n_draws)
+    for lo in range(0, n_draws, 200):
+        rows = slice(lo, lo + 200)
+        rx = np.concatenate([h_su[rows, :, None] * pre.a, h24[rows, :, None] * pre.g],
+                            axis=-1)
+        gram = rx.conj().swapaxes(-1, -2) @ (rx / nu[:, None])
+        logdet[rows] = np.linalg.slogdet(eye + gram)[1]
+        diag[rows] = np.log2(1.0 + np.sum(np.abs(rx) ** 2, axis=-1) / nu).sum(axis=-1)
+    return logdet / np.log(2.0), diag
+
+
+@pytest.mark.parametrize("seed", [3, 12])
+@pytest.mark.parametrize("n_draws", [37, 401])
+def test_rates_keep_the_bits_of_the_whole_draw(setup, seed, n_draws):
+    scenario, cfg, pre = setup
+    rng = np.random.default_rng(seed)
+    got = realized_rates(scenario, cfg, pre, n_draws, rng)
+    ref = np.random.default_rng(seed)
+    want = whole_draw_rates(scenario, cfg, pre, n_draws, ref)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert rng.random() == ref.random()
+
+
+def test_product_density_keeps_the_bits_of_whole_factors(setup, monkeypatch):
+    # the check tests (s23 * E1) * E2 over whole draws of E1 and E2, across
+    # a short last batch of the second factor, and leaves the stream there
+    scenario = setup[0]
+    n = 2 * convsup.channel._CHUNK + 777
+    ref = np.random.default_rng(4)
+    s23 = scenario.link_variance(2, 3)
+    want = s23 * ref.exponential(size=n) * ref.exponential(size=n)
+    seen = []
+    ks_test = convsup.validation._ks_test
+
+    def spy(sample, cdf):
+        seen.append(sample.copy())
+        return ks_test(sample, cdf)
+    monkeypatch.setattr(convsup.validation, "_ks_test", spy)
+    rng = np.random.default_rng(4)
+    product_density_check(scenario, n, rng)
+    assert np.array_equal(seen[0], want)
+    assert rng.random() == ref.random()
+
+
 def traced_peak(fn):
     tracemalloc.start()
     try:
@@ -72,20 +137,40 @@ def traced_peak(fn):
 
 
 def test_power_accounting_memory_is_bounded_by_the_block(setup):
-    # unblocked, one 20 000-frame batch peaked at 148 MiB; its draws alone
-    # are 59 MiB
+    # unblocked, one 20 000-frame batch peaked at 148 MiB; in 1024-frame
+    # blocks with whole-size float draws, 58.9 MiB; now 48.8 MiB, of which
+    # the batch's complex draws are 46.7 MiB
     scenario, cfg, pre = setup
     peak = traced_peak(lambda: stx_power_mc(cfg, scenario, pre, 20_000,
                                             np.random.default_rng(1)))
-    assert peak <= 80 * MIB
+    assert peak <= 56 * MIB
 
 
 def test_realized_rates_memory_is_bounded_by_the_block(setup):
-    # unblocked, 4000 draws peaked at 168 MiB
+    # unblocked, 4000 draws peaked at 168 MiB; in 200-draw blocks with
+    # every link's M-point response, 39.2 MiB; now 22.5 MiB
     scenario, cfg, pre = setup
     peak = traced_peak(lambda: realized_rates(scenario, cfg, pre, 4000,
                                               np.random.default_rng(2)))
-    assert peak <= 50 * MIB
+    assert peak <= 28 * MIB
+
+
+# each check at the size `convsup validate --trials 5000 --frames 100` runs
+# it, with its ceiling in MiB: measured 13.7, 7.1 and 9.2 MiB, where the
+# whole-size draws and unused responses took 18.1, 15.3 and 16.9 MiB
+@pytest.mark.parametrize("check, ceiling", [("power_accounting", 16),
+                                            ("precoder_structure", 9),
+                                            ("product_density_ks", 11)])
+def test_check_memory_at_the_benchmark_size(reference, check, ceiling):
+    scenario, cfg, profile, pre = reference
+    rng = np.random.default_rng(8)
+    run = {"power_accounting": lambda: power_accounting_check(scenario, cfg, pre,
+                                                              5000, rng),
+           "precoder_structure": lambda: precoder_structure_check(scenario, cfg, profile,
+                                                                  pre, rng),
+           "product_density_ks": lambda: product_density_check(scenario, 1_000_000,
+                                                               rng)}[check]
+    assert traced_peak(run) <= ceiling * MIB
 
 
 @pytest.mark.parametrize("estimator", ["c_su_lower_csit", "baseline_ocr"])
