@@ -18,10 +18,10 @@ from .transceiver import (FrameConfig, FrameSimulator, FrameTrace, NoiseBlocks,
                           required_cp_length, srx_frequency_model,
                           stx_power_mc, stx_process, zero_noise)
 from .capacity import (CapacityReport, baseline_nocr, baseline_nocr_quad,
-                       baseline_ocr, bessel_k, c_pu_direct, c_pu_lower,
-                       c_pu_lower_quad, c_su_lower_csit, c_su_lower_nocsit,
-                       c_su_lower_nocsit_quad, check_pu_monotonicity, kappa,
-                       outage_closed_form, outage_mc, psi, pu_outage_probability)
+                       baseline_ocr, bessel_k, c_pu_direct, c_pu_lower_quad,
+                       c_su_lower_csit, c_su_lower_nocsit_quad,
+                       check_pu_monotonicity, kappa, outage_closed_form,
+                       outage_mc, psi, pu_outage_probability)
 from .harness import (SCHEMES, ScenarioSpec, SweepConfig, build_scenario,
                       emit_csv, evaluate_scheme, reference_link_specs, run_sweep)
 from .validation import CheckResult, ValidationReport, validate_suite

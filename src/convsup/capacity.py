@@ -6,9 +6,9 @@ estimators sample the per-subcarrier effective SNRs directly and report the
 standard error of every average; under a channel-independent profile the
 ``*_quad`` functions compute the same rates exactly, by Gauss-Laguerre
 quadrature over the remaining unit exponentials (64 nodes per axis), and
-the Monte Carlo estimators stay as their oracle.  Capacities are in
-bits/s/Hz (the cyclic prefix overhead is excluded everywhere and reported
-separately as the M/(M+L_cp) factor).
+a Monte Carlo twin of each is its oracle (the NOCSIT one in the tests).
+Capacities are in bits/s/Hz (the cyclic prefix overhead is excluded
+everywhere and reported separately as the M/(M+L_cp) factor).
 """
 
 from __future__ import annotations
@@ -37,17 +37,13 @@ __all__ = [
     "outage_mc",
     "snr_13_direct",
     "c_pu_direct",
-    "c_pu_lower",
     "c_pu_lower_trials",
     "c_pu_lower_quad",
     "c_su_lower_csit",
-    "c_su_lower_nocsit",
     "c_su_lower_nocsit_quad",
     "baseline_ocr",
     "baseline_nocr",
     "baseline_nocr_quad",
-    "nocsit_low_snr_approx",
-    "nocsit_high_snr_approx",
     "check_pu_monotonicity",
 ]
 
@@ -412,13 +408,6 @@ def c_pu_lower_trials(points, layout: VcLayout, n_trials: int,
     return trials(n_trials, sample)
 
 
-def c_pu_lower(scenario: NetworkScenario, layout: VcLayout, profile: PowerProfile,
-               n_trials: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo estimate (value, standard error) of the primary
-    worst-case ergodic rate with the secondary active."""
-    return mean_se(c_pu_lower_trials([(scenario, profile)], layout, n_trials, rng))[0]
-
-
 def c_pu_lower_quad(scenario: NetworkScenario, layout: VcLayout,
                     profile: PowerProfile) -> float:
     """Exact primary worst-case ergodic rate under a channel-independent
@@ -435,7 +424,7 @@ def c_pu_lower_quad(scenario: NetworkScenario, layout: VcLayout,
 # secondary-user capacity
 # ---------------------------------------------------------------------------
 
-def _relay_factors(scenario: NetworkScenario, e0, e1=1.0):
+def _relay_factors(scenario: NetworkScenario, e0, e1):
     """The draws of ``_relayed_gain`` scaled by their link variances, s24 E0
     and s12 |x_pu|^2 with |x_pu|^2 = P_pu E1; they depend on the scenario
     through s24, s12 and P_pu only."""
@@ -443,38 +432,27 @@ def _relay_factors(scenario: NetworkScenario, e0, e1=1.0):
             scenario.link_variance(1, 2) * (scenario.p_pu * e1))
 
 
-def _relayed_gain(scenario: NetworkScenario, e0, e1=1.0, *, factors=None, out=None):
+def _relayed_gain(scenario: NetworkScenario, e0, e1, *, factors=None, out=None):
     """s24 E0 (s12 |x_pu|^2 + sigma2_v2) with |x_pu|^2 = P_pu E1: the
     composite used-subcarrier gain |h24 (h12 x_pu + v2)|^2 before its
-    innermost relay-gain exponential E2.  ``e1 = 1.0`` is a constant-modulus
-    primary symbol.  ``factors``, when given, are the ``_relay_factors`` of
-    the draws, computed once for the scenarios that share them, and ``out``
-    receives the gain."""
+    innermost relay-gain exponential E2.  ``factors``, when given, are the
+    ``_relay_factors`` of the draws, computed once for the scenarios that
+    share them, and ``out`` receives the gain."""
     s24_e0, s12_x = _relay_factors(scenario, e0, e1) if factors is None else factors
     return np.multiply(s24_e0, np.add(s12_x, scenario.sigma2_v[2], out=out), out=out)
 
 
-def _relay_exponentials(rng: np.random.Generator, shape,
-                        constant_modulus: bool = False) -> np.ndarray:
+def _relay_exponentials(rng: np.random.Generator, shape) -> np.ndarray:
     """The unit exponentials (E0, E1, E2) of ``shape`` composite gains,
-    stacked along a new first axis and drawn in that order; (E0, E2) when
-    ``constant_modulus`` (no E1)."""
-    return rng.exponential(size=(2 if constant_modulus else 3, *np.atleast_1d(shape)))
+    stacked along a new first axis and drawn in that order."""
+    return rng.exponential(size=(3, *np.atleast_1d(shape)))
 
 
-def _composite_law(scenario: NetworkScenario, draws: np.ndarray) -> np.ndarray:
-    """Composite used-subcarrier gain ``_relayed_gain`` times E2 of stacked
-    ``_relay_exponentials`` draws (any slice of their trailing axes); two
-    stacked draws (E0, E2) leave E1 at its constant-modulus 1."""
-    return _relayed_gain(scenario, draws[0], *draws[1:-1]) * draws[-1]
-
-
-def _composite_gain(rng: np.random.Generator, scenario: NetworkScenario, shape,
-                    constant_modulus: bool = False) -> np.ndarray:
+def _composite_gain(rng: np.random.Generator, scenario: NetworkScenario, shape) -> np.ndarray:
     """Composite used-subcarrier gain ``_relayed_gain`` times E2, drawn
-    exactly in law with E0, E1, E2 unit exponentials in that draw order (no
-    E1 when ``constant_modulus``)."""
-    return _composite_law(scenario, _relay_exponentials(rng, shape, constant_modulus))
+    exactly in law with E0, E1, E2 unit exponentials in that draw order."""
+    e0, e1, e2 = _relay_exponentials(rng, shape)
+    return _relayed_gain(scenario, e0, e1) * e2
 
 
 def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
@@ -536,61 +514,32 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
     return mean_se(trials(n_trials, sample))
 
 
-def _gamma4_scale(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:
-    return ((scenario.p_su - layout.m_vc * g)
-            / (layout.q * srx_noise_floor(scenario) * uc_power_coefficient(scenario)))
-
-
 def _vc_snr(scenario: NetworkScenario, g):
     """Mean SNR of a virtual subcarrier carrying power ``g`` on the direct
     secondary link."""
     return scenario.link_variance(2, 4) * g / scenario.sigma2_v[4]
 
 
-def _nocsit_setup(scenario: NetworkScenario, layout: VcLayout, g: float):
-    """Used-subcarrier SNR scale per unit composite gain and the closed-form
-    virtual-subcarrier term M_vc * psi(snr_24), in nats (0 if snr_24 is 0)."""
-    if g < 0 or layout.m_vc * g > scenario.p_su:
-        raise ValueError("virtual-subcarrier power outside the budget")
-    vc_term = layout.m_vc * psi(snr) if (snr := _vc_snr(scenario, g)) > 0 else 0.0
-    return _gamma4_scale(scenario, layout, g), vc_term
+def _vc_term(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:
+    """The virtual subcarriers' part of the uniform-allocation secondary
+    rate, the closed form M_vc * psi(snr_24) in nats (0 if snr_24 is 0)."""
+    return layout.m_vc * psi(snr) if (snr := _vc_snr(scenario, g)) > 0 else 0.0
 
 
-def c_su_lower_nocsit(scenario: NetworkScenario, layout: VcLayout, g: float,
-                      n_trials: int, rng: np.random.Generator,
-                      constant_modulus: bool = False) -> tuple[float, float]:
-    """Secondary worst-case ergodic rate under uniform power allocation,
-    by Monte Carlo.
+def c_su_lower_nocsit_quad(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:
+    """Secondary worst-case ergodic rate under uniform power allocation
+    (``uniform_profile`` with ``g`` on each virtual subcarrier), exactly.
 
-    Samples log2(1 + gamma) per draw on the used subcarriers; the
-    virtual-subcarrier part is the closed form M_vc * psi(snr_24).
-    ``constant_modulus`` pins |x_pu|^2 = P_pu instead of drawing it
-    exponentially.  ``c_su_lower_nocsit_quad`` is the exact value.
-    """
-    scale, vc_term = _nocsit_setup(scenario, layout, g)
-
-    def sample(n):
-        gam = scale * _composite_gain(rng, scenario, (n, layout.q),
-                                      constant_modulus=constant_modulus)
-        return (LOG2E / layout.m) * (np.log(1.0 + gam).sum(axis=1) + vc_term)
-    return mean_se(trials(n_trials, sample))
-
-
-def c_su_lower_nocsit_quad(scenario: NetworkScenario, layout: VcLayout, g: float,
-                           constant_modulus: bool = False) -> float:
-    """Exact value of ``c_su_lower_nocsit``: psi absorbs the innermost
-    relay-gain exponential E2 of the composite gain, and Gauss-Laguerre
-    averages s24 E0 (s12 |x_pu|^2 + sigma2_v2) over the remaining (E0, E1),
-    or over E0 alone when ``constant_modulus``."""
-    scale, vc_term = _nocsit_setup(scenario, layout, g)
-    if constant_modulus:
-        e0, w = _laguerre(GL_NODES)
-        e1 = 1.0
-    else:
-        e0, e1, w = _laguerre_2d(GL_NODES)
+    On a used subcarrier of weight a the SNR is a / nu times the composite
+    gain (nu the ``srx_noise_floor``); psi absorbs the gain's innermost
+    relay-gain exponential E2, and Gauss-Laguerre averages s24 E0 (s12
+    |x_pu|^2 + sigma2_v2) over the remaining (E0, E1).  The virtual
+    subcarriers add the closed form M_vc * psi(snr_24)."""
+    scale = uniform_profile(layout, scenario, g).uc_power[0] / srx_noise_floor(scenario)
+    e0, e1, w = _laguerre_2d(GL_NODES)
     gain = _relayed_gain(scenario, e0, e1)
     uc = layout.q * float(psi(scale * gain) @ w) if scale > 0 else 0.0
-    return float(LOG2E / layout.m * (uc + vc_term))
+    return float(LOG2E / layout.m * (uc + _vc_term(scenario, layout, g)))
 
 
 def baseline_ocr(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
@@ -615,7 +564,7 @@ def baseline_nocr(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
     One symbol rides all used subcarriers at once, so each trial scores the
     rank-one rate log2(1 + a * sum |h|^2 / nu) / M over the used set.
     """
-    a = scenario.p_su / (layout.q * uc_power_coefficient(scenario))
+    a = uniform_profile(layout, scenario, 0.0).uc_power[0]
     nu_uc = srx_noise_floor(scenario)
 
     def sample(n):
@@ -641,8 +590,7 @@ def baseline_nocr_quad(scenario: NetworkScenario, layout: VcLayout) -> float:
     from t = 4 (exp(-e^4) < 1e-23) down to 32 below min(0, -ln E[X]) (a
     tail below 2e-14 of the total) is exact to a few 1e-14 relative.
     """
-    c = scenario.p_su / (layout.q * uc_power_coefficient(scenario)
-                         * srx_noise_floor(scenario))
+    c = uniform_profile(layout, scenario, 0.0).uc_power[0] / srx_noise_floor(scenario)
     e1, w = _laguerre(GL_NODES)
     gain = _relayed_gain(scenario, 1.0, e1)
     mean_x = c * layout.q * float(gain @ w)
@@ -650,29 +598,6 @@ def baseline_nocr_quad(scenario: NetworkScenario, layout: VcLayout) -> float:
     deficit = _psi_deficit(c * u[:, None] * gain[None, :]) @ w  # 1 - L(c u)
     f = -np.expm1(layout.q * np.log1p(-deficit)) * np.exp(-u)
     return float(LOG2E * _NOCR_STEP * f.sum() / layout.m)
-
-
-# ---------------------------------------------------------------------------
-# closed-form reference points for the uniform-allocation secondary rate
-# ---------------------------------------------------------------------------
-
-def nocsit_low_snr_approx(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:
-    """Low-SNR closed form (constant-modulus primary symbols): the used-
-    subcarrier sum collapses to its mean SNR."""
-    snr_24 = _vc_snr(scenario, g)
-    snr_14 = scenario.link_variance(1, 4) * scenario.p_pu / scenario.sigma2_v[4]
-    uc = snr_24 * (scenario.p_su / g - layout.m_vc) / (1.0 + snr_14)
-    return LOG2E / layout.m * (uc + layout.m_vc * psi(snr_24))
-
-
-def nocsit_high_snr_approx(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:
-    """High-SNR closed form (constant-modulus primary symbols): the log
-    asymptote absorbs the innermost fading layer, leaving psi of the mean
-    SNR minus Euler's constant per used subcarrier."""
-    gam_mean = (scenario.link_variance(2, 4) * (scenario.p_su - layout.m_vc * g)
-                / (layout.q * srx_noise_floor(scenario)))
-    uc = layout.q * (psi(gam_mean) - EULER_GAMMA)
-    return LOG2E / layout.m * (uc + layout.m_vc * psi(_vc_snr(scenario, g)))
 
 
 # ---------------------------------------------------------------------------

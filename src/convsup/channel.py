@@ -38,31 +38,26 @@ _CHUNK = 20_000
 _NORMAL_FILL = 4096
 
 
-def zmcscg(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
+def zmcscg(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
     """Zero-mean circularly symmetric complex Gaussian samples with the given
-    total variance (half per real dimension).
+    total variance (half per real dimension), a scalar.
 
     The draw takes all real parts of ``shape``, then all imaginary parts,
     as two ``standard_normal(shape)`` calls would.  Each part is filled
     ``_NORMAL_FILL`` normals at a time into one small float buffer and
     scaled from there into the complex output, so no whole-size float copy
     is made; consecutive fills consume the stream exactly as one call does.
-    An array ``variance`` broadcasts against ``shape``: the unit draws are
-    then scaled into the broadcast shape, with the bits of
-    ``sqrt(variance / 2) * (re + 1j * im)``.
     """
-    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+    scale = np.sqrt(float(variance) / 2.0)
     out = np.empty(shape, dtype=complex)
     flat = out.reshape(-1)
     buf = np.empty(min(flat.size, _NORMAL_FILL))
-    # an array scale is applied after the draw, where it can broadcast
-    factor = 1.0 if scale.ndim else scale
     for part in (flat.real, flat.imag):
         for lo in range(0, flat.size, _NORMAL_FILL):
             fill = buf[:flat.size - lo]
             rng.standard_normal(out=fill)
-            np.multiply(fill, factor, out=part[lo:lo + fill.size])
-    return _complex_gaussian(out.real, out.imag, variance) if scale.ndim else out
+            np.multiply(fill, scale, out=part[lo:lo + fill.size])
+    return out
 
 
 @dataclass
@@ -139,14 +134,11 @@ def mean_se(moments: Moments):
     return pairs if moments.mean.ndim else pairs[0]
 
 
-def _complex_gaussian(re: np.ndarray, im: np.ndarray, variance) -> np.ndarray:
-    # unit real normals -> complex samples of the given total variance,
-    # scaled straight into the two halves of one complex array
-    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    shape = np.shape(re)
-    if scale.ndim or np.shape(im) != shape:
-        shape = np.broadcast_shapes(shape, np.shape(im), scale.shape)
-    out = np.empty(shape, dtype=complex)
+def _complex_gaussian(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray:
+    # unit real normals of one shape -> complex samples of the given total
+    # variance, scaled straight into the two halves of one complex array
+    scale = np.sqrt(float(variance) / 2.0)
+    out = np.empty(re.shape, dtype=complex)
     np.multiply(scale, re, out=out.real)
     np.multiply(scale, im, out=out.imag)
     return out

@@ -213,10 +213,6 @@ class ScenarioSpec:
             return replace(self, snr_db=float(value), snr_ref=_SWEPT_SNR_REF[variable])
         return replace(self, **{variable: float(value)})
 
-    def build(self):
-        """Returns (scenario, ctx, layout, l_cp)."""
-        return (self.network(), *self.spectral())
-
     def network(self) -> NetworkScenario:
         """The scenario: geometry, powers and noise variances."""
         return build_scenario(resolve_d12(self.d12_ratio, self.d12_ref),

@@ -71,7 +71,8 @@ def _reference_setup():
     with the reference share of the budget on the virtual subcarriers, and
     its realized precoders: ``(scenario, cfg, profile, pre)``."""
     spec = ScenarioSpec()
-    scenario, ctx, layout, l_cp = spec.build()
+    scenario = spec.network()
+    ctx, layout, l_cp = spec.spectral()
     cfg = FrameConfig(ctx=ctx, layout=layout, l_cp=l_cp,
                       specs=reference_link_specs())
     profile = uniform_profile(layout, scenario, _vc_power(

@@ -51,10 +51,10 @@ import time
 import numpy as np
 import pytest
 
-from convsup.capacity import (c_pu_direct, c_pu_lower, c_pu_lower_quad,
-                              c_su_lower_csit, c_su_lower_nocsit,
-                              c_su_lower_nocsit_quad, check_pu_monotonicity)
-from convsup.channel import draw_channels, zmcscg
+from convsup.capacity import (c_pu_direct, c_pu_lower_quad, c_pu_lower_trials,
+                              c_su_lower_csit, c_su_lower_nocsit_quad,
+                              check_pu_monotonicity)
+from convsup.channel import draw_channels, mean_se, zmcscg
 from convsup.harness import build_scenario, reference_link_specs, resolve_d12
 from convsup.validation import (_reference_setup, channel_statistics_check,
                                 frame_equivalence_errors, outage_check,
@@ -66,6 +66,7 @@ from convsup.validation import (_reference_setup, channel_statistics_check,
 from convsup.precoding import realize_precoders, uniform_profile
 from convsup.spectral import build_spectral_context, build_vc_layout
 from convsup.transceiver import FrameConfig, required_cp_length
+from oracles import c_su_lower_nocsit
 
 SEED = 20260809
 TRIALS = 100_000
@@ -145,7 +146,7 @@ def _delta_c_pu(layout, d12_ratio, power_ratio, snr_db, rng, n_trials=TRIALS):
                               snr_db, "pu")
     g = 0.5 * scenario.p_su / layout.m_vc
     profile = uniform_profile(layout, scenario, g)
-    lo, se = c_pu_lower(scenario, layout, profile, n_trials, rng)
+    lo, se = mean_se(c_pu_lower_trials([(scenario, profile)], layout, n_trials, rng))[0]
     return lo - c_pu_direct(scenario, layout), se
 
 

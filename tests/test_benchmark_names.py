@@ -1,5 +1,6 @@
 """Every function that the benchmark's traced run measures by name exists and
-is public, and the validation suite is where the traced run can see it.
+is public, the validation suite is where the traced run can see it, and
+every other public function is one that the program runs.
 
 The traced run wraps the functions in each ``convsup`` module's ``__all__``
 (and a fixed list of methods) and reports one metric per declared name; a
@@ -12,11 +13,16 @@ import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
+
+import convsup
+import convsup.cli
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 # rng.* is traced through a Generator subclass and trace.* describes the
@@ -75,3 +81,58 @@ def test_validation_names_resolve_from_the_package_and_left_the_harness():
     left = {"validate_suite", "CheckResult", "ValidationReport"} & set(vars(convsup.harness))
     checks = [name for name in vars(convsup.harness) if name.endswith("_check")]
     assert not left and not checks, (left, checks)
+
+
+# public functions that the program does not enter, each with its reason
+NOT_RUN = {
+    # the noisy branch of validate's frame oracle, frame_equivalence_errors
+    # with noiseless=False: the one check of the v3 and v4 noise terms and
+    # of v2 at the secondary receiver; validate runs the noiseless branch
+    ("transceiver", "draw_noise_blocks"),
+}
+
+
+def _public_functions():
+    """(module, name, function) of every function in a ``convsup`` module's
+    ``__all__`` that the module defines."""
+    for info in pkgutil.iter_modules(convsup.__path__):
+        module = importlib.import_module(f"convsup.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                yield info.name, name, obj
+
+
+def test_every_public_function_runs_in_the_program(tmp_path, capsys):
+    # small sweeps with and without CSIT, validate, psi and outage through
+    # the CLI, in this interpreter under a profile hook; a public function
+    # that none of them enters serves the tests alone, and belongs in them
+    config = tmp_path / "sweep.json"
+    commands = []
+    for csit in (True, False):
+        config.write_text(json.dumps({"sweep_variable": "snr_pu_db",
+                                      "grid": [10.0, 20.0], "csit": csit}))
+        commands.append(["sweep", "--config", str(config), "--trials", "200",
+                         "--threads", "1", "--out", str(tmp_path / f"{csit}.csv")])
+    commands += [["validate", "--trials", "200", "--frames", "2"],
+                 ["psi", "1"], ["outage", "0.3"]]
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+    previous = sys.getprofile(), threading.getprofile()
+    sys.setprofile(hook)
+    threading.setprofile(hook)
+    try:
+        # validate may fail its statistical checks at this size (exit 1)
+        codes = [convsup.cli.main(argv) for argv in commands]
+    finally:
+        sys.setprofile(previous[0])
+        threading.setprofile(previous[1])
+    capsys.readouterr()
+    assert codes[:2] == [0, 0] and codes[2] in (0, 1) and codes[3:] == [0, 0], codes
+    measured = {path[:2] for path in _measured_callables() if len(path) == 2}
+    unused = [f"{module}.{name}" for module, name, fn in _public_functions()
+              if fn.__code__ not in entered and (module, name) not in measured | NOT_RUN]
+    assert not unused, f"public but run by no program path: {unused}"

@@ -19,12 +19,10 @@ from scipy import integrate
 from convsup import capacity, channel
 from convsup.capacity import (CapacityReport, EULER_GAMMA, _composite_gain,
                               _psi_deficit, baseline_nocr, baseline_nocr_quad,
-                              baseline_ocr, bessel_k, c_pu_direct, c_pu_lower,
-                              c_pu_lower_quad, c_su_lower_csit,
-                              c_su_lower_nocsit, c_su_lower_nocsit_quad,
-                              check_pu_monotonicity, kappa,
-                              nocsit_high_snr_approx, nocsit_low_snr_approx,
-                              outage_mc, psi, pu_outage_probability)
+                              baseline_ocr, bessel_k, c_pu_direct,
+                              c_pu_lower_quad, c_pu_lower_trials, c_su_lower_csit,
+                              c_su_lower_nocsit_quad, check_pu_monotonicity,
+                              kappa, outage_mc, psi, pu_outage_probability)
 from convsup.channel import draw_channels, mean_se, zmcscg
 from convsup.harness import (ACCEPTED, ScenarioSpec, build_scenario,
                              reference_link_specs, resolve_d12)
@@ -32,6 +30,8 @@ from convsup.precoding import (PowerProfile, _vc_power, srx_noise_floor,
                                uc_power_coefficient, uniform_profile,
                                waterfill_power, waterfill_thresholds)
 from convsup.spectral import build_spectral_context, build_vc_layout
+from oracles import (c_su_lower_nocsit, c_su_lower_nocsit_quad_constant_modulus,
+                     nocsit_high_snr_approx, nocsit_low_snr_approx)
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +276,8 @@ class TestPrimaryCapacity:
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
         prof = uniform_profile(layout, scenario, scenario.p_su / layout.m_vc)
         assert np.all(prof.uc_power == 0)
-        val, se = c_pu_lower(scenario, layout, prof, 500, np.random.default_rng(0))
+        val, se = mean_se(c_pu_lower_trials([(scenario, prof)], layout, 500,
+                                            np.random.default_rng(0)))[0]
         assert val == pytest.approx(c_pu_direct(scenario, layout), rel=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -284,8 +285,8 @@ class TestPrimaryCapacity:
         _, layout = layout64
         scenario = build_scenario(0.1, 1.0, 20.0, "pu")
         prof = uniform_profile(layout, scenario, scenario.p_su / (2 * layout.m_vc))
-        val, se = c_pu_lower(scenario, layout, prof, 30_000,
-                             np.random.default_rng(1))
+        val, se = mean_se(c_pu_lower_trials([(scenario, prof)], layout, 30_000,
+                                            np.random.default_rng(1)))[0]
         assert val - c_pu_direct(scenario, layout) >= 3.0 * se
 
     def test_matches_independent_quadrature(self, layout64):
@@ -294,8 +295,8 @@ class TestPrimaryCapacity:
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
         prof = uniform_profile(layout, scenario, scenario.p_su / (2 * layout.m_vc))
         want = c_pu_lower_quad(scenario, layout, prof)
-        val, se = c_pu_lower(scenario, layout, prof, 100_000,
-                             np.random.default_rng(2))
+        val, se = mean_se(c_pu_lower_trials([(scenario, prof)], layout, 100_000,
+                                            np.random.default_rng(2)))[0]
         assert abs(val - want) <= 3.0 * se
 
     def test_bridge_to_frame_simulator(self, layout64):
@@ -329,8 +330,8 @@ class TestPrimaryCapacity:
             snr_eff = scenario.p_pu * np.abs(h_pu) ** 2 / r_diag
             vals[i] = np.log2(1.0 + snr_eff).sum() / layout.m
         e2e, e2e_se = vals.mean(), vals.std(ddof=1) / np.sqrt(n_frames)
-        gam, gam_se = c_pu_lower(scenario, layout, pre.profile, 100_000,
-                                 np.random.default_rng(4))
+        gam, gam_se = mean_se(c_pu_lower_trials([(scenario, pre.profile)], layout,
+                                                100_000, np.random.default_rng(4)))[0]
         assert abs(e2e - gam) <= 3.0 * np.hypot(e2e_se, gam_se)
 
 
@@ -369,7 +370,7 @@ class TestSecondaryCapacity:
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, -10.0, "su")
         g = scenario.p_su / (2 * layout.m_vc)
         want = nocsit_low_snr_approx(scenario, layout, g)
-        got = c_su_lower_nocsit_quad(scenario, layout, g, constant_modulus=True)
+        got = c_su_lower_nocsit_quad_constant_modulus(scenario, layout, g)
         assert abs(got - want) / want <= 0.05
 
     def test_high_snr_closed_form(self, layout64):
@@ -377,7 +378,7 @@ class TestSecondaryCapacity:
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1e4, 20.0, "pu")
         g = scenario.p_su / (2 * layout.m_vc)
         want = nocsit_high_snr_approx(scenario, layout, g)
-        got = c_su_lower_nocsit_quad(scenario, layout, g, constant_modulus=True)
+        got = c_su_lower_nocsit_quad_constant_modulus(scenario, layout, g)
         assert abs(got - want) / want <= 0.05
 
     def test_nocsit_rejects_bad_inputs(self, layout64):
@@ -452,7 +453,8 @@ def test_monte_carlo_rates_across_the_batch_boundary():
     n = 25_000
     assert n > channel._CHUNK
     rng = np.random.default_rng
-    got = {"c_pu_lower": c_pu_lower(scenario, layout, profile, n, rng(1)),
+    got = {"c_pu_lower": mean_se(c_pu_lower_trials([(scenario, profile)], layout, n,
+                                                   rng(1)))[0],
            "nocsit": c_su_lower_nocsit(scenario, layout, g, n, rng(3)),
            "nocsit_constant_modulus": c_su_lower_nocsit(
                scenario, layout, g, n, rng(3), constant_modulus=True),
@@ -530,8 +532,8 @@ def test_too_few_trials_are_rejected(estimator, n_trials, layout64):
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
     g = 0.5 * scenario.p_su / layout.m_vc
     run = {"c_su_lower_csit": lambda n, rng: c_su_lower_csit([scenario], layout, n, rng),
-           "c_pu_lower": lambda n, rng: c_pu_lower(
-               scenario, layout, uniform_profile(layout, scenario, g), n, rng),
+           "c_pu_lower": lambda n, rng: mean_se(c_pu_lower_trials(
+               [(scenario, uniform_profile(layout, scenario, g))], layout, n, rng))[0],
            "c_su_lower_nocsit": lambda n, rng: c_su_lower_nocsit(
                scenario, layout, g, n, rng),
            "baseline_ocr": lambda n, rng: baseline_ocr(scenario, layout, n, rng),
@@ -561,14 +563,15 @@ class TestQuadrature:
         prof = uniform_profile(layout, scenario, g)
         pairs = {
             "c_pu_lower": (c_pu_lower_quad(scenario, layout, prof),
-                           c_pu_lower(scenario, layout, prof, n, rngs[0])),
+                           mean_se(c_pu_lower_trials([(scenario, prof)], layout, n,
+                                                     rngs[0]))[0]),
             "nocsit with vcs": (c_su_lower_nocsit_quad(scenario, layout, g),
                                 c_su_lower_nocsit(scenario, layout, g, n, rngs[1])),
             "nocsit without vcs": (c_su_lower_nocsit_quad(scenario, layout, 0.0),
                                    c_su_lower_nocsit(scenario, layout, 0.0, n,
                                                      rngs[2])),
             "nocsit constant modulus": (
-                c_su_lower_nocsit_quad(scenario, layout, g, constant_modulus=True),
+                c_su_lower_nocsit_quad_constant_modulus(scenario, layout, g),
                 c_su_lower_nocsit(scenario, layout, g, n, rngs[3],
                                   constant_modulus=True)),
             "nocr": (baseline_nocr_quad(scenario, layout),
@@ -584,8 +587,8 @@ class TestQuadrature:
         rates = {
             "c_pu_lower": lambda: c_pu_lower_quad(scenario, layout, prof),
             "nocsit": lambda: c_su_lower_nocsit_quad(scenario, layout, g),
-            "nocsit constant modulus": lambda: c_su_lower_nocsit_quad(
-                scenario, layout, g, constant_modulus=True),
+            "nocsit constant modulus": lambda: c_su_lower_nocsit_quad_constant_modulus(
+                scenario, layout, g),
             "nocr": lambda: baseline_nocr_quad(scenario, layout),
         }
         at_64 = {name: rate() for name, rate in rates.items()}
@@ -630,8 +633,8 @@ class TestQuadrature:
         uc[::4] *= 2.5
         uc[1::4] = 0.0
         prof = PowerProfile(layout=layout, uc_power=uc, vc_power=base.vc_power)
-        val, se = c_pu_lower(scenario, layout, prof, 50_000,
-                             np.random.default_rng(915))
+        val, se = mean_se(c_pu_lower_trials([(scenario, prof)], layout, 50_000,
+                                            np.random.default_rng(915)))[0]
         assert abs(c_pu_lower_quad(scenario, layout, prof) - val) <= 3.0 * se
 
     def test_silent_secondary(self, layout64):
@@ -751,14 +754,15 @@ def doubling_cases(draw):
         "vc_power_fraction": number("vc_power_fraction"),
     }
     try:
-        return ScenarioSpec(**fields).build()[::2], fields["vc_power_fraction"]
+        spec = ScenarioSpec(**fields)
+        return (spec.network(), spec.spectral()[1]), fields["vc_power_fraction"]
     except ValueError:
         assume(False)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(doubling_cases())
-@example((ScenarioSpec().build()[::2], 0.5))  # the reference point of 7a and 7b
+@example(((ScenarioSpec().network(), ScenarioSpec().spectral()[1]), 0.5))  # 7a and 7b's point
 def test_pu_gain_at_most_doubles_with_the_budget(case):
     # Delta(P) = c_pu_lower_quad - c_pu_direct under the uniform profile of
     # the sweep: doubling P_su at most doubles a positive primary gain, the

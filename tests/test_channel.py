@@ -269,24 +269,27 @@ class TestLinkOutput:
 class TestComplexGaussian:
     @pytest.mark.parametrize("variance", [0.3, np.array([[0.5], [2.0], [1e-3]])])
     def test_bits_match_the_complex_expression(self, variance):
+        # a scalar variance gives the bits of scale * (re + 1j * im); an
+        # array is rejected, not broadcast
         rng = np.random.default_rng(7)
         re = rng.standard_normal((3, 6))
         im = rng.standard_normal((3, 6))
-        want = np.sqrt(np.asarray(variance, dtype=float) / 2.0) * (re + 1j * im)
+        if np.ndim(variance):
+            with pytest.raises(TypeError):
+                convsup.channel._complex_gaussian(re, im, variance)
+            return
+        want = np.sqrt(variance / 2.0) * (re + 1j * im)
         got = convsup.channel._complex_gaussian(re, im, variance)
         assert got.dtype == complex and np.array_equal(got, want)
 
     def test_zmcscg_draws_real_then_imaginary_parts(self):
-        # scalar or broadcast variance: the bits of scale * (re + 1j * im)
-        # over separate draws, and the stream left where two draws of
-        # ``shape`` leave it
-        for shape, variance in [((2, 3), 4.0), ((4, 5), 0.7), (9, 1.0), ((), 2.0),
-                                ((2, 3), np.array([0.5, 2.0, 1e-3])),
-                                ((3,), np.array([[1.0], [4.0]]))]:
+        # the bits of scale * (re + 1j * im) over separate draws, and the
+        # stream left where two draws of ``shape`` leave it
+        for shape, variance in [((2, 3), 4.0), ((4, 5), 0.7), (9, 1.0), ((), 2.0)]:
             got = zmcscg(np.random.default_rng(8), shape, variance)
             rng = np.random.default_rng(8)
             re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-            want = np.sqrt(np.asarray(variance, dtype=float) / 2.0) * (re + 1j * im)
+            want = np.sqrt(variance / 2.0) * (re + 1j * im)
             assert got.dtype == complex and got.shape == want.shape, shape
             assert np.array_equal(got, want), (shape, variance)
             rest = np.random.default_rng(8)
@@ -297,9 +300,9 @@ class TestComplexGaussian:
     def whole_size_draw(rng, shape, variance):
         """zmcscg as it was before its buffered fill: each part drawn as one
         whole-size float array and scaled into the output."""
-        scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+        scale = np.sqrt(variance / 2.0)
         normals = rng.standard_normal(shape)
-        out = np.empty(np.broadcast_shapes(normals.shape, scale.shape), dtype=complex)
+        out = np.empty(normals.shape, dtype=complex)
         np.multiply(scale, normals, out=out.real)
         rng.standard_normal(normals.shape, out=normals)
         np.multiply(scale, normals, out=out.imag)
@@ -308,21 +311,25 @@ class TestComplexGaussian:
     @pytest.mark.parametrize("shape", [1, FILL - 1, FILL, FILL + 1, (3, FILL), (7, 613)])
     @pytest.mark.parametrize("variance", ["scalar", "column", "row"])
     def test_buffered_fill_keeps_the_whole_size_draw(self, shape, variance):
-        # around the buffer size, with a scalar variance, a column that
-        # broadcasts over the rows (and widens a 1-D draw into two rows) and
-        # a row over the last axis: the same bits, and the stream left where
-        # the whole-size draw leaves it
+        # around the buffer size, a scalar variance gives the bits of the
+        # whole-size draw and leaves the stream where it leaves it; a column
+        # or a row of variances, which once broadcast over the draw, is
+        # rejected before any normal is drawn
         last = np.shape(np.empty(shape))[-1]
         rows = shape[0] if isinstance(shape, tuple) else 2
         variance = {"scalar": 0.7,
                     "column": np.geomspace(0.5, 2.0, rows)[:, None],
                     "row": np.geomspace(1e-3, 4.0, last)}[variance]
         rng = np.random.default_rng(9)
-        got = zmcscg(rng, shape, variance)
         ref = np.random.default_rng(9)
-        want = self.whole_size_draw(ref, shape, variance)
-        assert got.dtype == complex and got.shape == want.shape
-        assert np.array_equal(got, want)
+        if np.ndim(variance):
+            with pytest.raises(TypeError):
+                zmcscg(rng, shape, variance)
+        else:
+            got = zmcscg(rng, shape, variance)
+            want = self.whole_size_draw(ref, shape, variance)
+            assert got.dtype == complex and got.shape == want.shape
+            assert np.array_equal(got, want)
         assert rng.standard_normal() == ref.standard_normal()
 
 

@@ -205,7 +205,7 @@ class TestRunSweep:
             si = cfg.schemes.index(row["scheme"])
             assert row["seed"] == f"{cfg.seed}/{si}"
             spec = cfg.scenario.with_sweep_value(cfg.sweep_variable, row["sweep_var"])
-            scenario, _, layout, _ = spec.build()
+            scenario, (_, layout, _) = spec.network(), spec.spectral()
             want = c_su_lower_csit([scenario], layout, cfg.n_trials,
                                    np.random.default_rng(children[si]),
                                    use_vcs=row["scheme"] == "proposed_with_vcs")
@@ -359,7 +359,7 @@ class TestRunSweep:
     def test_infeasible_layout_aborts_with_diagnostic(self):
         with pytest.raises(ValueError, match="l_su"):
             small_config(scenario=ScenarioSpec(m_subcarriers=16, l_su=1,
-                                               vc_indices=(0, 4, 8))).scenario.build()
+                                               vc_indices=(0, 4, 8))).scenario.spectral()
 
 
 class TestEmitCsv:
