@@ -18,7 +18,7 @@ from .transceiver import (FrameConfig, FrameSimulator, FrameTrace, NoiseBlocks,
                           required_cp_length, srx_frequency_model,
                           stx_power_mc, stx_process, zero_noise)
 from .capacity import (CapacityReport, baseline_nocr, baseline_nocr_quad,
-                       baseline_ocr, bessel_k, c_pu_direct, c_pu_lower_quad,
+                       baseline_ocr, bessel_k1, c_pu_direct, c_pu_lower_quad,
                        c_su_lower_csit, c_su_lower_nocsit_quad,
                        check_pu_monotonicity, kappa, outage_closed_form,
                        outage_mc, psi, pu_outage_probability)

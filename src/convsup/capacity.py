@@ -30,7 +30,7 @@ __all__ = [
     "EULER_GAMMA",
     "CapacityReport",
     "psi",
-    "bessel_k",
+    "bessel_k1",
     "kappa",
     "outage_closed_form",
     "pu_outage_probability",
@@ -77,7 +77,7 @@ def _laguerre_2d(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 # special functions
 # ---------------------------------------------------------------------------
 #
-# psi and K_0, K_1 are numpy kernels: importing the package does not load
+# psi and K_1 are numpy kernels: importing the package does not load
 # scipy.special.  Each element takes the terms of its own band of the
 # argument, whatever else its array holds.
 
@@ -190,15 +190,8 @@ def _psi_deficit(b: np.ndarray) -> np.ndarray:
 
 # Chebyshev coefficients, highest order first, of the expansions of Cephes
 # (S. L. Moshier, Methods and Programs for Mathematical Functions, 1989),
-# recomputed at 60 digits with mpmath: K0(x) + ln(x/2) I0(x) and
-# x (K1(x) - ln(x/2) I1(x)) in x^2 - 2 for x <= 2, and exp(x) sqrt(x) K(x)
-# in 8/x - 2 for x > 2
-_K0_SMALL = (
-    1.37446543588075089694e-16, 4.25981614279108257652e-14,
-    1.03496952576336245851e-11, 1.90451637722020885897e-9,
-    2.53479107902614945731e-7, 2.28621210311945178608e-5,
-    1.26461541144692592338e-3, 3.59799365153615016266e-2,
-    3.44289899924628486886e-1, -5.35327393233902768720e-1)
+# recomputed at 60 digits with mpmath: x (K1(x) - ln(x/2) I1(x)) in x^2 - 2
+# for x <= 2, and exp(x) sqrt(x) K1(x) in 8/x - 2 for x > 2
 _K1_SMALL = (
     -7.02386347938628759718e-18, -2.42744985051936593393e-15,
     -6.66690169419932900609e-13, -1.41148839263352776110e-10,
@@ -206,20 +199,6 @@ _K1_SMALL = (
     -1.73028895751305206302e-4, -6.97572385963986435018e-3,
     -1.22611180822657148235e-1, -3.53155960776544875667e-1,
     1.52530022733894777053e0)
-_K0_LARGE = (
-    5.30043377117733577104e-18, -1.64758059398426328153e-17,
-    5.21039177764355411254e-17, -1.67823112575490063832e-16,
-    5.51205599940433336489e-16, -1.84859337792090716941e-15,
-    6.34007647627664596613e-15, -2.22751332674629636045e-14,
-    8.03289077506837436945e-14, -2.98009692314817835483e-13,
-    1.14034058820734423473e-12, -4.51459788337451917507e-12,
-    1.85594911495492655497e-11, -7.95748924447739703773e-11,
-    3.57739728140032844716e-10, -1.69753450938906151564e-9,
-    8.57403401741422608582e-9, -4.66048989768794766556e-8,
-    2.76681363944501507614e-7, -1.83175552271911948478e-6,
-    1.39498137188764993641e-5, -1.28495495816278026384e-4,
-    1.56988388573005337491e-3, -3.14481013119645005427e-2,
-    2.44030308206595545468e0)
 _K1_LARGE = (
     -5.75674448207330245029e-18, 1.79405104788635729143e-17,
     -5.68946284919364837425e-17, 1.83809357524304542556e-16,
@@ -234,9 +213,8 @@ _K1_LARGE = (
     -1.93619797416608296002e-5, 1.95215518471351631108e-4,
     -2.85781685962277938680e-3, 1.03923736576817238437e-1,
     2.72062619048444266945e0)
-# power series of I0 and I1/(x/2) in (x/2)^2, highest order first: the
-# first omitted term is below 2^-60 of the sum for x <= 2
-_I0_SERIES = tuple(1.0 / math.factorial(k) ** 2 for k in range(13, -1, -1))
+# power series of I1/(x/2) in (x/2)^2, highest order first: the first
+# omitted term is below 2^-60 of the sum for x <= 2
 _I1_SERIES = tuple(1.0 / (math.factorial(k) * math.factorial(k + 1))
                    for k in range(13, -1, -1))
 
@@ -258,19 +236,17 @@ def _horner(x, coef):
     return acc
 
 
-def bessel_k(order: int, x):
-    """Modified Bessel function of the second kind, orders 0 and 1 only,
-    for x > 0 (inf gives 0).
+def bessel_k1(x):
+    """Modified Bessel function of the second kind of order 1, for x > 0
+    (inf gives 0).
 
     Cephes' two Chebyshev expansions: for x <= 2 the smooth part left after
-    the logarithmic singularity ln(x/2) I(x), with I0 and I1 from their
-    power series; for x > 2 exp(x) sqrt(x) K(x) in 8/x - 2.
+    the logarithmic singularity ln(x/2) I1(x), with I1 from its power
+    series; for x > 2 exp(x) sqrt(x) K1(x) in 8/x - 2.
     """
-    if order not in (0, 1):
-        raise ValueError("only orders 0 and 1 are supported")
     arr = np.asarray(x, dtype=float)
     if not np.all(arr > 0):
-        raise ValueError("bessel_k requires x > 0")
+        raise ValueError("bessel_k1 requires x > 0")
     flat = arr.ravel()
     out = np.empty_like(flat)
     small = flat <= 2.0
@@ -278,17 +254,12 @@ def bessel_k(order: int, x):
         xs = flat[small]
         x2 = xs * xs
         log_half = np.log(0.5 * xs)
-        if order == 0:
-            out[small] = (_chebyshev(x2 - 2.0, _K0_SMALL)
-                          - log_half * _horner(0.25 * x2, _I0_SERIES))
-        else:
-            out[small] = (log_half * (0.5 * xs) * _horner(0.25 * x2, _I1_SERIES)
-                          + _chebyshev(x2 - 2.0, _K1_SMALL) / xs)
+        out[small] = (log_half * (0.5 * xs) * _horner(0.25 * x2, _I1_SERIES)
+                      + _chebyshev(x2 - 2.0, _K1_SMALL) / xs)
     large = ~small
     if large.any():
         xl = flat[large]
-        out[large] = (np.exp(-xl) * _chebyshev(8.0 / xl - 2.0,
-                                                _K0_LARGE if order == 0 else _K1_LARGE)
+        out[large] = (np.exp(-xl) * _chebyshev(8.0 / xl - 2.0, _K1_LARGE)
                       / np.sqrt(xl))
     return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
@@ -310,7 +281,7 @@ def outage_closed_form(k: float) -> float:
         raise ValueError(f"outage parameter kappa must be finite and >= 0, got {k}")
     if k == 0.0:
         return 0.0
-    return float(np.clip(1.0 - 2.0 * k * bessel_k(1, 2.0 * k), 0.0, 1.0))
+    return float(np.clip(1.0 - 2.0 * k * bessel_k1(2.0 * k), 0.0, 1.0))
 
 
 def pu_outage_probability(scenario: NetworkScenario) -> float:

@@ -49,7 +49,6 @@ class PowerProfile:
     layout: VcLayout
     uc_power: np.ndarray
     vc_power: np.ndarray
-    mu: float | None = None
 
     def __post_init__(self):
         if self.uc_power.shape != (self.layout.q,):
@@ -228,7 +227,7 @@ def waterfilling_profile(layout: VcLayout, scenario: NetworkScenario,
     if shortfall > 1e-12:
         raise AssertionError("inactive subcarrier below the water level")
     return PowerProfile(layout=layout, uc_power=spend[: layout.q] / coef,
-                        vc_power=spend[layout.q:], mu=mu)
+                        vc_power=spend[layout.q:])
 
 
 def csit_objective(profile: PowerProfile, scenario: NetworkScenario,
@@ -250,18 +249,14 @@ class PrecoderSet:
     """Realized precoder pair.
 
     ``profile`` holds the *realized* per-subcarrier powers (squared row
-    norms of A and G).  The used-subcarrier branch can only shape its Gram matrix inside a
-    rank-N family, so realized row norms ripple around the request while the
-    total spent budget is matched exactly; ``max_uc_mismatch`` records the
-    worst relative per-row deviation.
+    norms of A and G).  The used-subcarrier branch can only shape its Gram
+    matrix inside a rank-N family, so realized row norms ripple around the
+    request while the total spent budget is matched exactly.
     """
 
-    c: np.ndarray
-    d: np.ndarray
     a: np.ndarray
     g: np.ndarray
     profile: PowerProfile
-    max_uc_mismatch: float
 
 
 def realize_precoders(ctx: SpectralContext, layout: VcLayout,
@@ -271,9 +266,8 @@ def realize_precoders(ctx: SpectralContext, layout: VcLayout,
     C is the principal (Hermitian PSD) square root of the Gram target
     ``upsilon^H pi^H diag(a) pi upsilon``, rescaled by a single scalar so the
     total used-subcarrier power matches the request exactly.  D is diagonal
-    with entries sqrt(g_m), which meets its target exactly.  The worst
-    relative gap between realized and requested used-subcarrier row norms
-    is recorded as ``max_uc_mismatch``.
+    with entries sqrt(g_m), which meets its target exactly.  Returns
+    A = pi_idft @ upsilon_vc @ C and G = xi @ D with the realized profile.
     """
     n_sym = layout.n_sym
     if n_sym < 1:
@@ -303,8 +297,7 @@ def realize_precoders(ctx: SpectralContext, layout: VcLayout,
     c = kappa * c
     a_mat = basis @ c
 
-    d = np.diag(np.sqrt(profile.vc_power)).astype(complex)
-    g_mat = layout.xi @ d
+    g_mat = layout.xi @ np.diag(np.sqrt(profile.vc_power)).astype(complex)
 
     vc_rows = np.abs(a_mat[list(layout.vc_indices), :]).max() if layout.m_vc else 0.0
     if vc_rows > 1e-10:
@@ -313,10 +306,4 @@ def realize_precoders(ctx: SpectralContext, layout: VcLayout,
     realized_uc = np.sum(np.abs(a_mat[list(layout.uc_indices), :]) ** 2, axis=1)
     realized = PowerProfile(layout=layout, uc_power=realized_uc,
                             vc_power=profile.vc_power.copy())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(realized_uc - profile.uc_power) / np.where(
-            profile.uc_power > 0, profile.uc_power, 1.0)
-    max_mismatch = float(rel.max()) if rel.size else 0.0
-
-    return PrecoderSet(c=c, d=d, a=a_mat, g=g_mat, profile=realized,
-                       max_uc_mismatch=max_mismatch)
+    return PrecoderSet(a=a_mat, g=g_mat, profile=realized)

@@ -74,7 +74,6 @@ class VcLayout:
     theta: np.ndarray
     xi: np.ndarray
     upsilon_vc: np.ndarray
-    r_vc: int
 
     @property
     def m_vc(self) -> int:
@@ -153,7 +152,6 @@ def build_vc_layout(ctx: SpectralContext, vc_indices) -> VcLayout:
 
     if m_vc == 0:
         upsilon = np.eye(ctx.l_su + 1, dtype=complex)
-        r_vc = 0
     else:
         pi_vc_h = ctx.pi_idft[list(vc), :]  # M_vc x (l_su+1), rows at vc indices
         # the right singular vectors past the numerical rank span the null space
@@ -171,7 +169,7 @@ def build_vc_layout(ctx: SpectralContext, vc_indices) -> VcLayout:
                 f"{resid:.3e} (at most {_ORTHO_TOL:g})")
 
     return VcLayout(m=ctx.m, l_su=ctx.l_su, vc_indices=vc, uc_indices=uc,
-                    theta=theta, xi=xi, upsilon_vc=upsilon, r_vc=r_vc)
+                    theta=theta, xi=xi, upsilon_vc=upsilon)
 
 
 def filter_frequency_response(ctx: SpectralContext, f_tilde: np.ndarray) -> np.ndarray:

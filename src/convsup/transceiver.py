@@ -141,14 +141,11 @@ def zero_noise(cfg: FrameConfig, batch: tuple[int, ...] = ()) -> NoiseBlocks:
 
 @dataclass(frozen=True)
 class FrameTrace:
-    """All blocks of one simulated primary symbol period (per frame of a
-    batch)."""
+    """Outputs of one simulated primary symbol period (per frame of a
+    batch): the secondary transmit block ``z2_t`` (length P) and the DFT
+    outputs of both receivers after prefix removal."""
 
-    u_pu_t: np.ndarray
-    y2_t: np.ndarray
     z2_t: np.ndarray
-    y3_t: np.ndarray
-    y4_t: np.ndarray
     y_pu_f: np.ndarray
     y_su_f: np.ndarray
 
@@ -210,7 +207,7 @@ class FrameSimulator:
 
         self._prev_u_pu = u_pu
         self._prev_z2 = z2
-        return FrameTrace(u_pu_t=u_pu, y2_t=y2, z2_t=z2, y3_t=y3, y4_t=y4,
+        return FrameTrace(z2_t=z2,
                           y_pu_f=_apply(cfg.ctx.w_dft, _cp_remove(y3, cfg.l_cp)),
                           y_su_f=_apply(cfg.ctx.w_dft, _cp_remove(y4, cfg.l_cp)))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .capacity import (bessel_k, check_pu_monotonicity, outage_mc, psi,
+from .capacity import (bessel_k1, check_pu_monotonicity, outage_mc, psi,
                        pu_outage_probability)
 from .channel import (_CHUNK, _complex_gaussian, draw_channels,
                       frequency_response, trials, zmcscg)
@@ -80,19 +80,26 @@ def _reference_setup():
     return scenario, cfg, profile, realize_precoders(ctx, layout, profile)
 
 
+def _outage_scenario(k: float):
+    """The scenario at 20 dB primary SNR, unit power ratio and eta = 3 whose
+    outage parameter is ``k``: with equal noise figures kappa = d12^(eta/2)."""
+    return build_scenario(k ** (2.0 / 3.0), 1.0, 20.0, "pu")
+
+
 def _rel_err(got, model) -> np.ndarray:
     """Per frame, max |got - model| over max |model|."""
     return np.abs(got - model).max(axis=-1) / np.abs(model).max(axis=-1)
 
 
-def frame_equivalence_errors(scenario, cfg, pre, n_frames, rng,
-                             noiseless=True) -> tuple[float, float]:
+def frame_equivalence_errors(scenario, cfg, pre, n_frames, rng) -> tuple[float, float]:
     """Worst relative deviation of the simulated chain with the precoders
     ``pre`` from the per-subcarrier models at both receivers, over random
     frames with random previous-frame content (exercising interference
-    removal).  All frames of a batch of ``channel.trials`` run as two
-    batched steps: a random warm-up frame that feeds the inter-block path,
-    then the measured frame."""
+    removal) and receiver noise from ``draw_noise_blocks`` at every node, so
+    that v2, v3 and v4 each enter the models at the receivers they reach.
+    All frames of a batch of ``channel.trials`` run as two batched steps: a
+    random warm-up frame that feeds the inter-block path, then the measured
+    frame."""
     layout, ctx = cfg.layout, cfg.ctx
     sim = FrameSimulator(cfg, pre)
 
@@ -103,14 +110,10 @@ def frame_equivalence_errors(scenario, cfg, pre, n_frames, rng,
             x_pu = zmcscg(rng, (n, layout.q), scenario.p_pu)
             x1 = zmcscg(rng, (n, layout.n_sym))
             x2 = zmcscg(rng, (n, layout.m_vc))
-            noises = (zero_noise(cfg, (n,)) if noiseless
-                      else draw_noise_blocks(cfg, scenario, rng, (n,)))
+            noises = draw_noise_blocks(cfg, scenario, rng, (n,))
             trace = sim.step(channels, x_pu, x1, x2, noises)
-        if noiseless:
-            v2_f = v3_f = v4_f = 0.0
-        else:
-            v2_f, v3_f, v4_f = (noise[:, cfg.l_cp:] @ ctx.w_dft.T for noise in
-                                (noises.v2, noises.v3, noises.v4))
+        v2_f, v3_f, v4_f = (noise[:, cfg.l_cp:] @ ctx.w_dft.T for noise in
+                            (noises.v2, noises.v3, noises.v4))
         model_pu = pu_frequency_model(channels, pre, layout, x_pu, x1, x2,
                                       v2_f=v2_f, v3_f=v3_f)
         model_su = srx_frequency_model(channels, pre, layout, x_pu, x1, x2,
@@ -176,7 +179,7 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
                                                   streams[1])
     record("frequency_equivalence",
            worst_pu <= 1e-10 and worst_su <= 1e-10,
-           f"{n_frames} noiseless frames, max rel err PRx {worst_pu:.2e}, "
+           f"{n_frames} noisy frames, max rel err PRx {worst_pu:.2e}, "
            f"SRx {worst_su:.2e}")
 
     # -- relayed-noise circular identity --------------------------------------
@@ -199,7 +202,7 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
     record("waterfilling", *waterfilling_check(streams[5], search_points))
 
     # -- budget monotonicity of the primary bound --------------------------------
-    sc_mono = build_scenario(0.05 ** (2.0 / 3.0), 1.0, 20.0, "pu")
+    sc_mono = _outage_scenario(0.05)
     ok_mono, rep = check_pu_monotonicity(sc_mono, cfg.layout,
                                          np.geomspace(0.25, 2.0, 8),
                                          min(trials, 20_000), seed)
@@ -212,7 +215,7 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
            f"{len(rep['means'])} budgets")
 
     # monotonicity gate outside the small-kappa regime: reported, not asserted
-    sc_big = build_scenario(5.0 ** (2.0 / 3.0), 1.0, 20.0, "pu")
+    sc_big = _outage_scenario(5.0)
     _, rep_big = check_pu_monotonicity(sc_big, cfg.layout, [0.5, 1.0], 1000, seed)
     record("monotonicity_hypothesis_gate", False,
            f"kappa={rep_big['kappa']:.2f}: " + rep_big.get("note", "gate failed to trip"),
@@ -252,10 +255,10 @@ def spectral_consistency_check(rng):
         f"inconsistency detected: {fired}")
 
 
-# from the logarithmic singularity of K_0 at 0 to the exponential tail
+# from the logarithmic singularity of K_1 at 0 to the exponential tail
 _K_GRID = (0.02, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 2.5, 5.0, 7.0, 10.0)
 _PSI_GRID = np.logspace(-4, 6, 41)
-# step of the trapezoid sums behind the psi and K references; their
+# step of the trapezoid sums behind the psi and K1 references; their
 # integrands are analytic and decay at least exponentially, so the sums
 # converge exponentially in 1/step (L. N. Trefethen and J. A. C. Weideman,
 # SIAM Review 56(3), 2014): 0.2 is exact to a few 1e-15, 0.4 only to 1e-6
@@ -263,17 +266,14 @@ _REF_STEP = 0.2
 
 
 def special_functions_check():
-    """psi and K_0, K_1 against trapezoid sums of their integrals, which
-    share no code with the series, rational and Chebyshev kernels, plus both
+    """psi and K_1 against trapezoid sums of their integrals, which share no
+    code with the series, rational and Chebyshev kernels, plus both
     asymptotes of psi."""
     ref = _psi_trapezoid(_PSI_GRID)
     worst_psi = float(np.max(np.abs(psi(_PSI_GRID) - ref) / ref))
     x = np.array(_K_GRID)
-    worst_k = 0.0
-    for order in (0, 1):
-        ref = _bessel_k_trapezoid(order, x)
-        err = np.max(np.abs(bessel_k(order, x) - ref) / ref)
-        worst_k = max(worst_k, float(err))
+    ref = _bessel_k1_trapezoid(x)
+    worst_k = float(np.max(np.abs(bessel_k1(x) - ref) / ref))
     small = abs(psi(1e-3) / 1e-3 - 1.0)
     large = abs(psi(1e6) / (np.log1p(1e6) - np.euler_gamma) - 1.0)
     ok = worst_psi <= 1e-8 and worst_k <= 1e-8 and small <= 2e-3 and large <= 1e-4
@@ -291,12 +291,12 @@ def _psi_trapezoid(a):
     return _REF_STEP * f.sum(axis=-1)
 
 
-def _bessel_k_trapezoid(order: int, x):
-    # K_a(x) = int_0^inf exp(-x cosh s) cosh(a s) ds, an even integrand
+def _bessel_k1_trapezoid(x):
+    # K_1(x) = int_0^inf exp(-x cosh s) cosh(s) ds, an even integrand
     # decaying doubly exponentially: s in [0, 8] with half weight at s = 0
     # leaves a tail below 1e-14 relative at x = 0.02
     s = np.arange(0.0, 8.0 + _REF_STEP / 2, _REF_STEP)
-    f = np.exp(-np.multiply.outer(x, np.cosh(s))) * np.cosh(order * s)
+    f = np.exp(-np.multiply.outer(x, np.cosh(s))) * np.cosh(s)
     return _REF_STEP * (f.sum(axis=-1) - 0.5 * f[..., 0])
 
 
@@ -310,8 +310,7 @@ def outage_check(trials, seeds):
     worst = 0.0
     details = []
     for kap, seed in zip((0.05, 0.2, 1.0), seeds):
-        d12 = kap ** (2.0 / 3.0)  # equal noise figures: kappa = d12^(eta/2)
-        scenario = build_scenario(d12, 1.0, 20.0, "pu")
+        scenario = _outage_scenario(kap)
         profiles = [uniform_profile(layout, scenario,
                                     _vc_power(fraction, scenario.p_su, layout.m_vc))
                     for fraction in (0.0, 0.1, 0.5)]
@@ -472,7 +471,7 @@ def product_density_check(scenario, n_draws, rng):
 
     def cdf(v):
         t = 2.0 * np.sqrt(v / s23)  # v > 0: every draw is positive
-        return 1.0 - t * bessel_k(1, t)
+        return 1.0 - t * bessel_k1(t)
 
     _, p = _ks_test(z, cdf)
     return p > 0.01, f"product-magnitude law KS p={p:.3f} over {n_draws} draws"

@@ -100,7 +100,7 @@ def test_criterion_1_frequency_domain_equivalence():
     ok = worst_pu <= 1e-10 and worst_su <= 1e-10 and elapsed <= 60.0
     assert _report(
         "criterion 1 (frequency-domain equivalence)", ok,
-        f"1000 noiseless frames: max rel err PRx {worst_pu:.2e}, "
+        f"1000 noisy frames: max rel err PRx {worst_pu:.2e}, "
         f"SRx {worst_su:.2e}, runtime {elapsed:.1f}s")
 
 

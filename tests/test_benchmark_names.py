@@ -1,6 +1,7 @@
 """Every function that the benchmark's traced run measures by name exists and
-is public, the validation suite is where the traced run can see it, and
-every other public function is one that the program runs.
+is public, the validation suite is where the traced run can see it, every
+other public function is one that the program runs, and every dataclass
+field is one that the program reads.
 
 The traced run wraps the functions in each ``convsup`` module's ``__all__``
 (and a fixed list of methods) and reports one metric per declared name; a
@@ -9,6 +10,7 @@ test reads the declared names from BENCHMARK.json, without changing it, so
 that such a deletion fails here first.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -83,15 +85,6 @@ def test_validation_names_resolve_from_the_package_and_left_the_harness():
     assert not left and not checks, (left, checks)
 
 
-# public functions that the program does not enter, each with its reason
-NOT_RUN = {
-    # the noisy branch of validate's frame oracle, frame_equivalence_errors
-    # with noiseless=False: the one check of the v3 and v4 noise terms and
-    # of v2 at the secondary receiver; validate runs the noiseless branch
-    ("transceiver", "draw_noise_blocks"),
-}
-
-
 def _public_functions():
     """(module, name, function) of every function in a ``convsup`` module's
     ``__all__`` that the module defines."""
@@ -134,5 +127,47 @@ def test_every_public_function_runs_in_the_program(tmp_path, capsys):
     assert codes[:2] == [0, 0] and codes[2] in (0, 1) and codes[3:] == [0, 0], codes
     measured = {path[:2] for path in _measured_callables() if len(path) == 2}
     unused = [f"{module}.{name}" for module, name, fn in _public_functions()
-              if fn.__code__ not in entered and (module, name) not in measured | NOT_RUN]
+              if fn.__code__ not in entered and (module, name) not in measured]
     assert not unused, f"public but run by no program path: {unused}"
+
+
+# dataclass fields that no program path reads, each with its reason
+UNREAD_FIELDS = {
+    # the secondary transmit block, the sample-exact reference that the
+    # tests hold transceiver.stx_power_mc's block energy to
+    ("FrameTrace", "z2_t"),
+}
+
+
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def unread_dataclass_fields(src):
+    """(class, field) of every dataclass field in the modules under ``src``
+    whose name no attribute load reads, nor a string constant of a function
+    that calls ``getattr``."""
+    fields, reads = set(), set()
+    for path in sorted(Path(src).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                fields |= {(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "getattr" for call in ast.walk(node)):
+                reads |= {const.value for const in ast.walk(node)
+                          if isinstance(const, ast.Constant) and isinstance(const.value, str)}
+    return {(cls, name) for cls, name in fields if name not in reads}
+
+
+def test_every_dataclass_field_is_read_in_the_program():
+    # a field that only tests read serves the tests alone: the program
+    # computes and stores it for nothing
+    unread = unread_dataclass_fields(Path(convsup.__file__).parent) - UNREAD_FIELDS
+    assert not unread, f"dataclass fields read by no program path: {sorted(unread)}"

@@ -1,9 +1,12 @@
 """Time-domain chain tests: prefix structure, causal filtering, interference
 removal, and sample-exact agreement with the per-subcarrier models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import convsup.validation
 from convsup.channel import ChannelRealization, LinkSpec, draw_channels, zmcscg
 from convsup.harness import build_scenario, reference_link_specs
 from convsup.precoding import (PowerProfile, PrecoderSet, realize_precoders,
@@ -105,10 +108,8 @@ class TestStxProcess:
         specs = {link: LinkSpec(order=0, offset=0) for link in specs_keys()}
         cfg = FrameConfig(ctx=ctx, layout=layout, l_cp=6, specs=specs)
         prof = PowerProfile(layout=layout, uc_power=np.ones(16), vc_power=np.zeros(0))
-        pre = PrecoderSet(c=np.eye(1, dtype=complex), d=np.zeros((0, 0), dtype=complex),
-                          a=np.ones((16, 1), dtype=complex),
-                          g=np.zeros((16, 0), dtype=complex),
-                          profile=prof, max_uc_mismatch=0.0)
+        pre = PrecoderSet(a=np.ones((16, 1), dtype=complex),
+                          g=np.zeros((16, 0), dtype=complex), profile=prof)
         rng = np.random.default_rng(2)
         y2 = zmcscg(rng, cfg.p)
         out = stx_process(y2, np.ones(1, dtype=complex),
@@ -166,10 +167,36 @@ class TestSimulateFrame:
     def test_prefixed_noise_keeps_models_exact(self, setup):
         scenario, cfg, pre = setup
         rng = np.random.default_rng(7)
-        worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, pre, 10, rng,
-                                                      noiseless=False)
+        worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, pre, 10, rng)
         assert worst_pu <= 1e-10
         assert worst_su <= 1e-10
+
+    def test_white_relayed_noise_fails_the_oracle(self, setup, monkeypatch):
+        # the oracle draws the receiver noise, so an unprefixed v2 reaches
+        # both receivers through the relay filter and breaks both models
+        scenario, cfg, pre = setup
+
+        def white_v2(cfg, scenario, rng, batch=()):
+            noises = draw_noise_blocks(cfg, scenario, rng, batch)
+            return replace(noises, v2=zmcscg(rng, batch + (cfg.p,), scenario.sigma2_v[2]))
+        monkeypatch.setattr(convsup.validation, "draw_noise_blocks", white_v2)
+        worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, pre, 10,
+                                                      np.random.default_rng(7))
+        assert worst_pu > 1e-6
+        assert worst_su > 1e-6
+
+    def test_models_without_receiver_noise_fail_the_oracle(self, setup, monkeypatch):
+        # the oracle passes v3 and v4 to the models; models that drop them
+        # miss the receiver noise at both receivers
+        scenario, cfg, pre = setup
+        monkeypatch.setattr(convsup.validation, "pu_frequency_model",
+                            lambda *args, v3_f, **kw: pu_frequency_model(*args, **kw))
+        monkeypatch.setattr(convsup.validation, "srx_frequency_model",
+                            lambda *args, v4_f, **kw: srx_frequency_model(*args, **kw))
+        worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, pre, 10,
+                                                      np.random.default_rng(7))
+        assert worst_pu > 1e-6
+        assert worst_su > 1e-6
 
     def test_white_secondary_noise_breaks_the_diagonal_model(self, setup):
         # the substitution of prefixed for white noise in the relay chain is
