@@ -61,8 +61,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        report = validate_suite(seed=args.seed, trials=args.trials,
-                                n_frames=args.frames)
+        report = validate_suite(**{name: getattr(args, name) for name in
+                                   ("seed", "trials", "n_frames") if name in args})
     except ValueError as exc:
         print(f"validate aborted: {exc}", file=sys.stderr)
         return 2
@@ -98,10 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--threads", type=int, default=1, help="worker threads")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_val = sub.add_parser("validate", help="run every oracle and invariant check")
-    p_val.add_argument("--seed", type=int, default=20260809)
-    p_val.add_argument("--trials", type=int, default=100_000)
-    p_val.add_argument("--frames", type=int, default=1000,
+    # an option left out is not passed on, so validate_suite's default holds
+    p_val = sub.add_parser("validate", help="run every oracle and invariant check",
+                           argument_default=argparse.SUPPRESS)
+    p_val.add_argument("--seed", type=int)
+    p_val.add_argument("--trials", type=int)
+    p_val.add_argument("--frames", dest="n_frames", type=int,
                        help="frames for the chain-equivalence oracle")
     p_val.set_defaults(func=_cmd_validate)
 

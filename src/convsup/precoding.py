@@ -7,6 +7,10 @@ per-subcarrier squared row norms ``a_m`` (used) and ``g_m`` (virtual) under
 the transmit budget
 
     (sigma2_12 * P_pu + sigma2_v2) * sum(a_m) + sum(g_m) = P_su.
+
+Precoders are realized for one weight ``a`` on all Q used subcarriers, where
+C = sqrt(Q a / N) I_N is exact; waterfilled profiles enter the rate bounds
+only as per-subcarrier powers.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ __all__ = [
 
 
 class PrecoderRankError(ValueError):
-    """The used-subcarrier mixing matrix came out rank deficient; the symbol
-    count N must be reduced (not fixed automatically)."""
+    """The used-subcarrier weight is zero, so the mixing matrix C, and with
+    it A, would be zero: the relayed branch carries no symbols."""
 
 
 @dataclass(frozen=True)
@@ -57,19 +61,6 @@ class PowerProfile:
             raise ValueError("vc_power does not match the layout")
         if np.any(self.uc_power < 0) or np.any(self.vc_power < 0):
             raise ValueError("per-subcarrier powers must be non-negative")
-
-    def full_uc_vector(self) -> np.ndarray:
-        """Length-M vector of a_m (zero on the virtual subcarriers)."""
-        out = np.zeros(self.layout.m)
-        out[list(self.layout.uc_indices)] = self.uc_power
-        return out
-
-    def full_vc_vector(self) -> np.ndarray:
-        """Length-M vector of g_m (zero on the used subcarriers)."""
-        out = np.zeros(self.layout.m)
-        if self.layout.m_vc:
-            out[list(self.layout.vc_indices)] = self.vc_power
-        return out
 
 
 def uc_power_coefficient(scenario: NetworkScenario) -> float:
@@ -249,9 +240,10 @@ class PrecoderSet:
     """Realized precoder pair.
 
     ``profile`` holds the *realized* per-subcarrier powers (squared row
-    norms of A and G).  The used-subcarrier branch can only shape its Gram
-    matrix inside a rank-N family, so realized row norms ripple around the
-    request while the total spent budget is matched exactly.
+    norms of A and G).  A spreads its weight over the rank-N family of
+    responses that vanish on the virtual subcarriers, so its row norms
+    ripple around a uniform request while the total spent budget is
+    matched exactly.
     """
 
     a: np.ndarray
@@ -261,41 +253,23 @@ class PrecoderSet:
 
 def realize_precoders(ctx: SpectralContext, layout: VcLayout,
                       profile: PowerProfile) -> PrecoderSet:
-    """Build (C, D) and the resulting (A, G) for a requested power profile.
+    """Build (A, G) for a profile with one weight ``a`` on every used
+    subcarrier.
 
-    C is the principal (Hermitian PSD) square root of the Gram target
-    ``upsilon^H pi^H diag(a) pi upsilon``, rescaled by a single scalar so the
-    total used-subcarrier power matches the request exactly.  D is diagonal
-    with entries sqrt(g_m), which meets its target exactly.  Returns
-    A = pi_idft @ upsilon_vc @ C and G = xi @ D with the realized profile.
+    With B = pi_idft @ upsilon_vc (M x N, semi-unitary and null on the
+    virtual subcarriers) the Gram target B^H diag(a) B is a I_N, so C is
+    sqrt(q a / N) I_N: its square root sqrt(a) I_N, scaled to spend the
+    requested used-subcarrier total q a.  D is diagonal with entries
+    sqrt(g_m).  Returns A = B C and G = xi @ D with the realized profile.
+    A non-uniform used-subcarrier request raises ``ValueError``, a zero one
+    :class:`PrecoderRankError`.
     """
-    n_sym = layout.n_sym
-    if n_sym < 1:
-        raise ValueError("layout leaves no used-subcarrier symbol dimensions")
-
-    basis = ctx.pi_idft @ layout.upsilon_vc  # M x N, semi-unitary
-    sigma_a = profile.full_uc_vector()
-    gram = basis.conj().T @ (sigma_a[:, None] * basis)
-    gram = 0.5 * (gram + gram.conj().T)
-    ew, ev = np.linalg.eigh(gram)
-    scale = max(ew.max(), 0.0)
-    if np.any(ew < -1e-10 * max(scale, 1.0)):
-        raise AssertionError("Gram target is not positive semidefinite")
-    ew = np.clip(ew, 0.0, None)
-    if scale <= 0.0 or ew.min() <= 1e-10 * scale:
-        raise PrecoderRankError(
-            f"used-subcarrier mixing matrix is singular at N={n_sym}; reduce "
-            "the symbol count")
-    c = (ev * np.sqrt(ew)) @ ev.conj().T
-
-    # the Gram construction realizes only trace(diag(a) P), P the rank-N
-    # projector onto the realizable responses; rescale to spend the full
-    # requested used-subcarrier budget
-    requested_total = profile.uc_power.sum()
-    raw_total = float(np.trace(gram).real)
-    kappa = np.sqrt(requested_total / raw_total)
-    c = kappa * c
-    a_mat = basis @ c
+    uc_power = profile.uc_power
+    if np.any(uc_power != uc_power[0]):
+        raise ValueError("realize_precoders needs one weight on every used subcarrier")
+    if uc_power[0] == 0.0:
+        raise PrecoderRankError("the used subcarriers carry no power, so A is zero")
+    a_mat = np.sqrt(uc_power.sum() / layout.n_sym) * (ctx.pi_idft @ layout.upsilon_vc)
 
     g_mat = layout.xi @ np.diag(np.sqrt(profile.vc_power)).astype(complex)
 

@@ -124,13 +124,13 @@ def frame_equivalence_errors(scenario, cfg, pre, n_frames, rng) -> tuple[float, 
     return float(worst_pu), float(worst_su)
 
 
-def relayed_noise_identity_error(scenario, cfg, n_frames, rng) -> float:
+def relayed_noise_identity_error(scenario, cfg, pre, n_frames, rng) -> float:
     """Worst relative deviation of the relayed secondary-chain noise at the
-    primary receiver from its diagonal model, with prefix-structured noise;
-    two batched steps per batch, as in ``frame_equivalence_errors``."""
+    primary receiver from its diagonal model, with prefix-structured noise,
+    through the precoders ``pre``; two batched steps per batch, as in
+    ``frame_equivalence_errors``.  The virtual-subcarrier symbols are zero,
+    so only A enters, and the identity holds for any A."""
     layout, ctx = cfg.layout, cfg.ctx
-    profile = uniform_profile(layout, scenario, 0.0)
-    pre = realize_precoders(ctx, layout, profile)
     sim = FrameSimulator(cfg, pre)
     zeros_pu = np.zeros(layout.q)
     zeros_vc = np.zeros(layout.m_vc)
@@ -150,11 +150,12 @@ def relayed_noise_identity_error(scenario, cfg, n_frames, rng) -> float:
 
 
 def validate_suite(seed: int = 20260809, trials: int = 100_000,
-                   n_frames: int = 1000, search_points: int = 1_000_000) -> ValidationReport:
+                   n_frames: int = 1000) -> ValidationReport:
     """Run every oracle and invariant check; a failed check becomes a FAIL
-    entry of the report.  The frame, power and precoder checks share the
-    precoders of ``_reference_setup``.  Sizes or a seed outside their rows
-    of ``harness.ACCEPTED`` raise ``ValueError`` before any check runs.
+    entry of the report.  The frame, noise-path, power and precoder checks
+    share the precoders of ``_reference_setup``.  Sizes or a seed outside
+    their rows of ``harness.ACCEPTED`` raise ``ValueError`` before any check
+    runs.  A ``convsup validate`` option left out takes its default here.
     """
     check_accepted(seed=seed, trials=trials, n_frames=n_frames)
     checks: list[CheckResult] = []
@@ -183,7 +184,7 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
            f"SRx {worst_su:.2e}")
 
     # -- relayed-noise circular identity --------------------------------------
-    worst = relayed_noise_identity_error(scenario, cfg, 200, streams[2])
+    worst = relayed_noise_identity_error(scenario, cfg, pre, 200, streams[2])
     record("noise_path_identity", worst <= 1e-10,
            f"prefix-structured relayed noise, max rel err {worst:.2e}")
 
@@ -199,7 +200,7 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
     record("special_functions", *special_functions_check())
     record("outage_closed_form",
            *outage_check(trials, streams[4].integers(2 ** 63, size=3)))
-    record("waterfilling", *waterfilling_check(streams[5], search_points))
+    record("waterfilling", *waterfilling_check(streams[5]))
 
     # -- budget monotonicity of the primary bound --------------------------------
     sc_mono = _outage_scenario(0.05)
@@ -328,13 +329,15 @@ def outage_check(trials, seeds):
 
 
 _WATERFILLING_INSTANCES = 1000
+# random feasible profiles that the search instance's waterfill must beat
+_SEARCH_POINTS = 1_000_000
 
 
-def waterfilling_check(rng, search_points=1_000_000):
+def waterfilling_check(rng):
     """On random 8-subcarrier instances the waterfilling profile spends the
     budget, leaves no inactive subcarrier below the water level, and no
-    uniform split beats it; on one instance no random feasible profile
-    beats it either.
+    uniform split beats it; on one instance none of ``_SEARCH_POINTS``
+    random feasible profiles beats it either.
 
     The instances are drawn one by one and waterfilled as one batch; a
     budget or level fault fails the check and names the worst instance.
@@ -351,10 +354,10 @@ def waterfilling_check(rng, search_points=1_000_000):
         prof = waterfilling_profile(layout, scenario, h_su, h_24)
     except AssertionError as exc:
         return False, "; ".join([detail, *faults, f"search instance: {exc}"])
-    best_rand = _random_search_best(layout, scenario, h_su, h_24, search_points, rng)
+    best_rand = _random_search_best(layout, scenario, h_su, h_24, _SEARCH_POINTS, rng)
     margin = best_rand - csit_objective(prof, scenario, h_su, h_24)
     ok = not faults and n_beat == 0 and margin <= 1e-9
-    return ok, "; ".join([f"{detail}, best of {search_points} random profiles "
+    return ok, "; ".join([f"{detail}, best of {_SEARCH_POINTS} random profiles "
                           f"trails by {-margin:.3e} bits", *faults])
 
 
@@ -616,7 +619,7 @@ def precoder_structure_check(scenario, cfg, profile, pre, rng):
     layout = cfg.layout
     vc_rows = np.abs(pre.a[list(layout.vc_indices), :]).max()
     g_gram = pre.g @ pre.g.conj().T
-    g_target = np.diag(profile.full_vc_vector())
+    g_target = np.diag(layout.xi @ profile.vc_power)
     g_err = np.abs(g_gram - g_target).max()
     budget = abs(power_residual(pre.profile, scenario)) / scenario.p_su
     det_rate, diag_rate = realized_rates(scenario, cfg, pre, _RATE_DRAWS, rng)

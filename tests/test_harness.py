@@ -236,13 +236,14 @@ class TestRunSweep:
                    for k in ("c_pu_lower", "c_su_lower", "stderr_c_su_lower"))
 
     @pytest.mark.parametrize("name, end, csit", list(_range_end_cases()))
-    def test_accepted_range_ends_run(self, name, end, csit):
+    def test_accepted_range_ends_run(self, name, end, csit, monkeypatch):
         # warnings are errors in this suite: each end of every bounded
         # numeric row of ACCEPTED runs every scheme without one, at 0, 20
         # and 30 dB
         if name in ("trials", "n_frames"):  # validate's own rows
+            monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 20_000)
             report = validate_suite(**{"seed": 1, "trials": 3000, "n_frames": 20,
-                                       "search_points": 20_000, name: end})
+                                       name: end})
             assert {c.status for c in report.checks} <= {"PASS", "FAIL", "SKIP"}
             return
         spec = {"m_subcarriers": 16, "l_su": 5, "vc_indices": (0, 8),
@@ -392,9 +393,9 @@ class TestEmitCsv:
 
 
 class TestValidateSuite:
-    def test_fast_pass(self):
-        report = validate_suite(seed=1, trials=3000, n_frames=20,
-                                search_points=20_000)
+    def test_fast_pass(self, monkeypatch):
+        monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 20_000)
+        report = validate_suite(seed=1, trials=3000, n_frames=20)
         rendered = report.render()
         assert report.ok, rendered
         names = {c.name for c in report.checks}
@@ -404,6 +405,19 @@ class TestValidateSuite:
         gate = [c for c in report.checks if c.name == "monotonicity_hypothesis_gate"]
         assert gate[0].status == "SKIP"
         assert "PASS" in rendered
+
+    def test_realizes_one_precoder_pair(self, monkeypatch):
+        # the frame, noise-path, power and precoder checks all take the
+        # precoders of _reference_setup
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return convsup.precoding.realize_precoders(*args)
+        monkeypatch.setattr(convsup.validation, "realize_precoders", spy)
+        monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 1000)
+        validate_suite(seed=1, trials=200, n_frames=1)
+        assert len(calls) == 1
 
     def test_one_frame_passes(self, capsys):
         # the frame oracles take a max over frames, not a standard error,
@@ -706,8 +720,9 @@ class TestWaterfillingCheck:
             return result
 
         monkeypatch.setattr(convsup.validation, "_WATERFILLING_INSTANCES", 20)
+        monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 1000)
         monkeypatch.setattr(convsup.validation, "waterfill_power", spy)
-        ok, _ = waterfilling_check(np.random.default_rng(31), search_points=1000)
+        ok, _ = waterfilling_check(np.random.default_rng(31))
         assert ok
         shape, spend = calls[0]
         assert shape == (20, 8)
@@ -798,15 +813,16 @@ class TestWaterfillingCheck:
 
         # the batch alone: the overspent rates beat every uniform split and
         # the search instance passes, so only the budget check can fail it
+        monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 1000)
         monkeypatch.setattr(convsup.validation, "waterfill_power", overspend)
-        ok, detail = waterfilling_check(np.random.default_rng(32), search_points=1000)
+        ok, detail = waterfilling_check(np.random.default_rng(32))
         assert not ok
         assert re.search(r"max budget residual 1\.00e-02, uniform splits beat it 0x", detail)
         assert re.search(r"instance \d+ misses the budget by \d\.\d{3}e-0\d", detail)
         assert "random profiles trails by" in detail
         # waterfilling_profile's own fault on the search instance is reported too
         monkeypatch.setattr(convsup.precoding, "waterfill_power", overspend)
-        ok, detail = waterfilling_check(np.random.default_rng(32), search_points=1000)
+        ok, detail = waterfilling_check(np.random.default_rng(32))
         assert not ok
         assert "search instance: budget residual 1.000e-02 exceeds tolerance" in detail
 
@@ -822,8 +838,9 @@ class TestWaterfillingCheck:
             spend[rows, np.argmax(spend, axis=1)] += moved
             return spend, mu
 
+        monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 1000)
         monkeypatch.setattr(convsup.validation, "waterfill_power", starve)
-        ok, detail = waterfilling_check(np.random.default_rng(33), search_points=1000)
+        ok, detail = waterfilling_check(np.random.default_rng(33))
         assert not ok
         assert re.search(r"\d+ instances leave an inactive subcarrier below the "
                          r"water level, worst \d+", detail)

@@ -248,9 +248,8 @@ class TestRealizePrecoders:
         # realization is exact
         pre = realize_precoders(ctx, layout, prof)
         assert uc_mismatch(pre, prof) <= 1e-12
-        # Gram target is isotropic, so C is a multiple of the identity; the
-        # budget rescale stretches sqrt(a) by sqrt(M / (l_su + 1)), and
-        # without virtual subcarriers A = pi_idft @ C
+        # C = sqrt(Q a / N) I with Q = M and N = l_su + 1, and without
+        # virtual subcarriers A = pi_idft @ C
         a = prof.uc_power[0]
         want = ctx.pi_idft @ (np.sqrt(a * 16 / 6) * np.eye(6))
         assert np.abs(pre.a - want).max() <= 1e-12 * np.abs(want).max()
@@ -264,6 +263,41 @@ class TestRealizePrecoders:
         with pytest.raises(PrecoderRankError):
             realize_precoders(ctx, layout, prof)
 
+    def test_rejects_non_uniform_request(self, setup64):
+        # only one weight on every used subcarrier makes C a multiple of I
+        ctx, layout = setup64
+        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+        prof = uniform_profile(layout, scenario, 0.0)
+        ripple = PowerProfile(layout=layout, uc_power=prof.uc_power * np.linspace(0.5, 1.5, 60),
+                              vc_power=prof.vc_power)
+        with pytest.raises(ValueError, match="one weight on every used subcarrier"):
+            realize_precoders(ctx, layout, ripple)
+
+    @pytest.mark.parametrize("m, l_su, vc", [
+        (64, 10, (0, 16, 32, 48)),
+        (128, 20, tuple(range(0, 128, 8))),
+        (16, 4, ()),
+        (32, 7, (3, 11, 19)),
+        (64, 10, (5, 6, 7, 8, 9, 10)),
+    ], ids=["reference", "m128-16vc", "m16-no-vc", "m32-3vc", "m64-contiguous-vc"])
+    @pytest.mark.parametrize("vc_fraction", [0.0, 0.3])
+    def test_closed_form_matches_principal_square_root(self, m, l_su, vc, vc_fraction):
+        # C as the principal square root of the Gram target B^H diag(a) B,
+        # B = pi_idft @ upsilon_vc, by eigendecomposition, then rescaled to
+        # spend the requested used-subcarrier total
+        ctx = build_spectral_context(m, l_su)
+        layout = build_vc_layout(ctx, vc)
+        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+        g = vc_fraction * scenario.p_su / layout.m_vc if layout.m_vc else 0.0
+        prof = uniform_profile(layout, scenario, g)
+        basis = ctx.pi_idft @ layout.upsilon_vc
+        gram = basis.conj().T @ ((layout.theta @ prof.uc_power)[:, None] * basis)
+        ew, ev = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+        c = (ev * np.sqrt(ew)) @ ev.conj().T
+        want = np.sqrt(prof.uc_power.sum() / np.trace(gram).real) * (basis @ c)
+        got = realize_precoders(ctx, layout, prof).a
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_vc_gram_is_exact(self, setup64):
         ctx, layout = setup64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
@@ -271,7 +305,7 @@ class TestRealizePrecoders:
         pre = realize_precoders(ctx, layout, prof)
         assert uc_mismatch(pre, prof) > 0.05
         gram = pre.g @ pre.g.conj().T
-        want = np.diag(prof.full_vc_vector())
+        want = np.diag(layout.xi @ prof.vc_power)
         assert np.abs(gram - want).max() <= 1e-12
 
 
@@ -282,12 +316,3 @@ class TestPowerProfile:
             PowerProfile(layout=layout, uc_power=np.ones(3), vc_power=np.ones(4))
         with pytest.raises(ValueError):
             PowerProfile(layout=layout, uc_power=-np.ones(60), vc_power=np.ones(4))
-
-    def test_full_vectors(self, setup64):
-        _, layout = setup64
-        prof = PowerProfile(layout=layout, uc_power=np.full(60, 2.0),
-                            vc_power=np.full(4, 5.0))
-        fu, fv = prof.full_uc_vector(), prof.full_vc_vector()
-        assert fu[0] == 0.0 and fv[0] == 5.0
-        assert fu.sum() == pytest.approx(120.0)
-        assert fv.sum() == pytest.approx(20.0)
