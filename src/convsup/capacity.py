@@ -3,7 +3,7 @@
 All fading averages reduce to the map A -> E[ln(1 + A*u)] over a unit
 exponential u, evaluated through the exponential integral.  Monte Carlo
 estimators sample the per-subcarrier effective SNRs directly and report the
-standard error of every average; under a channel-independent profile the
+standard error of every average; under a uniform allocation the
 ``*_quad`` functions compute the same rates exactly, by Gauss-Laguerre
 quadrature over the remaining unit exponentials (64 nodes per axis), and
 a Monte Carlo twin of each is its oracle (the NOCSIT one in the tests).
@@ -21,9 +21,8 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .channel import Moments, NetworkScenario, mean_se, trials
-from .precoding import (PowerProfile, _vc_power, srx_noise_floor,
-                        uc_power_coefficient, uniform_profile, waterfill_power,
-                        waterfill_thresholds)
+from .precoding import (srx_noise_floor, uc_power_coefficient, uniform_split,
+                        waterfill_power, waterfill_thresholds)
 from .spectral import VcLayout
 
 __all__ = [
@@ -291,16 +290,14 @@ def pu_outage_probability(scenario: NetworkScenario) -> float:
     return outage_closed_form(kappa(scenario))
 
 
-def outage_mc(scenario: NetworkScenario, profile: PowerProfile, n_trials: int,
+def outage_mc(scenario: NetworkScenario, a: float, n_trials: int,
               rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo outage frequency with its binomial standard error.
 
-    Draws the relay-gain product for one used subcarrier and counts how
-    often the effective SNR falls below the direct one; the per-subcarrier
-    weight cancels, so the count is profile independent under common draws.
+    Draws the relay-gain product for one used subcarrier of weight ``a``
+    and counts how often the effective SNR falls below the direct one; the
+    weight cancels, so the count is independent of it under common draws.
     """
-    a = float(profile.uc_power[0])
-
     def sample(n):
         relay, noise = _pu_relay_terms(scenario, a, *_pu_exponentials(rng, (n,)))
         return relay < noise
@@ -348,18 +345,19 @@ def _pu_exponentials(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.exponential(size=(2, *shape))
 
 
-def _pu_rate_law(scenario: NetworkScenario, layout: VcLayout,
-                 profile: PowerProfile, draws: np.ndarray) -> np.ndarray:
+def _pu_rate_law(scenario: NetworkScenario, layout: VcLayout, a,
+                 draws: np.ndarray) -> np.ndarray:
     """Per-trial primary worst-case rate (bits/s/Hz) of stacked
-    ``_pu_exponentials`` draws of shape (2, trials, q)."""
-    gam = _pu_snr(scenario, profile.uc_power, draws[0], draws[1])
+    ``_pu_exponentials`` draws of shape (2, trials, q) at the used-subcarrier
+    weight ``a``, one number or one per used subcarrier."""
+    gam = _pu_snr(scenario, a, draws[0], draws[1])
     return (LOG2E / layout.m) * psi(gam).sum(axis=1)
 
 
 def c_pu_lower_trials(points, layout: VcLayout, n_trials: int,
                       rng: np.random.Generator) -> Moments:
     """The per-trial primary worst-case rate (bits/s/Hz) at each of
-    ``points``, (scenario, channel-independent profile) pairs that share
+    ``points``, (scenario, used-subcarrier weight ``a``) pairs that share
     ``layout``, followed by the differences of consecutive points' rates,
     folded by ``trials``: 2 len(points) - 1 columns.  Each batch of
     exponentials is drawn once and scored at every point (common random
@@ -372,23 +370,20 @@ def c_pu_lower_trials(points, layout: VcLayout, n_trials: int,
         # mapped and faulted in afresh for every point
         for lo in range(0, n, _CSIT_ROWS):
             block = draws[:, lo:lo + _CSIT_ROWS]
-            rates = [_pu_rate_law(sc, layout, profile, block) for sc, profile in points]
+            rates = [_pu_rate_law(sc, layout, a, block) for sc, a in points]
             out[lo:lo + _CSIT_ROWS] = np.stack(
                 rates + [b - a for a, b in zip(rates, rates[1:])], axis=1)
         return out
     return trials(n_trials, sample)
 
 
-def c_pu_lower_quad(scenario: NetworkScenario, layout: VcLayout,
-                    profile: PowerProfile) -> float:
-    """Exact primary worst-case ergodic rate under a channel-independent
-    profile: the mean of ``c_pu_lower_trials`` by 2-D Gauss-Laguerre over
-    the relay gain |h23|^2/s23 and the filter gain |f|^2/a, once per
-    distinct weight a."""
-    a, count = np.unique(profile.uc_power, return_counts=True)
+def c_pu_lower_quad(scenario: NetworkScenario, layout: VcLayout, a: float) -> float:
+    """Exact primary worst-case ergodic rate at the weight ``a`` on every
+    used subcarrier: the mean of ``c_pu_lower_trials`` by 2-D Gauss-Laguerre
+    over the relay gain |h23|^2/s23 and the filter gain |f|^2/a."""
     e1, e2, w = _laguerre_2d(GL_NODES)
-    gam = _pu_snr(scenario, a[:, None], e1, e2)
-    return float(LOG2E / layout.m * (count * (psi(gam) @ w)).sum())
+    gam = _pu_snr(scenario, a, e1, e2)
+    return float(LOG2E / layout.m * (layout.q * (psi(gam) @ w)))
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +492,17 @@ def _vc_term(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:
     return layout.m_vc * psi(snr) if (snr := _vc_snr(scenario, g)) > 0 else 0.0
 
 
-def c_su_lower_nocsit_quad(scenario: NetworkScenario, layout: VcLayout, g: float) -> float:
-    """Secondary worst-case ergodic rate under uniform power allocation
-    (``uniform_profile`` with ``g`` on each virtual subcarrier), exactly.
+def c_su_lower_nocsit_quad(scenario: NetworkScenario, layout: VcLayout,
+                           a: float, g: float) -> float:
+    """Secondary worst-case ergodic rate under the uniform allocation
+    ``(a, g)`` of ``uniform_split``, exactly.
 
     On a used subcarrier of weight a the SNR is a / nu times the composite
     gain (nu the ``srx_noise_floor``); psi absorbs the gain's innermost
     relay-gain exponential E2, and Gauss-Laguerre averages s24 E0 (s12
     |x_pu|^2 + sigma2_v2) over the remaining (E0, E1).  The virtual
     subcarriers add the closed form M_vc * psi(snr_24)."""
-    scale = uniform_profile(layout, scenario, g).uc_power[0] / srx_noise_floor(scenario)
+    scale = a / srx_noise_floor(scenario)
     e0, e1, w = _laguerre_2d(GL_NODES)
     gain = _relayed_gain(scenario, e0, e1)
     uc = layout.q * float(psi(scale * gain) @ w) if scale > 0 else 0.0
@@ -535,7 +531,7 @@ def baseline_nocr(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
     One symbol rides all used subcarriers at once, so each trial scores the
     rank-one rate log2(1 + a * sum |h|^2 / nu) / M over the used set.
     """
-    a = uniform_profile(layout, scenario, 0.0).uc_power[0]
+    a, _ = uniform_split(layout, scenario, 0.0)
     nu_uc = srx_noise_floor(scenario)
 
     def sample(n):
@@ -561,7 +557,7 @@ def baseline_nocr_quad(scenario: NetworkScenario, layout: VcLayout) -> float:
     from t = 4 (exp(-e^4) < 1e-23) down to 32 below min(0, -ln E[X]) (a
     tail below 2e-14 of the total) is exact to a few 1e-14 relative.
     """
-    c = uniform_profile(layout, scenario, 0.0).uc_power[0] / srx_noise_floor(scenario)
+    c = uniform_split(layout, scenario, 0.0)[0] / srx_noise_floor(scenario)
     e1, w = _laguerre(GL_NODES)
     gain = _relayed_gain(scenario, 1.0, e1)
     mean_x = c * layout.q * float(gain @ w)
@@ -606,9 +602,9 @@ def check_pu_monotonicity(scenario: NetworkScenario, layout: VcLayout,
     exact = []
     for p_su in psu_grid:
         sc = replace(scenario, p_su=p_su)
-        profile = uniform_profile(layout, sc, _vc_power(0.5, p_su, layout.m_vc))
-        points.append((sc, profile))
-        exact.append(c_pu_lower_quad(sc, layout, profile))
+        a, _ = uniform_split(layout, sc, 0.5)
+        points.append((sc, a))
+        exact.append(c_pu_lower_quad(sc, layout, a))
     # the rates at every budget, then the steps between consecutive budgets
     stats = mean_se(c_pu_lower_trials(points, layout, n_trials,
                                       np.random.default_rng(seed)))

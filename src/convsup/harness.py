@@ -29,7 +29,7 @@ from .channel import LinkSpec, NetworkScenario
 from .capacity import (CapacityReport, baseline_nocr_quad, baseline_ocr,
                        c_pu_direct, c_pu_lower_quad, c_su_lower_csit,
                        c_su_lower_nocsit_quad, kappa, pu_outage_probability)
-from .precoding import _vc_power, uniform_profile
+from .precoding import uniform_split
 from .spectral import build_spectral_context, build_vc_layout
 from .transceiver import required_cp_length
 
@@ -283,12 +283,14 @@ def evaluate_scheme(scheme: str, scenarios, layout, csit: bool,
                     n_trials: int, rng: np.random.Generator,
                     vc_power_fraction: float = 0.5) -> list[CapacityReport]:
     """Capacity reports of one scheme at each of ``scenarios``, which share
-    ``layout``.  Rates under the uniform profile are exact quadratures with
-    standard error 0; the ocr secondary rate and the waterfilled CSIT
-    secondary rate are Monte Carlo over ``n_trials`` draws of ``rng``; the
-    report's ``estimators`` names the method of each rate.  The CSIT rate
-    scores one draw at every scenario (``c_su_lower_csit``); the ocr rate
-    draws each scenario's trials in turn."""
+    ``layout``.  Rates under the uniform split (``vc_power_fraction`` of
+    the budget on the virtual subcarriers, none for the schemes that use no
+    VCs) are exact quadratures with standard error 0; the ocr secondary
+    rate and the waterfilled CSIT secondary rate are Monte Carlo over
+    ``n_trials`` draws of ``rng``; the report's ``estimators`` names the
+    method of each rate.  The CSIT rate scores one draw at every scenario
+    (``c_su_lower_csit``); the ocr rate draws each scenario's trials in
+    turn."""
     direct = [c_pu_direct(sc, layout) for sc in scenarios]
     if scheme == "ocr":
         pu, p_out = direct, [0.0] * len(scenarios)
@@ -296,14 +298,13 @@ def evaluate_scheme(scheme: str, scenarios, layout, csit: bool,
         methods = ("closed_form", "mc")
     else:
         if scheme == "proposed_with_vcs":
-            g = [_vc_power(vc_power_fraction, sc.p_su, layout.m_vc) for sc in scenarios]
-            use_vcs = True
+            fraction, use_vcs = vc_power_fraction, True
         elif scheme in ("proposed_without_vcs", "nocr"):
-            g, use_vcs = [0.0] * len(scenarios), False
+            fraction, use_vcs = 0.0, False
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        pu = [c_pu_lower_quad(sc, layout, uniform_profile(layout, sc, gi))
-              for sc, gi in zip(scenarios, g)]
+        split = [uniform_split(layout, sc, fraction) for sc in scenarios]
+        pu = [c_pu_lower_quad(sc, layout, a) for sc, (a, _) in zip(scenarios, split)]
         p_out = [pu_outage_probability(sc) for sc in scenarios]
         methods = ("quadrature", "quadrature")
         if scheme == "nocr":
@@ -312,8 +313,8 @@ def evaluate_scheme(scheme: str, scenarios, layout, csit: bool,
             su = c_su_lower_csit(scenarios, layout, n_trials, rng, use_vcs=use_vcs)
             methods = ("quadrature", "mc")
         else:
-            su = [(c_su_lower_nocsit_quad(sc, layout, gi), 0.0)
-                  for sc, gi in zip(scenarios, g)]
+            su = [(c_su_lower_nocsit_quad(sc, layout, a, g), 0.0)
+                  for sc, (a, g) in zip(scenarios, split)]
     return [CapacityReport(c_pu_lower=p, c_pu_direct=d, delta_c_pu=p - d,
                            c_su_lower=s, p_out=o,
                            std_err={"c_pu_lower": 0.0, "c_su_lower": se},

@@ -2,15 +2,16 @@
 
 A precoder pair is (A, G): ``A = pi_idft @ upsilon_vc @ C`` carries symbols
 through the relayed filter on the primary's used subcarriers, ``G = xi @ D``
-carries symbols directly on the virtual subcarriers.  Power profiles assign
-per-subcarrier squared row norms ``a_m`` (used) and ``g_m`` (virtual) under
-the transmit budget
+carries symbols directly on the virtual subcarriers.  An allocation is a
+squared row norm ``a`` of A on each used subcarrier and a power ``g`` of G
+on each virtual one, under the transmit budget
 
     (sigma2_12 * P_pu + sigma2_v2) * sum(a_m) + sum(g_m) = P_su.
 
-Precoders are realized for one weight ``a`` on all Q used subcarriers, where
-C = sqrt(Q a / N) I_N is exact; waterfilled profiles enter the rate bounds
-only as per-subcarrier powers.
+A uniform allocation is the two numbers ``(a, g)`` of ``uniform_split``;
+precoders are realized for it, where C = sqrt(Q a / N) I_N is exact.
+Waterfilled allocations are per-subcarrier arrays that enter the rate
+bounds only as powers.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ from .channel import NetworkScenario
 from .spectral import SpectralContext, VcLayout
 
 __all__ = [
-    "PowerProfile",
     "PrecoderSet",
     "PrecoderRankError",
     "uc_power_coefficient",
     "srx_noise_floor",
-    "power_residual",
-    "uniform_profile",
+    "uniform_split",
     "waterfilling_profile",
     "waterfill_thresholds",
     "waterfill_power",
@@ -45,24 +44,6 @@ class PrecoderRankError(ValueError):
     it A, would be zero: the relayed branch carries no symbols."""
 
 
-@dataclass(frozen=True)
-class PowerProfile:
-    """Requested (or realized) per-subcarrier powers, aligned with
-    ``layout.uc_indices`` and ``layout.vc_indices``."""
-
-    layout: VcLayout
-    uc_power: np.ndarray
-    vc_power: np.ndarray
-
-    def __post_init__(self):
-        if self.uc_power.shape != (self.layout.q,):
-            raise ValueError("uc_power does not match the layout")
-        if self.vc_power.shape != (self.layout.m_vc,):
-            raise ValueError("vc_power does not match the layout")
-        if np.any(self.uc_power < 0) or np.any(self.vc_power < 0):
-            raise ValueError("per-subcarrier powers must be non-negative")
-
-
 def uc_power_coefficient(scenario: NetworkScenario) -> float:
     """Per-unit-weight transmit power of the relayed branch:
     sigma2_12 * P_pu + sigma2_v2."""
@@ -75,34 +56,20 @@ def srx_noise_floor(scenario: NetworkScenario) -> float:
     return scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4]
 
 
-def power_residual(profile: PowerProfile, scenario: NetworkScenario) -> float:
-    """Signed budget residual of the transmit-power constraint."""
-    spent = uc_power_coefficient(scenario) * profile.uc_power.sum() + profile.vc_power.sum()
-    return spent - scenario.p_su
-
-
-def uniform_profile(layout: VcLayout, scenario: NetworkScenario, g: float) -> PowerProfile:
-    """Uniform allocation: every virtual subcarrier gets ``g``, the remaining
-    budget is spread evenly over the used subcarriers."""
-    if g < 0:
-        raise ValueError("per-virtual-subcarrier power must be >= 0")
-    remaining = scenario.p_su - layout.m_vc * g
-    if remaining < 0:
-        raise ValueError(
-            f"virtual subcarriers absorb {layout.m_vc * g}, more than the "
-            f"budget {scenario.p_su}")
-    a = remaining / (layout.q * uc_power_coefficient(scenario))
-    return PowerProfile(layout=layout,
-                        uc_power=np.full(layout.q, a),
-                        vc_power=np.full(layout.m_vc, g))
-
-
-def _vc_power(fraction: float, p_su: float, m_vc: int) -> float:
-    """Power g of each VC for ``fraction`` of ``p_su``, rounded so m_vc g <= p_su."""
+def uniform_split(layout: VcLayout, scenario: NetworkScenario,
+                  fraction: float) -> tuple[float, float]:
+    """Uniform allocation with ``fraction`` of the budget on the virtual
+    subcarriers: ``(a, g)``, the power g of each virtual subcarrier, rounded
+    down so that m_vc g <= P_su, and the weight a of each used subcarrier
+    that spends the rest."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"virtual-subcarrier share of the budget must lie in "
+                         f"[0, 1], got {fraction}")
+    m_vc, p_su = layout.m_vc, scenario.p_su
     g = fraction * p_su / m_vc if m_vc else 0.0
     while m_vc * g > p_su:
         g = math.nextafter(g, 0.0)
-    return g
+    return (p_su - m_vc * g) / (layout.q * uc_power_coefficient(scenario)), g
 
 
 def waterfill_thresholds(coef, nu_uc, nu_vc, gain_uc: np.ndarray,
@@ -187,8 +154,9 @@ def waterfill_faults(thresholds: np.ndarray, spend: np.ndarray, mu, coef, budget
 
 
 def waterfilling_profile(layout: VcLayout, scenario: NetworkScenario,
-                         h_su: np.ndarray, h_24: np.ndarray) -> PowerProfile:
-    """Capacity-maximizing allocation for known channels.
+                         h_su: np.ndarray, h_24: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Capacity-maximizing allocation for known channels: ``(a, g)``, the
+    weights of the used subcarriers and the powers of the virtual ones.
 
     Waterfills transmit power over the thresholds of
     :func:`waterfill_thresholds`; the common level ``mu`` (in power units)
@@ -217,67 +185,45 @@ def waterfilling_profile(layout: VcLayout, scenario: NetworkScenario,
         raise AssertionError(f"budget residual {residual:.3e} exceeds tolerance")
     if shortfall > 1e-12:
         raise AssertionError("inactive subcarrier below the water level")
-    return PowerProfile(layout=layout, uc_power=spend[: layout.q] / coef,
-                        vc_power=spend[layout.q:])
+    return spend[: layout.q] / coef, spend[layout.q:]
 
 
-def csit_objective(profile: PowerProfile, scenario: NetworkScenario,
+def csit_objective(layout: VcLayout, scenario: NetworkScenario, a, g,
                    h_su: np.ndarray, h_24: np.ndarray) -> float:
-    """Sum rate (bits per subcarrier use, not normalized by M) achieved by a
-    profile on known channels."""
-    layout = profile.layout
+    """Sum rate (bits per subcarrier use, not normalized by M) achieved on
+    known channels by the weights ``a`` of the used subcarriers and the
+    powers ``g`` of the virtual ones, numbers or per-subcarrier arrays."""
     nu_uc = srx_noise_floor(scenario)
     uc = list(layout.uc_indices)
     vc = list(layout.vc_indices)
-    uc_term = np.log2(1.0 + profile.uc_power * np.abs(h_su[uc]) ** 2 / nu_uc).sum()
-    vc_term = np.log2(1.0 + profile.vc_power * np.abs(h_24[vc]) ** 2
+    uc_term = np.log2(1.0 + a * np.abs(h_su[uc]) ** 2 / nu_uc).sum()
+    vc_term = np.log2(1.0 + g * np.abs(h_24[vc]) ** 2
                       / scenario.sigma2_v[4]).sum() if layout.m_vc else 0.0
     return float(uc_term + vc_term)
 
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """Realized precoder pair.
-
-    ``profile`` holds the *realized* per-subcarrier powers (squared row
-    norms of A and G).  A spreads its weight over the rank-N family of
-    responses that vanish on the virtual subcarriers, so its row norms
-    ripple around a uniform request while the total spent budget is
-    matched exactly.
-    """
+    """Realized precoder pair: A (M x N) on the used subcarriers and G
+    (M x M_vc) on the virtual ones.  The squared row norms of A are the
+    realized used-subcarrier weights."""
 
     a: np.ndarray
     g: np.ndarray
-    profile: PowerProfile
 
 
-def realize_precoders(ctx: SpectralContext, layout: VcLayout,
-                      profile: PowerProfile) -> PrecoderSet:
-    """Build (A, G) for a profile with one weight ``a`` on every used
-    subcarrier.
+def realize_precoders(ctx: SpectralContext, layout: VcLayout, a: float,
+                      g: float) -> PrecoderSet:
+    """Build (A, G) for the weight ``a`` on every used subcarrier and the
+    power ``g`` on every virtual one.
 
     With B = pi_idft @ upsilon_vc (M x N, semi-unitary and null on the
     virtual subcarriers) the Gram target B^H diag(a) B is a I_N, so C is
     sqrt(q a / N) I_N: its square root sqrt(a) I_N, scaled to spend the
-    requested used-subcarrier total q a.  D is diagonal with entries
-    sqrt(g_m).  Returns A = B C and G = xi @ D with the realized profile.
-    A non-uniform used-subcarrier request raises ``ValueError``, a zero one
+    used-subcarrier total q a.  G = sqrt(g) xi.  A zero weight raises
     :class:`PrecoderRankError`.
     """
-    uc_power = profile.uc_power
-    if np.any(uc_power != uc_power[0]):
-        raise ValueError("realize_precoders needs one weight on every used subcarrier")
-    if uc_power[0] == 0.0:
+    if a == 0.0:
         raise PrecoderRankError("the used subcarriers carry no power, so A is zero")
-    a_mat = np.sqrt(uc_power.sum() / layout.n_sym) * (ctx.pi_idft @ layout.upsilon_vc)
-
-    g_mat = layout.xi @ np.diag(np.sqrt(profile.vc_power)).astype(complex)
-
-    vc_rows = np.abs(a_mat[list(layout.vc_indices), :]).max() if layout.m_vc else 0.0
-    if vc_rows > 1e-10:
-        raise AssertionError(f"virtual-subcarrier rows of A are not null: {vc_rows:.3e}")
-
-    realized_uc = np.sum(np.abs(a_mat[list(layout.uc_indices), :]) ** 2, axis=1)
-    realized = PowerProfile(layout=layout, uc_power=realized_uc,
-                            vc_power=profile.vc_power.copy())
-    return PrecoderSet(a=a_mat, g=g_mat, profile=realized)
+    a_mat = np.sqrt(layout.q * a / layout.n_sym) * (ctx.pi_idft @ layout.upsilon_vc)
+    return PrecoderSet(a=a_mat, g=(math.sqrt(g) * layout.xi).astype(complex))

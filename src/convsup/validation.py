@@ -22,10 +22,9 @@ from .channel import (_CHUNK, _complex_gaussian, draw_channels,
                       frequency_response, trials, zmcscg)
 from .harness import (ScenarioSpec, build_scenario, check_accepted,
                       reference_link_specs)
-from .precoding import (_vc_power, csit_objective, power_residual,
-                        realize_precoders, srx_noise_floor, uc_power_coefficient,
-                        uniform_profile, waterfill_faults, waterfill_power,
-                        waterfill_thresholds, waterfilling_profile)
+from .precoding import (csit_objective, realize_precoders, srx_noise_floor,
+                        uc_power_coefficient, uniform_split, waterfill_faults,
+                        waterfill_power, waterfill_thresholds, waterfilling_profile)
 from .spectral import (InconsistentResponseError, build_spectral_context,
                        build_vc_layout, filter_frequency_response,
                        min_norm_filter)
@@ -67,17 +66,17 @@ class ValidationReport:
 
 
 def _reference_setup():
-    """The reference scenario and frame configuration, the uniform profile
-    with the reference share of the budget on the virtual subcarriers, and
-    its realized precoders: ``(scenario, cfg, profile, pre)``."""
+    """The reference scenario and frame configuration, the power ``g`` of
+    each virtual subcarrier under the uniform split with the reference share
+    of the budget on them, and the split's realized precoders:
+    ``(scenario, cfg, g, pre)``."""
     spec = ScenarioSpec()
     scenario = spec.network()
     ctx, layout, l_cp = spec.spectral()
     cfg = FrameConfig(ctx=ctx, layout=layout, l_cp=l_cp,
                       specs=reference_link_specs())
-    profile = uniform_profile(layout, scenario, _vc_power(
-        spec.vc_power_fraction, scenario.p_su, layout.m_vc))
-    return scenario, cfg, profile, realize_precoders(ctx, layout, profile)
+    a, g = uniform_split(layout, scenario, spec.vc_power_fraction)
+    return scenario, cfg, g, realize_precoders(ctx, layout, a, g)
 
 
 def _outage_scenario(k: float):
@@ -175,7 +174,7 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
     record("spectral_consistency", *spectral_consistency_check(streams[0]))
 
     # -- frequency-domain equivalence ----------------------------------------
-    scenario, cfg, profile, pre = _reference_setup()
+    scenario, cfg, g, pre = _reference_setup()
     worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, pre, n_frames,
                                                   streams[1])
     record("frequency_equivalence",
@@ -230,7 +229,7 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
     record("power_accounting",
            *power_accounting_check(scenario, cfg, pre, n_draws, streams[8]))
     record("precoder_structure",
-           *precoder_structure_check(scenario, cfg, profile, pre, streams[9]))
+           *precoder_structure_check(scenario, cfg, g, pre, streams[9]))
     return ValidationReport(checks=checks)
 
 
@@ -303,20 +302,18 @@ def _bessel_k1_trapezoid(x):
 
 def outage_check(trials, seeds):
     """Monte Carlo outage against 1 - 2kK1(2k) at k = 0.05, 0.2 and 1, one
-    seed per k.  The same seed drives three secondary profiles (no virtual
-    power, 0.1 and 0.5 of the budget on the virtual subcarriers), whose
-    outage must agree exactly."""
+    seed per k.  The same seed drives the used-subcarrier weights of three
+    uniform splits (no virtual power, 0.1 and 0.5 of the budget on the
+    virtual subcarriers), whose outage must agree exactly."""
     ctx = build_spectral_context(64, 10)
     layout = build_vc_layout(ctx, (0, 16, 32, 48))
     worst = 0.0
     details = []
     for kap, seed in zip((0.05, 0.2, 1.0), seeds):
         scenario = _outage_scenario(kap)
-        profiles = [uniform_profile(layout, scenario,
-                                    _vc_power(fraction, scenario.p_su, layout.m_vc))
-                    for fraction in (0.0, 0.1, 0.5)]
-        p_out = [outage_mc(scenario, profile, trials, np.random.default_rng(seed))
-                 for profile in profiles]
+        p_out = [outage_mc(scenario, uniform_split(layout, scenario, fraction)[0],
+                           trials, np.random.default_rng(seed))
+                 for fraction in (0.0, 0.1, 0.5)]
         p, se = p_out[0]
         if any(other != p for other, _ in p_out[1:]):
             return False, (f"profile dependence at kappa={kap}: "
@@ -351,11 +348,11 @@ def waterfilling_check(rng):
     h_su = zmcscg(rng, 8)
     h_24 = zmcscg(rng, 8)
     try:
-        prof = waterfilling_profile(layout, scenario, h_su, h_24)
+        a, g = waterfilling_profile(layout, scenario, h_su, h_24)
     except AssertionError as exc:
         return False, "; ".join([detail, *faults, f"search instance: {exc}"])
     best_rand = _random_search_best(layout, scenario, h_su, h_24, _SEARCH_POINTS, rng)
-    margin = best_rand - csit_objective(prof, scenario, h_su, h_24)
+    margin = best_rand - csit_objective(layout, scenario, a, g, h_su, h_24)
     ok = not faults and n_beat == 0 and margin <= 1e-9
     return ok, "; ".join([f"{detail}, best of {_SEARCH_POINTS} random profiles "
                           f"trails by {-margin:.3e} bits", *faults])
@@ -371,12 +368,14 @@ def _waterfill_instances(layout, rng):
     # per instance the normals of two zmcscg(rng, M) draws in their order:
     # re h_su, im h_su, re h_24, im h_24
     normals = np.empty((n, 4, layout.m))
+    splits = np.empty((2, 2, n))  # (a, g) of each instance's two uniform splits
     for i in range(n):
         scenario = build_scenario(float(rng.uniform(0.2, 1.5)),
                                   float(rng.uniform(0.5, 4.0)),
                                   float(rng.uniform(0.0, 25.0)), "su")
         levels[:, i] = (scenario.p_su, uc_power_coefficient(scenario),
                         srx_noise_floor(scenario), scenario.sigma2_v[4])
+        splits[:, :, i] = [uniform_split(layout, scenario, f) for f in (0.25, 0.4)]
         rng.standard_normal(out=normals[i])
     h = _complex_gaussian(normals[:, 0::2], normals[:, 1::2], 1.0)  # h_su, h_24
     p_su, coef, nu_uc, nu_vc = levels
@@ -389,10 +388,8 @@ def _waterfill_instances(layout, rng):
     resid = np.abs(residual) / p_su
     rate = np.log2(1.0 + spend / thr).sum(axis=1)
     n_beat = 0
-    for vc_fraction in (0.25, 0.4):
-        g = vc_fraction * p_su / layout.m_vc
-        uni = np.where(np.arange(layout.m) < q, ((p_su - layout.m_vc * g) / q)[:, None],
-                       g[:, None])
+    for a, g in splits:  # a used subcarrier spends coef a
+        uni = np.where(np.arange(layout.m) < q, (coef * a)[:, None], g[:, None])
         n_beat += int(np.count_nonzero(
             rate < np.log2(1.0 + uni / thr).sum(axis=1) - 1e-12))
     faults = []
@@ -610,18 +607,20 @@ def realized_rates(scenario, cfg, pre, n_draws, rng):
     return logdet / np.log(2.0), diag
 
 
-def precoder_structure_check(scenario, cfg, profile, pre, rng):
-    """Of the precoders ``pre`` realized for ``profile``: null virtual rows
-    of A, exact virtual Gram, exact budget, and the Hadamard direction of
-    the per-subcarrier rate against the realized mutual information on
-    every one of ``_RATE_DRAWS`` fading draws; the detail reports both
-    rates averaged over the draws."""
+def precoder_structure_check(scenario, cfg, g, pre, rng):
+    """Of the precoders ``pre`` realized with the power ``g`` on each
+    virtual subcarrier: null virtual rows of A, exact virtual Gram
+    g xi xi^T, exact budget from the realized rows of A, and the Hadamard
+    direction of the per-subcarrier rate against the realized mutual
+    information on every one of ``_RATE_DRAWS`` fading draws; the detail
+    reports both rates averaged over the draws."""
     layout = cfg.layout
     vc_rows = np.abs(pre.a[list(layout.vc_indices), :]).max()
     g_gram = pre.g @ pre.g.conj().T
-    g_target = np.diag(layout.xi @ profile.vc_power)
-    g_err = np.abs(g_gram - g_target).max()
-    budget = abs(power_residual(pre.profile, scenario)) / scenario.p_su
+    g_err = np.abs(g_gram - g * (layout.xi @ layout.xi.T)).max()
+    rows = np.sum(np.abs(pre.a[list(layout.uc_indices)]) ** 2, axis=1)
+    spent = uc_power_coefficient(scenario) * rows.sum() + layout.m_vc * g
+    budget = abs(spent - scenario.p_su) / scenario.p_su
     det_rate, diag_rate = realized_rates(scenario, cfg, pre, _RATE_DRAWS, rng)
     ok = (vc_rows <= 1e-10 and g_err <= 1e-12 and budget <= 1e-9
           and np.all(det_rate <= diag_rate + 1e-9))

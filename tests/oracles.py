@@ -4,8 +4,9 @@ The program computes that rate by ``capacity.c_su_lower_nocsit_quad``
 alone.  Here are its Monte Carlo twin, the constant-modulus variant (the
 primary symbol pinned at |x_pu|^2 = P_pu) in both forms, and the paper's
 low- and high-SNR closed forms, which hold for constant-modulus symbols.
-Each takes the used-subcarrier weight from ``precoding.uniform_profile``,
-as the program does.
+The Monte Carlo twin and the constant-modulus quadrature take the uniform
+allocation ``(a, g)`` of ``precoding.uniform_split``, as the program does;
+the closed forms take the power ``g`` of each virtual subcarrier alone.
 """
 
 import numpy as np
@@ -14,16 +15,10 @@ from convsup import capacity
 from convsup.capacity import (EULER_GAMMA, LOG2E, _composite_gain, _relayed_gain,
                               _vc_snr, _vc_term, psi)
 from convsup.channel import mean_se, trials
-from convsup.precoding import srx_noise_floor, uniform_profile
+from convsup.precoding import srx_noise_floor
 
 
-def _snr_scale(scenario, layout, g):
-    """Used-subcarrier SNR per unit composite gain under the uniform
-    profile with ``g`` on each virtual subcarrier."""
-    return uniform_profile(layout, scenario, g).uc_power[0] / srx_noise_floor(scenario)
-
-
-def c_su_lower_nocsit(scenario, layout, g, n_trials, rng, constant_modulus=False):
+def c_su_lower_nocsit(scenario, layout, a, g, n_trials, rng, constant_modulus=False):
     """Secondary worst-case ergodic rate under uniform power allocation, by
     Monte Carlo, as (value, standard error).
 
@@ -33,7 +28,7 @@ def c_su_lower_nocsit(scenario, layout, g, n_trials, rng, constant_modulus=False
     exponentially, and draws the stacked (E0, E2) without E1.
     ``capacity.c_su_lower_nocsit_quad`` is the exact value.
     """
-    scale = _snr_scale(scenario, layout, g)
+    scale = a / srx_noise_floor(scenario)
     vc_term = _vc_term(scenario, layout, g)
 
     def sample(n):
@@ -47,11 +42,11 @@ def c_su_lower_nocsit(scenario, layout, g, n_trials, rng, constant_modulus=False
     return mean_se(trials(n_trials, sample))
 
 
-def c_su_lower_nocsit_quad_constant_modulus(scenario, layout, g):
+def c_su_lower_nocsit_quad_constant_modulus(scenario, layout, a, g):
     """Exact value of ``c_su_lower_nocsit(..., constant_modulus=True)``:
     psi absorbs E2, and Gauss-Laguerre averages s24 E0 (s12 P_pu +
     sigma2_v2) over E0 alone, with ``capacity.GL_NODES`` nodes."""
-    scale = _snr_scale(scenario, layout, g)
+    scale = a / srx_noise_floor(scenario)
     e0, w = capacity._laguerre(capacity.GL_NODES)
     gain = _relayed_gain(scenario, e0, 1.0)
     uc = layout.q * float(psi(scale * gain) @ w) if scale > 0 else 0.0

@@ -64,7 +64,7 @@ from convsup.validation import (_reference_setup, channel_statistics_check,
                                 spectral_consistency_check,
                                 special_functions_check, validate_suite,
                                 waterfilling_check)
-from convsup.precoding import realize_precoders, uniform_profile
+from convsup.precoding import realize_precoders, uniform_split
 from convsup.spectral import build_spectral_context, build_vc_layout
 from convsup.transceiver import FrameConfig, required_cp_length
 from oracles import c_su_lower_nocsit
@@ -144,9 +144,8 @@ def test_criterion_6_budget_monotonicity(reference):
 def _delta_c_pu(layout, d12_ratio, power_ratio, snr_db, rng, n_trials=TRIALS):
     scenario = build_scenario(resolve_d12(d12_ratio, "d13"), power_ratio,
                               snr_db, "pu")
-    g = 0.5 * scenario.p_su / layout.m_vc
-    profile = uniform_profile(layout, scenario, g)
-    lo, se = mean_se(c_pu_lower_trials([(scenario, profile)], layout, n_trials, rng))[0]
+    a, _ = uniform_split(layout, scenario, 0.5)
+    lo, se = mean_se(c_pu_lower_trials([(scenario, a)], layout, n_trials, rng))[0]
     return lo - c_pu_direct(scenario, layout), se
 
 
@@ -201,8 +200,8 @@ def test_criterion_7c_su_capacity_anchor_nocsit(reference):
     # geometry and power normalization as 7a.
     _, layout, _ = reference
     scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, 20.0, "su")
-    g = 0.5 * scenario.p_su / layout.m_vc
-    nocsit, se_n = c_su_lower_nocsit(scenario, layout, g, TRIALS, _rng(74))
+    nocsit, se_n = c_su_lower_nocsit(scenario, layout, *uniform_split(layout, scenario, 0.5),
+                                     TRIALS, _rng(74))
     ok_no = nocsit >= 0.40 - 3.0 * se_n
     assert _report(
         "criterion 7c-NOCSIT (C_SU >= 0.40 b/s/Hz at d12/d14=0.7, SNR_SU=20dB)",
@@ -220,13 +219,13 @@ def test_red_anchor_table_quadrature_column(reference):
 
     def pu_gain(power_ratio):
         scenario = build_scenario(resolve_d12(0.3, "d13"), power_ratio, 20.0, "pu")
-        profile = uniform_profile(layout, scenario, 0.5 * scenario.p_su / layout.m_vc)
-        return (c_pu_lower_quad(scenario, layout, profile)
+        a, _ = uniform_split(layout, scenario, 0.5)
+        return (c_pu_lower_quad(scenario, layout, a)
                 - c_pu_direct(scenario, layout))
 
     su = build_scenario(resolve_d12(0.7, "d14"), 1.0, 20.0, "su")
     quad = {"7a": pu_gain(1.0), "7b": pu_gain(2.0),
-            "7c-NOCSIT": c_su_lower_nocsit_quad(su, layout, 0.5 * su.p_su / layout.m_vc)}
+            "7c-NOCSIT": c_su_lower_nocsit_quad(su, layout, *uniform_split(layout, su, 0.5))}
     assert printed.keys() == quad.keys()
     for name, text in printed.items():
         digits = len(text.split(".")[1])
@@ -260,9 +259,9 @@ def test_criterion_7d_trends(reference):
     cs, no = [], []
     for i, ratio in enumerate((0.3, 0.5, 0.7)):
         scenario = build_scenario(resolve_d12(ratio, "d14"), 1.0, 20.0, "su")
-        g = 0.5 * scenario.p_su / layout.m_vc
         cs += c_su_lower_csit([scenario], layout, TRIALS, _rng(770 + i))
-        no.append(c_su_lower_nocsit(scenario, layout, g, TRIALS, _rng(780 + i)))
+        no.append(c_su_lower_nocsit(scenario, layout, *uniform_split(layout, scenario, 0.5),
+                                    TRIALS, _rng(780 + i)))
     for series in (cs, no):
         for (v0, s0), (v1, s1) in zip(series, series[1:]):
             ok &= v1 - v0 >= -3.0 * np.hypot(s0, s1)
@@ -311,8 +310,8 @@ def test_criterion_8_gram_diagonalization(reference):
     # its number of nonzero diagonal entries, here 64.  A is B C with
     # B = pi_idft @ upsilon_vc (M x N, semi-unitary, null on the virtual
     # subcarriers) and C = sqrt(Q a / N) I_N, the square root of the Gram
-    # target B^H diag(a) B = a I_N of the uniform profile rescaled by
-    # kappa = sqrt(Q / N) to spend the requested budget; G = xi diag(sqrt(g)).
+    # target B^H diag(a) B = a I_N of the uniform split rescaled by
+    # kappa = sqrt(Q / N) to spend the requested budget; G = sqrt(g) xi.
     # So, by construction:
     #   (a) the symbol-domain transmit Gram [A G]^H [A G] is diagonal;
     #   (b) per realization, R^H R has a zero cross-branch block and a
@@ -329,9 +328,8 @@ def test_criterion_8_gram_diagonalization(reference):
     # direction of that rate gap.
     ctx, layout, cfg = reference
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-    g = 0.5 * scenario.p_su / layout.m_vc
-    profile = uniform_profile(layout, scenario, g)
-    pre = realize_precoders(ctx, layout, profile)
+    a, g = uniform_split(layout, scenario, 0.5)
+    pre = realize_precoders(ctx, layout, a, g)
     rng = _rng(84)
     ch = draw_channels(scenario, cfg.specs, cfg.m, rng)
     x_pu = zmcscg(rng, layout.q, scenario.p_pu)
@@ -354,8 +352,8 @@ def test_criterion_8_gram_diagonalization(reference):
     avg_ratio = _offdiag_ratio(tx.conj().T @ (mean_gain[:, None] * tx))
     basis = ctx.pi_idft @ layout.upsilon_vc
     proj = basis @ basis.conj().T
-    proj_a = proj * (layout.theta @ profile.uc_power)[None, :]
-    kappa2 = profile.uc_power.sum() / np.trace(proj_a).real
+    proj_a = proj * (layout.theta @ np.full(layout.q, a))[None, :]
+    kappa2 = layout.q * a / np.trace(proj_a).real
     a_gram = pre.a @ pre.a.conj().T
     proj_err = float(np.linalg.norm(a_gram - kappa2 * proj_a @ proj, "fro")
                      / np.trace(a_gram).real)

@@ -1,7 +1,8 @@
 """Every function that the benchmark's traced run measures by name exists and
 is public, the validation suite is where the traced run can see it, every
 other public function and every hand-written method is one that the
-program runs, and every dataclass field is one that the program reads.
+program runs, every public class is one that the program constructs, and
+every dataclass field is one that the program reads.
 
 The traced run wraps the functions in each ``convsup`` module's ``__all__``
 (and a fixed list of methods) and reports one metric per declared name; a
@@ -107,19 +108,38 @@ def _public_functions():
                     yield info.name, f"{cls_name}.{name}", fn
 
 
+def _public_classes():
+    """(module, name, class) of every class in a ``convsup`` module's
+    ``__all__`` that the module defines with its own ``__init__``, written
+    or generated by ``dataclass``; exceptions that inherit theirs are left
+    out."""
+    for info in pkgutil.iter_modules(convsup.__path__):
+        module = importlib.import_module(f"convsup.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if (inspect.isclass(obj) and obj.__module__ == module.__name__
+                    and "__init__" in vars(obj)):
+                yield info.name, name, obj
+
+
 def test_methods_are_listed_and_generated_ones_left_out():
     names = {f"{module}.{name}" for module, name, _ in _public_functions()}
     assert {"spectral.VcLayout.n_sym", "harness.SweepConfig.from_json",
             "transceiver.FrameSimulator.step", "harness.Accepts.__str__"} <= names
-    assert "precoding.PowerProfile.__init__" not in names
+    assert "precoding.PrecoderSet.__init__" not in names
     assert "validation.CheckResult.__repr__" not in names
+    classes = {f"{module}.{name}" for module, name, _ in _public_classes()}
+    assert {"precoding.PrecoderSet", "transceiver.FrameSimulator",
+            "validation.CheckResult"} <= classes
+    assert "precoding.PrecoderRankError" not in classes
 
 
 def test_every_public_function_runs_in_the_program(tmp_path, capsys):
     # small sweeps with and without CSIT, validate, a validate size that
     # it rejects, psi and outage through the CLI, in this interpreter under
-    # a profile hook; a public function or method that none of them enters
-    # serves the tests alone, and belongs in them
+    # a profile hook; a public function or method that none of them enters,
+    # or a public class that none of them constructs, serves the tests
+    # alone, and belongs in them
     config = tmp_path / "sweep.json"
     commands = []
     for csit in (True, False):
@@ -148,7 +168,10 @@ def test_every_public_function_runs_in_the_program(tmp_path, capsys):
     measured = {path[:2] for path in _measured_callables() if len(path) == 2}
     unused = [f"{module}.{name}" for module, name, fn in _public_functions()
               if fn.__code__ not in entered and (module, name) not in measured]
+    unbuilt = [f"{module}.{name}" for module, name, cls in _public_classes()
+               if cls.__init__.__code__ not in entered]
     assert not unused, f"public or a method but run by no program path: {unused}"
+    assert not unbuilt, f"public class constructed by no program path: {unbuilt}"
 
 
 # dataclass fields that no program path reads, each with its reason

@@ -26,8 +26,7 @@ from convsup.capacity import (CapacityReport, EULER_GAMMA, _composite_gain,
 from convsup.channel import draw_channels, mean_se, zmcscg
 from convsup.harness import (ACCEPTED, ScenarioSpec, build_scenario,
                              reference_link_specs, resolve_d12)
-from convsup.precoding import (PowerProfile, _vc_power, srx_noise_floor,
-                               uc_power_coefficient, uniform_profile,
+from convsup.precoding import (srx_noise_floor, uc_power_coefficient, uniform_split,
                                waterfill_power, waterfill_thresholds)
 from convsup.spectral import build_spectral_context, build_vc_layout
 from oracles import (c_su_lower_nocsit, c_su_lower_nocsit_quad_constant_modulus,
@@ -248,18 +247,18 @@ class TestOutage:
         _, layout = layout64
         for kap in (0.05, 0.2, 1.0):
             scenario = build_scenario(kap ** (2.0 / 3.0), 1.0, 20.0, "pu")
-            prof = uniform_profile(layout, scenario, 0.0)
-            p_hat, se = outage_mc(scenario, prof, 100_000,
+            a, _ = uniform_split(layout, scenario, 0.0)
+            p_hat, se = outage_mc(scenario, a, 100_000,
                                   np.random.default_rng(18))
             assert abs(p_hat - pu_outage_probability(scenario)) <= 3.0 * max(se, 1e-6)
 
     def test_profile_independence_is_exact_under_common_draws(self, layout64):
         _, layout = layout64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof_a = uniform_profile(layout, scenario, 0.0)
-        prof_b = uniform_profile(layout, scenario, 0.12)
-        p_a, _ = outage_mc(scenario, prof_a, 50_000, np.random.default_rng(5))
-        p_b, _ = outage_mc(scenario, prof_b, 50_000, np.random.default_rng(5))
+        a_0, _ = uniform_split(layout, scenario, 0.0)
+        a_1, _ = uniform_split(layout, scenario, 0.48)
+        p_a, _ = outage_mc(scenario, a_0, 50_000, np.random.default_rng(5))
+        p_b, _ = outage_mc(scenario, a_1, 50_000, np.random.default_rng(5))
         assert p_a == p_b
 
 
@@ -267,9 +266,9 @@ class TestPrimaryCapacity:
     def test_silent_secondary_equals_direct_exactly(self, layout64):
         _, layout = layout64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, scenario.p_su / layout.m_vc)
-        assert np.all(prof.uc_power == 0)
-        val, se = mean_se(c_pu_lower_trials([(scenario, prof)], layout, 500,
+        a, _ = uniform_split(layout, scenario, 1.0)
+        assert a == 0
+        val, se = mean_se(c_pu_lower_trials([(scenario, a)], layout, 500,
                                             np.random.default_rng(0)))[0]
         assert val == pytest.approx(c_pu_direct(scenario, layout), rel=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
@@ -277,8 +276,8 @@ class TestPrimaryCapacity:
     def test_gain_positive_when_relay_close_to_source(self, layout64):
         _, layout = layout64
         scenario = build_scenario(0.1, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, scenario.p_su / (2 * layout.m_vc))
-        val, se = mean_se(c_pu_lower_trials([(scenario, prof)], layout, 30_000,
+        a, _ = uniform_split(layout, scenario, 0.5)
+        val, se = mean_se(c_pu_lower_trials([(scenario, a)], layout, 30_000,
                                             np.random.default_rng(1)))[0]
         assert val - c_pu_direct(scenario, layout) >= 3.0 * se
 
@@ -286,9 +285,9 @@ class TestPrimaryCapacity:
         # the program's Gauss-Laguerre value against Monte Carlo
         _, layout = layout64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, scenario.p_su / (2 * layout.m_vc))
-        want = c_pu_lower_quad(scenario, layout, prof)
-        val, se = mean_se(c_pu_lower_trials([(scenario, prof)], layout, 100_000,
+        a, _ = uniform_split(layout, scenario, 0.5)
+        want = c_pu_lower_quad(scenario, layout, a)
+        val, se = mean_se(c_pu_lower_trials([(scenario, a)], layout, 100_000,
                                             np.random.default_rng(2)))[0]
         assert abs(val - want) <= 3.0 * se
 
@@ -301,8 +300,8 @@ class TestPrimaryCapacity:
                                          required_cp_length, zero_noise)
         ctx, layout = layout64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        req = uniform_profile(layout, scenario, scenario.p_su / (2 * layout.m_vc))
-        pre = realize_precoders(ctx, layout, req)
+        pre = realize_precoders(ctx, layout, *uniform_split(layout, scenario, 0.5))
+        rows = np.sum(np.abs(pre.a[list(layout.uc_indices)]) ** 2, axis=1)
         cfg = FrameConfig(ctx=ctx, layout=layout,
                           l_cp=required_cp_length(reference_link_specs(), 10),
                           specs=reference_link_specs())
@@ -311,7 +310,7 @@ class TestPrimaryCapacity:
         n_frames = 4000
         uc = list(layout.uc_indices)
         r_diag = (scenario.link_variance(2, 3) * scenario.sigma2_v[2]
-                  * pre.profile.uc_power + scenario.sigma2_v[3])
+                  * rows + scenario.sigma2_v[3])
         vals = np.empty(n_frames)
         for i in range(n_frames):
             sim.reset()
@@ -323,7 +322,7 @@ class TestPrimaryCapacity:
             snr_eff = scenario.p_pu * np.abs(h_pu) ** 2 / r_diag
             vals[i] = np.log2(1.0 + snr_eff).sum() / layout.m
         e2e, e2e_se = vals.mean(), vals.std(ddof=1) / np.sqrt(n_frames)
-        gam, gam_se = mean_se(c_pu_lower_trials([(scenario, pre.profile)], layout,
+        gam, gam_se = mean_se(c_pu_lower_trials([(scenario, rows)], layout,
                                                 100_000, np.random.default_rng(4)))[0]
         assert abs(e2e - gam) <= 3.0 * np.hypot(e2e_se, gam_se)
 
@@ -339,10 +338,10 @@ class TestSecondaryCapacity:
     def test_csit_beats_nocsit(self, layout64):
         _, layout = layout64
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, 20.0, "su")
-        g = scenario.p_su / (2 * layout.m_vc)
         [(cs, se_c)] = c_su_lower_csit([scenario], layout, 30_000,
                                        np.random.default_rng(1))
-        no, se_n = c_su_lower_nocsit(scenario, layout, g, 30_000,
+        no, se_n = c_su_lower_nocsit(scenario, layout, *uniform_split(layout, scenario, 0.5),
+                                     30_000,
                                      np.random.default_rng(2))
         assert cs - no >= -3.0 * np.hypot(se_c, se_n)
         assert cs > no  # comfortably apart at this geometry
@@ -352,37 +351,37 @@ class TestSecondaryCapacity:
         # the conditional mean SNR exactly
         _, layout = layout64
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, 20.0, "su")
-        g = scenario.p_su / (2 * layout.m_vc)
-        v1, s1 = c_su_lower_nocsit(scenario, layout, g, 60_000,
+        a, g = uniform_split(layout, scenario, 0.5)
+        v1, s1 = c_su_lower_nocsit(scenario, layout, a, g, 60_000,
                                    np.random.default_rng(3))
-        v2 = c_su_lower_nocsit_quad(scenario, layout, g)
+        v2 = c_su_lower_nocsit_quad(scenario, layout, a, g)
         assert abs(v1 - v2) <= 3.0 * s1
 
     def test_low_snr_closed_form(self, layout64):
         _, layout = layout64
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, -10.0, "su")
-        g = scenario.p_su / (2 * layout.m_vc)
+        a, g = uniform_split(layout, scenario, 0.5)
         want = nocsit_low_snr_approx(scenario, layout, g)
-        got = c_su_lower_nocsit_quad_constant_modulus(scenario, layout, g)
+        got = c_su_lower_nocsit_quad_constant_modulus(scenario, layout, a, g)
         assert abs(got - want) / want <= 0.05
 
     def test_high_snr_closed_form(self, layout64):
         _, layout = layout64
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1e4, 20.0, "pu")
-        g = scenario.p_su / (2 * layout.m_vc)
+        a, g = uniform_split(layout, scenario, 0.5)
         want = nocsit_high_snr_approx(scenario, layout, g)
-        got = c_su_lower_nocsit_quad_constant_modulus(scenario, layout, g)
+        got = c_su_lower_nocsit_quad_constant_modulus(scenario, layout, a, g)
         assert abs(got - want) / want <= 0.05
 
     def test_nocsit_rejects_bad_inputs(self, layout64):
+        # the rates take their (a, g) from uniform_split, which rejects a
+        # negative share and one that would overspend the budget on the VCs
         _, layout = layout64
         scenario = build_scenario(0.7, 1.0, 20.0, "su")
-        for g in (-0.1, scenario.p_su):
+        for fraction in (-0.1, layout.m_vc):
             with pytest.raises(ValueError):
-                c_su_lower_nocsit(scenario, layout, g, 1000,
-                                  np.random.default_rng(0))
-            with pytest.raises(ValueError):
-                c_su_lower_nocsit_quad(scenario, layout, g)
+                c_su_lower_nocsit_quad(scenario, layout,
+                                       *uniform_split(layout, scenario, fraction))
 
     def test_composite_gain_sampler_matches_complex_product(self):
         from scipy import stats
@@ -429,7 +428,8 @@ class TestBaselines:
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, 20.0, "su")
         nocr, se_n = baseline_nocr(scenario, layout, 30_000,
                                    np.random.default_rng(3))
-        prop, se_p = c_su_lower_nocsit(scenario, layout, 0.0, 30_000,
+        prop, se_p = c_su_lower_nocsit(scenario, layout,
+                                       *uniform_split(layout, scenario, 0.0), 30_000,
                                        np.random.default_rng(4))
         assert prop - nocr >= 3.0 * np.hypot(se_n, se_p)
 
@@ -441,16 +441,15 @@ def test_monte_carlo_rates_across_the_batch_boundary():
     ctx = build_spectral_context(16, 5)
     layout = build_vc_layout(ctx, (0, 8))
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-    g = 0.5 * scenario.p_su / layout.m_vc
-    profile = uniform_profile(layout, scenario, g)
+    a, g = uniform_split(layout, scenario, 0.5)
     n = 25_000
     assert n > channel._CHUNK
     rng = np.random.default_rng
-    got = {"c_pu_lower": mean_se(c_pu_lower_trials([(scenario, profile)], layout, n,
+    got = {"c_pu_lower": mean_se(c_pu_lower_trials([(scenario, a)], layout, n,
                                                    rng(1)))[0],
-           "nocsit": c_su_lower_nocsit(scenario, layout, g, n, rng(3)),
+           "nocsit": c_su_lower_nocsit(scenario, layout, a, g, n, rng(3)),
            "nocsit_constant_modulus": c_su_lower_nocsit(
-               scenario, layout, g, n, rng(3), constant_modulus=True),
+               scenario, layout, a, g, n, rng(3), constant_modulus=True),
            "nocr": baseline_nocr(scenario, layout, n, rng(5))}
     assert got == {"c_pu_lower": (5.203338382619127, 0.0001488614607834775),
                    "nocsit": (0.3119365463216415, 0.0002007704037929917),
@@ -523,12 +522,12 @@ def test_too_few_trials_are_rejected(estimator, n_trials, layout64):
     # ValueError naming the count, not a NaN stderr or a numpy warning
     _, layout = layout64
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-    g = 0.5 * scenario.p_su / layout.m_vc
+    a, g = uniform_split(layout, scenario, 0.5)
     run = {"c_su_lower_csit": lambda n, rng: c_su_lower_csit([scenario], layout, n, rng),
            "c_pu_lower": lambda n, rng: mean_se(c_pu_lower_trials(
-               [(scenario, uniform_profile(layout, scenario, g))], layout, n, rng))[0],
+               [(scenario, a)], layout, n, rng))[0],
            "c_su_lower_nocsit": lambda n, rng: c_su_lower_nocsit(
-               scenario, layout, g, n, rng),
+               scenario, layout, a, g, n, rng),
            "baseline_ocr": lambda n, rng: baseline_ocr(scenario, layout, n, rng),
            "baseline_nocr": lambda n, rng: baseline_nocr(scenario, layout, n, rng)}
     with warnings.catch_warnings():
@@ -546,26 +545,26 @@ class TestQuadrature:
         ctx = build_spectral_context(64, 10)
         layout = build_vc_layout(ctx, (0, 16, 32, 48))
         scenario = build_scenario(0.3, 1.0, snr_pu_db, "pu")
-        return scenario, layout, 0.5 * scenario.p_su / layout.m_vc
+        return scenario, layout, uniform_split(layout, scenario, 0.5)
 
     @pytest.mark.parametrize("snr_pu_db", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
     def test_reference_grid_within_3se_of_monte_carlo(self, snr_pu_db):
-        scenario, layout, g = self.reference_point(snr_pu_db)
+        scenario, layout, (a, g) = self.reference_point(snr_pu_db)
         rngs = [np.random.default_rng((910, int(snr_pu_db), k)) for k in range(5)]
         n = 50_000
-        prof = uniform_profile(layout, scenario, g)
+        no_vcs = uniform_split(layout, scenario, 0.0)
         pairs = {
-            "c_pu_lower": (c_pu_lower_quad(scenario, layout, prof),
-                           mean_se(c_pu_lower_trials([(scenario, prof)], layout, n,
+            "c_pu_lower": (c_pu_lower_quad(scenario, layout, a),
+                           mean_se(c_pu_lower_trials([(scenario, a)], layout, n,
                                                      rngs[0]))[0]),
-            "nocsit with vcs": (c_su_lower_nocsit_quad(scenario, layout, g),
-                                c_su_lower_nocsit(scenario, layout, g, n, rngs[1])),
-            "nocsit without vcs": (c_su_lower_nocsit_quad(scenario, layout, 0.0),
-                                   c_su_lower_nocsit(scenario, layout, 0.0, n,
+            "nocsit with vcs": (c_su_lower_nocsit_quad(scenario, layout, a, g),
+                                c_su_lower_nocsit(scenario, layout, a, g, n, rngs[1])),
+            "nocsit without vcs": (c_su_lower_nocsit_quad(scenario, layout, *no_vcs),
+                                   c_su_lower_nocsit(scenario, layout, *no_vcs, n,
                                                      rngs[2])),
             "nocsit constant modulus": (
-                c_su_lower_nocsit_quad_constant_modulus(scenario, layout, g),
-                c_su_lower_nocsit(scenario, layout, g, n, rngs[3],
+                c_su_lower_nocsit_quad_constant_modulus(scenario, layout, a, g),
+                c_su_lower_nocsit(scenario, layout, a, g, n, rngs[3],
                                   constant_modulus=True)),
             "nocr": (baseline_nocr_quad(scenario, layout),
                      baseline_nocr(scenario, layout, n, rngs[4])),
@@ -575,13 +574,12 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("snr_pu_db", [0.0, 30.0])
     def test_64_and_128_nodes_agree(self, snr_pu_db, monkeypatch):
-        scenario, layout, g = self.reference_point(snr_pu_db)
-        prof = uniform_profile(layout, scenario, g)
+        scenario, layout, (a, g) = self.reference_point(snr_pu_db)
         rates = {
-            "c_pu_lower": lambda: c_pu_lower_quad(scenario, layout, prof),
-            "nocsit": lambda: c_su_lower_nocsit_quad(scenario, layout, g),
+            "c_pu_lower": lambda: c_pu_lower_quad(scenario, layout, a),
+            "nocsit": lambda: c_su_lower_nocsit_quad(scenario, layout, a, g),
             "nocsit constant modulus": lambda: c_su_lower_nocsit_quad_constant_modulus(
-                scenario, layout, g),
+                scenario, layout, a, g),
             "nocr": lambda: baseline_nocr_quad(scenario, layout),
         }
         at_64 = {name: rate() for name, rate in rates.items()}
@@ -616,31 +614,17 @@ class TestQuadrature:
         assert baseline_nocr_quad(scenario, layout) == pytest.approx(
             ref / (layout.m * np.log(2.0)), rel=1e-12, abs=0.0)
 
-    def test_primary_rate_with_unequal_weights(self, layout64):
-        # one Gauss-Laguerre integral per distinct weight, counted per
-        # subcarrier: 15 at 2.5a, 15 silent, 30 at a
-        _, layout = layout64
-        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        base = uniform_profile(layout, scenario, 0.0)
-        uc = base.uc_power.copy()
-        uc[::4] *= 2.5
-        uc[1::4] = 0.0
-        prof = PowerProfile(layout=layout, uc_power=uc, vc_power=base.vc_power)
-        val, se = mean_se(c_pu_lower_trials([(scenario, prof)], layout, 50_000,
-                                            np.random.default_rng(915)))[0]
-        assert abs(c_pu_lower_quad(scenario, layout, prof) - val) <= 3.0 * se
-
     def test_silent_secondary(self, layout64):
         _, layout = layout64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, scenario.p_su / layout.m_vc)
-        assert c_pu_lower_quad(scenario, layout, prof) == pytest.approx(
+        a, g = uniform_split(layout, scenario, 1.0)
+        assert a == 0.0
+        assert c_pu_lower_quad(scenario, layout, a) == pytest.approx(
             c_pu_direct(scenario, layout), rel=1e-14)
         quiet = build_scenario(0.7, 1e-9, 20.0, "pu")
         assert 0.0 < baseline_nocr_quad(quiet, layout) <= 1e-6
-        assert c_su_lower_nocsit_quad(scenario, layout,
-                                      scenario.p_su / layout.m_vc) == pytest.approx(
-            c_su_lower_nocsit(scenario, layout, scenario.p_su / layout.m_vc, 200,
+        assert c_su_lower_nocsit_quad(scenario, layout, a, g) == pytest.approx(
+            c_su_lower_nocsit(scenario, layout, a, g, 200,
                               np.random.default_rng(0))[0], rel=1e-14)
 
 
@@ -680,17 +664,17 @@ class TestMonotonicity:
         samples, exact = [], []
         for p_su in grid:
             sc = replace(scenario, p_su=p_su)
-            profile = uniform_profile(layout, sc, 0.5 * p_su / layout.m_vc)
+            a, _ = uniform_split(layout, sc, 0.5)
             rng = np.random.default_rng(seed)
             rows = []
             for start in range(0, n_trials, channel._CHUNK):
                 shape = (min(channel._CHUNK, n_trials - start), layout.q)
                 e_relay = rng.exponential(size=shape)
                 e_filter = rng.exponential(size=shape)
-                gam = capacity._pu_snr(sc, profile.uc_power, e_relay, e_filter)
+                gam = capacity._pu_snr(sc, a, e_relay, e_filter)
                 rows.append(capacity.LOG2E / layout.m * psi(gam).sum(axis=1))
             samples.append(np.concatenate(rows))
-            exact.append(c_pu_lower_quad(sc, layout, profile))
+            exact.append(c_pu_lower_quad(sc, layout, a))
 
         def fold(vals):
             return mean_se(channel.trials(n_trials, replayed(vals)))
@@ -757,7 +741,7 @@ def doubling_cases(draw):
 @given(doubling_cases())
 @example(((ScenarioSpec().network(), ScenarioSpec().spectral()[1]), 0.5))  # 7a and 7b's point
 def test_pu_gain_at_most_doubles_with_the_budget(case):
-    # Delta(P) = c_pu_lower_quad - c_pu_direct under the uniform profile of
+    # Delta(P) = c_pu_lower_quad - c_pu_direct under the uniform split of
     # the sweep: doubling P_su at most doubles a positive primary gain, the
     # bound that makes the 7a and 7b anchors (0.015 and 0.09) inconsistent.
     # A difference of two rates carries their rounding, a few ulp of the
@@ -766,8 +750,8 @@ def test_pu_gain_at_most_doubles_with_the_budget(case):
     (scenario, layout), fraction = case
 
     def delta(sc):
-        profile = uniform_profile(layout, sc, _vc_power(fraction, sc.p_su, layout.m_vc))
-        lower, direct = c_pu_lower_quad(sc, layout, profile), c_pu_direct(sc, layout)
+        a, _ = uniform_split(layout, sc, fraction)
+        lower, direct = c_pu_lower_quad(sc, layout, a), c_pu_direct(sc, layout)
         return lower - direct, max(lower, direct)
     gain, rate = delta(scenario)
     event(f"positive gain: {gain > 0.0}")

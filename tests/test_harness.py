@@ -732,10 +732,9 @@ class TestWaterfillingCheck:
             scenario = build_scenario(float(rng.uniform(0.2, 1.5)),
                                       float(rng.uniform(0.5, 4.0)),
                                       float(rng.uniform(0.0, 25.0)), "su")
-            prof = waterfilling_profile(layout, scenario, zmcscg(rng, 8), zmcscg(rng, 8))
-            assert np.array_equal(row[:layout.q] / uc_power_coefficient(scenario),
-                                  prof.uc_power)
-            assert np.array_equal(row[layout.q:], prof.vc_power)
+            a, g = waterfilling_profile(layout, scenario, zmcscg(rng, 8), zmcscg(rng, 8))
+            assert np.array_equal(row[:layout.q] / uc_power_coefficient(scenario), a)
+            assert np.array_equal(row[layout.q:], g)
 
     def test_instances_keep_the_draws_of_the_instance_loop(self, monkeypatch):
         # one normal fill per instance and one batched scaling give the

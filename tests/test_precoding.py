@@ -1,4 +1,4 @@
-"""Power-profile and precoder-construction tests, including the
+"""Power-allocation and precoder-construction tests, including the
 waterfilling optimality oracles."""
 
 import numpy as np
@@ -6,10 +6,9 @@ import pytest
 
 from convsup.channel import zmcscg
 from convsup.harness import build_scenario
-from convsup.precoding import (PowerProfile, PrecoderRankError,
-                               csit_objective, power_residual,
+from convsup.precoding import (PrecoderRankError, csit_objective,
                                realize_precoders, uc_power_coefficient,
-                               uniform_profile, waterfill_power,
+                               uniform_split, waterfill_power,
                                waterfilling_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
 
@@ -24,31 +23,45 @@ class TestUniformProfile:
     def test_all_power_on_vcs_boundary(self, setup64):
         _, layout = setup64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, scenario.p_su / layout.m_vc)
-        assert np.all(prof.uc_power == 0.0)
-        assert abs(power_residual(prof, scenario)) <= 1e-12
+        a, g = uniform_split(layout, scenario, 1.0)
+        assert a == 0.0
+        assert abs(layout.m_vc * g - scenario.p_su) <= 1e-12
 
     def test_no_vcs(self):
         ctx = build_spectral_context(16, 4)
         layout = build_vc_layout(ctx, ())
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, 0.0)
+        a, g = uniform_split(layout, scenario, 0.5)
         want = scenario.p_su / (16 * uc_power_coefficient(scenario))
-        assert np.allclose(prof.uc_power, want, rtol=1e-12)
+        assert a == pytest.approx(want, rel=1e-12) and g == 0.0
 
     def test_reference_split_meets_budget(self, setup64):
         _, layout = setup64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, scenario.p_su / (2 * layout.m_vc))
-        spent = (uc_power_coefficient(scenario) * prof.uc_power.sum()
-                 + prof.vc_power.sum())
+        a, g = uniform_split(layout, scenario, 0.5)
+        assert layout.m_vc * g == 0.5 * scenario.p_su
+        spent = uc_power_coefficient(scenario) * layout.q * a + layout.m_vc * g
         assert spent == pytest.approx(scenario.p_su, abs=1e-12)
 
-    def test_rejects_overspent_vcs(self, setup64):
+    def test_rejects_overspent_vcs(self):
+        # the whole budget on 3 VCs: g = P_su / 3 rounds above P_su / 3 at
+        # some budgets, and is stepped down so that 3 g never exceeds P_su
+        ctx = build_spectral_context(32, 7)
+        layout = build_vc_layout(ctx, (3, 11, 19))
+        rounded = 0
+        for p_su in np.random.default_rng(6).uniform(0.1, 10.0, 200):
+            scenario = build_scenario(0.3, float(p_su), 20.0, "pu")
+            a, g = uniform_split(layout, scenario, 1.0)
+            assert 3 * g <= scenario.p_su and a >= 0.0
+            rounded += g < scenario.p_su / 3
+        assert rounded > 0
+
+    @pytest.mark.parametrize("fraction", [np.nan, -0.1, 1.1])
+    def test_rejects_a_fraction_outside_the_unit_interval(self, setup64, fraction):
         _, layout = setup64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        with pytest.raises(ValueError):
-            uniform_profile(layout, scenario, 1.1 * scenario.p_su / layout.m_vc)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            uniform_split(layout, scenario, fraction)
 
 
 class TestWaterfilling:
@@ -57,18 +70,18 @@ class TestWaterfilling:
         layout = build_vc_layout(ctx, ())
         scenario = build_scenario(0.7, 1.0, 10.0, "su")
         h_su = np.array([1.0 + 0j, 1e-30 + 0j])  # second carrier dead
-        prof = waterfilling_profile(layout, scenario, h_su, np.ones(2, dtype=complex))
+        a, _ = waterfilling_profile(layout, scenario, h_su, np.ones(2, dtype=complex))
         want = scenario.p_su / uc_power_coefficient(scenario)
-        assert prof.uc_power[0] == pytest.approx(want, rel=1e-8)
-        assert prof.uc_power[1] == 0.0
+        assert a[0] == pytest.approx(want, rel=1e-8)
+        assert a[1] == 0.0
 
     def test_equal_channels_split_equally(self):
         ctx = build_spectral_context(2, 1)
         layout = build_vc_layout(ctx, ())
         scenario = build_scenario(0.7, 1.0, 10.0, "su")
         h_su = np.array([0.8 - 0.3j, 0.3 + 0.8j])  # equal magnitudes
-        prof = waterfilling_profile(layout, scenario, h_su, np.ones(2, dtype=complex))
-        assert prof.uc_power[0] == pytest.approx(prof.uc_power[1], rel=1e-9)
+        a, _ = waterfilling_profile(layout, scenario, h_su, np.ones(2, dtype=complex))
+        assert a[0] == pytest.approx(a[1], rel=1e-9)
 
     def test_budget_residual_and_kkt(self):
         ctx = build_spectral_context(8, 5)
@@ -79,12 +92,13 @@ class TestWaterfilling:
                                       float(rng.uniform(0.5, 4.0)),
                                       float(rng.uniform(0.0, 25.0)), "su")
             h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
-            prof = waterfilling_profile(layout, scenario, h_su, h_24)
-            assert abs(power_residual(prof, scenario)) <= 1e-9 * scenario.p_su
+            a, g = waterfilling_profile(layout, scenario, h_su, h_24)
+            spent = uc_power_coefficient(scenario) * a.sum() + g.sum()
+            assert abs(spent - scenario.p_su) <= 1e-9 * scenario.p_su
             # never worse than the uniform allocation with the same budget
-            uni = uniform_profile(layout, scenario, 0.3 * scenario.p_su / layout.m_vc)
-            assert (csit_objective(prof, scenario, h_su, h_24)
-                    >= csit_objective(uni, scenario, h_su, h_24) - 1e-12)
+            uni = uniform_split(layout, scenario, 0.3)
+            assert (csit_objective(layout, scenario, a, g, h_su, h_24)
+                    >= csit_objective(layout, scenario, *uni, h_su, h_24) - 1e-12)
 
     def test_random_search_never_beats_waterfilling(self):
         ctx = build_spectral_context(8, 5)
@@ -92,8 +106,8 @@ class TestWaterfilling:
         scenario = build_scenario(0.7, 1.0, 15.0, "su")
         rng = np.random.default_rng(4)
         h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
-        prof = waterfilling_profile(layout, scenario, h_su, h_24)
-        wf = csit_objective(prof, scenario, h_su, h_24)
+        wf = csit_objective(layout, scenario,
+                            *waterfilling_profile(layout, scenario, h_su, h_24), h_su, h_24)
         coef = uc_power_coefficient(scenario)
         uc_gain = np.abs(h_su[list(layout.uc_indices)]) ** 2 / (
             scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4])
@@ -112,13 +126,13 @@ class TestWaterfilling:
         scenario = build_scenario(0.7, 1.0, 15.0, "su")
         rng = np.random.default_rng(5)
         h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
-        prof = waterfilling_profile(layout, scenario, h_su, h_24)
+        a, _ = waterfilling_profile(layout, scenario, h_su, h_24)
         perm_uc = np.array([3, 0, 5, 1, 4, 2])
         h_su2 = h_su.copy()
         uc = np.array(layout.uc_indices)
         h_su2[uc] = h_su[uc[perm_uc]]
-        prof2 = waterfilling_profile(layout, scenario, h_su2, h_24)
-        assert np.abs(prof2.uc_power - prof.uc_power[perm_uc]).max() <= 1e-9
+        a2, _ = waterfilling_profile(layout, scenario, h_su2, h_24)
+        assert np.abs(a2 - a[perm_uc]).max() <= 1e-9
 
     def test_rejects_non_finite_channels(self, setup64):
         _, layout = setup64
@@ -203,27 +217,31 @@ class TestWaterfillPower:
             waterfill_power(np.array([[1.0, 2.0], [np.inf, np.inf]]), 1.0)
 
 
-def uc_mismatch(pre, request):
-    """Worst relative gap between the realized and the requested
-    used-subcarrier row norms."""
-    return np.max(np.abs(pre.profile.uc_power - request.uc_power) / request.uc_power)
+def realized_rows(pre, layout):
+    """Squared norms of A's used-subcarrier rows: the realized weights."""
+    return np.sum(np.abs(pre.a[list(layout.uc_indices), :]) ** 2, axis=1)
+
+
+def uc_mismatch(pre, layout, a):
+    """Worst relative gap between the realized used-subcarrier row norms and
+    the requested weight ``a``."""
+    return np.max(np.abs(realized_rows(pre, layout) - a) / a)
 
 
 class TestRealizePrecoders:
     def test_reference_construction(self, setup64):
         ctx, layout = setup64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, scenario.p_su / (2 * layout.m_vc))
-        pre = realize_precoders(ctx, layout, prof)
-        assert uc_mismatch(pre, prof) > 0.05
+        a, g = uniform_split(layout, scenario, 0.5)
+        pre = realize_precoders(ctx, layout, a, g)
+        assert uc_mismatch(pre, layout, a) > 0.05
         # virtual-subcarrier rows of A are null, G lives only on them
         assert np.abs(pre.a[list(layout.vc_indices), :]).max() <= 1e-10
         assert np.abs(pre.g[list(layout.uc_indices), :]).max() == 0
-        # realized profile spends the requested budget exactly
-        assert abs(power_residual(pre.profile, scenario)) <= 1e-9 * scenario.p_su
-        # realized row norms equal the stored realized profile
-        rows = np.sum(np.abs(pre.a[list(layout.uc_indices), :]) ** 2, axis=1)
-        assert np.abs(rows - pre.profile.uc_power).max() <= 1e-9 * rows.max()
+        # the realized rows spend the requested budget exactly
+        spent = (uc_power_coefficient(scenario) * realized_rows(pre, layout).sum()
+                 + layout.m_vc * g)
+        assert abs(spent - scenario.p_su) <= 1e-9 * scenario.p_su
 
     def test_realized_rows_follow_projector_diagonal(self, setup64):
         # independent oracle: with a uniform request the realized row norms
@@ -231,47 +249,35 @@ class TestRealizePrecoders:
         # responses vanishing at the virtual subcarriers
         ctx, layout = setup64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, scenario.p_su / (2 * layout.m_vc))
-        pre = realize_precoders(ctx, layout, prof)
-        assert uc_mismatch(pre, prof) > 0.05
+        a, g = uniform_split(layout, scenario, 0.5)
+        pre = realize_precoders(ctx, layout, a, g)
+        assert uc_mismatch(pre, layout, a) > 0.05
         basis = ctx.pi_idft @ layout.upsilon_vc
         pdiag = np.sum(np.abs(basis) ** 2, axis=1)[list(layout.uc_indices)]
-        want = prof.uc_power[0] * pdiag * (layout.q / layout.n_sym)
-        assert np.abs(pre.profile.uc_power - want).max() <= 1e-9 * want.max()
+        want = a * pdiag * (layout.q / layout.n_sym)
+        assert np.abs(realized_rows(pre, layout) - want).max() <= 1e-9 * want.max()
 
     def test_isotropic_case_without_vcs(self):
         ctx = build_spectral_context(16, 5)
         layout = build_vc_layout(ctx, ())
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, 0.0)
+        a, g = uniform_split(layout, scenario, 0.0)
         # the projector diagonal is flat without virtual subcarriers, so the
         # realization is exact
-        pre = realize_precoders(ctx, layout, prof)
-        assert uc_mismatch(pre, prof) <= 1e-12
+        pre = realize_precoders(ctx, layout, a, g)
+        assert uc_mismatch(pre, layout, a) <= 1e-12
         # C = sqrt(Q a / N) I with Q = M and N = l_su + 1, and without
         # virtual subcarriers A = pi_idft @ C
-        a = prof.uc_power[0]
         want = ctx.pi_idft @ (np.sqrt(a * 16 / 6) * np.eye(6))
         assert np.abs(pre.a - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.abs(pre.profile.uc_power - a).max() <= 1e-12 * a
 
     def test_zero_profile_is_rank_deficient(self, setup64):
         ctx, layout = setup64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, scenario.p_su / layout.m_vc)
-        assert np.all(prof.uc_power == 0)
+        a, g = uniform_split(layout, scenario, 1.0)
+        assert a == 0
         with pytest.raises(PrecoderRankError):
-            realize_precoders(ctx, layout, prof)
-
-    def test_rejects_non_uniform_request(self, setup64):
-        # only one weight on every used subcarrier makes C a multiple of I
-        ctx, layout = setup64
-        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, 0.0)
-        ripple = PowerProfile(layout=layout, uc_power=prof.uc_power * np.linspace(0.5, 1.5, 60),
-                              vc_power=prof.vc_power)
-        with pytest.raises(ValueError, match="one weight on every used subcarrier"):
-            realize_precoders(ctx, layout, ripple)
+            realize_precoders(ctx, layout, a, g)
 
     @pytest.mark.parametrize("m, l_su, vc", [
         (64, 10, (0, 16, 32, 48)),
@@ -288,31 +294,22 @@ class TestRealizePrecoders:
         ctx = build_spectral_context(m, l_su)
         layout = build_vc_layout(ctx, vc)
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        g = vc_fraction * scenario.p_su / layout.m_vc if layout.m_vc else 0.0
-        prof = uniform_profile(layout, scenario, g)
+        a, g = uniform_split(layout, scenario, vc_fraction)
+        uc_power = np.full(layout.q, a)
         basis = ctx.pi_idft @ layout.upsilon_vc
-        gram = basis.conj().T @ ((layout.theta @ prof.uc_power)[:, None] * basis)
+        gram = basis.conj().T @ ((layout.theta @ uc_power)[:, None] * basis)
         ew, ev = np.linalg.eigh(0.5 * (gram + gram.conj().T))
         c = (ev * np.sqrt(ew)) @ ev.conj().T
-        want = np.sqrt(prof.uc_power.sum() / np.trace(gram).real) * (basis @ c)
-        got = realize_precoders(ctx, layout, prof).a
+        want = np.sqrt(uc_power.sum() / np.trace(gram).real) * (basis @ c)
+        got = realize_precoders(ctx, layout, a, g).a
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_vc_gram_is_exact(self, setup64):
         ctx, layout = setup64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
-        prof = uniform_profile(layout, scenario, scenario.p_su / (2 * layout.m_vc))
-        pre = realize_precoders(ctx, layout, prof)
-        assert uc_mismatch(pre, prof) > 0.05
+        a, g = uniform_split(layout, scenario, 0.5)
+        pre = realize_precoders(ctx, layout, a, g)
+        assert uc_mismatch(pre, layout, a) > 0.05
         gram = pre.g @ pre.g.conj().T
-        want = np.diag(layout.xi @ prof.vc_power)
+        want = np.diag(layout.xi @ np.full(layout.m_vc, g))
         assert np.abs(gram - want).max() <= 1e-12
-
-
-class TestPowerProfile:
-    def test_shape_validation(self, setup64):
-        _, layout = setup64
-        with pytest.raises(ValueError):
-            PowerProfile(layout=layout, uc_power=np.ones(3), vc_power=np.ones(4))
-        with pytest.raises(ValueError):
-            PowerProfile(layout=layout, uc_power=-np.ones(60), vc_power=np.ones(4))

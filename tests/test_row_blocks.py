@@ -162,11 +162,11 @@ def test_realized_rates_memory_is_bounded_by_the_block(setup):
                                             ("precoder_structure", 9),
                                             ("product_density_ks", 11)])
 def test_check_memory_at_the_benchmark_size(reference, check, ceiling):
-    scenario, cfg, profile, pre = reference
+    scenario, cfg, g, pre = reference
     rng = np.random.default_rng(8)
     run = {"power_accounting": lambda: power_accounting_check(scenario, cfg, pre,
                                                               5000, rng),
-           "precoder_structure": lambda: precoder_structure_check(scenario, cfg, profile,
+           "precoder_structure": lambda: precoder_structure_check(scenario, cfg, g,
                                                                   pre, rng),
            "product_density_ks": lambda: product_density_check(scenario, 1_000_000,
                                                                rng)}[check]

@@ -9,8 +9,7 @@ import pytest
 import convsup.validation
 from convsup.channel import ChannelRealization, LinkSpec, draw_channels, zmcscg
 from convsup.harness import build_scenario, reference_link_specs
-from convsup.precoding import (PowerProfile, PrecoderSet, realize_precoders,
-                               uniform_profile)
+from convsup.precoding import PrecoderSet, realize_precoders, uniform_split
 from convsup.spectral import build_spectral_context, build_vc_layout
 from convsup.transceiver import (FrameConfig, FrameSimulator, NoiseBlocks,
                                  draw_noise_blocks, pu_frequency_model,
@@ -31,9 +30,8 @@ def reference_config(m=64, l_su=10, vc=(0, 16, 32, 48), l_cp=None, enforce=True)
 
 
 def reference_precoders(cfg, scenario, g_fraction=0.5):
-    g = g_fraction * scenario.p_su / cfg.layout.m_vc if cfg.layout.m_vc else 0.0
-    profile = uniform_profile(cfg.layout, scenario, g)
-    return realize_precoders(cfg.ctx, cfg.layout, profile)
+    return realize_precoders(cfg.ctx, cfg.layout,
+                             *uniform_split(cfg.layout, scenario, g_fraction))
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +105,8 @@ class TestStxProcess:
         layout = build_vc_layout(ctx, ())
         specs = {link: LinkSpec(order=0, offset=0) for link in specs_keys()}
         cfg = FrameConfig(ctx=ctx, layout=layout, l_cp=6, specs=specs)
-        prof = PowerProfile(layout=layout, uc_power=np.ones(16), vc_power=np.zeros(0))
         pre = PrecoderSet(a=np.ones((16, 1), dtype=complex),
-                          g=np.zeros((16, 0), dtype=complex), profile=prof)
+                          g=np.zeros((16, 0), dtype=complex))
         rng = np.random.default_rng(2)
         y2 = zmcscg(rng, cfg.p)
         out = stx_process(y2, np.ones(1, dtype=complex),
