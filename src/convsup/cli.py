@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sweep.add_argument("--trials", type=int, default=None, help="override trial count")
     p_sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
-    p_sweep.add_argument("--threads", type=int, default=1, help="worker threads")
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="worker processes, at most one per task and per available CPU")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     # an option left out is not passed on, so validate_suite's default holds

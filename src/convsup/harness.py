@@ -14,15 +14,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import platform
+import signal
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import numpy.random  # with the package, not lazily at a sweep's first generator
-import scipy
 
 from . import __version__
 from .channel import LinkSpec, NetworkScenario
@@ -173,7 +173,7 @@ ACCEPTED = {
     "l_su": Accepts("integer", lo=0, hi=_M_MAX - 1),
     "vc_indices": Accepts("integer", lo=0, hi=_M_MAX - 1, items="any"),
     "vc_power_fraction": Accepts("number", lo=0.0, hi=1.0),  # of the budget
-    # no row depends on it; the pool starts at most one thread per task
+    # no row depends on it; at most one process per task and per available CPU
     "threads": Accepts("integer", lo=1),
     "trials": _TRIALS,
     "n_frames": Accepts("integer", lo=1),
@@ -322,18 +322,102 @@ def evaluate_scheme(scheme: str, scenarios, layout, csit: bool,
             for p, d, (s, se), o in zip(pu, direct, su, p_out)]
 
 
+def _worker_count(threads: int, n_tasks: int) -> int:
+    """Processes a sweep runs on: at most ``threads``, one per task and one
+    per CPU this process may run on; only the caller without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(threads, n_tasks, cpus)
+
+
+def _forked_worker(fd: int, work, indices) -> None:
+    """Body of a forked worker: run ``work`` on ``indices`` and write
+    ``(True, results)``, or ``(False, exception)``, pickled to ``fd``; it
+    leaves by ``os._exit`` and never returns."""
+    status = 1
+    try:
+        try:
+            payload = (True, [work(i) for i in indices])
+        except BaseException as exc:  # the parent raises it again
+            payload = (False, exc)
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # an exception that does not survive pickling
+                payload = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(fd, "wb") as fh:
+            pickle.dump(payload, fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_tasks(work, n_tasks: int, k: int):
+    """Run ``work(i)`` for every task index on ``k`` processes; returns the
+    results in task order and each forked worker's ``(cpu_s, max_rss_mib)``.
+
+    The caller is worker 0 and runs tasks 0, k, 2k, ...; workers 1 to k - 1
+    are forked from it, so they share everything built before the call, and
+    worker w runs tasks w, w + k, ...  An exception raised in a worker is
+    raised again here.  On any error the workers are killed; every worker is
+    reaped with ``os.wait4`` before this returns or raises.
+    """
+    results = [None] * n_tasks
+    pids, pipes, usage = [], [], []
+    done = False
+    try:
+        for w in range(1, k):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _forked_worker(write_fd, work, range(w, n_tasks, k))
+            os.close(write_fd)
+            pids.append(pid)
+            pipes.append(open(read_fd, "rb"))
+        for i in range(0, n_tasks, k):
+            results[i] = work(i)
+        for w, pipe in enumerate(pipes, 1):
+            data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"sweep worker {w} ended without a result")
+            ok, payload = pickle.loads(data)  # bytes a worker of this call wrote
+            if not ok:
+                raise payload
+            results[w::k] = payload
+        done = True
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            ru = os.wait4(pid, 0)[2]
+            usage.append((ru.ru_utime + ru.ru_stime,
+                          ru.ru_maxrss / (2 ** 20 if sys.platform == "darwin" else 1024)))
+    return results, usage
+
+
 def run_sweep(cfg: SweepConfig, threads: int = 1):
     """Run the sweep; returns (rows, manifest).
 
     One row per (grid value, scheme), in that order.  Each row draws from
     the child of the root seed at its position, so results do not depend on
-    the thread count, which must be at least 1; the row's ``seed`` tag
-    names that child.  With ``csit`` the waterfilled rows of one proposed
-    scheme are a single task: its ``c_su_lower_csit`` scores one draw, from
-    the child of the scheme's first row, at every grid point, and every row
-    of the scheme carries that child's tag.  Those tasks are queued first,
-    since they take most of the time.  The manifest's ``timing`` holds the
-    wall seconds of each task, in task order, and of the whole sweep; they
+    ``threads``, which must be at least 1; the row's ``seed`` tag names that
+    child.  With ``csit`` the waterfilled rows of one proposed scheme are a
+    single task: its ``c_su_lower_csit`` scores one draw, from the child of
+    the scheme's first row, at every grid point, and every row of the scheme
+    carries that child's tag.  Those tasks are queued first, since they take
+    most of the time, so that they land on different workers.
+
+    The tasks run on ``min(threads, tasks, available CPUs)`` processes: the
+    caller and workers made with POSIX ``os.fork`` after the scenarios, the
+    layout and the seeds are built (one process where there is no
+    ``os.fork``).  Call it from a process with no other threads, since a
+    forked worker holds only the calling thread.  The manifest's ``timing``
+    holds the wall seconds of each task, in task order, and of the whole
+    sweep, and the CPU seconds and peak RSS of each forked worker; they
     never enter the rows.
     """
     check_accepted(threads=threads)
@@ -378,11 +462,8 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
         }) for gi, rep in zip(gis, reports)]
         return rows, reports[0].estimators, time.perf_counter() - task_start
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(len(tasks))))
-    else:
-        results = [work(i) for i in range(len(tasks))]
+    workers = _worker_count(threads, len(tasks))
+    results, usage = _run_tasks(work, len(tasks), workers)
     by_position = dict(row for rows, _, _ in results for row in rows)
     rows = [by_position[gi, si] for gi in grid_points for si in range(n_schemes)]
 
@@ -391,8 +472,8 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "threads": threads,
+            "workers": workers,
             "cpu_count": os.cpu_count(),
         },
         "estimators": {cfg.schemes[si]: how
@@ -430,7 +511,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
                            else 0.0 for rate in ("c_pu_lower", "c_su_lower")}}
                        for row in rows],
         "timing": {"task_s": [seconds for _, _, seconds in results],
-                   "total_s": time.perf_counter() - start},
+                   "total_s": time.perf_counter() - start,
+                   # of each forked worker, from os.wait4: the caller is not in them
+                   "worker_cpu_s": [cpu for cpu, _ in usage],
+                   "worker_max_rss_mib": [rss for _, rss in usage]},
     }
     return rows, manifest
 

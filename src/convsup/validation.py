@@ -615,7 +615,7 @@ def precoder_structure_check(scenario, cfg, g, pre, rng):
     information on every one of ``_RATE_DRAWS`` fading draws; the detail
     reports both rates averaged over the draws."""
     layout = cfg.layout
-    vc_rows = np.abs(pre.a[list(layout.vc_indices), :]).max()
+    vc_rows = np.abs(pre.a[list(layout.vc_indices), :]).max(initial=0.0)  # 0 without VCs
     g_gram = pre.g @ pre.g.conj().T
     g_err = np.abs(g_gram - g * (layout.xi @ layout.xi.T)).max()
     rows = np.sum(np.abs(pre.a[list(layout.uc_indices)]) ** 2, axis=1)

@@ -9,11 +9,11 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from scipy import integrate, special, stats
 
 import convsup.capacity
@@ -27,14 +27,16 @@ from convsup.channel import draw_channels, zmcscg
 from convsup.cli import main as cli_main
 from convsup.harness import (ACCEPTED, SCHEMES, SWEEP_VARIABLES,
                              ScenarioSpec, SweepConfig, build_scenario,
-                             emit_csv, evaluate_scheme, resolve_d12, run_sweep,
-                             stx_position)
-from convsup.precoding import (srx_noise_floor, uc_power_coefficient,
-                               waterfill_power, waterfill_thresholds,
+                             emit_csv, evaluate_scheme, reference_link_specs,
+                             resolve_d12, run_sweep, stx_position)
+from convsup.precoding import (realize_precoders, srx_noise_floor, uc_power_coefficient,
+                               uniform_split, waterfill_power, waterfill_thresholds,
                                waterfilling_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
-from convsup.validation import (realized_rates, special_functions_check,
-                                validate_suite, waterfilling_check)
+from convsup.transceiver import FrameConfig
+from convsup.validation import (precoder_structure_check, realized_rates,
+                                special_functions_check, validate_suite,
+                                waterfilling_check)
 
 
 def load_benchmark_gates():
@@ -303,10 +305,12 @@ class TestRunSweep:
         assert estimators["ocr"] == {"c_pu_lower": "closed_form", "c_su_lower": "mc"}
 
     def test_manifest_records_environment(self):
+        # two tasks on 2 threads: as many workers as this process has CPUs,
+        # up to 2
         _, manifest = run_sweep(small_config(grid=(20.0,)), threads=2)
         assert manifest["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "threads": 2,
+            "threads": 2, "workers": min(2, _cpus()),
             "cpu_count": os.cpu_count()}
 
     @pytest.mark.parametrize("variable, anchor", [
@@ -322,10 +326,16 @@ class TestRunSweep:
         cfg = small_config()
         rows, manifest = run_sweep(cfg, threads=2)
         timing = json.loads(json.dumps(manifest["timing"]))
-        assert timing.keys() == {"task_s", "total_s"}
+        assert timing.keys() == {"task_s", "total_s", "worker_cpu_s",
+                                 "worker_max_rss_mib"}
         assert len(timing["task_s"]) == len(rows) == 4
         assert all(t > 0.0 for t in timing["task_s"])
         assert timing["total_s"] >= max(timing["task_s"])
+        # one entry per forked worker: the caller is worker 0
+        forked = manifest["environment"]["workers"] - 1
+        assert len(timing["worker_cpu_s"]) == len(timing["worker_max_rss_mib"]) == forked
+        assert all(t >= 0.0 for t in timing["worker_cpu_s"])
+        assert all(m > 0.0 for m in timing["worker_max_rss_mib"])
         # timings go to the manifest only: the rows do not depend on them
         assert rows == run_sweep(cfg, threads=1)[0]
 
@@ -361,6 +371,146 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="l_su"):
             small_config(scenario=ScenarioSpec(m_subcarriers=16, l_su=1,
                                                vc_indices=(0, 4, 8))).scenario.spectral()
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+class TwoPartError(Exception):
+    """Pickles as its message alone, which its two-argument constructor
+    cannot take back."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="one process without os.fork")
+class TestWorkers:
+    """The sweep's tasks on forked worker processes: the caller is worker 0,
+    so a patched ``evaluate_scheme`` that compares ``os.getpid()`` with the
+    caller's fails in a forked worker only."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # k = min(threads, tasks, CPUs) on any host: two CPUs unless a test
+        # sets its own
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @staticmethod
+    def fail_in_worker(monkeypatch, fault):
+        """Make ``evaluate_scheme`` call ``fault()`` in a forked worker and
+        run normally in the caller."""
+        caller, real = os.getpid(), convsup.harness.evaluate_scheme
+
+        def patched(*args, **kwargs):
+            if os.getpid() != caller:
+                fault()
+            return real(*args, **kwargs)
+        monkeypatch.setattr(convsup.harness, "evaluate_scheme", patched)
+
+    def test_processes_are_capped_by_threads_tasks_and_cpus(self, monkeypatch):
+        real_fork, forks = os.fork, []
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+        monkeypatch.setattr(os, "fork", counting_fork)
+        cfg = small_config()  # 4 tasks
+        for threads, cpus, workers in ((8, 3, 3), (8, 6, 4), (2, 6, 2), (1, 6, 1)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            forks.clear()
+            rows, manifest = run_sweep(cfg, threads=threads)
+            assert manifest["environment"]["workers"] == workers
+            assert len(forks) == workers - 1
+            assert rows == run_sweep(cfg)[0]
+            assert_no_child_left()
+
+    def test_a_task_raising_in_a_worker_reaches_the_caller(self, monkeypatch):
+        def fault():
+            raise WorkerFailure("task failed in a forked worker")
+        self.fail_in_worker(monkeypatch, fault)
+        with pytest.raises(WorkerFailure, match="^task failed in a forked worker$"):
+            run_sweep(small_config(), threads=2)
+        assert_no_child_left()
+
+    def test_an_exception_that_does_not_pickle_arrives_by_name(self, monkeypatch):
+        def fault():
+            raise TwoPartError("split", "message")
+        self.fail_in_worker(monkeypatch, fault)
+        with pytest.raises(RuntimeError, match="^TwoPartError: split message$"):
+            run_sweep(small_config(), threads=2)
+        assert_no_child_left()
+
+    def test_a_worker_that_dies_is_reported(self, monkeypatch):
+        self.fail_in_worker(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(ChildProcessError, match="worker 1 ended without a result"):
+            run_sweep(small_config(), threads=2)
+        assert_no_child_left()
+
+    def test_an_error_in_the_caller_kills_the_workers(self, monkeypatch):
+        # the forked worker would sleep for a minute; the caller's error
+        # kills it, so the sweep raises at once and leaves no process
+        caller, real = os.getpid(), convsup.harness.evaluate_scheme
+
+        def patched(*args, **kwargs):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise WorkerFailure("task failed in the caller")
+        monkeypatch.setattr(convsup.harness, "evaluate_scheme", patched)
+        start = time.perf_counter()
+        with pytest.raises(WorkerFailure, match="in the caller"):
+            run_sweep(small_config(), threads=2)
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
+    def test_cli_reports_a_worker_failure_in_one_line(self, monkeypatch, tmp_path, capsys):
+        def fault():
+            raise ValueError("bad value in a forked worker")
+        self.fail_in_worker(monkeypatch, fault)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sweep_variable": "snr_pu_db", "grid": [15.0, 20.0],
+                                        "schemes": ["ocr", "nocr"], "n_trials": 200}))
+        out = tmp_path / "out.csv"
+        rc = cli_main(["sweep", "--config", str(cfg_path), "--threads", "2",
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc != 0 and not out.exists()
+        assert err == "sweep aborted: bad value in a forked worker\n"
+        assert_no_child_left()
+
+
+def test_unpinned_blas_two_worker_sweep_matches_the_golden(tmp_path):
+    # in a fresh interpreter with the BLAS thread pools left at their
+    # defaults, a 2-thread CSIT sweep writes the recorded 1-thread CSV
+    cfg = small_config(schemes=SCHEMES, csit=True, n_trials=25_000)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "sweep_variable": cfg.sweep_variable, "grid": list(cfg.grid),
+        "schemes": list(cfg.schemes), "csit": cfg.csit, "n_trials": cfg.n_trials,
+        "seed": cfg.seed, "scenario": {"m_subcarriers": 16, "l_su": 5,
+                                       "vc_indices": [0, 8]}}))
+    src = str(Path(convsup.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out.csv"
+    proc = subprocess.run([sys.executable, "-m", "convsup.cli", "sweep", "--config",
+                           str(cfg_path), "--threads", "2", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (DATA / "sweep_m16_trials25000_csit.csv").read_bytes()
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["environment"]["workers"] == min(2, _cpus())
 
 
 class TestEmitCsv:
@@ -465,6 +615,20 @@ class TestValidateSuite:
             assert abs(det[i] - logdet / np.log(2.0)) <= 1e-9 * abs(det[i])
             want_diag = np.log2(1.0 + np.diag(gram).real / nu).sum()
             assert abs(diag[i] - want_diag) <= 1e-9 * want_diag
+
+    def test_precoder_structure_holds_without_vcs(self):
+        # no virtual rows to be null and no VC Gram: both read 0, and the
+        # budget and the rate ordering still hold
+        spec = ScenarioSpec(vc_indices=())
+        scenario = spec.network()
+        ctx, layout, l_cp = spec.spectral()
+        cfg = FrameConfig(ctx=ctx, layout=layout, l_cp=l_cp, specs=reference_link_specs())
+        a, g = uniform_split(layout, scenario, spec.vc_power_fraction)
+        ok, detail = precoder_structure_check(scenario, cfg, g,
+                                              realize_precoders(ctx, layout, a, g),
+                                              np.random.default_rng(3))
+        assert ok, detail
+        assert detail.startswith("null rows 0.0e+00, vc gram err 0.0e+00, ")
 
 
 class TestSpecialFunctionReferences:
@@ -669,9 +833,9 @@ class TestKsBlockBound:
 
 
 def test_the_program_never_imports_scipy_stats_or_integrate(tmp_path):
-    # nor scipy.linalg or scipy.special, after import, a passing validate
-    # and a sweep; in a fresh interpreter, because pytest itself imports
-    # scipy.stats
+    # nor scipy.linalg or scipy.special, nor scipy itself, after import, a
+    # passing validate and a sweep; in a fresh interpreter, because pytest
+    # itself imports scipy.stats
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "sweep_variable": "snr_pu_db", "grid": [20.0], "schemes": ["ocr"],
@@ -682,7 +846,7 @@ import contextlib, io, json, sys
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[:2] in (
-        ["scipy", "stats"], ["scipy", "integrate"], ["scipy", "linalg"],
+        ["scipy"], ["scipy", "stats"], ["scipy", "integrate"], ["scipy", "linalg"],
         ["scipy", "special"]))
 
 from convsup import cli
