@@ -125,7 +125,7 @@ def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndar
     excess -= bottom
     levels = np.cumsum(excess, axis=1)
     levels += budget[..., None]
-    levels /= np.arange(1, excess.shape[1] + 1)
+    levels /= np.arange(1.0, excess.shape[1] + 1)
     n_active = np.count_nonzero(levels > excess, axis=1)
     xi = levels[np.arange(levels.shape[0]), n_active - 1]
     # the level array becomes the spend max(xi - (thresholds - bottom), 0)

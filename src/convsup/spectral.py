@@ -129,8 +129,15 @@ def build_spectral_context(m: int, l_su: int) -> SpectralContext:
 def build_vc_layout(ctx: SpectralContext, vc_indices) -> VcLayout:
     """Build the virtual-subcarrier layout for the given index set.
 
-    ``upsilon_vc`` is an orthonormal null-space basis computed by SVD with a
-    relative singular-value threshold of 1e-10 (``ValueError`` where it fails).
+    The indices must be distinct, in [0, ``m``), and at most ``l_su`` of them.
+    ``upsilon_vc`` is then the orthonormal basis of the filters that vanish
+    on them: the trailing ``l_su + 1 - m_vc`` right singular vectors of the
+    rows of ``pi_idft`` at the indices.  Those rows are a Vandermonde matrix
+    with distinct nodes on the unit circle, so their rank is exactly m_vc
+    and no rank threshold is needed.  Contiguous blocks, such as guard bands,
+    make the rows badly conditioned but not rank-deficient.  The basis is
+    checked by its residual on the rows, at most 1e-12 (``ValueError`` where
+    it is larger or the SVD fails).
     """
     vc = tuple(sorted(int(i) for i in vc_indices))
     if len(set(vc)) != len(vc):
@@ -154,18 +161,16 @@ def build_vc_layout(ctx: SpectralContext, vc_indices) -> VcLayout:
         upsilon = np.eye(ctx.l_su + 1, dtype=complex)
     else:
         pi_vc_h = ctx.pi_idft[list(vc), :]  # M_vc x (l_su+1), rows at vc indices
-        # the right singular vectors past the numerical rank span the null space
+        # rank m_vc: the trailing right singular vectors span the null space
         try:
-            _, sv, vh = np.linalg.svd(pi_vc_h)
+            _, _, vh = np.linalg.svd(pi_vc_h)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"vc_indices {vc} at l_su={ctx.l_su}: {exc}") from exc
-        r_vc = int(np.sum(sv > 1e-10 * sv[0]))
-        upsilon = vh[r_vc:].conj().T
+        upsilon = vh[m_vc:].conj().T
         resid = np.abs(pi_vc_h @ upsilon).max()
-        if r_vc != min(ctx.l_su + 1, m_vc) or resid > _ORTHO_TOL:
+        if resid > _ORTHO_TOL:
             raise ValueError(
-                f"vc_indices {vc} at l_su={ctx.l_su} give rows of rank {r_vc} "
-                f"(expected {min(ctx.l_su + 1, m_vc)}) and a null-space residual "
+                f"vc_indices {vc} at l_su={ctx.l_su} give a null-space residual "
                 f"{resid:.3e} (at most {_ORTHO_TOL:g})")
 
     return VcLayout(m=ctx.m, l_su=ctx.l_su, vc_indices=vc, uc_indices=uc,

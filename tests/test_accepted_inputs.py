@@ -78,9 +78,9 @@ def _push_outside(config, threads, name, value):
 def sweeps(draw):
     """(JSON config, --threads, the keys a rejection may name: none when
     every key is drawn inside).  Inside draws respect the rules between
-    fields (l_su < m_subcarriers, VC indices below it and fewer than
-    l_su + 1, snr_ref agreeing with an SNR sweep), so a rejection of one
-    comes from those rules."""
+    fields (l_su < m_subcarriers, VC indices below it, distinct and fewer
+    than l_su + 1, snr_ref agreeing with an SNR sweep), so every one of
+    them runs: any such VC set has an exact null space."""
     variable = draw(st.sampled_from(SWEEP_VARIABLES))
     swept = ACCEPTED[_SWEPT_ROW[variable]]
     m = draw(st.integers(2, ACCEPTED["m_subcarriers"].hi))
@@ -143,6 +143,9 @@ _EXPLICIT = [_push_outside(_SMALL, 1, name, value) for name in _SWEEP_ROWS
              for value in _outside_values(name, ACCEPTED["snr_db"])]
 _EXPLICIT += [([_VALIDATE_FLAGS[name], str(ACCEPTED[name].lo - 1)], {name})
               for name in _VALIDATE_FLAGS]
+# inside every row: a guard band of l_su adjacent virtual subcarriers
+_EXPLICIT.append(({**_SMALL, "scenario": {"m_subcarriers": 64, "l_su": 16,
+                                          "vc_indices": list(range(16))}}, 1, set()))
 
 
 def _with_explicit_examples(test):
@@ -194,8 +197,8 @@ def test_cli_runs_or_rejects_one_key(case):
                        if k not in ("scheme", "seed"))
             return
         assert not out_path.exists()
-        # an inside draw is rejected only by a rule between fields
-        _check_rejection(rc, out, err, named or {"l_su", "vc_indices"})
+        # an inside draw names no key, so any rejection of one fails here
+        _check_rejection(rc, out, err, named)
 
 
 def test_readme_lists_the_table():

@@ -1099,7 +1099,7 @@ class TestCli:
         ({"scenario": {"eta": 10.5}}, "eta"),
         ({"scenario": {"d12_ratio": 2e6}}, "d12_ratio"),
         ({"grid": [2901.0]}, "snr_db"),
-        ({"scenario": {"l_su": 16, "vc_indices": list(range(16))}}, "vc_indices"),
+        ({"scenario": {"vc_indices": [16, 16]}}, "vc_indices"),
         (lambda: small_config(n_trials=200.5), "n_trials"),
         (lambda: small_config(seed=1.5), "seed"),
         (lambda: ScenarioSpec(vc_power_fraction=2.0), "vc_power_fraction"),
@@ -1119,7 +1119,7 @@ class TestCli:
             "vc_power_fraction-above-one", "negative-vc_power_fraction",
             "huge-m_subcarriers", "m_subcarriers-above-cap", "l_su-above-range",
             "vc_index-above-range", "eta-above-range", "d12_ratio-above-range",
-            "snr-grid-above-range", "degenerate-vc_indices",
+            "snr-grid-above-range", "repeated-vc_index",
             "python-float-n_trials", "python-float-seed",
             "python-vc_power_fraction-above-one"])
     def test_sweep_rejects_bad_config(self, tmp_path, capsys, change, names):

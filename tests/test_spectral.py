@@ -14,6 +14,15 @@ def _rand_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _cyclic_blocks(m, l_su):
+    """Every cyclic block of 1 to l_su adjacent indices below m, at 8 starts."""
+    return [tuple((start + k) % m for k in range(size))
+            for start in range(0, m, m // 8) for size in range(1, l_su + 1)]
+
+
+_GUARD_BANDS = (255, 0, 1, *range(123, 134))  # 3 DC nulls and 11 edge guards at M 256
+
+
 class TestSpectralContext:
     def test_full_order_basis_is_unitary(self):
         # l_su = m - 1 leaves no annihilated rows: every response is realizable
@@ -57,12 +66,24 @@ class TestVcLayout:
         assert layout.xi.shape == (8, 0)
         assert layout.theta.shape == (8, 8)
 
-    def test_reference_shapes(self):
-        ctx = build_spectral_context(64, 10)
-        layout = build_vc_layout(ctx, (0, 16, 32, 48))
-        assert layout.upsilon_vc.shape == (11, 7)
-        assert layout.n_sym == 7
-        assert np.linalg.matrix_rank(ctx.pi_idft[list(layout.vc_indices), :]) == 4
+    @pytest.mark.parametrize("m,l_su,vc_sets", [
+        (64, 10, [(0, 16, 32, 48)]),
+        *[(m, l_su, _cyclic_blocks(m, l_su)) for m, l_su in ((64, 16), (128, 32), (256, 64))],
+        *[(256, l_su, [_GUARD_BANDS]) for l_su in (14, 16, 24)],
+    ], ids=["reference", "blocks-64-16", "blocks-128-32", "blocks-256-64",
+            "guards-256-14", "guards-256-16", "guards-256-24"])
+    def test_null_space_shapes_and_residual(self, m, l_su, vc_sets):
+        # the rows at adjacent indices are badly conditioned but of rank
+        # m_vc, so every layout builds an orthonormal basis of l_su + 1 - m_vc
+        # filters that vanish on the virtual subcarriers
+        ctx = build_spectral_context(m, l_su)
+        for vc in vc_sets:
+            layout = build_vc_layout(ctx, vc)
+            n = l_su + 1 - len(vc)
+            assert layout.upsilon_vc.shape == (l_su + 1, n) and layout.n_sym == n
+            gram = layout.upsilon_vc.conj().T @ layout.upsilon_vc
+            assert np.abs(gram - np.eye(n)).max() <= 1e-12, vc
+            assert np.abs(ctx.pi_idft[list(vc)] @ layout.upsilon_vc).max() <= 1e-12, vc
 
     def test_selection_matrices(self):
         ctx = build_spectral_context(8, 4)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import convsup.validation
 from convsup.channel import ChannelRealization, LinkSpec, draw_channels, zmcscg
@@ -16,7 +18,8 @@ from convsup.transceiver import (FrameConfig, FrameSimulator, NoiseBlocks,
                                  pu_transmit, required_cp_length,
                                  srx_frequency_model, stx_power_mc,
                                  stx_process, zero_noise)
-from convsup.validation import frame_equivalence_errors, relayed_noise_identity_error
+from convsup.validation import (frame_equivalence_errors, precoder_structure_check,
+                                relayed_noise_identity_error)
 
 
 def reference_config(m=64, l_su=10, vc=(0, 16, 32, 48), l_cp=None, enforce=True):
@@ -32,6 +35,24 @@ def reference_config(m=64, l_su=10, vc=(0, 16, 32, 48), l_cp=None, enforce=True)
 def reference_precoders(cfg, scenario, g_fraction=0.5):
     return realize_precoders(cfg.ctx, cfg.layout,
                              *uniform_split(cfg.layout, scenario, g_fraction))
+
+
+@st.composite
+def vc_layouts(draw):
+    """(m, l_su, vc): no virtual subcarriers, a cyclic block of adjacent
+    ones or a random set, at most l_su of them below m.  Sizes stop at
+    m = 128 and l_su = 24 so that the 1000 rate draws of the structure
+    check stay fast."""
+    m = draw(st.integers(8, 128))
+    l_su = draw(st.integers(0, min(m - 1, 24)))
+    start = draw(st.integers(0, m - 1))
+    kinds = [st.just(())]
+    if l_su:
+        kinds += [st.integers(1, l_su).map(lambda size: tuple((start + k) % m
+                                                              for k in range(size))),
+                  st.lists(st.integers(0, m - 1), unique=True, min_size=1,
+                           max_size=l_su).map(tuple)]
+    return m, l_su, draw(st.one_of(kinds))
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +181,25 @@ class TestSimulateFrame:
         worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, pre, 25, rng)
         assert worst_pu <= 1e-10
         assert worst_su <= 1e-10
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(vc_layouts())
+    @example((64, 16, tuple(range(16))))
+    @example((256, 16, (255, 0, 1, *range(123, 134))))  # DC nulls and edge guards
+    def test_models_hold_on_every_accepted_layout(self, case):
+        # guard bands as much as spread virtual subcarriers: the chain
+        # matches both models, and the precoders keep their structure
+        m, l_su, vc = case
+        # FrameConfig rejects a prefix as long as the block
+        assume(required_cp_length(reference_link_specs(), l_su) < m)
+        cfg = reference_config(m, l_su, vc)
+        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+        pre = reference_precoders(cfg, scenario)
+        _, g = uniform_split(cfg.layout, scenario, 0.5)
+        rng = np.random.default_rng(17)
+        assert max(frame_equivalence_errors(scenario, cfg, pre, 3, rng)) <= 1e-10
+        ok, detail = precoder_structure_check(scenario, cfg, g, pre, rng)
+        assert ok, detail
 
     def test_white_relayed_noise_fails_the_oracle(self, setup, monkeypatch):
         # the oracle draws the receiver noise, so an unprefixed v2 reaches
