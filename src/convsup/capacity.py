@@ -2,8 +2,9 @@
 
 All fading averages reduce to the map A -> E[ln(1 + A*u)] over a unit
 exponential u, evaluated through the exponential integral.  Monte Carlo
-estimators sample the per-subcarrier effective SNRs directly and report the
-standard error of every average; under a uniform allocation the
+estimators sample the per-subcarrier effective SNRs directly and fold them
+with ``channel.trials``, and ``channel.mean_se`` forms the standard error
+of every average; under a uniform allocation the
 ``*_quad`` functions compute the same rates exactly, by Gauss-Laguerre
 quadrature over the remaining unit exponentials (64 nodes per axis), and
 a Monte Carlo twin of each is its oracle (the NOCSIT one in the tests).
@@ -166,12 +167,11 @@ def _psi_band(z, a, coef):
     return ((np.log(a) - EULER_GAMMA) + z * _horner(z, coef)) * np.exp(z)
 
 
-def _psi_series(a, first: int):
-    """Horner form of sum_k (-1)^k (k + first)!/first! a^k, cut at
-    k + first = 8: psi(a)/a for ``first = 0``, (1 - psi(a)/a)/a for
-    ``first = 1``; valid for a <= 1/700."""
+def _psi_series(a):
+    """(1 - psi(a)/a)/a as the Horner form of sum_k (-1)^k (k + 1)! a^k,
+    cut at k = 7; valid for a <= 1/700."""
     acc = np.ones_like(a)
-    for k in range(8, first, -1):
+    for k in range(8, 1, -1):
         acc = 1.0 - k * a * acc
     return acc
 
@@ -181,7 +181,7 @@ def _psi_deficit(b: np.ndarray) -> np.ndarray:
     the cancellation of the difference at small b."""
     small = b < _DEFICIT_SEAM
     out = np.empty_like(b)
-    out[small] = b[small] * _psi_series(b[small], 1)
+    out[small] = b[small] * _psi_series(b[small])
     big = ~small
     out[big] = 1.0 - psi(b[big]) / b[big]
     return out
@@ -292,7 +292,8 @@ def pu_outage_probability(scenario: NetworkScenario) -> float:
 
 def outage_mc(scenario: NetworkScenario, a: float, n_trials: int,
               rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo outage frequency with its binomial standard error.
+    """Monte Carlo outage frequency with its standard error (``mean_se`` of
+    the outage indicators).
 
     Draws the relay-gain product for one used subcarrier of weight ``a``
     and counts how often the effective SNR falls below the direct one; the
@@ -301,8 +302,7 @@ def outage_mc(scenario: NetworkScenario, a: float, n_trials: int,
     def sample(n):
         relay, noise = _pu_relay_terms(scenario, a, *_pu_exponentials(rng, (n,)))
         return relay < noise
-    p_hat = float(trials(n_trials, sample).mean)
-    return p_hat, float(np.sqrt(max(p_hat * (1 - p_hat), 1e-300) / n_trials))
+    return mean_se(trials(n_trials, sample))
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +423,11 @@ def _composite_gain(rng: np.random.Generator, scenario: NetworkScenario, shape) 
 
 def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
                     rng: np.random.Generator,
-                    use_vcs: bool = True) -> list[tuple[float, float]]:
-    """Secondary worst-case ergodic rate with per-realization waterfilling,
-    as (value, standard error) at each of ``scenarios``.
+                    use_vcs: bool = True) -> Moments:
+    """Per-trial secondary worst-case rate with per-realization
+    waterfilling, one column per scenario of ``scenarios``, folded by
+    ``trials`` as ``c_pu_lower_trials`` folds its columns; ``mean_se``
+    gives each scenario's (value, standard error).
 
     Each trial draws the composite used-subcarrier gain (relay gain times
     relayed primary symbol plus secondary-chain noise) and the direct
@@ -440,13 +442,13 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
 
     The law of those unit exponentials depends on ``layout`` only, so the
     scenarios share one draw (common random numbers): each block is scored
-    at every scenario, and every scenario gets the numbers that a call with
-    it alone, on a generator in the same state, would return.  The factors
-    s24 E0 and s12 P_pu E1 (``_relay_factors``) and the virtual-subcarrier
-    gains s24 E of a block are computed once for consecutive scenarios with
-    the same (s24, s12, P_pu), e.g. every point of an SNR sweep, so a
-    scenario only adds its sigma2_v2, multiplies by them and by E2, and
-    divides.
+    at every scenario, and every scenario's column holds the numbers that a
+    call with it alone, on a generator in the same state, would fold.  The
+    factors s24 E0 and s12 P_pu E1 (``_relay_factors``) and the
+    virtual-subcarrier gains s24 E of a block are computed once for
+    consecutive scenarios with the same (s24, s12, P_pu), e.g. every point
+    of an SNR sweep, so a scenario only adds its sigma2_v2, multiplies by
+    them and by E2, and divides.
     """
     points = [(sc, (sc.link_variance(2, 4), sc.link_variance(1, 2), sc.p_pu),
                (uc_power_coefficient(sc), srx_noise_floor(sc), sc.sigma2_v[4]))
@@ -477,7 +479,7 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
                 rate[lo:hi, j] = np.log2(spend, out=spend).sum(axis=1)
         rate /= layout.m
         return rate
-    return mean_se(trials(n_trials, sample))
+    return trials(n_trials, sample)
 
 
 def _vc_snr(scenario: NetworkScenario, g):
@@ -628,25 +630,21 @@ def check_pu_monotonicity(scenario: NetworkScenario, layout: VcLayout,
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Capacity estimates of one configuration (bits/s/Hz)."""
+    """Capacity estimates of one configuration (bits/s/Hz).  The primary
+    rates are exact (a quadrature or the closed form), so the secondary
+    rate's is the only standard error; it is 0 when that rate is exact
+    too."""
 
     c_pu_lower: float
     c_pu_direct: float
-    delta_c_pu: float
     c_su_lower: float
+    stderr_c_su_lower: float
     p_out: float
-    std_err: dict
-    estimators: dict  # method of each rate: "quadrature", "mc", "closed_form"
 
     def __post_init__(self):
-        numbers = {name: getattr(self, name) for name in (
-            "c_pu_lower", "c_pu_direct", "delta_c_pu", "c_su_lower", "p_out")}
-        numbers.update((f"std_err[{key!r}]", v) for key, v in self.std_err.items())
-        for name, value in numbers.items():
+        for name, value in vars(self).items():
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if abs(self.delta_c_pu - (self.c_pu_lower - self.c_pu_direct)) > 1e-12:
-            raise ValueError("delta_c_pu must equal c_pu_lower - c_pu_direct")
         if min(self.c_pu_lower, self.c_pu_direct, self.c_su_lower) < 0:
             raise ValueError("capacities must be non-negative")
         if not 0.0 <= self.p_out <= 1.0:

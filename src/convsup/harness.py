@@ -25,7 +25,7 @@ import numpy as np
 import numpy.random  # with the package, not lazily at a sweep's first generator
 
 from . import __version__
-from .channel import LinkSpec, NetworkScenario
+from .channel import LinkSpec, NetworkScenario, mean_se
 from .capacity import (CapacityReport, baseline_nocr_quad, baseline_ocr,
                        c_pu_direct, c_pu_lower_quad, c_su_lower_csit,
                        c_su_lower_nocsit_quad, kappa, pu_outage_probability)
@@ -281,14 +281,15 @@ class SweepConfig:
 
 def evaluate_scheme(scheme: str, scenarios, layout, csit: bool,
                     n_trials: int, rng: np.random.Generator,
-                    vc_power_fraction: float = 0.5) -> list[CapacityReport]:
+                    vc_power_fraction: float = 0.5) -> tuple[list[CapacityReport], dict]:
     """Capacity reports of one scheme at each of ``scenarios``, which share
-    ``layout``.  Rates under the uniform split (``vc_power_fraction`` of
-    the budget on the virtual subcarriers, none for the schemes that use no
-    VCs) are exact quadratures with standard error 0; the ocr secondary
-    rate and the waterfilled CSIT secondary rate are Monte Carlo over
-    ``n_trials`` draws of ``rng``; the report's ``estimators`` names the
-    method of each rate.  The CSIT rate scores one draw at every scenario
+    ``layout``, and the method of each of its rates ("quadrature", "mc" or
+    "closed_form"), which is the same at every scenario.  Rates under the
+    uniform split (``vc_power_fraction`` of the budget on the virtual
+    subcarriers, none for the schemes that use no VCs) are exact
+    quadratures with standard error 0; the ocr secondary rate and the
+    waterfilled CSIT secondary rate are Monte Carlo over ``n_trials`` draws
+    of ``rng``.  The CSIT rate scores one draw at every scenario
     (``c_su_lower_csit``); the ocr rate draws each scenario's trials in
     turn."""
     direct = [c_pu_direct(sc, layout) for sc in scenarios]
@@ -310,16 +311,16 @@ def evaluate_scheme(scheme: str, scenarios, layout, csit: bool,
         if scheme == "nocr":
             su = [(baseline_nocr_quad(sc, layout), 0.0) for sc in scenarios]
         elif csit:
-            su = c_su_lower_csit(scenarios, layout, n_trials, rng, use_vcs=use_vcs)
+            su = mean_se(c_su_lower_csit(scenarios, layout, n_trials, rng,
+                                         use_vcs=use_vcs))
             methods = ("quadrature", "mc")
         else:
             su = [(c_su_lower_nocsit_quad(sc, layout, a, g), 0.0)
                   for sc, (a, g) in zip(scenarios, split)]
-    return [CapacityReport(c_pu_lower=p, c_pu_direct=d, delta_c_pu=p - d,
-                           c_su_lower=s, p_out=o,
-                           std_err={"c_pu_lower": 0.0, "c_su_lower": se},
-                           estimators=dict(zip(("c_pu_lower", "c_su_lower"), methods)))
-            for p, d, (s, se), o in zip(pu, direct, su, p_out)]
+    reports = [CapacityReport(c_pu_lower=p, c_pu_direct=d, c_su_lower=s,
+                              stderr_c_su_lower=se, p_out=o)
+               for p, d, (s, se), o in zip(pu, direct, su, p_out)]
+    return reports, dict(zip(("c_pu_lower", "c_su_lower"), methods))
 
 
 def _worker_count(threads: int, n_tasks: int) -> int:
@@ -442,25 +443,26 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
         si, gis = tasks[task_idx]
         child = gis[0] * n_schemes + si
         scheme = cfg.schemes[si]
-        reports = evaluate_scheme(scheme, [scenarios[gi] for gi in gis], layout,
-                                  cfg.csit, cfg.n_trials,
-                                  np.random.default_rng(children[child]),
-                                  vc_power_fraction=cfg.scenario.vc_power_fraction)
+        reports, methods = evaluate_scheme(
+            scheme, [scenarios[gi] for gi in gis], layout, cfg.csit, cfg.n_trials,
+            np.random.default_rng(children[child]),
+            vc_power_fraction=cfg.scenario.vc_power_fraction)
         rows = [((gi, si), {
             "sweep_var": float(cfg.grid[gi]),
             "scheme": scheme,
             "c_pu_lower": rep.c_pu_lower,
             "c_pu_direct": rep.c_pu_direct,
-            "delta_c_pu": rep.delta_c_pu,
+            "delta_c_pu": rep.c_pu_lower - rep.c_pu_direct,
             "c_su_lower": rep.c_su_lower,
             "p_out": rep.p_out,
-            "stderr_c_pu_lower": rep.std_err["c_pu_lower"],
-            "stderr_delta_c_pu": rep.std_err["c_pu_lower"],
-            "stderr_c_su_lower": rep.std_err["c_su_lower"],
+            # every primary rate of a sweep is exact
+            "stderr_c_pu_lower": 0.0,
+            "stderr_delta_c_pu": 0.0,
+            "stderr_c_su_lower": rep.stderr_c_su_lower,
             "n_trials": cfg.n_trials,
             "seed": f"{cfg.seed}/{child}",
         }) for gi, rep in zip(gis, reports)]
-        return rows, reports[0].estimators, time.perf_counter() - task_start
+        return rows, methods, time.perf_counter() - task_start
 
     workers = _worker_count(threads, len(tasks))
     results, usage = _run_tasks(work, len(tasks), workers)

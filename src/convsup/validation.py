@@ -171,10 +171,10 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
                                   detail, now - last))
         last = now
 
-    record("spectral_consistency", *spectral_consistency_check(streams[0]))
+    scenario, cfg, g, pre = _reference_setup()
+    record("spectral_consistency", *spectral_consistency_check(cfg.ctx, streams[0]))
 
     # -- frequency-domain equivalence ----------------------------------------
-    scenario, cfg, g, pre = _reference_setup()
     worst_pu, worst_su = frame_equivalence_errors(scenario, cfg, pre, n_frames,
                                                   streams[1])
     record("frequency_equivalence",
@@ -198,7 +198,7 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
 
     record("special_functions", *special_functions_check())
     record("outage_closed_form",
-           *outage_check(trials, streams[4].integers(2 ** 63, size=3)))
+           *outage_check(cfg.layout, trials, streams[4].integers(2 ** 63, size=3)))
     record("waterfilling", *waterfilling_check(streams[5]))
 
     # -- budget monotonicity of the primary bound --------------------------------
@@ -236,17 +236,16 @@ def validate_suite(seed: int = 20260809, trials: int = 100_000,
 _CONSISTENCY_DRAWS = 200
 
 
-def spectral_consistency_check(rng):
-    """Random realizable responses survive the minimal-norm round trip, and
-    a generic M-vector is rejected as not realizable."""
-    ctx = build_spectral_context(64, 10)
+def spectral_consistency_check(ctx, rng):
+    """Random realizable responses of ``ctx`` survive the minimal-norm round
+    trip, and a generic M-vector is rejected as not realizable."""
     worst = 0.0
     for _ in range(_CONSISTENCY_DRAWS):
-        f = filter_frequency_response(ctx, zmcscg(rng, 11))
+        f = filter_frequency_response(ctx, zmcscg(rng, ctx.l_su + 1))
         rec = filter_frequency_response(ctx, min_norm_filter(ctx, f))
         worst = max(worst, np.linalg.norm(rec - f) / np.linalg.norm(f))
     try:
-        min_norm_filter(ctx, zmcscg(rng, 64))
+        min_norm_filter(ctx, zmcscg(rng, ctx.m))
         fired = False
     except InconsistentResponseError:
         fired = True
@@ -300,13 +299,11 @@ def _bessel_k1_trapezoid(x):
     return _REF_STEP * (f.sum(axis=-1) - 0.5 * f[..., 0])
 
 
-def outage_check(trials, seeds):
+def outage_check(layout, trials, seeds):
     """Monte Carlo outage against 1 - 2kK1(2k) at k = 0.05, 0.2 and 1, one
     seed per k.  The same seed drives the used-subcarrier weights of three
-    uniform splits (no virtual power, 0.1 and 0.5 of the budget on the
-    virtual subcarriers), whose outage must agree exactly."""
-    ctx = build_spectral_context(64, 10)
-    layout = build_vc_layout(ctx, (0, 16, 32, 48))
+    uniform splits of ``layout`` (no virtual power, 0.1 and 0.5 of the
+    budget on the virtual subcarriers), whose outage must agree exactly."""
     worst = 0.0
     details = []
     for kap, seed in zip((0.05, 0.2, 1.0), seeds):

@@ -118,8 +118,9 @@ def test_criterion_3_special_functions():
     assert _report("criterion 3 (special functions)", ok, detail)
 
 
-def test_criterion_4_outage_closed_form():
-    ok, detail = outage_check(TRIALS, [(SEED, 40 + i) for i in range(3)])
+def test_criterion_4_outage_closed_form(reference):
+    _, layout, _ = reference
+    ok, detail = outage_check(layout, TRIALS, [(SEED, 40 + i) for i in range(3)])
     assert _report("criterion 4 (outage closed form)", ok, detail)
 
 
@@ -185,7 +186,7 @@ def test_criterion_7b_pu_gain_anchor_double_power(reference):
 def test_criterion_7c_su_capacity_anchor_csit(reference):
     _, layout, _ = reference
     scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, 20.0, "su")
-    [(csit, se_c)] = c_su_lower_csit([scenario], layout, TRIALS, _rng(73))
+    [(csit, se_c)] = mean_se(c_su_lower_csit([scenario], layout, TRIALS, _rng(73)))
     ok_csit = csit >= 0.55 - 3.0 * se_c
     assert _report(
         "criterion 7c-CSIT (C_SU >= 0.55 b/s/Hz at d12/d14=0.7, SNR_SU=20dB)",
@@ -259,7 +260,7 @@ def test_criterion_7d_trends(reference):
     cs, no = [], []
     for i, ratio in enumerate((0.3, 0.5, 0.7)):
         scenario = build_scenario(resolve_d12(ratio, "d14"), 1.0, 20.0, "su")
-        cs += c_su_lower_csit([scenario], layout, TRIALS, _rng(770 + i))
+        cs += mean_se(c_su_lower_csit([scenario], layout, TRIALS, _rng(770 + i)))
         no.append(c_su_lower_nocsit(scenario, layout, *uniform_split(layout, scenario, 0.5),
                                     TRIALS, _rng(780 + i)))
     for series in (cs, no):
@@ -277,7 +278,7 @@ def test_criterion_7d_trends(reference):
 def test_criterion_8_property_suites(monkeypatch):
     scenario, cfg, _, pre = _reference_setup()
     rng = _rng(81)  # the product draws continue the consistency stream
-    results = [spectral_consistency_check(rng),
+    results = [spectral_consistency_check(cfg.ctx, rng),
                product_density_check(scenario, 1_000_000, rng),
                channel_statistics_check(scenario, cfg.specs, TRIALS, _rng(82)),
                power_accounting_check(scenario, cfg, pre, TRIALS, _rng(83))]

@@ -252,6 +252,18 @@ class TestOutage:
                                   np.random.default_rng(18))
             assert abs(p_hat - pu_outage_probability(scenario)) <= 3.0 * max(se, 1e-6)
 
+    def test_stderr_is_mean_se_of_the_indicators(self, layout64, record_trials):
+        # the outage frequency and its standard error are those of the
+        # folded outage indicators, formed by mean_se like every other one
+        _, layout = layout64
+        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+        a, _ = uniform_split(layout, scenario, 0.0)
+        seen = record_trials(capacity)
+        got = outage_mc(scenario, a, channel._CHUNK + 3, np.random.default_rng(7))
+        indicators = np.concatenate(seen).astype(float)
+        assert got == mean_se(channel.trials(indicators.size, replayed(indicators)))
+        assert 0.0 < got[0] < 1.0
+
     def test_profile_independence_is_exact_under_common_draws(self, layout64):
         _, layout = layout64
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")
@@ -331,15 +343,15 @@ class TestSecondaryCapacity:
     def test_csit_vanishes_without_power(self, layout64):
         _, layout = layout64
         scenario = build_scenario(1.0, 1e-9, 20.0, "pu")
-        [(val, _)] = c_su_lower_csit([scenario], layout, 2000,
-                                     np.random.default_rng(0))
+        [(val, _)] = mean_se(c_su_lower_csit([scenario], layout, 2000,
+                                             np.random.default_rng(0)))
         assert val <= 1e-6
 
     def test_csit_beats_nocsit(self, layout64):
         _, layout = layout64
         scenario = build_scenario(resolve_d12(0.7, "d14"), 1.0, 20.0, "su")
-        [(cs, se_c)] = c_su_lower_csit([scenario], layout, 30_000,
-                                       np.random.default_rng(1))
+        [(cs, se_c)] = mean_se(c_su_lower_csit([scenario], layout, 30_000,
+                                               np.random.default_rng(1)))
         no, se_n = c_su_lower_nocsit(scenario, layout, *uniform_split(layout, scenario, 0.5),
                                      30_000,
                                      np.random.default_rng(2))
@@ -502,13 +514,13 @@ def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, record_trials
     want = reference(np.random.default_rng(n))
     seen = record_trials(capacity)
     if n > 1:  # one row has no stderr
-        assert (c_su_lower_csit([scenario], layout, n, np.random.default_rng(n),
-                                use_vcs=use_vcs)
+        assert (mean_se(c_su_lower_csit([scenario], layout, n,
+                                        np.random.default_rng(n), use_vcs=use_vcs))
                 == [mean_se(channel.trials(n, replayed(want)))])
     else:
         with pytest.raises(ValueError, match="got 1"):
-            c_su_lower_csit([scenario], layout, n, np.random.default_rng(n),
-                            use_vcs=use_vcs)
+            mean_se(c_su_lower_csit([scenario], layout, n, np.random.default_rng(n),
+                                    use_vcs=use_vcs))
     got = np.concatenate(seen)
     assert got.shape == (n, 1) and np.array_equal(got[:, 0], want)
 
@@ -523,7 +535,8 @@ def test_too_few_trials_are_rejected(estimator, n_trials, layout64):
     _, layout = layout64
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
     a, g = uniform_split(layout, scenario, 0.5)
-    run = {"c_su_lower_csit": lambda n, rng: c_su_lower_csit([scenario], layout, n, rng),
+    run = {"c_su_lower_csit": lambda n, rng: mean_se(c_su_lower_csit(
+               [scenario], layout, n, rng))[0],
            "c_pu_lower": lambda n, rng: mean_se(c_pu_lower_trials(
                [(scenario, a)], layout, n, rng))[0],
            "c_su_lower_nocsit": lambda n, rng: c_su_lower_nocsit(
@@ -762,16 +775,14 @@ def test_pu_gain_at_most_doubles_with_the_budget(case):
 
 class TestCapacityReport:
     @pytest.mark.parametrize("change,names", [
-        ({"c_pu_lower": np.nan, "delta_c_pu": np.nan}, "c_pu_lower"),
+        ({"c_pu_lower": np.nan}, "c_pu_lower"),
         ({"c_su_lower": np.inf}, "c_su_lower"),
         ({"p_out": np.nan}, "p_out"),
-        ({"std_err": {"c_su_lower": np.inf}}, "std_err"),
-    ], ids=["nan-c_pu_lower", "inf-c_su_lower", "nan-p_out", "inf-std_err"])
+        ({"stderr_c_su_lower": np.inf}, "stderr_c_su_lower"),
+    ], ids=["nan-c_pu_lower", "inf-c_su_lower", "nan-p_out", "inf-stderr_c_su_lower"])
     def test_rejects_non_finite_values(self, change, names):
-        kwargs = dict(c_pu_lower=1.0, c_pu_direct=0.5, delta_c_pu=0.5,
-                      c_su_lower=0.1, p_out=0.1,
-                      std_err={"c_pu_lower": 0.01, "c_su_lower": 0.01},
-                      estimators={"c_pu_lower": "mc", "c_su_lower": "mc"})
+        kwargs = dict(c_pu_lower=1.0, c_pu_direct=0.5, c_su_lower=0.1,
+                      stderr_c_su_lower=0.01, p_out=0.1)
         CapacityReport(**kwargs)
         kwargs.update(change)
         with pytest.raises(ValueError, match=names):
@@ -779,11 +790,8 @@ class TestCapacityReport:
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            CapacityReport(c_pu_lower=1.0, c_pu_direct=0.5, delta_c_pu=0.2,
-                           c_su_lower=0.1, p_out=0.1, std_err={}, estimators={})
+            CapacityReport(c_pu_lower=1.0, c_pu_direct=0.5, c_su_lower=-0.1,
+                           stderr_c_su_lower=0.0, p_out=0.1)
         with pytest.raises(ValueError):
-            CapacityReport(c_pu_lower=1.0, c_pu_direct=0.5, delta_c_pu=0.5,
-                           c_su_lower=-0.1, p_out=0.1, std_err={}, estimators={})
-        with pytest.raises(ValueError):
-            CapacityReport(c_pu_lower=1.0, c_pu_direct=0.5, delta_c_pu=0.5,
-                           c_su_lower=0.1, p_out=1.5, std_err={}, estimators={})
+            CapacityReport(c_pu_lower=1.0, c_pu_direct=0.5, c_su_lower=0.1,
+                           stderr_c_su_lower=0.0, p_out=1.5)

@@ -23,7 +23,7 @@ import convsup.harness
 import convsup.precoding
 import convsup.validation
 from convsup.capacity import bessel_k1, c_su_lower_csit, psi
-from convsup.channel import draw_channels, zmcscg
+from convsup.channel import draw_channels, mean_se, zmcscg
 from convsup.cli import main as cli_main
 from convsup.harness import (ACCEPTED, SCHEMES, SWEEP_VARIABLES,
                              ScenarioSpec, SweepConfig, build_scenario,
@@ -208,9 +208,9 @@ class TestRunSweep:
             assert row["seed"] == f"{cfg.seed}/{si}"
             spec = cfg.scenario.with_sweep_value(cfg.sweep_variable, row["sweep_var"])
             scenario, (_, layout, _) = spec.network(), spec.spectral()
-            want = c_su_lower_csit([scenario], layout, cfg.n_trials,
-                                   np.random.default_rng(children[si]),
-                                   use_vcs=row["scheme"] == "proposed_with_vcs")
+            want = mean_se(c_su_lower_csit([scenario], layout, cfg.n_trials,
+                                           np.random.default_rng(children[si]),
+                                           use_vcs=row["scheme"] == "proposed_with_vcs"))
             assert [(row["c_su_lower"], row["stderr_c_su_lower"])] == want
 
     @pytest.mark.parametrize("csit", [False, True], ids=["nocsit", "csit"])
@@ -363,9 +363,9 @@ class TestRunSweep:
         ctx = build_spectral_context(16, 5)
         layout = build_vc_layout(ctx, (0, 8))
         scenario = build_scenario(0.3, 1e-12, 20.0, "pu")
-        [rep] = evaluate_scheme("proposed_with_vcs", [scenario], layout, False,
-                                200, np.random.default_rng(0))
-        assert rep.delta_c_pu == pytest.approx(0.0, abs=1e-9)
+        [rep], _ = evaluate_scheme("proposed_with_vcs", [scenario], layout, False,
+                                   200, np.random.default_rng(0))
+        assert rep.c_pu_lower - rep.c_pu_direct == pytest.approx(0.0, abs=1e-9)
 
     def test_infeasible_layout_aborts_with_diagnostic(self):
         with pytest.raises(ValueError, match="l_su"):
@@ -1020,13 +1020,13 @@ class TestSchemeOrdering:
         reports = {}
         for i, scheme in enumerate(("proposed_with_vcs", "proposed_without_vcs",
                                     "nocr")):
-            [reports[scheme]] = evaluate_scheme(
+            [reports[scheme]], _ = evaluate_scheme(
                 scheme, [scenario], layout, False, 30_000,
                 np.random.default_rng((ratio, snr, i).__hash__() % 2**32))
         for hi, lo in (("proposed_with_vcs", "proposed_without_vcs"),
                        ("proposed_without_vcs", "nocr")):
             a, b = reports[hi], reports[lo]
-            band = 3.0 * np.hypot(a.std_err["c_su_lower"], b.std_err["c_su_lower"])
+            band = 3.0 * np.hypot(a.stderr_c_su_lower, b.stderr_c_su_lower)
             assert a.c_su_lower - b.c_su_lower >= -band
 
 
