@@ -51,7 +51,6 @@ import time
 import numpy as np
 import pytest
 
-import convsup.validation
 from convsup.capacity import (c_pu_direct, c_pu_lower_quad, c_pu_lower_trials,
                               c_su_lower_csit, c_su_lower_nocsit_quad,
                               check_pu_monotonicity)
@@ -275,7 +274,7 @@ def test_criterion_7d_trends(reference):
     assert _report("criterion 7d (monotone trends)", ok, "; ".join(details))
 
 
-def test_criterion_8_property_suites(monkeypatch):
+def test_criterion_8_property_suites():
     scenario, cfg, _, pre = _reference_setup()
     rng = _rng(81)  # the product draws continue the consistency stream
     results = [spectral_consistency_check(cfg.ctx, rng),
@@ -287,7 +286,6 @@ def test_criterion_8_property_suites(monkeypatch):
 
     # full validation sweep stays inside the ten-minute budget
     start = time.monotonic()
-    monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 200_000)
     report = validate_suite(seed=SEED, trials=20_000, n_frames=200)
     elapsed = time.monotonic() - start
     ok &= report.ok and elapsed <= 600.0

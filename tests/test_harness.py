@@ -238,12 +238,11 @@ class TestRunSweep:
                    for k in ("c_pu_lower", "c_su_lower", "stderr_c_su_lower"))
 
     @pytest.mark.parametrize("name, end, csit", list(_range_end_cases()))
-    def test_accepted_range_ends_run(self, name, end, csit, monkeypatch):
+    def test_accepted_range_ends_run(self, name, end, csit):
         # warnings are errors in this suite: each end of every bounded
         # numeric row of ACCEPTED runs every scheme without one, at 0, 20
         # and 30 dB
         if name in ("trials", "n_frames"):  # validate's own rows
-            monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 20_000)
             report = validate_suite(**{"seed": 1, "trials": 3000, "n_frames": 20,
                                        name: end})
             assert {c.status for c in report.checks} <= {"PASS", "FAIL", "SKIP"}
@@ -543,8 +542,7 @@ class TestEmitCsv:
 
 
 class TestValidateSuite:
-    def test_fast_pass(self, monkeypatch):
-        monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 20_000)
+    def test_fast_pass(self):
         report = validate_suite(seed=1, trials=3000, n_frames=20)
         rendered = report.render()
         assert report.ok, rendered
@@ -565,7 +563,6 @@ class TestValidateSuite:
             calls.append(args)
             return convsup.precoding.realize_precoders(*args)
         monkeypatch.setattr(convsup.validation, "realize_precoders", spy)
-        monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 1000)
         validate_suite(seed=1, trials=200, n_frames=1)
         assert len(calls) == 1
 
@@ -884,7 +881,6 @@ class TestWaterfillingCheck:
             return result
 
         monkeypatch.setattr(convsup.validation, "_WATERFILLING_INSTANCES", 20)
-        monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 1000)
         monkeypatch.setattr(convsup.validation, "waterfill_power", spy)
         ok, _ = waterfilling_check(np.random.default_rng(31))
         assert ok
@@ -935,39 +931,60 @@ class TestWaterfillingCheck:
             assert np.array_equal(got, expected)
         assert rng.random() == ref.random()
 
-    @pytest.mark.parametrize("seed", [33, 34])
-    def test_random_search_matches_numpy_row_reductions(self, seed, record_trials):
-        # the search sums and multiplies each point's coordinates as the K
-        # rows of the transposed draw, in order: every product, and so the
-        # best, to the bit, over batches of which the last is short
-        chunk = convsup.channel._CHUNK
-        n = 2 * chunk + 777
-        layout = build_vc_layout(build_spectral_context(8, 5), (0, 4))
-        scenario = build_scenario(0.7, 1.0, 15.0, "su")
-        rng = np.random.default_rng(seed)
-        h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
-        scale = scenario.p_su * np.concatenate([
-            np.abs(h_su[list(layout.uc_indices)]) ** 2 / srx_noise_floor(scenario)
-            / uc_power_coefficient(scenario),
-            np.abs(h_24[list(layout.vc_indices)]) ** 2 / scenario.sigma2_v[4]])
-        products = []
-        for start in range(0, n, chunk):
-            w = rng.exponential(size=(min(chunk, n - start), scale.size))
-            total = w[:, :1].copy()
-            for k in range(1, scale.size):
-                total += w[:, k:k + 1]
-            w *= scale
-            w /= total
-            w += 1.0
-            products.append(w.prod(axis=1))
-        want = np.concatenate(products)
+    @staticmethod
+    def _moved_profile(onto, moved):
+        # the search instance's waterfill with 1e-5 of the budget moved from
+        # its largest share onto the second largest or onto an inactive
+        # subcarrier; records the (donor, taker) subcarriers of the transfer
+        # that moves it back
+        def profile(layout, scenario, h_su, h_24):
+            a, g = waterfilling_profile(layout, scenario, h_su, h_24)
+            coef = uc_power_coefficient(scenario)
+            share = np.concatenate([coef * a, g]) / scenario.p_su
+            order = np.argsort(share, kind="stable")
+            src, dst = order[-1], order[-2] if onto == "second_largest" else order[0]
+            assert (share[dst] == 0.0) == (onto == "zero_share")
+            share[src] -= 1e-5
+            share[dst] += 1e-5
+            subcarrier = [*layout.uc_indices, *layout.vc_indices]
+            moved.append((subcarrier[dst], subcarrier[src]))
+            spend = share * scenario.p_su
+            return spend[:layout.q] / coef, spend[layout.q:]
+        return profile
 
-        seen = record_trials(convsup.validation)
-        rng = np.random.default_rng(seed)
-        h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
-        best = convsup.validation._random_search_best(layout, scenario, h_su, h_24, n, rng)
-        assert np.array_equal(np.concatenate(seen), want)
-        assert best == float(np.log2(want.max()))
+    @pytest.mark.parametrize("onto", ["second_largest", "zero_share"])
+    def test_small_budget_move_fails_the_check(self, onto, monkeypatch):
+        # moving the budget back is one of the pairwise transfers, so the
+        # check fails and names that pair; a random search of the simplex
+        # misses both moves
+        moved = []
+        monkeypatch.setattr(convsup.validation, "waterfilling_profile",
+                            self._moved_profile(onto, moved))
+        ok, detail = waterfilling_check(np.random.default_rng(32))
+        assert not ok
+        donor, taker = moved[0]
+        assert re.search(rf"; moving budget from subcarrier {donor} to subcarrier "
+                         rf"{taker} gains \d\.\d{{3}}e-\d\d bits$", detail), detail
+
+    def test_objective_mismatch_fails_the_check(self, monkeypatch):
+        # the transfer test's own objective is held to csit_objective at
+        # the waterfill
+        real = convsup.precoding.csit_objective
+        monkeypatch.setattr(convsup.validation, "csit_objective",
+                            lambda *args: real(*args) + 1e-9)
+        ok, detail = waterfilling_check(np.random.default_rng(32))
+        assert not ok
+        assert detail.endswith("; transfer objective differs from csit_objective "
+                               "by 1.000e-09 bits")
+
+    def test_waterfill_passes_the_transfer_test(self):
+        # the unpatched profile of the same instance: no transfer gains
+        # more than the rounding tolerance
+        ok, detail = waterfilling_check(np.random.default_rng(32))
+        assert ok, detail
+        gain = float(re.search(r"best of \d+ pairwise transfers gains (\S+) bits$",
+                               detail).group(1))
+        assert gain <= 1e-12
 
     def test_overspent_budget_fails_the_check(self, monkeypatch):
         def overspend(thresholds, budget):
@@ -976,13 +993,12 @@ class TestWaterfillingCheck:
 
         # the batch alone: the overspent rates beat every uniform split and
         # the search instance passes, so only the budget check can fail it
-        monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 1000)
         monkeypatch.setattr(convsup.validation, "waterfill_power", overspend)
         ok, detail = waterfilling_check(np.random.default_rng(32))
         assert not ok
         assert re.search(r"max budget residual 1\.00e-02, uniform splits beat it 0x", detail)
         assert re.search(r"instance \d+ misses the budget by \d\.\d{3}e-0\d", detail)
-        assert "random profiles trails by" in detail
+        assert "pairwise transfers gains" in detail
         # waterfilling_profile's own fault on the search instance is reported too
         monkeypatch.setattr(convsup.precoding, "waterfill_power", overspend)
         ok, detail = waterfilling_check(np.random.default_rng(32))
@@ -1001,12 +1017,37 @@ class TestWaterfillingCheck:
             spend[rows, np.argmax(spend, axis=1)] += moved
             return spend, mu
 
-        monkeypatch.setattr(convsup.validation, "_SEARCH_POINTS", 1000)
         monkeypatch.setattr(convsup.validation, "waterfill_power", starve)
         ok, detail = waterfilling_check(np.random.default_rng(33))
         assert not ok
         assert re.search(r"\d+ instances leave an inactive subcarrier below the "
                          r"water level, worst \d+", detail)
+
+
+class TestChannelStatisticsCheck:
+    def test_chunked_draws_keep_the_whole_batch_bits(self, monkeypatch):
+        # batches of _CHUNK draws consume the stream as one batched draw, so
+        # the check reads the H12(0) and H23(0) bits of the whole batch and
+        # leaves the stream where that draw did
+        n = 2 * convsup.channel._CHUNK + 7
+        scenario = build_scenario(0.7, 1.0, 15.0, "su")
+        specs = reference_link_specs()
+        ref = np.random.default_rng(36)
+        whole = draw_channels(scenario, specs, 1, ref, batch=(n,))
+        seen = []
+
+        def spy(*args, **kwargs):
+            ch = draw_channels(*args, **kwargs)
+            seen.append((ch.freq[1, 2][:, 0], ch.freq[2, 3][:, 0]))
+            return ch
+
+        monkeypatch.setattr(convsup.validation, "draw_channels", spy)
+        rng = np.random.default_rng(36)
+        convsup.validation.channel_statistics_check(scenario, specs, n, rng)
+        assert [h12.size for h12, _ in seen] == [convsup.channel._CHUNK] * 2 + [7]
+        for link, got in zip(((1, 2), (2, 3)), zip(*seen)):
+            assert np.array_equal(np.concatenate(got), whole.freq[link][:, 0])
+        assert rng.random() == ref.random()
 
 
 class TestSchemeOrdering:
