@@ -223,7 +223,6 @@ class ChannelRealization:
     period; a batched draw puts its batch shape in front of every ``taps``
     and ``freq`` array."""
 
-    m: int
     taps: Mapping[tuple[int, int], np.ndarray]
     offsets: Mapping[tuple[int, int], int]
     freq: Mapping[tuple[int, int], np.ndarray]
@@ -269,7 +268,7 @@ def draw_channels(scenario: NetworkScenario, specs: Mapping[tuple[int, int], Lin
         taps[link] = h
         offsets[link] = specs[link].offset
         freq[link] = frequency_response(h, specs[link].offset, m)
-    return ChannelRealization(m=m, taps=taps, offsets=offsets, freq=freq)
+    return ChannelRealization(taps=taps, offsets=offsets, freq=freq)
 
 
 def toeplitz_pair(taps: np.ndarray, offset: int, p: int) -> tuple[np.ndarray, np.ndarray]:

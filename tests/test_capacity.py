@@ -668,7 +668,7 @@ class TestMonotonicity:
         # the grid scores one common draw at every budget; drawing it again
         # from a re-seeded generator at every budget, in the estimator's
         # batches (25 000 crosses the batch boundary), must give the same
-        # report to the bit
+        # means and standard errors to the bit
         _, layout = layout64
         scenario = build_scenario(0.05 ** (2.0 / 3.0), 1.0, 20.0, "pu")
         grid = [float(p) for p in np.geomspace(0.25, 2.0, 8)]
@@ -691,17 +691,21 @@ class TestMonotonicity:
 
         def fold(vals):
             return mean_se(channel.trials(n_trials, replayed(vals)))
-        violations = []
-        for i in range(1, len(grid)):
-            d_mean, d_se = fold(samples[i] - samples[i - 1])
-            if d_mean < -3.0 * d_se:
-                violations.append({"from": grid[i - 1], "to": grid[i],
-                                   "delta": d_mean, "stderr": d_se})
         assert report["means"] == [fold(v)[0] for v in samples]
         assert report["stderrs"] == [fold(v)[1] for v in samples]
         assert report["exact"] == exact
-        assert report["violations"] == violations
-        assert ok == (not violations)
+        assert ok and not report["violations"]
+
+    def test_violations_are_the_falls_of_the_exact_rate(self, layout64, monkeypatch):
+        # a fall of the quadrature between consecutive budgets is a
+        # violation, however small; a rise or a tie is not
+        _, layout = layout64
+        scenario = build_scenario(0.05 ** (2.0 / 3.0), 1.0, 20.0, "pu")
+        rates = iter([1.0, 2.0, 2.0, 2.0 - 2.0 ** -40, 3.0])
+        monkeypatch.setattr(capacity, "c_pu_lower_quad", lambda *args: next(rates))
+        ok, report = check_pu_monotonicity(scenario, layout, [1, 2, 3, 4, 5], 10, 0)
+        assert not ok
+        assert report["violations"] == [{"from": 3.0, "to": 4.0, "delta": -2.0 ** -40}]
 
     def test_rejects_decreasing_grid(self, layout64):
         _, layout = layout64

@@ -544,15 +544,25 @@ class TestEmitCsv:
 class TestValidateSuite:
     def test_fast_pass(self):
         report = validate_suite(seed=1, trials=3000, n_frames=20)
-        rendered = report.render()
-        assert report.ok, rendered
-        names = {c.name for c in report.checks}
-        assert {"frequency_equivalence", "special_functions",
-                "outage_closed_form", "waterfilling",
-                "pu_budget_monotonicity", "noise_path_identity"} <= names
+        assert report.ok, report.render()
         gate = [c for c in report.checks if c.name == "monotonicity_hypothesis_gate"]
         assert gate[0].status == "SKIP"
-        assert "PASS" in rendered
+
+    @pytest.mark.parametrize("name", load_benchmark_gates().VALIDATE_EXPECTED)
+    def test_each_line_is_decided_by_its_check_alone(self, monkeypatch, name):
+        # line X is decided by convsup.validation.X_check alone: with every
+        # other check holding, X's sentinel fails line X, with its detail, and
+        # no other line.  A line decided without its check never shows the
+        # sentinel, even where no such check exists.
+        lines = load_benchmark_gates().VALIDATE_EXPECTED
+        for line in lines:
+            result = (False, f"{line} sentinel") if line == name else (True, "holds")
+            monkeypatch.setattr(convsup.validation, f"{line}_check",
+                                lambda *args, r=result: r, raising=False)
+        report = validate_suite(seed=1, trials=200, n_frames=1)
+        assert [c.name for c in report.checks] == list(lines)
+        assert [(c.name, c.detail) for c in report.checks if c.status == "FAIL"] == [
+            (name, f"{name} sentinel")]
 
     def test_realizes_one_precoder_pair(self, monkeypatch):
         # the frame, noise-path, power and precoder checks all take the

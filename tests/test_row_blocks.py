@@ -17,7 +17,7 @@ from convsup.harness import ScenarioSpec
 from convsup.precoding import srx_noise_floor
 from convsup.transceiver import stx_power_mc
 from convsup.validation import (power_accounting_check, precoder_structure_check,
-                                product_density_check, realized_rates)
+                                product_density_ks_check, realized_rates)
 
 MIB = 2 ** 20
 
@@ -122,7 +122,7 @@ def test_product_density_keeps_the_bits_of_whole_factors(setup, monkeypatch):
         return ks_test(sample, cdf)
     monkeypatch.setattr(convsup.validation, "_ks_test", spy)
     rng = np.random.default_rng(4)
-    product_density_check(scenario, n, rng)
+    product_density_ks_check(scenario, n, rng)
     assert np.array_equal(seen[0], want)
     assert rng.random() == ref.random()
 
@@ -168,8 +168,8 @@ def test_check_memory_at_the_benchmark_size(reference, check, ceiling):
                                                               5000, rng),
            "precoder_structure": lambda: precoder_structure_check(scenario, cfg, g,
                                                                   pre, rng),
-           "product_density_ks": lambda: product_density_check(scenario, 1_000_000,
-                                                               rng)}[check]
+           "product_density_ks": lambda: product_density_ks_check(scenario, 1_000_000,
+                                                                  rng)}[check]
     assert traced_peak(run) <= ceiling * MIB
 
 
