@@ -9,9 +9,9 @@ from .spectral import (SpectralContext, VcLayout, InconsistentResponseError,
                        filter_frequency_response, min_norm_filter)
 from .channel import (LINKS, NetworkScenario, LinkSpec, ChannelRealization,
                       draw_channels, link_output, toeplitz_pair, zmcscg)
-from .precoding import (PrecoderSet, PrecoderRankError, csit_objective,
-                        realize_precoders, srx_noise_floor, uc_power_coefficient,
-                        uniform_split, waterfilling_profile)
+from .precoding import (PrecoderSet, PrecoderRankError, realize_precoders,
+                        srx_noise_floor, uc_power_coefficient, uniform_split,
+                        waterfilling_profile)
 from .transceiver import (FrameConfig, FrameSimulator, FrameTrace, NoiseBlocks,
                           draw_noise_blocks, pu_frequency_model, pu_transmit,
                           required_cp_length, srx_frequency_model,

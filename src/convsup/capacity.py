@@ -23,7 +23,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from .channel import Moments, NetworkScenario, mean_se, trials
 from .precoding import (srx_noise_floor, uc_power_coefficient, uniform_split,
-                        waterfill_power, waterfill_thresholds)
+                        waterfill_power, waterfill_rate, waterfill_thresholds)
 from .spectral import VcLayout
 
 __all__ = [
@@ -426,10 +426,12 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
     ``trials`` as ``c_pu_lower_trials`` folds its columns; ``mean_se``
     gives each scenario's (value, standard error).
 
-    Each trial draws the composite used-subcarrier gain (relay gain times
-    relayed primary symbol plus secondary-chain noise) and the direct
-    virtual-subcarrier gain, waterfills the budget over the active
-    dimensions, and scores the resulting rate.  Each batch of ``trials``
+    Each trial draws the used subcarriers' composite gains (relay gain
+    times relayed primary symbol plus secondary-chain noise), independent
+    across subcarriers, and the direct virtual-subcarrier gains.  Per
+    scenario a block runs three stages: the law (``_relayed_gain`` times E2,
+    made into ``waterfill_thresholds``), the allocation (``waterfill_power``)
+    and the score (``waterfill_rate``).  Each batch of ``trials``
     runs in blocks of ``_CSIT_ROWS`` trials: a block draws its exponentials
     (E0, E1 and E2 of the used subcarriers, then the virtual-subcarrier
     gains), then waterfills and scores them in buffers that every block
@@ -471,9 +473,7 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
                 gain *= e2
                 waterfill_thresholds(*levels, gain, gain_vc, out=thr)
                 spend, _ = waterfill_power(thr, sc.p_su)
-                spend /= thr
-                spend += 1.0
-                rate[lo:hi, j] = np.log2(spend, out=spend).sum(axis=1)
+                rate[lo:hi, j] = waterfill_rate(spend, thr)
         rate /= layout.m
         return rate
     return trials(n_trials, sample)
@@ -528,7 +528,8 @@ def baseline_nocr(scenario: NetworkScenario, layout: VcLayout, n_trials: int,
     virtual-subcarrier block, equal weight on every subcarrier.
 
     One symbol rides all used subcarriers at once, so each trial scores the
-    rank-one rate log2(1 + a * sum |h|^2 / nu) / M over the used set.
+    rank-one rate log2(1 + a * sum |h|^2 / nu) / M over the used set, whose
+    q composite gains are drawn independent.
     """
     a, _ = uniform_split(layout, scenario, 0.0)
     nu_uc = srx_noise_floor(scenario)

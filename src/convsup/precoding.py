@@ -33,8 +33,8 @@ __all__ = [
     "waterfilling_profile",
     "waterfill_thresholds",
     "waterfill_power",
+    "waterfill_rate",
     "waterfill_faults",
-    "csit_objective",
     "realize_precoders",
 ]
 
@@ -83,8 +83,7 @@ def waterfill_thresholds(coef, nu_uc, nu_vc, gain_uc: np.ndarray,
     last axis, used subcarriers first in the result; the three levels are
     scalars or broadcast over the leading axes, e.g. ``(n, 1)`` columns for
     n instances.  A zero gain is a dead channel (infinite threshold).
-    ``out``, when given, receives the thresholds in place of a new array;
-    ``gain_uc`` may be its used-subcarrier part.
+    ``out``, when given, receives the thresholds in place of a new array.
     """
     q = gain_uc.shape[-1]
     if out is None:
@@ -132,6 +131,15 @@ def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndar
     spend = np.subtract(thresholds, bottom, out=levels)
     np.subtract(xi[:, None], spend, out=spend)
     return np.maximum(spend, 0.0, out=spend), bottom[:, 0] + xi
+
+
+def waterfill_rate(spend: np.ndarray, thresholds: np.ndarray):
+    """Rate in bits per subcarrier use (not normalized by M) of a spend of
+    :func:`waterfill_power` against its thresholds: sum_k log2(1 + spend_k /
+    thr_k) along the last axis, 0 on a dead channel.  Overwrites ``spend``."""
+    spend /= thresholds
+    spend += 1.0
+    return np.log2(spend, out=spend).sum(axis=-1)
 
 
 def waterfill_faults(thresholds: np.ndarray, spend: np.ndarray, mu, coef, budget,
@@ -186,20 +194,6 @@ def waterfilling_profile(layout: VcLayout, scenario: NetworkScenario,
     if shortfall > 1e-12:
         raise AssertionError("inactive subcarrier below the water level")
     return spend[: layout.q] / coef, spend[layout.q:]
-
-
-def csit_objective(layout: VcLayout, scenario: NetworkScenario, a, g,
-                   h_su: np.ndarray, h_24: np.ndarray) -> float:
-    """Sum rate (bits per subcarrier use, not normalized by M) achieved on
-    known channels by the weights ``a`` of the used subcarriers and the
-    powers ``g`` of the virtual ones, numbers or per-subcarrier arrays."""
-    nu_uc = srx_noise_floor(scenario)
-    uc = list(layout.uc_indices)
-    vc = list(layout.vc_indices)
-    uc_term = np.log2(1.0 + a * np.abs(h_su[uc]) ** 2 / nu_uc).sum()
-    vc_term = np.log2(1.0 + g * np.abs(h_24[vc]) ** 2
-                      / scenario.sigma2_v[4]).sum() if layout.m_vc else 0.0
-    return float(uc_term + vc_term)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ from .channel import (_CHUNK, _complex_gaussian, draw_channels,
                       frequency_response, trials, zmcscg)
 from .harness import (ScenarioSpec, build_scenario, check_accepted,
                       reference_link_specs)
-from .precoding import (csit_objective, realize_precoders, srx_noise_floor,
-                        uc_power_coefficient, uniform_split, waterfill_faults,
-                        waterfill_power, waterfill_thresholds, waterfilling_profile)
+from .precoding import (realize_precoders, srx_noise_floor, uc_power_coefficient,
+                        uniform_split, waterfill_faults, waterfill_power,
+                        waterfill_rate, waterfill_thresholds, waterfilling_profile)
 from .spectral import (InconsistentResponseError, build_spectral_context,
                        build_vc_layout, filter_frequency_response,
                        min_norm_filter)
@@ -138,8 +138,8 @@ def noise_path_identity_check(scenario, cfg, pre, n_frames, rng):
     """The relayed secondary-chain noise at the primary receiver matches its
     diagonal model, to 1e-10 relative, with prefix-structured noise,
     through the precoders ``pre``; two batched steps per batch, as in
-    ``frame_equivalence_errors``.  The virtual-subcarrier symbols are zero,
-    so only A enters, and the identity holds for any A."""
+    ``frame_equivalence_errors``.  With zero primary and virtual-subcarrier
+    symbols the model keeps H23 (A x1) (W v2) alone, which holds for any A."""
     layout, ctx = cfg.layout, cfg.ctx
     sim = FrameSimulator(cfg, pre)
     zeros_pu = np.zeros(layout.q)
@@ -154,7 +154,8 @@ def noise_path_identity_check(scenario, cfg, pre, n_frames, rng):
             v2 = np.concatenate([w_block[:, -cfg.l_cp:], w_block], axis=-1)
             noises = replace(zero_noise(cfg, (n,)), v2=v2)
             trace = sim.step(channels, zeros_pu, x1, zeros_vc, noises)
-        model = (channels.freq[2, 3] * (x1 @ pre.a.T) * (w_block @ ctx.w_dft.T))
+        model = pu_frequency_model(channels, pre, layout, zeros_pu, x1, zeros_vc,
+                                   v2_f=w_block @ ctx.w_dft.T)
         return _rel_err(trace.y_pu_f, model)
     worst = float(trials(n_frames, sample).max)
     return worst <= 1e-10, f"prefix-structured relayed noise, max rel err {worst:.2e}"
@@ -361,7 +362,8 @@ def waterfilling_check(rng):
     t = w_k 2^-i, i = 0..40, to each other coordinate (``_pairwise_transfers``):
     at most 56 pairs of 41 steps.  No transfer may gain more than
     ``_TRANSFER_TOL`` = 1e-12 bits, and the test's own objective at the
-    waterfill must agree with ``csit_objective`` to the same tolerance.
+    waterfill must agree with the estimator's score, ``waterfill_rate`` of
+    the spend against ``waterfill_thresholds``, to the same tolerance.
     The allowance covers rounding of rates of a few tens of bits, whose
     last place is a few 1e-15; a budget move of 1e-6 between the two
     largest shares already loses 6e-12 bits at ``validate``'s default
@@ -381,12 +383,16 @@ def waterfilling_check(rng):
         return False, "; ".join([detail, *faults, f"search instance: {exc}"])
     n_points, gain, (donor, taker), f_star = _pairwise_transfers(
         layout, scenario, h_su, h_24, a, g)
-    mismatch = abs(f_star - csit_objective(layout, scenario, a, g, h_su, h_24))
+    coef = uc_power_coefficient(scenario)
+    thr = waterfill_thresholds(coef, srx_noise_floor(scenario), scenario.sigma2_v[4],
+                               np.abs(h_su[list(layout.uc_indices)]) ** 2,
+                               np.abs(h_24[list(layout.vc_indices)]) ** 2)
+    mismatch = abs(f_star - waterfill_rate(np.concatenate([coef * a, g]), thr))
     if gain > _TRANSFER_TOL:
         faults.append(f"moving budget from subcarrier {donor} to subcarrier "
                       f"{taker} gains {gain:.3e} bits")
     if mismatch > _TRANSFER_TOL:
-        faults.append(f"transfer objective differs from csit_objective by "
+        faults.append(f"transfer objective differs from waterfill_rate by "
                       f"{mismatch:.3e} bits")
     ok = not faults and n_beat == 0
     return ok, "; ".join([f"{detail}, best of {n_points} pairwise transfers "
@@ -399,7 +405,7 @@ def _pairwise_transfers(layout, scenario, h_su, h_24, a, g):
     gain over f(w*) in bits, its (donor, taker) subcarriers, and f(w*).
 
     f(w) = log2 prod_k (1 + scale_k w_k) is written out here, not taken from
-    ``precoding.csit_objective``, so the oracle stays independent of it."""
+    ``precoding.waterfill_rate``, so the oracle stays independent of it."""
     # the SRx noise floor is written out too, not taken from
     # precoding.srx_noise_floor
     nu_uc = scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4]
@@ -458,12 +464,11 @@ def _waterfill_instances(layout, rng):
     spend, mu = waterfill_power(thr, p_su)
     residual, shortfall = waterfill_faults(thr, spend, mu, coef, p_su, q)
     resid = np.abs(residual) / p_su
-    rate = np.log2(1.0 + spend / thr).sum(axis=1)
+    rate = waterfill_rate(spend, thr)
     n_beat = 0
     for a, g in splits:  # a used subcarrier spends coef a
         uni = np.where(np.arange(layout.m) < q, (coef * a)[:, None], g[:, None])
-        n_beat += int(np.count_nonzero(
-            rate < np.log2(1.0 + uni / thr).sum(axis=1) - 1e-12))
+        n_beat += int(np.count_nonzero(rate < waterfill_rate(uni, thr) - 1e-12))
     faults = []
     if resid.max() > 1e-9:
         worst = int(resid.argmax())

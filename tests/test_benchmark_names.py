@@ -11,9 +11,11 @@ test reads the declared names from BENCHMARK.json, without changing it, so
 that such a deletion fails here first.
 """
 
-import ast
+import contextlib
+import dataclasses
 import importlib
 import inspect
+import io
 import json
 import os
 import pkgutil
@@ -134,12 +136,52 @@ def test_methods_are_listed_and_generated_ones_left_out():
     assert "precoding.PrecoderRankError" not in classes
 
 
-def test_every_public_function_runs_in_the_program(tmp_path, capsys):
-    # small sweeps with and without CSIT, validate, a validate size that
-    # it rejects, psi and outage through the CLI, in this interpreter under
-    # a profile hook; a public function or method that none of them enters,
-    # or a public class that none of them constructs, serves the tests
-    # alone, and belongs in them
+def _dataclasses():
+    """Every dataclass that a ``convsup`` module defines."""
+    for info in pkgutil.iter_modules(convsup.__path__):
+        module = importlib.import_module(f"convsup.{info.name}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and cls.__module__ == module.__name__
+                    and dataclasses.is_dataclass(cls)):
+                yield cls
+
+
+@contextlib.contextmanager
+def recording_field_reads(classes):
+    """Inside the block, each dataclass of ``classes`` records every read of
+    one of its fields on its instances, as (class name, field), in the set
+    the block receives; a read of an instance's ``__dict__`` (``vars``)
+    reads every field of its class.  Each class's ``__getattribute__`` is
+    wrapped for the block and restored after it."""
+    read, saved = set(), []
+    for cls in classes:
+        names = {field.name for field in dataclasses.fields(cls)}
+
+        def getattribute(self, name, cls=cls, names=names, get=cls.__getattribute__):
+            if name in names:
+                read.add((cls.__name__, name))
+            elif name == "__dict__":
+                read.update((cls.__name__, field) for field in names)
+            return get(self, name)
+        saved.append((cls, vars(cls).get("__getattribute__")))
+        cls.__getattribute__ = getattribute
+    try:
+        yield read
+    finally:
+        for cls, own in saved:
+            if own is None:
+                del cls.__getattribute__
+            else:
+                cls.__getattribute__ = own
+
+
+@pytest.fixture(scope="module")
+def program_run(tmp_path_factory):
+    """Small sweeps with and without CSIT, validate, a validate size that
+    it rejects, psi and outage through the CLI, in this interpreter under a
+    profile hook and with every ``convsup`` dataclass recording its field
+    reads: the exit codes, the code objects entered and the fields read."""
+    tmp_path = tmp_path_factory.mktemp("program")
     config = tmp_path / "sweep.json"
     commands = []
     for csit in (True, False):
@@ -155,15 +197,25 @@ def test_every_public_function_runs_in_the_program(tmp_path, capsys):
         if event == "call":
             entered.add(frame.f_code)
     previous = sys.getprofile(), threading.getprofile()
-    sys.setprofile(hook)
-    threading.setprofile(hook)
-    try:
-        # validate may fail its statistical checks at this size (exit 1)
-        codes = [convsup.cli.main(argv) for argv in commands]
-    finally:
-        sys.setprofile(previous[0])
-        threading.setprofile(previous[1])
-    capsys.readouterr()
+    with (recording_field_reads(list(_dataclasses())) as read,
+          contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        sys.setprofile(hook)
+        threading.setprofile(hook)
+        try:
+            codes = [convsup.cli.main(argv) for argv in commands]
+        finally:
+            sys.setprofile(previous[0])
+            threading.setprofile(previous[1])
+    return codes, entered, read
+
+
+def test_every_public_function_runs_in_the_program(program_run):
+    # a public function or method that none of the program_run commands
+    # enters, or a public class that none of them constructs, serves the
+    # tests alone, and belongs in them
+    codes, entered, _ = program_run
+    # validate may fail its statistical checks at this size (exit 1)
     assert codes[:2] == [0, 0] and codes[2] in (0, 1) and codes[3:] == [2, 0, 0], codes
     measured = {path[:2] for path in _measured_callables() if len(path) == 2}
     unused = [f"{module}.{name}" for module, name, fn in _public_functions()
@@ -182,35 +234,36 @@ UNREAD_FIELDS = {
 }
 
 
-def _is_dataclass(decorator):
-    if isinstance(decorator, ast.Call):
-        decorator = decorator.func
-    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+def test_field_reads_are_told_apart_by_class():
+    # two dataclasses share a field name and only one of them is read, so
+    # a match by the name alone would count both; vars() reads them all
+    @dataclasses.dataclass(frozen=True)
+    class Read:
+        value: int
+        other: int
+
+    @dataclasses.dataclass
+    class Unread:
+        value: int
+
+    @dataclasses.dataclass
+    class Whole:
+        first: int
+        second: int
+
+    with recording_field_reads([Read, Unread, Whole]) as read:
+        assert Read(1, 2).value == 1
+        assert Unread(3) is not None
+        assert vars(Whole(4, 5)) == {"first": 4, "second": 5}
+    assert read == {("Read", "value"), ("Whole", "first"), ("Whole", "second")}
+    assert not {"__getattribute__"} & (set(vars(Read)) | set(vars(Unread)))
 
 
-def unread_dataclass_fields(src):
-    """(class, field) of every dataclass field in the modules under ``src``
-    whose name no attribute load reads, nor a string constant of a function
-    that calls ``getattr``."""
-    fields, reads = set(), set()
-    for path in sorted(Path(src).glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
-                fields |= {(node.name, stmt.target.id) for stmt in node.body
-                           if isinstance(stmt, ast.AnnAssign)
-                           and isinstance(stmt.target, ast.Name)}
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                reads.add(node.attr)
-            elif isinstance(node, ast.FunctionDef) and any(
-                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                    and call.func.id == "getattr" for call in ast.walk(node)):
-                reads |= {const.value for const in ast.walk(node)
-                          if isinstance(const, ast.Constant) and isinstance(const.value, str)}
-    return {(cls, name) for cls, name in fields if name not in reads}
-
-
-def test_every_dataclass_field_is_read_in_the_program():
+def test_every_dataclass_field_is_read_in_the_program(program_run):
     # a field that only tests read serves the tests alone: the program
     # computes and stores it for nothing
-    unread = unread_dataclass_fields(Path(convsup.__file__).parent) - UNREAD_FIELDS
+    _, _, read = program_run
+    fields = {(cls.__name__, field.name) for cls in _dataclasses()
+              for field in dataclasses.fields(cls)}
+    unread = fields - read - UNREAD_FIELDS
     assert not unread, f"dataclass fields read by no program path: {sorted(unread)}"

@@ -882,12 +882,13 @@ class TestWaterfillingCheck:
     def test_batched_allocation_matches_the_profile(self, monkeypatch):
         # the check draws its instances one by one and waterfills them in
         # one batch; replaying the draws through waterfilling_profile must
-        # give the same allocation bits
+        # give the same allocation bits; the score then overwrites the
+        # spend, so the spy keeps a copy
         calls = []
 
         def spy(thresholds, budget):
             result = waterfill_power(thresholds, budget)
-            calls.append((np.shape(thresholds), result[0]))
+            calls.append((np.shape(thresholds), result[0].copy()))
             return result
 
         monkeypatch.setattr(convsup.validation, "_WATERFILLING_INSTANCES", 20)
@@ -977,14 +978,14 @@ class TestWaterfillingCheck:
                          rf"{taker} gains \d\.\d{{3}}e-\d\d bits$", detail), detail
 
     def test_objective_mismatch_fails_the_check(self, monkeypatch):
-        # the transfer test's own objective is held to csit_objective at
-        # the waterfill
-        real = convsup.precoding.csit_objective
-        monkeypatch.setattr(convsup.validation, "csit_objective",
+        # the transfer test's own objective is held to the estimator's
+        # score, waterfill_rate, at the waterfill
+        real = convsup.precoding.waterfill_rate
+        monkeypatch.setattr(convsup.validation, "waterfill_rate",
                             lambda *args: real(*args) + 1e-9)
         ok, detail = waterfilling_check(np.random.default_rng(32))
         assert not ok
-        assert detail.endswith("; transfer objective differs from csit_objective "
+        assert detail.endswith("; transfer objective differs from waterfill_rate "
                                "by 1.000e-09 bits")
 
     def test_waterfill_passes_the_transfer_test(self):

@@ -6,11 +6,23 @@ import pytest
 
 from convsup.channel import zmcscg
 from convsup.harness import build_scenario
-from convsup.precoding import (PrecoderRankError, csit_objective,
-                               realize_precoders, uc_power_coefficient,
-                               uniform_split, waterfill_power,
-                               waterfilling_profile)
+from convsup.precoding import (PrecoderRankError, realize_precoders,
+                               srx_noise_floor, uc_power_coefficient,
+                               uniform_split, waterfill_power, waterfill_rate,
+                               waterfill_thresholds, waterfilling_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
+
+
+def rate_of(layout, scenario, a, g, h_su, h_24):
+    """``waterfill_rate`` of the allocation ``(a, g)``, numbers or
+    per-subcarrier arrays, on known channels: the estimator's score."""
+    coef = uc_power_coefficient(scenario)
+    thr = waterfill_thresholds(coef, srx_noise_floor(scenario), scenario.sigma2_v[4],
+                               np.abs(h_su[list(layout.uc_indices)]) ** 2,
+                               np.abs(h_24[list(layout.vc_indices)]) ** 2)
+    spend = np.concatenate([np.broadcast_to(coef * np.asarray(a), layout.q),
+                            np.broadcast_to(g, layout.m_vc)])
+    return float(waterfill_rate(spend, thr))
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +109,8 @@ class TestWaterfilling:
             assert abs(spent - scenario.p_su) <= 1e-9 * scenario.p_su
             # never worse than the uniform allocation with the same budget
             uni = uniform_split(layout, scenario, 0.3)
-            assert (csit_objective(layout, scenario, a, g, h_su, h_24)
-                    >= csit_objective(layout, scenario, *uni, h_su, h_24) - 1e-12)
+            assert (rate_of(layout, scenario, a, g, h_su, h_24)
+                    >= rate_of(layout, scenario, *uni, h_su, h_24) - 1e-12)
 
     def test_random_search_never_beats_waterfilling(self):
         ctx = build_spectral_context(8, 5)
@@ -106,8 +118,8 @@ class TestWaterfilling:
         scenario = build_scenario(0.7, 1.0, 15.0, "su")
         rng = np.random.default_rng(4)
         h_su, h_24 = zmcscg(rng, 8), zmcscg(rng, 8)
-        wf = csit_objective(layout, scenario,
-                            *waterfilling_profile(layout, scenario, h_su, h_24), h_su, h_24)
+        wf = rate_of(layout, scenario,
+                     *waterfilling_profile(layout, scenario, h_su, h_24), h_su, h_24)
         coef = uc_power_coefficient(scenario)
         uc_gain = np.abs(h_su[list(layout.uc_indices)]) ** 2 / (
             scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4])
@@ -215,6 +227,27 @@ class TestWaterfillPower:
             waterfill_power(np.ones(4), 0.0)
         with pytest.raises(ValueError):
             waterfill_power(np.array([[1.0, 2.0], [np.inf, np.inf]]), 1.0)
+
+
+class TestWaterfillRate:
+    def test_matches_the_out_of_place_score_and_overwrites_spend(self):
+        # the in-place score gives the bits of log2(1 + spend / thr) summed
+        # over the last axis, dead channels (inf threshold, zero spend)
+        # included, and leaves the per-dimension terms in spend
+        rng = np.random.default_rng(25)
+        for n, k in [(1, 8), (40, 16), (513, 64)]:
+            t = TestWaterfillPower.thresholds(rng, n=n, k=k)
+            spend, _ = waterfill_power(t, rng.uniform(1e-3, 5.0, size=n))
+            assert np.any(np.isinf(t)) and np.all(spend[np.isinf(t)] == 0.0)
+            given = spend.copy()
+            want = np.log2(1.0 + given / t).sum(-1)
+            got = waterfill_rate(spend, t)
+            assert got.shape == (n,) and np.array_equal(got, want)
+            assert np.array_equal(spend, np.log2(1.0 + given / t))
+        row = t[0]
+        spend, _ = waterfill_power(row, 0.7)
+        want = np.log2(1.0 + spend[0] / row).sum(-1)
+        assert waterfill_rate(spend[0], row) == want
 
 
 def realized_rows(pre, layout):
