@@ -16,6 +16,7 @@ bounds only as powers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,6 +96,86 @@ def waterfill_thresholds(coef, nu_uc, nu_vc, gain_uc: np.ndarray,
     return out
 
 
+# Head widths that waterfill_power may level, narrowest first, and the share
+# of rows whose certificate must admit a width for a call to level it.  A
+# width must be at most half the row, and rows narrower than _HEAD_MIN_ROW
+# take no head: there the head saves less than the certificate costs.
+_HEAD_WIDTHS = (8, 12, 16, 24, 32, 48)
+_HEAD_SHARE = 0.99
+_HEAD_MIN_ROW = 32
+# Sorted columns (1-based) whose thresholds bound the cost of each width.
+_HEAD_SAMPLES = (4, 6, *_HEAD_WIDTHS)
+
+
+@functools.lru_cache
+def _head_plan(width: int):
+    """The head widths a row of ``width`` may take, the 0-based sorted
+    columns their certificates read, and the weight of each column in each
+    width's cost bound, a row per width: k t_k - sum over s_j <= k of
+    (s_j - s_(j-1)) t_(s_j)."""
+    ks = [k for k in _HEAD_WIDTHS if 2 * k <= width] if width >= _HEAD_MIN_ROW else []
+    samples = _HEAD_SAMPLES[:2 + len(ks)]
+    steps = np.diff(samples, prepend=0)
+    weights = np.array([[(s == k) * k - w if s <= k else 0 for s, w in zip(samples, steps)]
+                        for k in ks], dtype=float)
+    return np.array(ks), np.array(samples) - 1, weights
+
+
+def _head_width(ranked: np.ndarray, budget: np.ndarray) -> int:
+    """Narrowest head width ``k`` of the row width's ``_head_plan`` at which
+    at least ``_HEAD_SHARE`` of the rows of sorted thresholds ``ranked``
+    certify at most k active dimensions; the row width when none does.
+
+    A row certifies k when raising its dimensions 1..k to ``t_k`` costs at
+    least the budget.  Dimension i of the block (s_(j-1), s_j] of
+    ``_HEAD_SAMPLES`` costs at least ``t_k - t_(s_j)``, so the cost is at
+    least ``k t_k - sum_j (s_j - s_(j-1)) t_(s_j)`` over the samples up to k.
+    """
+    n, width = ranked.shape
+    ks, columns, weights = _head_plan(width)
+    need = _HEAD_SHARE * n
+    # k (t_k - t_1) bounds the cost above and grows with k, so two columns
+    # tell when even the widest head certifies too few rows
+    if not ks.size or np.count_nonzero(
+            ks[-1] * (ranked[:, ks[-1] - 1] - ranked[:, 0]) >= budget) < need:
+        return width
+    with np.errstate(invalid="ignore"):  # inf - inf: fewer than k live, a NaN
+        cost = weights @ ranked[:, columns].T
+    passed = np.count_nonzero(cost >= budget, axis=1) >= need
+    return int(ks[np.argmax(passed)]) if passed.any() else width
+
+
+def _excess_level(excess: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """Excess water level of each row of sorted ``excess``,
+    (budget + e_1 + ... + e_k) / k at the count k of levels that clear
+    their excess."""
+    width = excess.shape[1]
+    levels = np.cumsum(excess, axis=1)
+    levels += budget[..., None]
+    levels /= np.arange(1.0, width + 1)
+    # a product with ones counts exactly, and faster than count_nonzero
+    # along short rows
+    n_active = ((levels > excess) @ np.ones(width)).astype(np.intp)
+    return levels[np.arange(levels.shape[0]), n_active - 1]
+
+
+def _head_level(head: np.ndarray, budget: np.ndarray):
+    """``_excess_level`` of rows whose excesses run down the columns of
+    ``head``, one row of it per sorted column, and each row's level at the
+    last of them."""
+    width = head.shape[0]
+    levels = np.empty_like(head)
+    levels[0] = head[0]
+    # np.cumsum's running sum, one contiguous add per sorted column: along
+    # rows of a few dozen columns cumsum pays for each row of the block
+    for j in range(1, width):
+        np.add(levels[j - 1], head[j], out=levels[j])
+    levels += budget
+    levels /= np.arange(1.0, width + 1)[:, None]
+    n_active = np.count_nonzero(levels > head, axis=0)
+    return levels[n_active - 1, np.arange(levels.shape[1])], levels[-1]
+
+
 def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndarray]:
     """Exact common water level, in power units, by sort and cumulative sum.
 
@@ -102,13 +183,30 @@ def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndar
     channels); ``budget``: one positive budget for every row, or an ``(n,)``
     array of one per row.  Returns ``(spend, mu)`` with per-dimension
     allocations ``spend = max(mu - thresholds, 0)`` summing to the budget up
-    to rounding.  With the excesses ``d`` above the smallest threshold sorted
+    to rounding.  With the excesses ``e`` above the smallest threshold sorted
     ascending, k dimensions active put the excess level at
-    ``(budget + d_1 + ... + d_k) / k``; the active count is the largest k
-    whose level clears ``d_k`` (Palomar & Fonollosa, IEEE TSP 2005).
+    ``L_k = (budget + e_1 + ... + e_k) / k``; the active count is the number
+    of k whose level clears ``e_k`` (Palomar & Fonollosa, IEEE TSP 2005).
     Working on the excess keeps the level accurate when the budget is tiny
-    against the threshold scale.  Every row is computed as it would be
-    alone, so a batch gives the bits of row-by-row calls.
+    against the threshold scale.
+
+    The active set is a prefix of the sorted excesses, so a call sums and
+    levels only a head of k sorted columns, k from ``_HEAD_WIDTHS``: the
+    narrowest k at which at least ``_HEAD_SHARE`` of the rows certify that
+    at most k dimensions are active (``_head_width``: raising the cheapest
+    k to ``t_k`` would cost at least the budget).  The certificate only
+    picks k; whether a row's head is exact is decided row by row by
+    ``L_k <= e_(k+1) (1 - K (K + 4) 2^-52)``.  Every later level is then
+    below its own excess even as rounded: summing nonnegative excesses in
+    order, ``fl(L_j) <= (k L_k + (j - k) e_j)(1 + (K + 4) u) / j`` for
+    j > k to first order in u = 2^-53 (without underflow), and that is at
+    most ``e_j`` under the test.  So no column past the head clears, and
+    the count and the level are the full-width ones to the bit; without
+    the slack a tie at ``e_(k+1)`` can round a later level above it.  Rows
+    that fail the test are levelled at full width, as is every row when no
+    k certifies.  The head is summed in the order of a full-width cumsum,
+    so each row gets the bits it would get alone, and a batch gives the
+    bits of row-by-row calls.
     """
     thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
     budget = np.asarray(budget, dtype=float)
@@ -117,18 +215,29 @@ def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndar
                          f"{thresholds.shape[0]} rows of thresholds")
     if not np.all((budget > 0) & np.isfinite(budget)):
         raise ValueError("power budget must be positive and finite")
-    excess = np.sort(thresholds, axis=1)  # inf (dead) thresholds sort last
-    bottom = excess[:, :1].copy()
+    ranked = np.sort(thresholds, axis=1)  # inf (dead) thresholds sort last
+    bottom = ranked[:, :1].copy()
     if not np.isfinite(bottom).all():
         raise ValueError("all channels are dead: no subcarrier can be activated")
-    excess -= bottom
-    levels = np.cumsum(excess, axis=1)
-    levels += budget[..., None]
-    levels /= np.arange(1.0, excess.shape[1] + 1)
-    n_active = np.count_nonzero(levels > excess, axis=1)
-    xi = levels[np.arange(levels.shape[0]), n_active - 1]
-    # the level array becomes the spend max(xi - (thresholds - bottom), 0)
-    spend = np.subtract(thresholds, bottom, out=levels)
+    width = ranked.shape[1]
+    k = _head_width(ranked, budget)
+    if k == width:
+        ranked -= bottom
+        xi = _excess_level(ranked, budget)
+    else:
+        # the excess e = t - t_1 of the head and the column after it, one
+        # row of the copy per sorted column
+        head = ranked[:, :k + 1].T.copy()
+        head -= bottom[:, 0]
+        xi, last = _head_level(head[:k], budget)
+        slack = 1.0 - width * (width + 4) * 2.0 ** -52
+        wide = np.flatnonzero(~(last <= head[k] * slack))  # NaN fails
+        if wide.size:
+            rows = ranked[wide]
+            rows -= bottom[wide]
+            xi[wide] = _excess_level(rows, budget[wide] if budget.ndim else budget)
+    # the sorted copy becomes the spend max(xi - (thresholds - bottom), 0)
+    spend = np.subtract(thresholds, bottom, out=ranked)
     np.subtract(xi[:, None], spend, out=spend)
     return np.maximum(spend, 0.0, out=spend), bottom[:, 0] + xi
 

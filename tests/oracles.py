@@ -1,4 +1,5 @@
-"""Test-only oracles of the uniform-allocation (NOCSIT) secondary rate.
+"""Test-only oracles of the uniform-allocation (NOCSIT) secondary rate and
+of the CSIT water level.
 
 The program computes that rate by ``capacity.c_su_lower_nocsit_quad``
 alone.  Here are its Monte Carlo twin, the constant-modulus variant (the
@@ -7,6 +8,8 @@ low- and high-SNR closed forms, which hold for constant-modulus symbols.
 The Monte Carlo twin and the constant-modulus quadrature take the uniform
 allocation ``(a, g)`` of ``precoding.uniform_split``, as the program does;
 the closed forms take the power ``g`` of each virtual subcarrier alone.
+``waterfill_power_full`` is the full-width water level that
+``precoding.waterfill_power`` must give to the bit.
 """
 
 import numpy as np
@@ -70,3 +73,30 @@ def nocsit_high_snr_approx(scenario, layout, g):
                 / (layout.q * srx_noise_floor(scenario)))
     uc = layout.q * (psi(gam_mean) - EULER_GAMMA)
     return LOG2E / layout.m * (uc + layout.m_vc * psi(_vc_snr(scenario, g)))
+
+
+def waterfill_power_full(thresholds, budget):
+    """``precoding.waterfill_power`` at full width: the sort, cumulative
+    sum, levels and active count over all K sorted columns of every row,
+    as the program computed them before it waterfilled only a head."""
+    thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
+    budget = np.asarray(budget, dtype=float)
+    if budget.shape not in ((), thresholds.shape[:1]):
+        raise ValueError(f"budget of shape {budget.shape} does not match "
+                         f"{thresholds.shape[0]} rows of thresholds")
+    if not np.all((budget > 0) & np.isfinite(budget)):
+        raise ValueError("power budget must be positive and finite")
+    excess = np.sort(thresholds, axis=1)  # inf (dead) thresholds sort last
+    bottom = excess[:, :1].copy()
+    if not np.isfinite(bottom).all():
+        raise ValueError("all channels are dead: no subcarrier can be activated")
+    excess -= bottom
+    levels = np.cumsum(excess, axis=1)
+    levels += budget[..., None]
+    levels /= np.arange(1.0, excess.shape[1] + 1)
+    n_active = np.count_nonzero(levels > excess, axis=1)
+    xi = levels[np.arange(levels.shape[0]), n_active - 1]
+    # the level array becomes the spend max(xi - (thresholds - bottom), 0)
+    spend = np.subtract(thresholds, bottom, out=levels)
+    np.subtract(xi[:, None], spend, out=spend)
+    return np.maximum(spend, 0.0, out=spend), bottom[:, 0] + xi

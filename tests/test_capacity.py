@@ -30,7 +30,8 @@ from convsup.precoding import (srx_noise_floor, uc_power_coefficient, uniform_sp
                                waterfill_power, waterfill_thresholds)
 from convsup.spectral import build_spectral_context, build_vc_layout
 from oracles import (c_su_lower_nocsit, c_su_lower_nocsit_quad_constant_modulus,
-                     nocsit_high_snr_approx, nocsit_low_snr_approx)
+                     nocsit_high_snr_approx, nocsit_low_snr_approx,
+                     waterfill_power_full)
 
 
 @pytest.fixture(scope="module")
@@ -523,6 +524,41 @@ def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, record_trials
                                     use_vcs=use_vcs))
     got = np.concatenate(seen)
     assert got.shape == (n, 1) and np.array_equal(got[:, 0], want)
+
+
+_SNR_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+
+
+@pytest.mark.parametrize("spec, variable, grid, use_vcs", [
+    (ScenarioSpec(), "snr_pu_db", _SNR_GRID, True),
+    (ScenarioSpec(), "snr_pu_db", _SNR_GRID, False),
+    (ScenarioSpec(d12_ratio=0.7, d12_ref="d14"), "snr_su_db", (20.0,), True),
+    (ScenarioSpec(m_subcarriers=256, l_su=200), "snr_pu_db", _SNR_GRID, True),
+    (ScenarioSpec(m_subcarriers=16, l_su=5, vc_indices=(0, 8)), "snr_pu_db",
+     (15.0, 20.0), True),
+    (ScenarioSpec(power_ratio=100.0), "snr_su_db", (40.0,), True),
+], ids=["reference-vcs", "reference-no-vcs", "7c", "m256-lsu200", "m16-golden",
+        "high-budget"])
+def test_csit_waterfills_equal_the_full_width_oracle(spec, variable, grid, use_vcs,
+                                                     monkeypatch):
+    # every block that the estimator waterfills, at the geometries and
+    # budgets where the active count is small (reference), larger (7c,
+    # M 256) and most of the row (high budget), and where rows are too
+    # narrow for a head (M 16), gets the full-width kernel's spend and level
+    scenarios = [spec.with_sweep_value(variable, v).network() for v in grid]
+    _, layout, _ = spec.spectral()
+    blocks = []
+
+    def spy(thresholds, budget):
+        blocks.append((thresholds.copy(), budget))
+        return waterfill_power(thresholds, budget)
+    monkeypatch.setattr(capacity, "waterfill_power", spy)
+    c_su_lower_csit(scenarios, layout, 1100, np.random.default_rng(32), use_vcs=use_vcs)
+    assert len(blocks) == 3 * len(grid)
+    for thresholds, budget in blocks:
+        spend, mu = waterfill_power(thresholds, budget)
+        want_spend, want_mu = waterfill_power_full(thresholds, budget)
+        assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
 
 
 @pytest.mark.parametrize("n_trials", [0, 1])

@@ -3,7 +3,10 @@ waterfilling optimality oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import convsup.precoding
 from convsup.channel import zmcscg
 from convsup.harness import build_scenario
 from convsup.precoding import (PrecoderRankError, realize_precoders,
@@ -11,6 +14,7 @@ from convsup.precoding import (PrecoderRankError, realize_precoders,
                                uniform_split, waterfill_power, waterfill_rate,
                                waterfill_thresholds, waterfilling_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
+from oracles import waterfill_power_full
 
 
 def rate_of(layout, scenario, a, g, h_su, h_24):
@@ -174,21 +178,113 @@ class TestWaterfillPower:
             assert np.all(t[~active] >= level[~active] * (1.0 - 1e-12))
             assert np.all(spend[np.isinf(t)] == 0.0)
 
+    @staticmethod
+    def head_width(t, budget):
+        ranked = np.sort(np.atleast_2d(t), axis=1)
+        return convsup.precoding._head_width(ranked, np.asarray(budget, dtype=float))
+
     def test_batched_equals_row_by_row(self):
         # every row, dead (inf) channels included, is the row alone to the
-        # bit, and the thresholds are left as they were
-        t = self.thresholds(np.random.default_rng(22), n=40)
-        given = t.copy()
-        spend, mu = waterfill_power(t, 2.5)
-        assert np.array_equal(t, given)
-        dead = np.isinf(t).any(axis=1)
-        assert 0 < dead.sum() < len(t)
-        for i, row in enumerate(t):
-            s_i, mu_i = waterfill_power(row, 2.5)
-            assert s_i.shape == (1, t.shape[1])
-            assert np.array_equal(s_i[0], spend[i]) and mu_i[0] == mu[i]
-            assert np.all(s_i[0][np.isinf(row)] == 0.0)
-        assert np.array_equal(t, given)
+        # bit, and the thresholds are left as they were; the 64-column batch
+        # levels a narrow head, its one nearly flat row (all active) fails
+        # the head and is levelled at full width, and the rows alone take
+        # heads of their own
+        for k, n in [(16, 40), (64, 200)]:
+            t = self.thresholds(np.random.default_rng(22), n=n, k=k)
+            t[1] = 1.0 + np.arange(k) * 1e-3
+            given = t.copy()
+            spend, mu = waterfill_power(t, 2.5)
+            assert np.array_equal(t, given)
+            dead = np.isinf(t).any(axis=1)
+            assert 0 < dead.sum() < len(t)
+            heads = set()
+            for i, row in enumerate(t):
+                s_i, mu_i = waterfill_power(row, 2.5)
+                assert s_i.shape == (1, t.shape[1])
+                assert np.array_equal(s_i[0], spend[i]) and mu_i[0] == mu[i]
+                assert np.all(s_i[0][np.isinf(row)] == 0.0)
+                heads.add(self.head_width(row, 2.5))
+            assert np.array_equal(t, given)
+            if k == 64:
+                assert self.head_width(t, 2.5) < 64 and 64 in heads and len(heads) > 2
+            else:  # below _HEAD_MIN_ROW columns every call is full width
+                assert heads == {self.head_width(t, 2.5)} == {16}
+
+    def test_wide_rows_are_levelled_at_full_width(self, monkeypatch):
+        # a few rows with nearly every dimension active fail the exactness
+        # test of a narrow head and are levelled again over all 64 columns
+        rng = np.random.default_rng(26)
+        t = self.thresholds(rng, n=512, k=64)
+        wide = [5, 300, 511]
+        t[wide] = 1.0 + rng.uniform(0.0, 1e-3, size=(3, 64))
+        shapes = []
+
+        def spy(name):
+            level = getattr(convsup.precoding, name)
+
+            def spied(excess, budget):
+                shapes.append((name, excess.shape))
+                return level(excess, budget)
+            monkeypatch.setattr(convsup.precoding, name, spied)
+        spy("_head_level")
+        spy("_excess_level")
+        spend, mu = waterfill_power(t, 0.05)
+        assert shapes == [("_head_level", (8, 512)), ("_excess_level", (3, 64))]
+        want_spend, want_mu = waterfill_power_full(t, 0.05)
+        assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
+        assert np.all(spend[wide] > 0)
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3])
+    def test_a_tie_at_the_head_edge_keeps_the_full_count(self, value):
+        # one row ties every excess past its bottom at ``value`` and has the
+        # budget that puts the head's level exactly there: L_8 = e_9.  The
+        # rounded levels past the head then clear their excess, so the full
+        # width counts more than 8 columns; the slack of the exactness test
+        # sends the row to full width, and it keeps the full count's bits
+        rng = np.random.default_rng(27)
+        t = self.thresholds(rng, n=200, k=64)
+        t[0] = value
+        t[0, 0] = 0.0
+        budgets = np.full(200, 0.05)
+        budgets[0] = value
+        assert self.head_width(t, budgets) == 8
+        excess = np.sort(t[0])
+        levels = (np.cumsum(excess) + value) / np.arange(1, 65)
+        assert levels[7] <= excess[8]
+        assert np.count_nonzero(levels > excess) > np.count_nonzero(levels[:8] > excess[:8])
+        spend, mu = waterfill_power(t, budgets)
+        want_spend, want_mu = waterfill_power_full(t, budgets)
+        assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(1, 256), st.integers(1, 600), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["none", "grid", "copies"]), st.floats(0.0, 0.5),
+           st.floats(-12.0, 6.0), st.booleans(), st.floats(0.0, 0.01))
+    def test_equals_the_full_width_oracle(self, k, n, seed, ties, dead_share,
+                                          log_budget, per_row, wide_share):
+        # spend and level of every block equal the full-width kernel's to the
+        # bit: ties, dead (inf) channels with one live channel a row,
+        # scalar or per-row budgets from 1e-12 to 1e6 times the threshold
+        # scale, and up to 1 % of nearly flat rows, nearly all active
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        t = scale * rng.exponential(size=(n, k)) / rng.exponential(size=(n, k))
+        if ties == "grid":  # many exact ties, on a grid that sums inexactly
+            t = scale * np.ceil(t / scale * 10.0) / 10.0
+        elif ties == "copies":
+            cols = rng.integers(0, k, size=(n, k))
+            copied = rng.random((n, k)) < 0.5
+            t[copied] = t[np.nonzero(copied)[0], cols[copied]]
+        flat = rng.random(n) < wide_share
+        t[flat] = scale * (1.0 + rng.uniform(0.0, 1e-6, size=(flat.sum(), k)))
+        dead = rng.random((n, k)) < dead_share
+        dead[np.arange(n), rng.integers(0, k, size=n)] = False
+        t[dead] = np.inf
+        budget = scale * 10.0 ** (rng.uniform(-12.0, 6.0, size=n) if per_row
+                                  else log_budget)
+        spend, mu = waterfill_power(t, budget)
+        want_spend, want_mu = waterfill_power_full(t, budget)
+        assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
 
     def test_per_row_budgets_equal_scalar_calls(self):
         rng = np.random.default_rng(24)
