@@ -144,6 +144,22 @@ def _complex_gaussian(re: np.ndarray, im: np.ndarray, variance: float) -> np.nda
     return out
 
 
+def _distance(a, b) -> float:
+    """Distance between the points ``a`` and ``b``."""
+    # the dot product np.linalg.norm takes, to the bit, without its
+    # overhead; math.hypot rounds differently
+    d = np.subtract(a, b, dtype=float)
+    return math.sqrt(d.dot(d))
+
+
+def _path_loss(d: float, eta: float) -> float:
+    """Link variance d^(-eta) at distance ``d``, inf where it overflows."""
+    try:
+        return d ** -float(eta)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class NetworkScenario:
     """Node geometry, power budgets and noise levels.
@@ -182,10 +198,7 @@ class NetworkScenario:
             d = self.distance(i, j)
             if d <= 0:
                 raise ValueError(f"nodes {i} and {j} are co-located")
-            try:
-                variance = d ** -float(self.eta)
-            except OverflowError:
-                variance = math.inf
+            variance = _path_loss(d, self.eta)
             if not sys.float_info.min <= variance < math.inf:
                 raise ValueError(f"path-loss exponent eta={self.eta!r} puts the variance "
                                  f"d^(-eta) of link {i}-{j} (d = {d:.6g}) outside the "
@@ -194,10 +207,7 @@ class NetworkScenario:
         object.__setattr__(self, "_variances", variances)
 
     def distance(self, i: int, j: int) -> float:
-        # the dot product np.linalg.norm takes, to the bit, without its
-        # overhead; math.hypot rounds differently
-        d = np.subtract(self.coords[i], self.coords[j], dtype=float)
-        return math.sqrt(d.dot(d))
+        return _distance(self.coords[i], self.coords[j])
 
     def link_variance(self, i: int, j: int) -> float:
         """Variance d^(-eta) of link (i, j), one of ``LINKS``."""

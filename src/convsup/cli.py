@@ -69,7 +69,7 @@ def _cmd_validate(args) -> int:
     print(report.render())
     # stdout stays the same bytes for a seed and sizes; times vary per run
     for check in report.checks:
-        print(f"{check.name}: {check.seconds:.2f} s", file=sys.stderr)
+        print(f"{check.name}: {check.seconds * 1e3:.1f} ms", file=sys.stderr)
     return 0 if report.ok else 1
 
 

@@ -59,6 +59,7 @@ _NODE_SRX = (0.0, 2.0)
 _STX_ANGLE = math.pi / 3
 _D13 = 1.0
 _D14 = math.dist(_NODE_PTX, _NODE_SRX)
+_ETA = 3.0  # path-loss exponent of the reference experiments
 
 
 def reference_link_specs() -> dict[tuple[int, int], LinkSpec]:
@@ -82,14 +83,22 @@ def resolve_d12(ratio: float, ref: str) -> float:
     return ratio * (_D13 if ref == "d13" else _D14)
 
 
-def build_scenario(d12: float, power_ratio: float, snr_db: float,
-                   snr_ref: str, eta: float = 3.0) -> NetworkScenario:
-    """Reference-geometry scenario: P_pu = 1, P_su = power_ratio, one common
-    noise variance at all receivers set by the chosen SNR anchor."""
+def _reference_levels(power_ratio: float, snr_db: float,
+                      snr_ref: str) -> tuple[float, float, float]:
+    """``(p_pu, p_su, sigma2)``: P_pu = 1, P_su = power_ratio, and the noise
+    variance at which the budget of the SNR anchor ``snr_ref`` sees
+    ``snr_db``."""
     p_pu = 1.0
     p_su = power_ratio * p_pu
+    return p_pu, p_su, (p_pu if snr_ref == "pu" else p_su) / 10 ** (snr_db / 10)
+
+
+def build_scenario(d12: float, power_ratio: float, snr_db: float,
+                   snr_ref: str, eta: float = _ETA) -> NetworkScenario:
+    """Reference-geometry scenario: P_pu = 1, P_su = power_ratio, one common
+    noise variance at all receivers set by the chosen SNR anchor."""
     check_accepted(snr_ref=snr_ref)
-    sigma2 = (p_pu if snr_ref == "pu" else p_su) / 10 ** (snr_db / 10)
+    p_pu, p_su, sigma2 = _reference_levels(power_ratio, snr_db, snr_ref)
     return NetworkScenario(
         coords={1: _NODE_PTX, 2: stx_position(d12), 3: _NODE_PRX, 4: _NODE_SRX},
         eta=eta, p_pu=p_pu, p_su=p_su,
@@ -198,7 +207,7 @@ class ScenarioSpec:
     power_ratio: float = 1.0
     snr_db: float = 20.0
     snr_ref: str = "pu"
-    eta: float = 3.0
+    eta: float = _ETA
     m_subcarriers: int = 64
     l_su: int = 10
     vc_indices: tuple[int, ...] = (0, 16, 32, 48)

@@ -45,16 +45,24 @@ class PrecoderRankError(ValueError):
     it A, would be zero: the relayed branch carries no symbols."""
 
 
+def _leak_plus_noise(variance: float, p_pu: float, sigma2: float) -> float:
+    """Power a node receives from the primary transmitter over a link of
+    ``variance``, plus its thermal noise ``sigma2``."""
+    return variance * p_pu + sigma2
+
+
 def uc_power_coefficient(scenario: NetworkScenario) -> float:
     """Per-unit-weight transmit power of the relayed branch:
     sigma2_12 * P_pu + sigma2_v2."""
-    return scenario.link_variance(1, 2) * scenario.p_pu + scenario.sigma2_v[2]
+    return _leak_plus_noise(scenario.link_variance(1, 2), scenario.p_pu,
+                            scenario.sigma2_v[2])
 
 
 def srx_noise_floor(scenario: NetworkScenario) -> float:
     """Equivalent-noise variance at the secondary receiver on used
     subcarriers, primary leak plus thermal: sigma2_14 * P_pu + sigma2_v4."""
-    return scenario.link_variance(1, 4) * scenario.p_pu + scenario.sigma2_v[4]
+    return _leak_plus_noise(scenario.link_variance(1, 4), scenario.p_pu,
+                            scenario.sigma2_v[4])
 
 
 def uniform_split(layout: VcLayout, scenario: NetworkScenario,
@@ -66,11 +74,18 @@ def uniform_split(layout: VcLayout, scenario: NetworkScenario,
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"virtual-subcarrier share of the budget must lie in "
                          f"[0, 1], got {fraction}")
-    m_vc, p_su = layout.m_vc, scenario.p_su
+    return _split(layout.m_vc, layout.q, scenario.p_su,
+                  uc_power_coefficient(scenario), fraction)
+
+
+def _split(m_vc: int, q: int, p_su: float, coef: float,
+           fraction: float) -> tuple[float, float]:
+    """``uniform_split`` of the budget ``p_su`` over ``m_vc`` virtual and
+    ``q`` used subcarriers, a used one costing ``coef`` per unit weight."""
     g = fraction * p_su / m_vc if m_vc else 0.0
     while m_vc * g > p_su:
         g = math.nextafter(g, 0.0)
-    return (p_su - m_vc * g) / (layout.q * uc_power_coefficient(scenario)), g
+    return (p_su - m_vc * g) / (q * coef), g
 
 
 def waterfill_thresholds(coef, nu_uc, nu_vc, gain_uc: np.ndarray,

@@ -20,13 +20,15 @@ import numpy as np
 
 from .capacity import (bessel_k1, check_pu_monotonicity, outage_mc, psi,
                        pu_outage_probability)
-from .channel import (_CHUNK, _complex_gaussian, draw_channels,
-                      frequency_response, trials, zmcscg)
-from .harness import (ScenarioSpec, build_scenario, check_accepted,
-                      reference_link_specs)
-from .precoding import (realize_precoders, srx_noise_floor, uc_power_coefficient,
-                        uniform_split, waterfill_faults, waterfill_power,
-                        waterfill_rate, waterfill_thresholds, waterfilling_profile)
+from .channel import (_CHUNK, _complex_gaussian, _distance, _path_loss,
+                      draw_channels, frequency_response, trials, zmcscg)
+from .harness import (_ETA, _NODE_PTX, _NODE_SRX, ScenarioSpec, _reference_levels,
+                      build_scenario, check_accepted, reference_link_specs,
+                      stx_position)
+from .precoding import (_leak_plus_noise, _split, realize_precoders, srx_noise_floor,
+                        uc_power_coefficient, uniform_split, waterfill_faults,
+                        waterfill_power, waterfill_rate, waterfill_thresholds,
+                        waterfilling_profile)
 from .spectral import (InconsistentResponseError, build_spectral_context,
                        build_vc_layout, filter_frequency_response,
                        min_norm_filter)
@@ -441,20 +443,8 @@ def _waterfill_instances(layout, rng):
     0.4 of the budget on the virtual subcarriers) that beat the waterfill,
     and the fault messages, over ``_WATERFILLING_INSTANCES`` random
     instances waterfilled as one batch."""
-    q, n = layout.q, _WATERFILLING_INSTANCES
-    levels = np.empty((4, n))  # p_su, coef, nu_uc, sigma2_v4 of each instance
-    # per instance the normals of two zmcscg(rng, M) draws in their order:
-    # re h_su, im h_su, re h_24, im h_24
-    normals = np.empty((n, 4, layout.m))
-    splits = np.empty((2, 2, n))  # (a, g) of each instance's two uniform splits
-    for i in range(n):
-        scenario = build_scenario(float(rng.uniform(0.2, 1.5)),
-                                  float(rng.uniform(0.5, 4.0)),
-                                  float(rng.uniform(0.0, 25.0)), "su")
-        levels[:, i] = (scenario.p_su, uc_power_coefficient(scenario),
-                        srx_noise_floor(scenario), scenario.sigma2_v[4])
-        splits[:, :, i] = [uniform_split(layout, scenario, f) for f in (0.25, 0.4)]
-        rng.standard_normal(out=normals[i])
+    q = layout.q
+    levels, normals, splits = _draw_instances(layout, rng, _WATERFILLING_INSTANCES)
     h = _complex_gaussian(normals[:, 0::2], normals[:, 1::2], 1.0)  # h_su, h_24
     p_su, coef, nu_uc, nu_vc = levels
     gain = np.abs(h) ** 2
@@ -479,6 +469,45 @@ def _waterfill_instances(layout, rng):
                       f"inactive subcarrier below the water level, worst {worst} "
                       f"by {shortfall[worst]:.3e} of it")
     return float(resid.max()), n_beat, faults
+
+
+def _draw_instances(layout, rng, n):
+    """The ``n`` random instances of ``waterfilling_check``, drawn one by
+    one: the levels (p_su, coef, nu_uc, sigma2_v4) of each, shape (4, n);
+    the normals of its two ``zmcscg(rng, M)`` channels in their order (re
+    h_su, im h_su, re h_24, im h_24), shape (n, 4, M); and the (a, g) of
+    its two uniform splits, shape (2, 2, n)."""
+    levels = np.empty((4, n))
+    normals = np.empty((n, 4, layout.m))
+    splits = np.empty((2, 2, n))
+    s14 = _path_loss(_distance(_NODE_PTX, _NODE_SRX), _ETA)
+    for i in range(n):
+        # arguments are evaluated left to right: d12, power ratio, SNR in dB
+        levels[:, i], splits[:, :, i] = _instance_levels(
+            layout, s14, rng.uniform(0.2, 1.5), rng.uniform(0.5, 4.0),
+            rng.uniform(0.0, 25.0))
+        rng.standard_normal(out=normals[i])
+    return levels, normals, splits
+
+
+def _instance_levels(layout, s14, d12, power_ratio, snr_db):
+    """The levels (p_su, coef, nu_uc, sigma2_v4) of one instance and the
+    (a, g) of its uniform splits with 0.25 and 0.4 of the budget on the
+    virtual subcarriers: the bits that ``build_scenario(d12,
+    power_ratio, snr_db, "su")``, ``uc_power_coefficient``,
+    ``srx_noise_floor`` and ``uniform_split`` give, from the same scalar
+    helpers, without building and checking a scenario.  ``s14`` is the
+    variance of link 1-4, which d12 does not move.
+
+    The drawn ranges make every instance a valid scenario.  The helpers
+    stay scalar: numpy's vectorized power can round differently from
+    Python's, in the last place of about 5 % of these arguments on AVX-512
+    kernels."""
+    p_pu, p_su, sigma2 = _reference_levels(power_ratio, snr_db, "su")
+    coef = _leak_plus_noise(_path_loss(_distance(_NODE_PTX, stx_position(d12)), _ETA),
+                            p_pu, sigma2)
+    return ((p_su, coef, _leak_plus_noise(s14, p_pu, sigma2), sigma2),
+            [_split(layout.m_vc, layout.q, p_su, coef, f) for f in (0.25, 0.4)])
 
 
 def channel_statistics_check(scenario, specs, n_draws, rng):

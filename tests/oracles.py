@@ -9,7 +9,10 @@ The Monte Carlo twin and the constant-modulus quadrature take the uniform
 allocation ``(a, g)`` of ``precoding.uniform_split``, as the program does;
 the closed forms take the power ``g`` of each virtual subcarrier alone.
 ``waterfill_power_full`` is the full-width water level that
-``precoding.waterfill_power`` must give to the bit.
+``precoding.waterfill_power`` must give to the bit, and
+``waterfill_instances_by_scenario`` the instances of the waterfilling
+check, built as scenarios, that ``validation._draw_instances`` must give
+to the bit.
 """
 
 import numpy as np
@@ -18,7 +21,8 @@ from convsup import capacity
 from convsup.capacity import (EULER_GAMMA, LOG2E, _composite_gain, _relayed_gain,
                               _vc_snr, _vc_term, psi)
 from convsup.channel import mean_se, trials
-from convsup.precoding import srx_noise_floor
+from convsup.harness import build_scenario
+from convsup.precoding import srx_noise_floor, uc_power_coefficient, uniform_split
 
 
 def c_su_lower_nocsit(scenario, layout, a, g, n_trials, rng, constant_modulus=False):
@@ -100,3 +104,23 @@ def waterfill_power_full(thresholds, budget):
     spend = np.subtract(thresholds, bottom, out=levels)
     np.subtract(xi[:, None], spend, out=spend)
     return np.maximum(spend, 0.0, out=spend), bottom[:, 0] + xi
+
+
+def waterfill_instances_by_scenario(layout, rng, n):
+    """``validation._draw_instances`` through a ``NetworkScenario`` per
+    instance, as the waterfilling check drew its instances before it formed
+    their levels from numbers: the levels (p_su, coef, nu_uc, sigma2_v4),
+    shape (4, n), the normals of each instance's two channels, shape
+    (n, 4, M), and the (a, g) of its 0.25 and 0.4 splits, shape (2, 2, n)."""
+    levels = np.empty((4, n))
+    normals = np.empty((n, 4, layout.m))
+    splits = np.empty((2, 2, n))
+    for i in range(n):
+        scenario = build_scenario(float(rng.uniform(0.2, 1.5)),
+                                  float(rng.uniform(0.5, 4.0)),
+                                  float(rng.uniform(0.0, 25.0)), "su")
+        levels[:, i] = (scenario.p_su, uc_power_coefficient(scenario),
+                        srx_noise_floor(scenario), scenario.sigma2_v[4])
+        splits[:, :, i] = [uniform_split(layout, scenario, f) for f in (0.25, 0.4)]
+        rng.standard_normal(out=normals[i])
+    return levels, normals, splits

@@ -37,6 +37,7 @@ from convsup.transceiver import FrameConfig
 from convsup.validation import (precoder_structure_check, realized_rates,
                                 special_functions_check, validate_suite,
                                 waterfilling_check)
+from oracles import waterfill_instances_by_scenario
 
 
 def load_benchmark_gates():
@@ -589,11 +590,12 @@ class TestValidateSuite:
         gates = load_benchmark_gates()
         _, problems = gates.check_validate(out, rc)
         assert problems == []
-        # the report is on stdout, the time of each check on stderr
-        times = dict(re.fullmatch(r"(\w+): (\d+\.\d\d) s", line).groups()
-                     for line in err.splitlines())
-        assert times.keys() == gates.VALIDATE_EXPECTED.keys()
-        assert all(float(t) >= 0.0 for t in times.values())
+        # the report is on stdout, the time of each check on stderr, in
+        # milliseconds, in report order
+        times = [re.fullmatch(r"(\w+): (\d+\.\d) ms", line).groups()
+                 for line in err.splitlines()]
+        assert [name for name, _ in times] == list(gates.VALIDATE_EXPECTED)
+        assert all(float(ms) >= 0.0 for _, ms in times)
         # the report of a seed is deterministic: the same bytes as the
         # recorded run of this configuration
         assert out == GOLDEN_VALIDATE.read_text()
@@ -941,6 +943,44 @@ class TestWaterfillingCheck:
         for got, expected in zip(seen[0], want, strict=True):
             assert np.array_equal(got, expected)
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("seed", [37, 38, 20260809])
+    def test_instances_match_the_scenario_loop(self, seed):
+        # levels, splits and normals formed from numbers keep the bits of
+        # the loop that built a scenario per instance, and the stream
+        layout = build_vc_layout(build_spectral_context(8, 5), (0, 4))
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = waterfill_instances_by_scenario(layout, ref, 5000)
+        got = convsup.validation._draw_instances(layout, rng, 5000)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("d12", [0.2, 1.5])
+    @pytest.mark.parametrize("ratio", [0.5, 4.0])
+    @pytest.mark.parametrize("snr", [0.0, 25.0])
+    def test_instance_levels_at_the_corners_of_the_draws(self, d12, ratio, snr):
+        layout = build_vc_layout(build_spectral_context(8, 5), (0, 4))
+        scenario = build_scenario(d12, ratio, snr, "su")
+        s14 = scenario.link_variance(1, 4)
+        levels, splits = convsup.validation._instance_levels(layout, s14, d12, ratio, snr)
+        assert levels == (scenario.p_su, uc_power_coefficient(scenario),
+                          srx_noise_floor(scenario), scenario.sigma2_v[4])
+        assert splits == [uniform_split(layout, scenario, f) for f in (0.25, 0.4)]
+
+    def test_split_rounds_the_virtual_power_down(self):
+        # with P_su = 0.83 on 3 virtual subcarriers, 3 (0.83 / 3) > 0.83, so
+        # the split takes its nextafter step; the instances' two VCs and
+        # shares of at most 0.4 never take it
+        layout = build_vc_layout(build_spectral_context(8, 5), (0, 3, 6))
+        scenario = build_scenario(0.7, 0.83, 15.0, "su")
+        assert layout.m_vc * (0.83 / layout.m_vc) > 0.83
+        a, g = uniform_split(layout, scenario, 1.0)
+        assert g == math.nextafter(0.83 / 3, 0.0)
+        assert 3 * g <= 0.83 and a > 0.0
+        coef = uc_power_coefficient(scenario)
+        assert a == (0.83 - 3 * g) / (layout.q * coef)
+        assert convsup.precoding._split(3, layout.q, 0.83, coef, 1.0) == (a, g)
 
     @staticmethod
     def _moved_profile(onto, moved):
