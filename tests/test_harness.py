@@ -969,18 +969,17 @@ class TestWaterfillingCheck:
         assert splits == [uniform_split(layout, scenario, f) for f in (0.25, 0.4)]
 
     def test_split_rounds_the_virtual_power_down(self):
-        # with P_su = 0.83 on 3 virtual subcarriers, 3 (0.83 / 3) > 0.83, so
-        # the split takes its nextafter step; the instances' two VCs and
-        # shares of at most 0.4 never take it
+        # the whole budget P_su = 0.83 on 3 virtual subcarriers: 3 (0.83 / 3)
+        # > 0.83, so the split takes its nextafter step (found by search; the
+        # instances' two VCs and shares of at most 0.4 never take it)
         layout = build_vc_layout(build_spectral_context(8, 5), (0, 3, 6))
         scenario = build_scenario(0.7, 0.83, 15.0, "su")
-        assert layout.m_vc * (0.83 / layout.m_vc) > 0.83
-        a, g = uniform_split(layout, scenario, 1.0)
-        assert g == math.nextafter(0.83 / 3, 0.0)
-        assert 3 * g <= 0.83 and a > 0.0
         coef = uc_power_coefficient(scenario)
-        assert a == (0.83 - 3 * g) / (layout.q * coef)
-        assert convsup.precoding._split(3, layout.q, 0.83, coef, 1.0) == (a, g)
+        assert 3 * (0.83 / 3) > 0.83
+        a, g = convsup.precoding._split(3, layout.q, 0.83, coef, 1.0)
+        assert g == math.nextafter(0.83 / 3, 0.0) and 3 * g <= 0.83
+        assert a == (0.83 - 3 * g) / (layout.q * coef) > 0.0
+        assert uniform_split(layout, scenario, 1.0) == (a, g)
 
     @staticmethod
     def _moved_profile(onto, moved):
