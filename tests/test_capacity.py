@@ -30,7 +30,7 @@ from convsup.precoding import (srx_noise_floor, uc_power_coefficient, uniform_sp
                                waterfill_power, waterfill_thresholds)
 from convsup.spectral import build_spectral_context, build_vc_layout
 from oracles import (c_su_lower_nocsit, c_su_lower_nocsit_quad_constant_modulus,
-                     nocsit_high_snr_approx, nocsit_low_snr_approx,
+                     csit_rate_bounds, nocsit_high_snr_approx, nocsit_low_snr_approx,
                      waterfill_power_full)
 
 
@@ -559,6 +559,31 @@ def test_csit_waterfills_equal_the_full_width_oracle(spec, variable, grid, use_v
         spend, mu = waterfill_power(thresholds, budget)
         want_spend, want_mu = waterfill_power_full(thresholds, budget)
         assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
+
+
+@pytest.mark.parametrize("spec, variable, grid, use_vcs", [
+    (ScenarioSpec(), "snr_pu_db", (0.0, 20.0, 30.0), True),
+    (ScenarioSpec(), "snr_pu_db", (0.0, 20.0, 30.0), False),
+    (ScenarioSpec(m_subcarriers=16, l_su=5, vc_indices=(0, 8)), "snr_pu_db",
+     (15.0, 20.0), True),
+    (ScenarioSpec(d12_ratio=0.7, d12_ref="d14"), "snr_su_db", (20.0,), True),
+], ids=["reference-vcs", "reference-no-vcs", "m16-golden", "7c"])
+def test_csit_rate_lies_within_its_exact_bounds(spec, variable, grid, use_vcs):
+    # the exact bounds of oracles.csit_rate_bounds at 1e-4, 1e-2 and all of
+    # each scenario's budget: at 1e-4 a single dimension is active, so the
+    # estimate sits on the lower bound and the two bounds nearly meet
+    _, layout, _ = spec.spectral()
+    shares = (1e-4, 1e-2, 1.0)
+    scenarios = [replace(sc, p_su=share * sc.p_su) for value in grid
+                 for sc in [spec.with_sweep_value(variable, value).network()]
+                 for share in shares]
+    rows = mean_se(c_su_lower_csit(scenarios, layout, 20_000, np.random.default_rng(9),
+                                   use_vcs=use_vcs))
+    for i, (scenario, (value, se)) in enumerate(zip(scenarios, rows)):
+        lower, upper = csit_rate_bounds(scenario, layout, use_vcs)
+        assert lower - 3 * se <= value <= upper + 3 * se
+        if shares[i % len(shares)] == 1e-4:
+            assert abs(value - lower) <= 3 * se and upper <= 1.03 * lower
 
 
 @pytest.mark.parametrize("n_trials", [0, 1])
