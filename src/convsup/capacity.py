@@ -23,7 +23,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from .channel import Moments, NetworkScenario, mean_se, trials
 from .precoding import (srx_noise_floor, uc_power_coefficient, uniform_split,
-                        waterfill_power, waterfill_rate, waterfill_thresholds)
+                        waterfill_capacity, waterfill_thresholds)
 from .spectral import VcLayout
 
 __all__ = [
@@ -429,9 +429,10 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
     Each trial draws the used subcarriers' composite gains (relay gain
     times relayed primary symbol plus secondary-chain noise), independent
     across subcarriers, and the direct virtual-subcarrier gains.  Per
-    scenario a block runs three stages: the law (``_relayed_gain`` times E2,
-    made into ``waterfill_thresholds``), the allocation (``waterfill_power``)
-    and the score (``waterfill_rate``).  Each batch of ``trials``
+    scenario a block runs two stages: the law (``_relayed_gain`` times E2,
+    made into ``waterfill_thresholds``) and the rate of its waterfilled
+    allocation (``waterfill_capacity``, which levels and scores only the
+    certified head of each row).  Each batch of ``trials``
     runs in blocks of ``_CSIT_ROWS`` trials: a block draws its exponentials
     (E0, E1 and E2 of the used subcarriers, then the virtual-subcarrier
     gains), then waterfills and scores them in buffers that every block
@@ -472,8 +473,7 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
                 _relayed_gain(sc, e0, e1, factors=factors, out=gain)
                 gain *= e2
                 waterfill_thresholds(*levels, gain, gain_vc, out=thr)
-                spend, _ = waterfill_power(thr, sc.p_su)
-                rate[lo:hi, j] = waterfill_rate(spend, thr)
+                rate[lo:hi, j] = waterfill_capacity(thr, sc.p_su)
         rate /= layout.m
         return rate
     return trials(n_trials, sample)

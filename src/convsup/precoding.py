@@ -35,6 +35,7 @@ __all__ = [
     "waterfill_thresholds",
     "waterfill_power",
     "waterfill_rate",
+    "waterfill_capacity",
     "waterfill_faults",
     "realize_precoders",
 ]
@@ -191,6 +192,55 @@ def _head_level(head: np.ndarray, budget: np.ndarray):
     return levels[n_active - 1, np.arange(levels.shape[1])], levels[-1]
 
 
+def _water_level(thresholds, budget):
+    """The level step of :func:`waterfill_power` and
+    :func:`waterfill_capacity`: their input checks, the sort, the certified
+    head and its exactness test, and the full-width level of the rows that
+    fail it.  Returns ``(thresholds, bottom, xi, ranked, head, wide)``:
+    the thresholds as an (n, K) float array, the smallest threshold of each
+    row as an (n, 1) column, each row's excess water level ``xi`` above it,
+    a scratch (n, K) array, and, when the call takes a head of k columns,
+    ``head`` = (sorted thresholds, excesses) of the head, each (k, n) with
+    one row per sorted column, and the indices ``wide`` of the rows
+    levelled at full width; ``head`` and ``wide`` are None when the call
+    takes no head and levels every row at full width."""
+    thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
+    budget = np.asarray(budget, dtype=float)
+    if budget.shape not in ((), thresholds.shape[:1]):
+        raise ValueError(f"budget of shape {budget.shape} does not match "
+                         f"{thresholds.shape[0]} rows of thresholds")
+    if not np.all((budget > 0) & np.isfinite(budget)):
+        raise ValueError("power budget must be positive and finite")
+    ranked = np.sort(thresholds, axis=1)  # inf (dead) thresholds sort last
+    bottom = ranked[:, :1].copy()
+    if not np.isfinite(bottom).all():
+        raise ValueError("all channels are dead: no subcarrier can be activated")
+    width = ranked.shape[1]
+    k = _head_width(ranked, budget)
+    if k == width:
+        ranked -= bottom
+        return thresholds, bottom, _excess_level(ranked, budget), ranked, None, None
+    # the sorted thresholds of the head and the column after it, and their
+    # excess e = t - t_1, one row of each per sorted column
+    sorted_head = ranked[:, :k + 1].T.copy()
+    head = np.subtract(sorted_head, bottom[:, 0])
+    xi, last = _head_level(head[:k], budget)
+    slack = 1.0 - width * (width + 4) * 2.0 ** -52
+    wide = np.flatnonzero(~(last <= head[k] * slack))  # NaN fails
+    if wide.size:
+        rows = ranked[wide]
+        rows -= bottom[wide]
+        xi[wide] = _excess_level(rows, budget[wide] if budget.ndim else budget)
+    return thresholds, bottom, xi, ranked, (sorted_head[:k], head[:k]), wide
+
+
+def _spend(excess: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The allocation ``max(xi - e, 0)`` of the excesses ``e`` (overwritten)
+    under the excess levels ``xi``, which broadcast against them."""
+    np.subtract(xi, excess, out=excess)
+    return np.maximum(excess, 0.0, out=excess)
+
+
 def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndarray]:
     """Exact common water level, in power units, by sort and cumulative sum.
 
@@ -223,38 +273,10 @@ def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndar
     so each row gets the bits it would get alone, and a batch gives the
     bits of row-by-row calls.
     """
-    thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
-    budget = np.asarray(budget, dtype=float)
-    if budget.shape not in ((), thresholds.shape[:1]):
-        raise ValueError(f"budget of shape {budget.shape} does not match "
-                         f"{thresholds.shape[0]} rows of thresholds")
-    if not np.all((budget > 0) & np.isfinite(budget)):
-        raise ValueError("power budget must be positive and finite")
-    ranked = np.sort(thresholds, axis=1)  # inf (dead) thresholds sort last
-    bottom = ranked[:, :1].copy()
-    if not np.isfinite(bottom).all():
-        raise ValueError("all channels are dead: no subcarrier can be activated")
-    width = ranked.shape[1]
-    k = _head_width(ranked, budget)
-    if k == width:
-        ranked -= bottom
-        xi = _excess_level(ranked, budget)
-    else:
-        # the excess e = t - t_1 of the head and the column after it, one
-        # row of the copy per sorted column
-        head = ranked[:, :k + 1].T.copy()
-        head -= bottom[:, 0]
-        xi, last = _head_level(head[:k], budget)
-        slack = 1.0 - width * (width + 4) * 2.0 ** -52
-        wide = np.flatnonzero(~(last <= head[k] * slack))  # NaN fails
-        if wide.size:
-            rows = ranked[wide]
-            rows -= bottom[wide]
-            xi[wide] = _excess_level(rows, budget[wide] if budget.ndim else budget)
-    # the sorted copy becomes the spend max(xi - (thresholds - bottom), 0)
-    spend = np.subtract(thresholds, bottom, out=ranked)
-    np.subtract(xi[:, None], spend, out=spend)
-    return np.maximum(spend, 0.0, out=spend), bottom[:, 0] + xi
+    thresholds, bottom, xi, ranked, _, _ = _water_level(thresholds, budget)
+    # the scratch array becomes the spend max(xi - (thresholds - bottom), 0)
+    spend = _spend(np.subtract(thresholds, bottom, out=ranked), xi[:, None])
+    return spend, bottom[:, 0] + xi
 
 
 def waterfill_rate(spend: np.ndarray, thresholds: np.ndarray):
@@ -264,6 +286,40 @@ def waterfill_rate(spend: np.ndarray, thresholds: np.ndarray):
     spend /= thresholds
     spend += 1.0
     return np.log2(spend, out=spend).sum(axis=-1)
+
+
+def waterfill_capacity(thresholds: np.ndarray, budget) -> np.ndarray:
+    """Rate of the waterfilled allocation of each row, in bits per
+    subcarrier use (not normalized by M): :func:`waterfill_rate` of the
+    spend of :func:`waterfill_power`, with the same arguments and checks,
+    scored over the certified head alone where the head is exact.
+
+    Past an exact head of k columns every spend is exactly 0, since
+    ``xi <= L_k <= e_(k+1) (1 - slack) <= e_j``, and the head's terms are
+    the same floats as the full-width ones.  A head row sums them in sorted
+    order, where ``waterfill_rate`` sums all K in their given order, so only
+    the order of the n_active nonzero terms changes: each sum is within
+    (n_active - 1) 2^-53 of the rate from the exact sum of the terms, and
+    the two differ by at most twice that (to first order), not at all for
+    n_active <= 2.  Rows that fail the exactness test, and every row of a
+    call that takes no head (rows of fewer than ``_HEAD_MIN_ROW`` columns,
+    or no width certifies), get ``waterfill_rate`` of the full-width
+    spend, to the bit.  A head row gets the same bits whatever k its call
+    takes, but a row with K >= ``_HEAD_MIN_ROW`` may take a head in one
+    batch and not in another, and then its last bits differ.
+    """
+    thresholds, bottom, xi, ranked, head, wide = _water_level(thresholds, budget)
+    if head is None:
+        return waterfill_rate(
+            _spend(np.subtract(thresholds, bottom, out=ranked), xi[:, None]), thresholds)
+    sorted_head, excess = head
+    # transposed views: the score sums down the k sorted columns in order
+    rate = waterfill_rate(_spend(excess, xi).T, sorted_head.T)
+    if wide.size:
+        rows = thresholds[wide]
+        rate[wide] = waterfill_rate(
+            _spend(np.subtract(rows, bottom[wide]), xi[wide, None]), rows)
+    return rate
 
 
 def waterfill_faults(thresholds: np.ndarray, spend: np.ndarray, mu, coef, budget,

@@ -364,8 +364,9 @@ def waterfilling_check(rng):
     t = w_k 2^-i, i = 0..40, to each other coordinate (``_pairwise_transfers``):
     at most 56 pairs of 41 steps.  No transfer may gain more than
     ``_TRANSFER_TOL`` = 1e-12 bits, and the test's own objective at the
-    waterfill must agree with the estimator's score, ``waterfill_rate`` of
-    the spend against ``waterfill_thresholds``, to the same tolerance.
+    waterfill must agree with the estimator's score formula,
+    ``waterfill_rate`` of the spend against ``waterfill_thresholds``, to
+    the same tolerance.
     The allowance covers rounding of rates of a few tens of bits, whose
     last place is a few 1e-15; a budget move of 1e-6 between the two
     largest shares already loses 6e-12 bits at ``validate``'s default

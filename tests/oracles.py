@@ -9,9 +9,12 @@ The Monte Carlo twin and the constant-modulus quadrature take the uniform
 allocation ``(a, g)`` of ``precoding.uniform_split``, as the program does;
 the closed forms take the power ``g`` of each virtual subcarrier alone.
 ``waterfill_power_full`` is the full-width water level that
-``precoding.waterfill_power`` must give to the bit, ``csit_rate_bounds``
-the exact bounds that hold ``capacity.c_su_lower_csit`` at every budget,
-and ``waterfill_instances_by_scenario`` the instances of the waterfilling
+``precoding.waterfill_power`` must give to the bit, and
+``waterfill_score_full`` its rate, from which
+``precoding.waterfill_capacity`` may differ by the summation order alone
+(``score_order_bound``).  ``csit_rate_bounds`` gives the exact bounds that
+hold ``capacity.c_su_lower_csit`` at every budget, and
+``waterfill_instances_by_scenario`` the instances of the waterfilling
 check, built as scenarios, that ``validation._draw_instances`` must give
 to the bit.
 """
@@ -105,6 +108,26 @@ def waterfill_power_full(thresholds, budget):
     spend = np.subtract(thresholds, bottom, out=levels)
     np.subtract(xi[:, None], spend, out=spend)
     return np.maximum(spend, 0.0, out=spend), bottom[:, 0] + xi
+
+
+def waterfill_score_full(thresholds, budget):
+    """The rate of each row of ``waterfill_power_full``'s allocation,
+    ``log2(1 + spend / thr)`` summed over all K columns in their order and
+    out of place, and the row's count of nonzero terms (active dimensions)."""
+    thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
+    spend, _ = waterfill_power_full(thresholds, budget)
+    return np.log2(1.0 + spend / thresholds).sum(axis=1), np.count_nonzero(spend, axis=1)
+
+
+def score_order_bound(rate, n_active):
+    """The gap that ``precoding.waterfill_capacity`` allows between its
+    score of a row and the full-width sum ``rate`` of the row's
+    ``n_active`` nonzero terms: none for at most two terms, else twice
+    gamma_(n-1) = (n - 1) u / (1 - (n - 1) u) of the rate, u = 2^-53, the
+    most that either summation order can err from the exact sum."""
+    gamma = np.maximum(n_active - 1, 0) * 2.0 ** -53
+    gamma /= 1.0 - gamma
+    return np.where(n_active <= 2, 0.0, 2.0 * gamma * rate)
 
 
 def csit_rate_bounds(scenario, layout, use_vcs=True):

@@ -182,9 +182,10 @@ def program_run(tmp_path_factory):
     profile hook and with every ``convsup`` dataclass recording its field
     reads: the exit codes, the code objects entered and the fields read."""
     tmp_path = tmp_path_factory.mktemp("program")
-    config = tmp_path / "sweep.json"
     commands = []
     for csit in (True, False):
+        # one file per sweep: the commands run after both are written
+        config = tmp_path / f"sweep_{csit}.json"
         config.write_text(json.dumps({"sweep_variable": "snr_pu_db",
                                       "grid": [10.0, 20.0], "csit": csit}))
         commands.append(["sweep", "--config", str(config), "--trials", "200",

@@ -16,7 +16,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from convsup import capacity, channel
+from convsup import capacity, channel, precoding
 from convsup.capacity import (CapacityReport, EULER_GAMMA, _composite_gain,
                               _psi_deficit, baseline_nocr, baseline_nocr_quad,
                               baseline_ocr, bessel_k1, c_pu_direct,
@@ -27,11 +27,12 @@ from convsup.channel import draw_channels, mean_se, zmcscg
 from convsup.harness import (ACCEPTED, ScenarioSpec, build_scenario,
                              reference_link_specs, resolve_d12)
 from convsup.precoding import (srx_noise_floor, uc_power_coefficient, uniform_split,
-                               waterfill_power, waterfill_thresholds)
+                               waterfill_capacity, waterfill_power,
+                               waterfill_thresholds)
 from convsup.spectral import build_spectral_context, build_vc_layout
 from oracles import (c_su_lower_nocsit, c_su_lower_nocsit_quad_constant_modulus,
                      csit_rate_bounds, nocsit_high_snr_approx, nocsit_low_snr_approx,
-                     waterfill_power_full)
+                     score_order_bound, waterfill_power_full, waterfill_score_full)
 
 
 @pytest.fixture(scope="module")
@@ -487,8 +488,11 @@ def replayed(rows):
     channel._CHUNK + capacity._CSIT_ROWS + 1])
 def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, record_trials):
     # the estimator draws and waterfills each batch in row blocks; the same
-    # draws, taken block by block and evaluated as a whole batch, must give
-    # every row, and so the mean and stderr, to the bit
+    # draws, taken block by block and made into thresholds as a whole
+    # batch, must give every row, and so the mean and stderr, to the bit.
+    # The score sums a row in an order that depends on whether its block
+    # takes a head, so the batch is scored in the estimator's row blocks,
+    # and every row is the out-of-place full-width score up to that order
     _, layout = layout64
     scenario = build_scenario(0.3, 1.0, 20.0, "pu")
     s24 = scenario.link_variance(2, 4)
@@ -508,8 +512,14 @@ def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, record_trials
                 uc_power_coefficient(scenario), srx_noise_floor(scenario),
                 scenario.sigma2_v[4], capacity._relayed_gain(scenario, e0, e1) * e2,
                 s24 * vc)
+            rate = np.concatenate([waterfill_capacity(thr[lo:lo + capacity._CSIT_ROWS],
+                                                      scenario.p_su)
+                                   for lo in range(0, k, capacity._CSIT_ROWS)])
             spend, _ = waterfill_power(thr, scenario.p_su)
-            rows.append(np.log2(1.0 + spend / thr).sum(axis=1) / layout.m)
+            want = np.log2(1.0 + spend / thr).sum(axis=1)
+            n_active = np.count_nonzero(spend, axis=1)
+            assert np.all(np.abs(rate - want) <= score_order_bound(want, n_active))
+            rows.append(rate / layout.m)
         return np.concatenate(rows)
 
     want = reference(np.random.default_rng(n))
@@ -545,20 +555,28 @@ def test_csit_waterfills_equal_the_full_width_oracle(spec, variable, grid, use_v
     # budgets where the active count is small (reference), larger (7c,
     # M 256) and most of the row (high budget), and where rows are too
     # narrow for a head (M 16), gets the full-width kernel's spend and level
+    # (the level step that waterfill_capacity shares with waterfill_power),
+    # and the full-width score up to the order of its nonzero terms; a
+    # block that takes no head gets that score to the bit
     scenarios = [spec.with_sweep_value(variable, v).network() for v in grid]
     _, layout, _ = spec.spectral()
     blocks = []
 
     def spy(thresholds, budget):
-        blocks.append((thresholds.copy(), budget))
-        return waterfill_power(thresholds, budget)
-    monkeypatch.setattr(capacity, "waterfill_power", spy)
+        blocks.append((thresholds.copy(), budget, waterfill_capacity(thresholds, budget)))
+        return blocks[-1][2]
+    monkeypatch.setattr(capacity, "waterfill_capacity", spy)
     c_su_lower_csit(scenarios, layout, 1100, np.random.default_rng(32), use_vcs=use_vcs)
     assert len(blocks) == 3 * len(grid)
-    for thresholds, budget in blocks:
+    for thresholds, budget, rate in blocks:
         spend, mu = waterfill_power(thresholds, budget)
         want_spend, want_mu = waterfill_power_full(thresholds, budget)
         assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
+        want, n_active = waterfill_score_full(thresholds, budget)
+        assert np.all(np.abs(rate - want) <= score_order_bound(want, n_active))
+        ranked = np.sort(thresholds, axis=1)
+        if precoding._head_width(ranked, np.asarray(budget, dtype=float)) == ranked.shape[1]:
+            assert np.array_equal(rate, want)
 
 
 @pytest.mark.parametrize("spec, variable, grid, use_vcs", [

@@ -11,10 +11,11 @@ from convsup.channel import zmcscg
 from convsup.harness import build_scenario
 from convsup.precoding import (PrecoderRankError, realize_precoders,
                                srx_noise_floor, uc_power_coefficient,
-                               uniform_split, waterfill_power, waterfill_rate,
-                               waterfill_thresholds, waterfilling_profile)
+                               uniform_split, waterfill_capacity, waterfill_power,
+                               waterfill_rate, waterfill_thresholds,
+                               waterfilling_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
-from oracles import waterfill_power_full
+from oracles import score_order_bound, waterfill_power_full, waterfill_score_full
 
 
 def rate_of(layout, scenario, a, g, h_su, h_24):
@@ -266,6 +267,15 @@ class TestWaterfillPower:
         # bit: ties, dead (inf) channels with one live channel a row,
         # scalar or per-row budgets from 1e-12 to 1e6 times the threshold
         # scale, and up to 1 % of nearly flat rows, nearly all active
+        t, budget = self.drawn_block(k, n, seed, ties, dead_share, log_budget, per_row,
+                                     wide_share)
+        spend, mu = waterfill_power(t, budget)
+        want_spend, want_mu = waterfill_power_full(t, budget)
+        assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
+
+    @staticmethod
+    def drawn_block(k, n, seed, ties, dead_share, log_budget, per_row, wide_share):
+        """(thresholds, budget) of ``test_equals_the_full_width_oracle``."""
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.uniform(-3, 3)
         t = scale * rng.exponential(size=(n, k)) / rng.exponential(size=(n, k))
@@ -282,9 +292,7 @@ class TestWaterfillPower:
         t[dead] = np.inf
         budget = scale * 10.0 ** (rng.uniform(-12.0, 6.0, size=n) if per_row
                                   else log_budget)
-        spend, mu = waterfill_power(t, budget)
-        want_spend, want_mu = waterfill_power_full(t, budget)
-        assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
+        return t, budget
 
     def test_per_row_budgets_equal_scalar_calls(self):
         rng = np.random.default_rng(24)
@@ -323,6 +331,54 @@ class TestWaterfillPower:
             waterfill_power(np.ones(4), 0.0)
         with pytest.raises(ValueError):
             waterfill_power(np.array([[1.0, 2.0], [np.inf, np.inf]]), 1.0)
+
+
+class TestWaterfillCapacity:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(1, 256), st.integers(1, 600), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["none", "grid", "copies"]), st.floats(0.0, 0.5),
+           st.floats(-12.0, 6.0), st.booleans(), st.floats(0.0, 0.01))
+    def test_scores_the_full_width_allocation(self, k, n, seed, ties, dead_share,
+                                              log_budget, per_row, wide_share):
+        # the blocks of TestWaterfillPower's oracle test: every row is the
+        # full-width score up to the order of its nonzero terms, and a block
+        # that takes no head is the full-width score to the bit
+        t, budget = TestWaterfillPower.drawn_block(k, n, seed, ties, dead_share,
+                                                   log_budget, per_row, wide_share)
+        given = t.copy()
+        got = waterfill_capacity(t, budget)
+        assert np.array_equal(t, given)
+        want, n_active = waterfill_score_full(t, budget)
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - want) <= score_order_bound(want, n_active))
+        if TestWaterfillPower.head_width(t, budget) == k:
+            assert np.array_equal(got, want)
+
+    def test_wide_rows_are_scored_at_full_width(self):
+        # the rows that fail the exactness test of the 8-wide head, nearly
+        # all of whose 64 dimensions are active, get the full-width score to
+        # the bit; rows narrower than a head are scored at full width too
+        rng = np.random.default_rng(26)
+        t = TestWaterfillPower.thresholds(rng, n=512, k=64)
+        wide = [5, 300, 511]
+        t[wide] = 1.0 + rng.uniform(0.0, 1e-3, size=(3, 64))
+        assert TestWaterfillPower.head_width(t, 0.05) == 8
+        got = waterfill_capacity(t, 0.05)
+        want, n_active = waterfill_score_full(t, 0.05)
+        assert np.array_equal(got[wide], want[wide]) and np.all(n_active[wide] > 8)
+        assert np.all(np.abs(got - want) <= score_order_bound(want, n_active))
+        assert not np.array_equal(got, want)  # some head rows sum in another order
+        narrow = t[:, :16]
+        assert np.array_equal(waterfill_capacity(narrow, 0.05),
+                              waterfill_score_full(narrow, 0.05)[0])
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            waterfill_capacity(np.ones(4), 0.0)
+        with pytest.raises(ValueError):
+            waterfill_capacity(np.ones((3, 4)), np.ones(2))
+        with pytest.raises(ValueError):
+            waterfill_capacity(np.array([[1.0, 2.0], [np.inf, np.inf]]), 1.0)
 
 
 class TestWaterfillRate:
