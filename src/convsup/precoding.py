@@ -112,9 +112,9 @@ def waterfill_thresholds(coef, nu_uc, nu_vc, gain_uc: np.ndarray,
     return out
 
 
-# Head widths that waterfill_power may level, narrowest first, and the share
-# of rows whose certificate must admit a width for a call to level it.  A
-# width must be at most half the row, and rows narrower than _HEAD_MIN_ROW
+# Head widths that waterfill_capacity may take, narrowest first, and the
+# share of rows whose certificate must admit a width for a call to take it.
+# A width must be at most half the row, and rows narrower than _HEAD_MIN_ROW
 # take no head: there the head saves less than the certificate costs.
 _HEAD_WIDTHS = (8, 12, 16, 24, 32, 48)
 _HEAD_SHARE = 0.99
@@ -192,18 +192,10 @@ def _head_level(head: np.ndarray, budget: np.ndarray):
     return levels[n_active - 1, np.arange(levels.shape[1])], levels[-1]
 
 
-def _water_level(thresholds, budget):
-    """The level step of :func:`waterfill_power` and
-    :func:`waterfill_capacity`: their input checks, the sort, the certified
-    head and its exactness test, and the full-width level of the rows that
-    fail it.  Returns ``(thresholds, bottom, xi, ranked, head, wide)``:
-    the thresholds as an (n, K) float array, the smallest threshold of each
-    row as an (n, 1) column, each row's excess water level ``xi`` above it,
-    a scratch (n, K) array, and, when the call takes a head of k columns,
-    ``head`` = (sorted thresholds, excesses) of the head, each (k, n) with
-    one row per sorted column, and the indices ``wide`` of the rows
-    levelled at full width; ``head`` and ``wide`` are None when the call
-    takes no head and levels every row at full width."""
+def _sorted_rows(thresholds, budget):
+    """The input checks and the one sort of both waterfills: the thresholds
+    as (n, K) floats, the budget as an array, the sorted rows (dead, inf,
+    last) and their smallest thresholds ``bottom``, an (n, 1) column."""
     thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
     budget = np.asarray(budget, dtype=float)
     if budget.shape not in ((), thresholds.shape[:1]):
@@ -215,23 +207,7 @@ def _water_level(thresholds, budget):
     bottom = ranked[:, :1].copy()
     if not np.isfinite(bottom).all():
         raise ValueError("all channels are dead: no subcarrier can be activated")
-    width = ranked.shape[1]
-    k = _head_width(ranked, budget)
-    if k == width:
-        ranked -= bottom
-        return thresholds, bottom, _excess_level(ranked, budget), ranked, None, None
-    # the sorted thresholds of the head and the column after it, and their
-    # excess e = t - t_1, one row of each per sorted column
-    sorted_head = ranked[:, :k + 1].T.copy()
-    head = np.subtract(sorted_head, bottom[:, 0])
-    xi, last = _head_level(head[:k], budget)
-    slack = 1.0 - width * (width + 4) * 2.0 ** -52
-    wide = np.flatnonzero(~(last <= head[k] * slack))  # NaN fails
-    if wide.size:
-        rows = ranked[wide]
-        rows -= bottom[wide]
-        xi[wide] = _excess_level(rows, budget[wide] if budget.ndim else budget)
-    return thresholds, bottom, xi, ranked, (sorted_head[:k], head[:k]), wide
+    return thresholds, budget, ranked, bottom
 
 
 def _spend(excess: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -239,6 +215,44 @@ def _spend(excess: np.ndarray, xi: np.ndarray) -> np.ndarray:
     under the excess levels ``xi``, which broadcast against them."""
     np.subtract(xi, excess, out=excess)
     return np.maximum(excess, 0.0, out=excess)
+
+
+def _full_width(thresholds, budget, ranked, bottom):
+    """Spend and excess level ``xi`` of rows levelled over all K of their
+    sorted columns ``ranked`` (overwritten with the spend): ``_excess_level``
+    of ``ranked - bottom``, then max(xi - (thresholds - bottom), 0)."""
+    ranked -= bottom
+    xi = _excess_level(ranked, budget)
+    return _spend(np.subtract(thresholds, bottom, out=ranked), xi[:, None]), xi
+
+
+def _certified_head(ranked, bottom, budget):
+    """The certified head of :func:`waterfill_capacity`, k sorted columns
+    (``_head_width``), or None when the call takes none: ``(sorted_head,
+    excess, xi, wide)``, the head's thresholds and excesses above
+    ``bottom``, each (k, n) with a row per sorted column, each row's excess
+    level ``xi``, and the rows ``wide`` that fail the exactness test.
+
+    A row's head is exact when ``L_k <= e_(k+1) (1 - K (K + 4) 2^-52)``.
+    Summing nonnegative excesses in order, ``fl(L_j) <= (k L_k + (j - k)
+    e_j)(1 + (K + 4) u) / j`` for j > k to first order in u = 2^-53
+    (without underflow), and the test puts that at most ``e_j``: no column
+    past the head clears, so the count and the level (summed in a
+    full-width cumsum's order) are the full-width ones to the bit.  Without
+    the slack a tie at ``e_(k+1)`` can round a later level above it.
+    """
+    width = ranked.shape[1]
+    k = _head_width(ranked, budget)
+    if k == width:
+        return None
+    # the sorted thresholds of the head and the column after it, and their
+    # excess e = t - t_1, one row of each per sorted column
+    sorted_head = ranked[:, :k + 1].T.copy()
+    excess = np.subtract(sorted_head, bottom[:, 0])
+    xi, last = _head_level(excess[:k], budget)
+    slack = 1.0 - width * (width + 4) * 2.0 ** -52
+    wide = np.flatnonzero(~(last <= excess[k] * slack))  # NaN fails
+    return sorted_head[:k], excess[:k], xi, wide
 
 
 def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndarray]:
@@ -255,27 +269,12 @@ def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndar
     Working on the excess keeps the level accurate when the budget is tiny
     against the threshold scale.
 
-    The active set is a prefix of the sorted excesses, so a call sums and
-    levels only a head of k sorted columns, k from ``_HEAD_WIDTHS``: the
-    narrowest k at which at least ``_HEAD_SHARE`` of the rows certify that
-    at most k dimensions are active (``_head_width``: raising the cheapest
-    k to ``t_k`` would cost at least the budget).  The certificate only
-    picks k; whether a row's head is exact is decided row by row by
-    ``L_k <= e_(k+1) (1 - K (K + 4) 2^-52)``.  Every later level is then
-    below its own excess even as rounded: summing nonnegative excesses in
-    order, ``fl(L_j) <= (k L_k + (j - k) e_j)(1 + (K + 4) u) / j`` for
-    j > k to first order in u = 2^-53 (without underflow), and that is at
-    most ``e_j`` under the test.  So no column past the head clears, and
-    the count and the level are the full-width ones to the bit; without
-    the slack a tie at ``e_(k+1)`` can round a later level above it.  Rows
-    that fail the test are levelled at full width, as is every row when no
-    k certifies.  The head is summed in the order of a full-width cumsum,
-    so each row gets the bits it would get alone, and a batch gives the
-    bits of row-by-row calls.
+    The full-width kernel: every row is levelled over all K sorted columns
+    and gets the bits it would get alone.  The certified head that shortens
+    the CSIT estimator's rows is :func:`waterfill_capacity`'s alone.
     """
-    thresholds, bottom, xi, ranked, _, _ = _water_level(thresholds, budget)
-    # the scratch array becomes the spend max(xi - (thresholds - bottom), 0)
-    spend = _spend(np.subtract(thresholds, bottom, out=ranked), xi[:, None])
+    thresholds, budget, ranked, bottom = _sorted_rows(thresholds, budget)
+    spend, xi = _full_width(thresholds, budget, ranked, bottom)
     return spend, bottom[:, 0] + xi
 
 
@@ -296,29 +295,27 @@ def waterfill_capacity(thresholds: np.ndarray, budget) -> np.ndarray:
 
     Past an exact head of k columns every spend is exactly 0, since
     ``xi <= L_k <= e_(k+1) (1 - slack) <= e_j``, and the head's terms are
-    the same floats as the full-width ones.  A head row sums them in sorted
-    order, where ``waterfill_rate`` sums all K in their given order, so only
-    the order of the n_active nonzero terms changes: each sum is within
-    (n_active - 1) 2^-53 of the rate from the exact sum of the terms, and
-    the two differ by at most twice that (to first order), not at all for
-    n_active <= 2.  Rows that fail the exactness test, and every row of a
-    call that takes no head (rows of fewer than ``_HEAD_MIN_ROW`` columns,
-    or no width certifies), get ``waterfill_rate`` of the full-width
-    spend, to the bit.  A head row gets the same bits whatever k its call
-    takes, but a row with K >= ``_HEAD_MIN_ROW`` may take a head in one
-    batch and not in another, and then its last bits differ.
+    the full-width ones, summed in sorted order rather than the row's: each
+    sum is within (n_active - 1) 2^-53 of the exact sum of the n_active
+    nonzero terms, so the two differ by at most twice that (to first
+    order), not at all for n_active <= 2.  Rows that fail the test, and
+    every row of a call that takes no head (fewer than ``_HEAD_MIN_ROW``
+    columns, or no width certifies), get the full-width spend and score to
+    the bit.  A head row's bits do not depend on k, but a row may take a
+    head in one batch and not in another, and then its last bits differ.
     """
-    thresholds, bottom, xi, ranked, head, wide = _water_level(thresholds, budget)
+    thresholds, budget, ranked, bottom = _sorted_rows(thresholds, budget)
+    head = _certified_head(ranked, bottom, budget)
     if head is None:
-        return waterfill_rate(
-            _spend(np.subtract(thresholds, bottom, out=ranked), xi[:, None]), thresholds)
-    sorted_head, excess = head
+        return waterfill_rate(_full_width(thresholds, budget, ranked, bottom)[0], thresholds)
+    sorted_head, excess, xi, wide = head
     # transposed views: the score sums down the k sorted columns in order
     rate = waterfill_rate(_spend(excess, xi).T, sorted_head.T)
     if wide.size:
         rows = thresholds[wide]
-        rate[wide] = waterfill_rate(
-            _spend(np.subtract(rows, bottom[wide]), xi[wide, None]), rows)
+        rate[wide] = waterfill_rate(_full_width(
+            rows, budget[wide] if budget.ndim else budget, ranked[wide], bottom[wide])[0],
+            rows)
     return rate
 
 

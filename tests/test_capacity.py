@@ -554,10 +554,10 @@ def test_csit_waterfills_equal_the_full_width_oracle(spec, variable, grid, use_v
     # every block that the estimator waterfills, at the geometries and
     # budgets where the active count is small (reference), larger (7c,
     # M 256) and most of the row (high budget), and where rows are too
-    # narrow for a head (M 16), gets the full-width kernel's spend and level
-    # (the level step that waterfill_capacity shares with waterfill_power),
-    # and the full-width score up to the order of its nonzero terms; a
-    # block that takes no head gets that score to the bit
+    # narrow for a head (M 16): the level of each row that passes the
+    # exactness test of its block's head is the full-width kernel's to the
+    # bit, and the score is the full-width one up to the order of its
+    # nonzero terms; a block that takes no head gets that score to the bit
     scenarios = [spec.with_sweep_value(variable, v).network() for v in grid]
     _, layout, _ = spec.spectral()
     blocks = []
@@ -569,14 +569,53 @@ def test_csit_waterfills_equal_the_full_width_oracle(spec, variable, grid, use_v
     c_su_lower_csit(scenarios, layout, 1100, np.random.default_rng(32), use_vcs=use_vcs)
     assert len(blocks) == 3 * len(grid)
     for thresholds, budget, rate in blocks:
-        spend, mu = waterfill_power(thresholds, budget)
-        want_spend, want_mu = waterfill_power_full(thresholds, budget)
-        assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
+        _, want_mu = waterfill_power_full(thresholds, budget)
         want, n_active = waterfill_score_full(thresholds, budget)
         assert np.all(np.abs(rate - want) <= score_order_bound(want, n_active))
-        ranked = np.sort(thresholds, axis=1)
-        if precoding._head_width(ranked, np.asarray(budget, dtype=float)) == ranked.shape[1]:
+        _, budget, ranked, bottom = precoding._sorted_rows(thresholds, budget)
+        head = precoding._certified_head(ranked, bottom, budget)
+        if head is None:
             assert np.array_equal(rate, want)
+            continue
+        _, _, xi, wide = head
+        exact = np.ones(len(rate), dtype=bool)
+        exact[wide] = False
+        assert np.array_equal((bottom[:, 0] + xi)[exact], want_mu[exact])
+
+
+@pytest.mark.parametrize("spec, variable, value", [
+    (ScenarioSpec(m_subcarriers=16, l_su=5, vc_indices=(0, 8)), "snr_pu_db", 20.0),
+    (ScenarioSpec(power_ratio=100.0), "snr_su_db", 40.0),
+], ids=["m16-golden", "high-budget"])
+def test_a_csit_block_without_a_head_is_sorted_once(spec, variable, value, monkeypatch):
+    # rows of 16 columns take no head, and at the high budget no width
+    # certifies: each waterfill_capacity call of the estimator then checks
+    # and sorts its block once, finds no head and levels the block once
+    # over all its columns, to the full-width score's bits
+    steps = []
+
+    def spy(name, record):
+        step = getattr(precoding, name)
+
+        def spied(*args):
+            out = step(*args)
+            steps.append((name, record(args, out)))
+            return out
+        monkeypatch.setattr(precoding, name, spied)
+    spy("waterfill_capacity", lambda args, out: args[0].shape)
+    spy("_sorted_rows", lambda args, out: args[0].shape)
+    spy("_certified_head", lambda args, out: out)
+    spy("_excess_level", lambda args, out: args[0].shape)
+    monkeypatch.setattr(capacity, "waterfill_capacity", precoding.waterfill_capacity)
+    _, layout, _ = spec.spectral()
+    scenario = spec.with_sweep_value(variable, value).network()
+    c_su_lower_csit([scenario], layout, 1100, np.random.default_rng(33))
+    calls = [steps[i:i + 4] for i in range(0, len(steps), 4)]
+    assert len(calls) == 3 and len(steps) == 12
+    for call in calls:
+        shape = call[-1][1]
+        assert call == [("_sorted_rows", shape), ("_certified_head", None),
+                        ("_excess_level", shape), ("waterfill_capacity", shape)]
 
 
 @pytest.mark.parametrize("spec, variable, grid, use_vcs", [

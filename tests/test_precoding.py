@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convsup.precoding
+from convsup.capacity import _relayed_gain
 from convsup.channel import zmcscg
 from convsup.harness import build_scenario
 from convsup.precoding import (PrecoderRankError, realize_precoders,
@@ -187,9 +188,9 @@ class TestWaterfillPower:
     def test_batched_equals_row_by_row(self):
         # every row, dead (inf) channels included, is the row alone to the
         # bit, and the thresholds are left as they were; the 64-column batch
-        # levels a narrow head, its one nearly flat row (all active) fails
-        # the head and is levelled at full width, and the rows alone take
-        # heads of their own
+        # would certify a narrow head and its rows alone heads of their own
+        # (its one nearly flat row, all active, none), which waterfill_power
+        # does not take
         for k, n in [(16, 40), (64, 200)]:
             t = self.thresholds(np.random.default_rng(22), n=n, k=k)
             t[1] = 1.0 + np.arange(k) * 1e-3
@@ -211,50 +212,25 @@ class TestWaterfillPower:
             else:  # below _HEAD_MIN_ROW columns every call is full width
                 assert heads == {self.head_width(t, 2.5)} == {16}
 
-    def test_wide_rows_are_levelled_at_full_width(self, monkeypatch):
-        # a few rows with nearly every dimension active fail the exactness
-        # test of a narrow head and are levelled again over all 64 columns
-        rng = np.random.default_rng(26)
-        t = self.thresholds(rng, n=512, k=64)
-        wide = [5, 300, 511]
-        t[wide] = 1.0 + rng.uniform(0.0, 1e-3, size=(3, 64))
-        shapes = []
+    def test_takes_no_head(self, monkeypatch):
+        # a reference block (M 64 with 4 VCs, 20 dB) certifies a narrow
+        # head, yet waterfill_power levels it at full width without the
+        # head's steps, to the full-width kernel's bits
+        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+        rng = np.random.default_rng(28)
+        e0, e1, e2 = rng.exponential(size=(3, 512, 60))
+        vc = rng.exponential(size=(512, 4))
+        t = waterfill_thresholds(uc_power_coefficient(scenario), srx_noise_floor(scenario),
+                                 scenario.sigma2_v[4], _relayed_gain(scenario, e0, e1) * e2,
+                                 scenario.link_variance(2, 4) * vc)
+        assert self.head_width(t, scenario.p_su) < 64
 
-        def spy(name):
-            level = getattr(convsup.precoding, name)
-
-            def spied(excess, budget):
-                shapes.append((name, excess.shape))
-                return level(excess, budget)
-            monkeypatch.setattr(convsup.precoding, name, spied)
-        spy("_head_level")
-        spy("_excess_level")
-        spend, mu = waterfill_power(t, 0.05)
-        assert shapes == [("_head_level", (8, 512)), ("_excess_level", (3, 64))]
-        want_spend, want_mu = waterfill_power_full(t, 0.05)
-        assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
-        assert np.all(spend[wide] > 0)
-
-    @pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3])
-    def test_a_tie_at_the_head_edge_keeps_the_full_count(self, value):
-        # one row ties every excess past its bottom at ``value`` and has the
-        # budget that puts the head's level exactly there: L_8 = e_9.  The
-        # rounded levels past the head then clear their excess, so the full
-        # width counts more than 8 columns; the slack of the exactness test
-        # sends the row to full width, and it keeps the full count's bits
-        rng = np.random.default_rng(27)
-        t = self.thresholds(rng, n=200, k=64)
-        t[0] = value
-        t[0, 0] = 0.0
-        budgets = np.full(200, 0.05)
-        budgets[0] = value
-        assert self.head_width(t, budgets) == 8
-        excess = np.sort(t[0])
-        levels = (np.cumsum(excess) + value) / np.arange(1, 65)
-        assert levels[7] <= excess[8]
-        assert np.count_nonzero(levels > excess) > np.count_nonzero(levels[:8] > excess[:8])
-        spend, mu = waterfill_power(t, budgets)
-        want_spend, want_mu = waterfill_power_full(t, budgets)
+        def refuse(*args):
+            raise AssertionError("waterfill_power reached the certified head")
+        monkeypatch.setattr(convsup.precoding, "_head_width", refuse)
+        monkeypatch.setattr(convsup.precoding, "_head_level", refuse)
+        spend, mu = waterfill_power(t, scenario.p_su)
+        want_spend, want_mu = waterfill_power_full(t, scenario.p_su)
         assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -354,16 +330,51 @@ class TestWaterfillCapacity:
         if TestWaterfillPower.head_width(t, budget) == k:
             assert np.array_equal(got, want)
 
-    def test_wide_rows_are_scored_at_full_width(self):
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(1, 256), st.integers(1, 600), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["none", "grid", "copies"]), st.floats(0.0, 0.5),
+           st.floats(-12.0, 6.0), st.booleans(), st.floats(0.0, 0.01))
+    def test_head_level_equals_the_full_width_oracle(self, k, n, seed, ties, dead_share,
+                                                     log_budget, per_row, wide_share):
+        # on the blocks of TestWaterfillPower's oracle test, every row that
+        # passes the exactness test of its block's head has the full-width
+        # kernel's level to the bit, and the head leaves the sorted rows,
+        # which the rows that fail it level again, as they were
+        t, budget = TestWaterfillPower.drawn_block(k, n, seed, ties, dead_share,
+                                                   log_budget, per_row, wide_share)
+        _, budget, ranked, bottom = convsup.precoding._sorted_rows(t, budget)
+        head = convsup.precoding._certified_head(ranked, bottom, budget)
+        if head is None:
+            return
+        _, _, xi, wide = head
+        assert np.array_equal(ranked, np.sort(t, axis=1))
+        exact = np.ones(n, dtype=bool)
+        exact[wide] = False
+        assert np.array_equal((bottom[:, 0] + xi)[exact],
+                              waterfill_power_full(t, budget)[1][exact])
+
+    def test_wide_rows_are_scored_at_full_width(self, monkeypatch):
         # the rows that fail the exactness test of the 8-wide head, nearly
-        # all of whose 64 dimensions are active, get the full-width score to
-        # the bit; rows narrower than a head are scored at full width too
+        # all of whose 64 dimensions are active, are levelled again over all
+        # 64 columns and get the full-width score to the bit; rows narrower
+        # than a head are scored at full width too
         rng = np.random.default_rng(26)
         t = TestWaterfillPower.thresholds(rng, n=512, k=64)
         wide = [5, 300, 511]
         t[wide] = 1.0 + rng.uniform(0.0, 1e-3, size=(3, 64))
-        assert TestWaterfillPower.head_width(t, 0.05) == 8
+        shapes = []
+
+        def spy(name):
+            level = getattr(convsup.precoding, name)
+
+            def spied(excess, budget):
+                shapes.append((name, excess.shape))
+                return level(excess, budget)
+            monkeypatch.setattr(convsup.precoding, name, spied)
+        spy("_head_level")
+        spy("_excess_level")
         got = waterfill_capacity(t, 0.05)
+        assert shapes == [("_head_level", (8, 512)), ("_excess_level", (3, 64))]
         want, n_active = waterfill_score_full(t, 0.05)
         assert np.array_equal(got[wide], want[wide]) and np.all(n_active[wide] > 8)
         assert np.all(np.abs(got - want) <= score_order_bound(want, n_active))
@@ -371,6 +382,33 @@ class TestWaterfillCapacity:
         narrow = t[:, :16]
         assert np.array_equal(waterfill_capacity(narrow, 0.05),
                               waterfill_score_full(narrow, 0.05)[0])
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3])
+    def test_a_tie_at_the_head_edge_keeps_the_full_count(self, value):
+        # one row ties every excess past its bottom at ``value`` (the bottom
+        # is ``value`` and the rest ``2 value``, so that every threshold can
+        # be scored) and has the budget that puts the head's level exactly
+        # there: L_8 = e_9.  The rounded levels past the head then clear
+        # their excess, so the full width counts more than 8 columns; the
+        # slack of the exactness test sends the row to full width, and it
+        # keeps the full count's score
+        rng = np.random.default_rng(27)
+        t = TestWaterfillPower.thresholds(rng, n=200, k=64)
+        t[0] = 2 * value
+        t[0, 0] = value
+        budgets = np.full(200, 0.05)
+        budgets[0] = value
+        assert TestWaterfillPower.head_width(t, budgets) == 8
+        excess = np.sort(t[0]) - value
+        levels = (np.cumsum(excess) + value) / np.arange(1, 65)
+        assert levels[7] <= excess[8]
+        assert np.count_nonzero(levels > excess) > np.count_nonzero(levels[:8] > excess[:8])
+        _, budget, ranked, bottom = convsup.precoding._sorted_rows(t, budgets)
+        assert 0 in convsup.precoding._certified_head(ranked, bottom, budget)[3]
+        got = waterfill_capacity(t, budgets)
+        want, n_active = waterfill_score_full(t, budgets)
+        assert got[0] == want[0]
+        assert np.all(np.abs(got - want) <= score_order_bound(want, n_active))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
