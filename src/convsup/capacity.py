@@ -431,8 +431,8 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
     across subcarriers, and the direct virtual-subcarrier gains.  Per
     scenario a block runs two stages: the law (``_relayed_gain`` times E2,
     made into ``waterfill_thresholds``) and the rate of its waterfilled
-    allocation (``waterfill_capacity``, which levels and scores only the
-    certified head of each row).  Each batch of ``trials``
+    allocation (``waterfill_capacity``, the one waterfill that takes a
+    certified head: it levels and scores only that).  Each batch of ``trials``
     runs in blocks of ``_CSIT_ROWS`` trials: a block draws its exponentials
     (E0, E1 and E2 of the used subcarriers, then the virtual-subcarrier
     gains), then waterfills and scores them in buffers that every block

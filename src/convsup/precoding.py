@@ -313,9 +313,9 @@ def waterfill_capacity(thresholds: np.ndarray, budget) -> np.ndarray:
     rate = waterfill_rate(_spend(excess, xi).T, sorted_head.T)
     if wide.size:
         rows = thresholds[wide]
-        rate[wide] = waterfill_rate(_full_width(
-            rows, budget[wide] if budget.ndim else budget, ranked[wide], bottom[wide])[0],
-            rows)
+        spend, _ = _full_width(rows, budget[wide] if budget.ndim else budget,
+                               ranked[wide], bottom[wide])
+        rate[wide] = waterfill_rate(spend, rows)
     return rate
 
 

@@ -9,11 +9,12 @@ The Monte Carlo twin and the constant-modulus quadrature take the uniform
 allocation ``(a, g)`` of ``precoding.uniform_split``, as the program does;
 the closed forms take the power ``g`` of each virtual subcarrier alone.
 ``waterfill_power_full`` is the full-width water level that
-``precoding.waterfill_power`` must give to the bit, and
-``waterfill_score_full`` its rate, from which
-``precoding.waterfill_capacity`` may differ by the summation order alone
-(``score_order_bound``).  ``csit_rate_bounds`` gives the exact bounds that
-hold ``capacity.c_su_lower_csit`` at every budget, and
+``precoding.waterfill_power``, the full-width kernel, must give to the
+bit, as must the certified head of ``precoding.waterfill_capacity`` on
+every row that passes its exactness test; ``waterfill_score_full`` is its
+rate, from which ``waterfill_capacity`` may differ by the summation order
+alone (``score_order_bound``).  ``csit_rate_bounds`` gives the exact bounds
+that hold ``capacity.c_su_lower_csit`` at every budget, and
 ``waterfill_instances_by_scenario`` the instances of the waterfilling
 check, built as scenarios, that ``validation._draw_instances`` must give
 to the bit.
@@ -84,9 +85,11 @@ def nocsit_high_snr_approx(scenario, layout, g):
 
 
 def waterfill_power_full(thresholds, budget):
-    """``precoding.waterfill_power`` at full width: the sort, cumulative
-    sum, levels and active count over all K sorted columns of every row,
-    as the program computed them before it waterfilled only a head."""
+    """The full-width water level and spend: the sort, cumulative sum,
+    levels and active count over all K sorted columns of every row, in
+    the order the program had before it took a head.  ``waterfill_power``
+    must give it to the bit, and so must ``waterfill_capacity``'s head
+    level (``precoding._certified_head``) on the rows it certifies exact."""
     thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
     budget = np.asarray(budget, dtype=float)
     if budget.shape not in ((), thresholds.shape[:1]):

@@ -590,8 +590,8 @@ def test_csit_waterfills_equal_the_full_width_oracle(spec, variable, grid, use_v
 def test_a_csit_block_without_a_head_is_sorted_once(spec, variable, value, monkeypatch):
     # rows of 16 columns take no head, and at the high budget no width
     # certifies: each waterfill_capacity call of the estimator then checks
-    # and sorts its block once, finds no head and levels the block once
-    # over all its columns, to the full-width score's bits
+    # and sorts its block once, finds no head and levels the whole block
+    # once, over all its columns
     steps = []
 
     def spy(name, record):
