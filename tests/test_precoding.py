@@ -212,6 +212,32 @@ class TestWaterfillPower:
             else:  # below _HEAD_MIN_ROW columns every call is full width
                 assert heads == {self.head_width(t, 2.5)} == {16}
 
+    def test_wide_rows_are_levelled_at_full_width(self, monkeypatch):
+        # a few rows with nearly every dimension active would fail the
+        # exactness test of the block's narrow head; waterfill_power levels
+        # every row, these included, once over all 64 columns
+        rng = np.random.default_rng(26)
+        t = self.thresholds(rng, n=512, k=64)
+        wide = [5, 300, 511]
+        t[wide] = 1.0 + rng.uniform(0.0, 1e-3, size=(3, 64))
+        assert self.head_width(t, 0.05) == 8
+        shapes = []
+
+        def spy(name):
+            level = getattr(convsup.precoding, name)
+
+            def spied(excess, budget):
+                shapes.append((name, excess.shape))
+                return level(excess, budget)
+            monkeypatch.setattr(convsup.precoding, name, spied)
+        spy("_head_level")
+        spy("_excess_level")
+        spend, mu = waterfill_power(t, 0.05)
+        assert shapes == [("_excess_level", (512, 64))]
+        want_spend, want_mu = waterfill_power_full(t, 0.05)
+        assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
+        assert np.all(spend[wide] > 0)
+
     def test_takes_no_head(self, monkeypatch):
         # a reference block (M 64 with 4 VCs, 20 dB) certifies a narrow
         # head, yet waterfill_power levels it at full width without the
