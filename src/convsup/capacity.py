@@ -387,12 +387,18 @@ def c_pu_lower_quad(scenario: NetworkScenario, layout: VcLayout, a: float) -> fl
 # secondary-user capacity
 # ---------------------------------------------------------------------------
 
-def _relay_factors(scenario: NetworkScenario, e0, e1):
+def _relay_factors(scenario: NetworkScenario, e0, e1, out=(None, None)):
     """The draws of ``_relayed_gain`` scaled by their link variances, s24 E0
     and s12 |x_pu|^2 with |x_pu|^2 = P_pu E1; they depend on the scenario
-    through s24, s12 and P_pu only."""
-    return (scenario.link_variance(2, 4) * e0,
-            scenario.link_variance(1, 2) * (scenario.p_pu * e1))
+    through s24, s12 and P_pu only.  ``out``, when given, is the pair of
+    arrays that receives them, which may be ``(e0, e1)`` themselves when
+    nothing reads the draws again (``c_su_lower_csit``'s last run of
+    scenarios); the same operations run in the same order either way, so
+    the factors keep their bits."""
+    s24_e0 = np.multiply(e0, scenario.link_variance(2, 4), out=out[0])
+    s12_x = np.multiply(e1, scenario.p_pu, out=out[1])
+    s12_x *= scenario.link_variance(1, 2)
+    return s24_e0, s12_x
 
 
 def _relayed_gain(scenario: NetworkScenario, e0, e1, *, factors=None, out=None):
@@ -448,17 +454,28 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
     virtual-subcarrier gains s24 E of a block are computed once for
     consecutive scenarios with the same (s24, s12, P_pu), e.g. every point
     of an SNR sweep, so a scenario only adds its sigma2_v2, multiplies by
-    them and by E2, and divides.
+    them and by E2, and divides.  The block reads E0 and E1 only through
+    those factors, so the last such run of scenarios (the only one of an
+    SNR sweep) scales the block's own E0 and E1 in place: no later scenario
+    reads them, and the next block draws its own.  An earlier run, as in a
+    ``d12_ratio`` sweep or with a key that comes back later in the list,
+    writes its factors into one buffer that every block reuses.
     """
     points = [(sc, (sc.link_variance(2, 4), sc.link_variance(1, 2), sc.p_pu),
                (uc_power_coefficient(sc), srx_noise_floor(sc), sc.sigma2_v[4]))
               for sc in scenarios]
     n_vc = layout.m_vc if use_vcs else 0
+    # the first scenario of the last run of consecutive equal keys
+    last_run = len(points) - 1
+    while last_run > 0 and points[last_run - 1][1] == points[last_run][1]:
+        last_run -= 1
 
     def sample(n):
         rate = np.empty((n, len(points)))
-        gain_buf = np.empty((min(n, _CSIT_ROWS), layout.q))
-        thr_buf = np.empty((min(n, _CSIT_ROWS), layout.q + n_vc))
+        rows = min(n, _CSIT_ROWS)
+        gain_buf = np.empty((rows, layout.q))
+        thr_buf = np.empty((rows, layout.q + n_vc))
+        factor_buf = np.empty((2, rows, layout.q)) if last_run else None
         for lo in range(0, n, _CSIT_ROWS):
             hi = min(lo + _CSIT_ROWS, n)
             e0, e1, e2 = _relay_exponentials(rng, (hi - lo, layout.q))
@@ -468,7 +485,9 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
             for j, (sc, key, levels) in enumerate(points):
                 if key != shared:
                     shared = key
-                    factors = _relay_factors(sc, e0, e1)
+                    # no scenario reads E0 and E1 after the last run
+                    out = (e0, e1) if j == last_run else factor_buf[:, :hi - lo]
+                    factors = _relay_factors(sc, e0, e1, out=out)
                     gain_vc = sc.link_variance(2, 4) * vc_draws
                 _relayed_gain(sc, e0, e1, factors=factors, out=gain)
                 gain *= e2

@@ -16,7 +16,6 @@ bounds only as powers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -123,42 +122,36 @@ _HEAD_MIN_ROW = 32
 _HEAD_SAMPLES = (4, 6, *_HEAD_WIDTHS)
 
 
-@functools.lru_cache
-def _head_plan(width: int):
-    """The head widths a row of ``width`` may take, the 0-based sorted
-    columns their certificates read, and the weight of each column in each
-    width's cost bound, a row per width: k t_k - sum over s_j <= k of
-    (s_j - s_(j-1)) t_(s_j)."""
-    ks = [k for k in _HEAD_WIDTHS if 2 * k <= width] if width >= _HEAD_MIN_ROW else []
-    samples = _HEAD_SAMPLES[:2 + len(ks)]
-    steps = np.diff(samples, prepend=0)
-    weights = np.array([[(s == k) * k - w if s <= k else 0 for s, w in zip(samples, steps)]
-                        for k in ks], dtype=float)
-    return np.array(ks), np.array(samples) - 1, weights
-
-
 def _head_width(ranked: np.ndarray, budget: np.ndarray) -> int:
-    """Narrowest head width ``k`` of the row width's ``_head_plan`` at which
-    at least ``_HEAD_SHARE`` of the rows of sorted thresholds ``ranked``
-    certify at most k active dimensions; the row width when none does.
+    """Narrowest head width ``k`` of ``_HEAD_WIDTHS``, at most half the row
+    and none below ``_HEAD_MIN_ROW`` columns, at which at least
+    ``_HEAD_SHARE`` of the rows of sorted thresholds ``ranked`` certify at
+    most k active dimensions; the row width when none does.
 
     A row certifies k when raising its dimensions 1..k to ``t_k`` costs at
     least the budget.  Dimension i of the block (s_(j-1), s_j] of
     ``_HEAD_SAMPLES`` costs at least ``t_k - t_(s_j)``, so the cost is at
     least ``k t_k - sum_j (s_j - s_(j-1)) t_(s_j)`` over the samples up to k.
+    The widths are tried narrowest first, and that sum grows by one sorted
+    column per width.
     """
     n, width = ranked.shape
-    ks, columns, weights = _head_plan(width)
+    ks = [k for k in _HEAD_WIDTHS if 2 * k <= width] if width >= _HEAD_MIN_ROW else []
     need = _HEAD_SHARE * n
     # k (t_k - t_1) bounds the cost above and grows with k, so two columns
     # tell when even the widest head certifies too few rows
-    if not ks.size or np.count_nonzero(
+    if not ks or np.count_nonzero(
             ks[-1] * (ranked[:, ks[-1] - 1] - ranked[:, 0]) >= budget) < need:
         return width
+    below, prev = 0.0, 0
     with np.errstate(invalid="ignore"):  # inf - inf: fewer than k live, a NaN
-        cost = weights @ ranked[:, columns].T
-    passed = np.count_nonzero(cost >= budget, axis=1) >= need
-    return int(ks[np.argmax(passed)]) if passed.any() else width
+        for s in _HEAD_SAMPLES[:2 + len(ks)]:
+            t_s = ranked[:, s - 1]
+            below = below + (s - prev) * t_s
+            prev = s
+            if s in ks and np.count_nonzero(s * t_s - below >= budget) >= need:
+                return s
+    return width
 
 
 def _excess_level(excess: np.ndarray, budget: np.ndarray) -> np.ndarray:
@@ -195,7 +188,8 @@ def _head_level(head: np.ndarray, budget: np.ndarray):
 def _sorted_rows(thresholds, budget):
     """The input checks and the one sort of both waterfills: the thresholds
     as (n, K) floats, the budget as an array, the sorted rows (dead, inf,
-    last) and their smallest thresholds ``bottom``, an (n, 1) column."""
+    last) and their smallest thresholds ``bottom``, an (n, 1) column.  A
+    zero, negative or NaN threshold raises ``ValueError``."""
     thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
     budget = np.asarray(budget, dtype=float)
     if budget.shape not in ((), thresholds.shape[:1]):
@@ -203,8 +197,12 @@ def _sorted_rows(thresholds, budget):
                          f"{thresholds.shape[0]} rows of thresholds")
     if not np.all((budget > 0) & np.isfinite(budget)):
         raise ValueError("power budget must be positive and finite")
-    ranked = np.sort(thresholds, axis=1)  # inf (dead) thresholds sort last
+    # inf (dead) thresholds sort last, and NaN after them: the sorted copy
+    # checks the whole block in two of its columns
+    ranked = np.sort(thresholds, axis=1)
     bottom = ranked[:, :1].copy()
+    if not np.all(bottom > 0) or np.isnan(ranked[:, -1]).any():
+        raise ValueError("thresholds must be positive, or inf for a dead channel")
     if not np.isfinite(bottom).all():
         raise ValueError("all channels are dead: no subcarrier can be activated")
     return thresholds, budget, ranked, bottom
@@ -258,7 +256,7 @@ def _certified_head(ranked, bottom, budget):
 def waterfill_power(thresholds: np.ndarray, budget) -> tuple[np.ndarray, np.ndarray]:
     """Exact common water level, in power units, by sort and cumulative sum.
 
-    ``thresholds``: (K,) or (n, K) activation levels (inf allowed for dead
+    ``thresholds``: (K,) or (n, K) positive activation levels (inf for dead
     channels); ``budget``: one positive budget for every row, or an ``(n,)``
     array of one per row.  Returns ``(spend, mu)`` with per-dimension
     allocations ``spend = max(mu - thresholds, 0)`` summing to the budget up

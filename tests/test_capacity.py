@@ -536,6 +536,27 @@ def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, record_trials
     assert got.shape == (n, 1) and np.array_equal(got[:, 0], want)
 
 
+
+@pytest.mark.parametrize("use_vcs", [True, False], ids=["vcs", "no-vcs"])
+def test_csit_columns_of_a_repeated_key_equal_one_scenario_calls(use_vcs, layout64,
+                                                                  record_trials):
+    # a key that comes back after another: the first run's factors must
+    # leave the block's draws as they were for the runs after it, and only
+    # the last run scales them in place; every column is the one-scenario
+    # call on a generator in the same state, to the bit, across a batch and
+    # a row-block boundary
+    _, layout = layout64
+    scenarios = [build_scenario(resolve_d12(ratio, "d13"), 1.0, 20.0, "pu")
+                 for ratio in (0.2, 0.5, 0.2)]
+    n = channel._CHUNK + capacity._CSIT_ROWS + 1
+    seen = record_trials(capacity)
+    c_su_lower_csit(scenarios, layout, n, np.random.default_rng(6), use_vcs=use_vcs)
+    got = np.concatenate(seen)
+    for j, scenario in enumerate(scenarios):
+        seen.clear()
+        c_su_lower_csit([scenario], layout, n, np.random.default_rng(6), use_vcs=use_vcs)
+        assert np.array_equal(got[:, j], np.concatenate(seen)[:, 0])
+
 _SNR_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 

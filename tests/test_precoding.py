@@ -434,6 +434,19 @@ class TestWaterfillCapacity:
             waterfill_capacity(np.array([[1.0, 2.0], [np.inf, np.inf]]), 1.0)
 
 
+@pytest.mark.parametrize("waterfill", [waterfill_power, waterfill_capacity])
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.nan],
+                         ids=["zero", "negative-zero", "negative", "nan"])
+def test_rejects_a_non_physical_threshold(waterfill, bad):
+    # one bad entry in a 64-column block with dead channels, which takes a
+    # head: a zero threshold made the score divide by zero and the level
+    # pass silently, and NaN sorts after the dead (inf) channels
+    t = TestWaterfillPower.thresholds(np.random.default_rng(25), n=40, k=64)
+    t[7, 5] = bad
+    with pytest.raises(ValueError, match="thresholds must be positive"):
+        waterfill(t, 2.5)
+
+
 class TestWaterfillRate:
     def test_matches_the_out_of_place_score_and_overwrites_spend(self):
         # the in-place score gives the bits of log2(1 + spend / thr) summed
