@@ -198,7 +198,7 @@ def test_csit_call_memory_at_the_benchmark_size():
     # one 5000-trial call on the 7-point reference grid, the size of the
     # benchmark's CSIT tasks: the grid's one run of shared factors scales
     # each block's own draws in place, where three fresh factor arrays per
-    # block peaked at 2.66 MiB; measured 2.21 MiB
+    # block peaked at 2.67 MiB; measured 2.21 MiB
     spec = ScenarioSpec()
     scenarios = [spec.with_sweep_value("snr_pu_db", v).network() for v in range(0, 31, 5)]
     _, layout, _ = spec.spectral()
