@@ -459,7 +459,7 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
     SNR sweep) scales the block's own E0 and E1 in place: no later scenario
     reads them, and the next block draws its own.  An earlier run, as in a
     ``d12_ratio`` sweep or with a key that comes back later in the list,
-    writes its factors into one buffer that every block reuses.
+    makes fresh factor arrays, since a later run reads the draws again.
     """
     points = [(sc, (sc.link_variance(2, 4), sc.link_variance(1, 2), sc.p_pu),
                (uc_power_coefficient(sc), srx_noise_floor(sc), sc.sigma2_v[4]))
@@ -472,10 +472,8 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
 
     def sample(n):
         rate = np.empty((n, len(points)))
-        rows = min(n, _CSIT_ROWS)
-        gain_buf = np.empty((rows, layout.q))
-        thr_buf = np.empty((rows, layout.q + n_vc))
-        factor_buf = np.empty((2, rows, layout.q)) if last_run else None
+        gain_buf = np.empty((min(n, _CSIT_ROWS), layout.q))
+        thr_buf = np.empty((min(n, _CSIT_ROWS), layout.q + n_vc))
         for lo in range(0, n, _CSIT_ROWS):
             hi = min(lo + _CSIT_ROWS, n)
             e0, e1, e2 = _relay_exponentials(rng, (hi - lo, layout.q))
@@ -486,8 +484,8 @@ def c_su_lower_csit(scenarios, layout: VcLayout, n_trials: int,
                 if key != shared:
                     shared = key
                     # no scenario reads E0 and E1 after the last run
-                    out = (e0, e1) if j == last_run else factor_buf[:, :hi - lo]
-                    factors = _relay_factors(sc, e0, e1, out=out)
+                    factors = _relay_factors(
+                        sc, e0, e1, out=(e0, e1) if j == last_run else (None, None))
                     gain_vc = sc.link_variance(2, 4) * vc_draws
                 _relayed_gain(sc, e0, e1, factors=factors, out=gain)
                 gain *= e2

@@ -133,7 +133,9 @@ def _head_width(ranked: np.ndarray, budget: np.ndarray) -> int:
     ``_HEAD_SAMPLES`` costs at least ``t_k - t_(s_j)``, so the cost is at
     least ``k t_k - sum_j (s_j - s_(j-1)) t_(s_j)`` over the samples up to k.
     The widths are tried narrowest first, and that sum grows by one sorted
-    column per width.
+    column per width, so width k reads no column past k: a row whose dead
+    (inf) channels all lie past k may certify k, where a product of a
+    weight matrix with every sampled column met 0 * inf and gave NaN.
     """
     n, width = ranked.shape
     ks = [k for k in _HEAD_WIDTHS if 2 * k <= width] if width >= _HEAD_MIN_ROW else []

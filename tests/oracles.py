@@ -13,7 +13,9 @@ the closed forms take the power ``g`` of each virtual subcarrier alone.
 bit, as must the certified head of ``precoding.waterfill_capacity`` on
 every row that passes its exactness test; ``waterfill_score_full`` is its
 rate, from which ``waterfill_capacity`` may differ by the summation order
-alone (``score_order_bound``).  ``csit_rate_bounds`` gives the exact bounds
+alone (``score_order_bound``); ``head_width_by_weights`` is the head width
+that ``precoding._head_width`` must give on finite blocks, from a product
+of a weight matrix with the sampled sorted columns.  ``csit_rate_bounds`` gives the exact bounds
 that hold ``capacity.c_su_lower_csit`` at every budget, and
 ``waterfill_instances_by_scenario`` the instances of the waterfilling
 check, built as scenarios, that ``validation._draw_instances`` must give
@@ -27,7 +29,8 @@ from convsup.capacity import (EULER_GAMMA, LOG2E, _composite_gain, _relayed_gain
                               _vc_snr, _vc_term, bessel_k1, psi)
 from convsup.channel import mean_se, trials
 from convsup.harness import build_scenario
-from convsup.precoding import srx_noise_floor, uc_power_coefficient, uniform_split
+from convsup.precoding import (_HEAD_MIN_ROW, _HEAD_SAMPLES, _HEAD_SHARE, _HEAD_WIDTHS,
+                               srx_noise_floor, uc_power_coefficient, uniform_split)
 
 
 def c_su_lower_nocsit(scenario, layout, a, g, n_trials, rng, constant_modulus=False):
@@ -131,6 +134,28 @@ def score_order_bound(rate, n_active):
     gamma = np.maximum(n_active - 1, 0) * 2.0 ** -53
     gamma /= 1.0 - gamma
     return np.where(n_active <= 2, 0.0, 2.0 * gamma * rate)
+
+
+def head_width_by_weights(ranked, budget):
+    """``precoding._head_width`` of the sorted rows ``ranked`` as a matrix
+    product: a row per width of the weights of the sampled columns in the
+    cost bound k t_k - sum over s_j <= k of (s_j - s_(j-1)) t_(s_j), times
+    those columns of every row, and the narrowest width at which at least
+    ``_HEAD_SHARE`` of the rows reach the budget.  Columns past k take
+    weight 0, so a dead (inf) one there makes the cost NaN: the two agree
+    on finite blocks only."""
+    n, width = ranked.shape
+    ks = [k for k in _HEAD_WIDTHS if 2 * k <= width] if width >= _HEAD_MIN_ROW else []
+    if not ks:
+        return width
+    samples = _HEAD_SAMPLES[:2 + len(ks)]
+    steps = np.diff(samples, prepend=0)
+    weights = np.array([[(s == k) * k - w if s <= k else 0 for s, w in zip(samples, steps)]
+                        for k in ks], dtype=float)
+    with np.errstate(invalid="ignore"):
+        cost = weights @ ranked[:, np.array(samples) - 1].T
+    passed = np.count_nonzero(cost >= budget, axis=1) >= _HEAD_SHARE * n
+    return ks[np.argmax(passed)] if passed.any() else width
 
 
 def csit_rate_bounds(scenario, layout, use_vcs=True):

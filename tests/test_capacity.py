@@ -536,7 +536,6 @@ def test_csit_row_blocks_match_a_whole_batch(n, use_vcs, layout64, record_trials
     assert got.shape == (n, 1) and np.array_equal(got[:, 0], want)
 
 
-
 @pytest.mark.parametrize("use_vcs", [True, False], ids=["vcs", "no-vcs"])
 def test_csit_columns_of_a_repeated_key_equal_one_scenario_calls(use_vcs, layout64,
                                                                   record_trials):
@@ -556,6 +555,7 @@ def test_csit_columns_of_a_repeated_key_equal_one_scenario_calls(use_vcs, layout
         seen.clear()
         c_su_lower_csit([scenario], layout, n, np.random.default_rng(6), use_vcs=use_vcs)
         assert np.array_equal(got[:, j], np.concatenate(seen)[:, 0])
+
 
 _SNR_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 

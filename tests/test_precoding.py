@@ -16,7 +16,8 @@ from convsup.precoding import (PrecoderRankError, realize_precoders,
                                waterfill_rate, waterfill_thresholds,
                                waterfilling_profile)
 from convsup.spectral import build_spectral_context, build_vc_layout
-from oracles import score_order_bound, waterfill_power_full, waterfill_score_full
+from oracles import (head_width_by_weights, score_order_bound, waterfill_power_full,
+                     waterfill_score_full)
 
 
 def rate_of(layout, scenario, a, g, h_su, h_24):
@@ -274,6 +275,23 @@ class TestWaterfillPower:
         spend, mu = waterfill_power(t, budget)
         want_spend, want_mu = waterfill_power_full(t, budget)
         assert np.array_equal(spend, want_spend) and np.array_equal(mu, want_mu)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(1, 256), st.integers(1, 600), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["none", "grid", "copies"]), st.floats(-12.0, 6.0),
+           st.booleans(), st.floats(0.0, 0.01))
+    def test_head_width_equals_the_weight_matrix_certificate(self, k, n, seed, ties,
+                                                             log_budget, per_row,
+                                                             wide_share):
+        # the running sum of the certificate picks the width that a product
+        # of a weight matrix with the sampled columns picks, on the oracle
+        # test's blocks without dead channels (where that product meets
+        # 0 * inf); 78 of the 200 blocks take a head
+        t, budget = self.drawn_block(k, n, seed, ties, 0.0, log_budget, per_row,
+                                     wide_share)
+        ranked = np.sort(t, axis=1)
+        assert (convsup.precoding._head_width(ranked, budget)
+                == head_width_by_weights(ranked, budget))
 
     @staticmethod
     def drawn_block(k, n, seed, ties, dead_share, log_budget, per_row, wide_share):
