@@ -22,8 +22,8 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .channel import Moments, NetworkScenario, mean_se, trials
-from .precoding import (srx_noise_floor, uc_power_coefficient, uniform_split,
-                        waterfill_capacity, waterfill_thresholds)
+from .precoding import (_check_allocation, srx_noise_floor, uc_power_coefficient,
+                        uniform_split, waterfill_capacity, waterfill_thresholds)
 from .spectral import VcLayout
 
 __all__ = [
@@ -517,7 +517,9 @@ def c_su_lower_nocsit_quad(scenario: NetworkScenario, layout: VcLayout,
     gain (nu the ``srx_noise_floor``); psi absorbs the gain's innermost
     relay-gain exponential E2, and Gauss-Laguerre averages s24 E0 (s12
     |x_pu|^2 + sigma2_v2) over the remaining (E0, E1).  The virtual
-    subcarriers add the closed form M_vc * psi(snr_24)."""
+    subcarriers add the closed form M_vc * psi(snr_24).  ``a`` or ``g``
+    negative, NaN or inf raises ``ValueError``."""
+    _check_allocation(a, g)
     scale = a / srx_noise_floor(scenario)
     e0, e1, w = _laguerre_2d(GL_NODES)
     gain = _relayed_gain(scenario, e0, e1)

@@ -34,8 +34,28 @@ _LINK_ROWS = 128  # frames per pass of link_output: 128 x 2p samples stay in cac
 # draws per vectorized batch of every Monte Carlo loop; the batches fix how
 # each estimator consumes its random stream
 _CHUNK = 20_000
-# normals per fill of zmcscg's float buffer: 32 KiB, which stays in cache
+# normals per fill of _scaled_normals' float buffer: 32 KiB, which stays in
+# cache
 _NORMAL_FILL = 4096
+
+
+def _scaled_normals(rng: np.random.Generator, variance: float, *parts: np.ndarray) -> None:
+    """Fill each flat float view of ``parts`` in turn with standard normals
+    times sqrt(variance / 2), the scale of one real dimension of a
+    ``zmcscg`` draw.
+
+    The normals pass ``_NORMAL_FILL`` at a time through one small float
+    buffer and are scaled from there into the view, so no whole-size float
+    copy is made; consecutive fills, and consecutive calls, consume the
+    stream exactly as one ``standard_normal`` call of the total size does.
+    """
+    scale = np.sqrt(float(variance) / 2.0)
+    buf = np.empty(min(max(part.size for part in parts), _NORMAL_FILL))
+    for part in parts:
+        for lo in range(0, part.size, _NORMAL_FILL):
+            fill = buf[:part.size - lo]
+            rng.standard_normal(out=fill)
+            np.multiply(fill, scale, out=part[lo:lo + fill.size])
 
 
 def zmcscg(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
@@ -43,20 +63,12 @@ def zmcscg(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray
     total variance (half per real dimension), a scalar.
 
     The draw takes all real parts of ``shape``, then all imaginary parts,
-    as two ``standard_normal(shape)`` calls would.  Each part is filled
-    ``_NORMAL_FILL`` normals at a time into one small float buffer and
-    scaled from there into the complex output, so no whole-size float copy
-    is made; consecutive fills consume the stream exactly as one call does.
+    as two ``standard_normal(shape)`` calls would, each through
+    ``_scaled_normals`` straight into the complex output.
     """
-    scale = np.sqrt(float(variance) / 2.0)
     out = np.empty(shape, dtype=complex)
     flat = out.reshape(-1)
-    buf = np.empty(min(flat.size, _NORMAL_FILL))
-    for part in (flat.real, flat.imag):
-        for lo in range(0, flat.size, _NORMAL_FILL):
-            fill = buf[:flat.size - lo]
-            rng.standard_normal(out=fill)
-            np.multiply(fill, scale, out=part[lo:lo + fill.size])
+    _scaled_normals(rng, variance, flat.real, flat.imag)
     return out
 
 

@@ -78,6 +78,15 @@ def uniform_split(layout: VcLayout, scenario: NetworkScenario,
                   uc_power_coefficient(scenario), fraction)
 
 
+def _check_allocation(a: float, g: float) -> None:
+    """Reject a used-subcarrier weight ``a`` or virtual-subcarrier power ``g``
+    that is not finite and >= 0."""
+    for name, value in (("used-subcarrier weight a", a),
+                        ("virtual-subcarrier power g", g)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _split(m_vc: int, q: int, p_su: float, coef: float,
            fraction: float) -> tuple[float, float]:
     """``uniform_split`` of the budget ``p_su`` over ``m_vc`` virtual and
@@ -392,8 +401,10 @@ def realize_precoders(ctx: SpectralContext, layout: VcLayout, a: float,
     virtual subcarriers) the Gram target B^H diag(a) B is a I_N, so C is
     sqrt(q a / N) I_N: its square root sqrt(a) I_N, scaled to spend the
     used-subcarrier total q a.  G = sqrt(g) xi.  A zero weight raises
-    :class:`PrecoderRankError`.
+    :class:`PrecoderRankError`, and ``a`` or ``g`` negative, NaN or inf a
+    ``ValueError``.
     """
+    _check_allocation(a, g)
     if a == 0.0:
         raise PrecoderRankError("the used subcarriers carry no power, so A is zero")
     a_mat = np.sqrt(layout.q * a / layout.n_sym) * (ctx.pi_idft @ layout.upsilon_vc)

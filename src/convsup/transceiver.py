@@ -14,12 +14,13 @@ independent frames: a batch shape ``()`` is one frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .channel import (ChannelRealization, LinkSpec, NetworkScenario, link_output,
-                      mean_se, trials, zmcscg)
+from .channel import (_LINK_ROWS, ChannelRealization, LinkSpec, NetworkScenario,
+                      _scaled_normals, link_output, mean_se, trials, zmcscg)
 from .precoding import PrecoderSet
 from .spectral import SpectralContext, VcLayout, min_norm_filter
 
@@ -39,9 +40,9 @@ __all__ = [
 ]
 
 # frames per pass of the chain in stx_power_mc: its intermediates are a few
-# (block, P) complex arrays whatever the batch, about 0.3 MB each at the
-# reference size
-_POWER_ROWS = 256
+# (block, P) complex arrays whatever the batch, about 0.16 MB each at the
+# reference size, and each link_output call of a block makes one pass
+_POWER_ROWS = _LINK_ROWS
 
 
 def required_cp_length(specs: Mapping[tuple[int, int], LinkSpec], l_su: int) -> int:
@@ -93,6 +94,11 @@ class FrameConfig:
     @property
     def p(self) -> int:
         return self.m + self.l_cp
+
+    @cached_property
+    def _pu_idft(self) -> np.ndarray:
+        """The primary modulator's operator w_idft @ theta, formed once."""
+        return self.ctx.w_idft @ self.layout.theta
 
 
 def _apply(mat: np.ndarray, x) -> np.ndarray:
@@ -156,7 +162,7 @@ def pu_transmit(x_pu: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     x_pu = np.asarray(x_pu)
     if x_pu.shape[-1:] != (cfg.layout.q,):
         raise ValueError(f"expected {cfg.layout.q} data symbols, got {x_pu.shape}")
-    return _cp_insert(_apply(cfg.ctx.w_idft @ cfg.layout.theta, x_pu), cfg.l_cp)
+    return _cp_insert(_apply(cfg._pu_idft, x_pu), cfg.l_cp)
 
 
 def stx_process(y2_t: np.ndarray, x_su_1: np.ndarray, x_su_2: np.ndarray,
@@ -268,14 +274,19 @@ def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
     Each batch of frames of ``channel.trials`` runs the h12 link and
     ``stx_process`` with a zero previous block: inter-block interference
     only touches samples the prefix removal drops, so that gives the
-    steady-state statistic.  A batch is drawn whole, in the stream order
-    of the unblocked chain, and then runs through the chain in blocks of
-    ``_POWER_ROWS`` frames, so the batch's complex draws are the only
-    large arrays and the chain's intermediates stay that small; on the
-    installed BLAS every frame's energy has the same bits at any block size
-    (see ``_row_blocks``).
+    steady-state statistic.  The batch takes the stream in the order of
+    the unblocked chain and runs through the chain in blocks of
+    ``_POWER_ROWS`` frames.  The taps, symbols and the real parts of the
+    noise v2 are drawn whole; v2 is the last draw and its imaginary parts
+    come in frame order, so each block takes its own from the stream into
+    one reused block buffer.  Complex addition works part by part, so
+    adding v2 to y2 as two real parts keeps the bits of the whole draw.
+    The chain's intermediates stay a block's size, and on the installed
+    BLAS every frame's energy has the same bits at any block size (see
+    ``_row_blocks``).
     """
     spec12 = cfg.specs[1, 2]
+    sigma2 = scenario.sigma2_v[2]
 
     def sample(n):
         taps = zmcscg(rng, (n, spec12.order + 1),
@@ -283,11 +294,17 @@ def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
         x_pu = zmcscg(rng, (n, cfg.layout.q), scenario.p_pu)
         x1 = zmcscg(rng, (n, cfg.layout.n_sym))
         x2 = zmcscg(rng, (n, cfg.layout.m_vc))
-        v2 = zmcscg(rng, (n, cfg.p), scenario.sigma2_v[2])
+        v2_real = np.empty((n, cfg.p))
+        _scaled_normals(rng, sigma2, v2_real.reshape(-1))
+        blocks = list(_row_blocks(n, _POWER_ROWS))
+        v2_imag = np.empty((max(b.stop - b.start for b in blocks), cfg.p))
         energy = np.empty(n)
-        for rows in _row_blocks(n, _POWER_ROWS):
+        for rows in blocks:
+            imag = v2_imag[:rows.stop - rows.start]
+            _scaled_normals(rng, sigma2, imag.reshape(-1))
             y2 = link_output(taps[rows], spec12.offset, pu_transmit(x_pu[rows], cfg))
-            y2 += v2[rows]
+            y2.real += v2_real[rows]
+            y2.imag += imag
             z2 = _cp_remove(stx_process(y2, x1[rows], x2[rows], pre, cfg), cfg.l_cp)
             np.sum(z2.real ** 2 + z2.imag ** 2, axis=-1, out=energy[rows])
         return energy

@@ -397,6 +397,17 @@ class TestSecondaryCapacity:
                 c_su_lower_nocsit_quad(scenario, layout,
                                        *uniform_split(layout, scenario, fraction))
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_nocsit_quad_rejects_a_non_physical_allocation(self, layout64, bad):
+        # a weight a of -1 or NaN once dropped the used subcarriers and gave
+        # the rate of the VCs alone, and a bad g dropped the VCs the same way
+        _, layout = layout64
+        scenario = build_scenario(0.7, 1.0, 20.0, "su")
+        a, g = uniform_split(layout, scenario, 0.5)
+        for args in ((bad, g), (a, bad)):
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                c_su_lower_nocsit_quad(scenario, layout, *args)
+
     def test_composite_gain_sampler_matches_complex_product(self):
         from scipy import stats
         scenario = build_scenario(0.3, 1.0, 20.0, "pu")

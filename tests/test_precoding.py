@@ -548,6 +548,17 @@ class TestRealizePrecoders:
         with pytest.raises(PrecoderRankError):
             realize_precoders(ctx, layout, a, g)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_non_physical_allocation_is_rejected(self, setup64, bad):
+        # a NaN weight once gave NaN precoders, and a negative g raised
+        # math's "math domain error"
+        ctx, layout = setup64
+        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+        a, g = uniform_split(layout, scenario, 0.5)
+        for args in ((bad, g), (a, bad)):
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                realize_precoders(ctx, layout, *args)
+
     @pytest.mark.parametrize("m, l_su, vc", [
         (64, 10, (0, 16, 32, 48)),
         (128, 20, tuple(range(0, 128, 8))),

@@ -12,10 +12,10 @@ import convsup.channel
 import convsup.transceiver
 import convsup.validation
 from convsup.capacity import baseline_ocr, c_su_lower_csit
-from convsup.channel import draw_channels, zmcscg
+from convsup.channel import draw_channels, link_output, zmcscg
 from convsup.harness import ScenarioSpec
 from convsup.precoding import srx_noise_floor
-from convsup.transceiver import stx_power_mc
+from convsup.transceiver import pu_transmit, stx_power_mc, stx_process
 from convsup.validation import (power_accounting_check, precoder_structure_check,
                                 product_density_ks_check, realized_rates)
 
@@ -50,6 +50,44 @@ def test_power_blocks_keep_every_frame_energy(setup, rows, monkeypatch, record_t
     got = frame_energies(setup, 2115, record_trials)
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
+
+
+def whole_draw_energies(scenario, cfg, pre, n_frames, rng):
+    """stx_power_mc's frame energies as they were before each block drew its
+    own imaginary parts of v2: every batch's v2 drawn whole as complex
+    numbers, and the chain run in blocks of 256 frames."""
+    spec12 = cfg.specs[1, 2]
+    chunk = convsup.channel._CHUNK
+    energies = []
+    for lo in range(0, n_frames, chunk):
+        n = min(chunk, n_frames - lo)
+        taps = zmcscg(rng, (n, spec12.order + 1),
+                      scenario.link_variance(1, 2) / (spec12.order + 1))
+        x_pu = zmcscg(rng, (n, cfg.layout.q), scenario.p_pu)
+        x1 = zmcscg(rng, (n, cfg.layout.n_sym))
+        x2 = zmcscg(rng, (n, cfg.layout.m_vc))
+        v2 = zmcscg(rng, (n, cfg.p), scenario.sigma2_v[2])
+        energy = np.empty(n)
+        for rows in convsup.transceiver._row_blocks(n, 256):
+            y2 = link_output(taps[rows], spec12.offset, pu_transmit(x_pu[rows], cfg))
+            y2 += v2[rows]
+            z2 = stx_process(y2, x1[rows], x2[rows], pre, cfg)[:, cfg.l_cp:]
+            np.sum(z2.real ** 2 + z2.imag ** 2, axis=-1, out=energy[rows])
+        energies.append(energy)
+    return np.concatenate(energies)
+
+
+# 20 001 frames are two batches, the last of one frame
+@pytest.mark.parametrize("n", [2115, 20_001])
+def test_power_energies_keep_the_bits_of_the_whole_draw(setup, n, record_trials):
+    scenario, cfg, pre = setup
+    rng = np.random.default_rng(n)
+    seen = record_trials(convsup.transceiver)
+    stx_power_mc(cfg, scenario, pre, n, rng)
+    ref = np.random.default_rng(n)
+    want = whole_draw_energies(scenario, cfg, pre, n, ref)
+    assert np.array_equal(np.concatenate(seen), want)
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("n, size", [(1, 1), (2, 1), (3, 1), (9, 2), (8, 7),
@@ -138,12 +176,14 @@ def traced_peak(fn):
 
 def test_power_accounting_memory_is_bounded_by_the_block(setup):
     # unblocked, one 20 000-frame batch peaked at 148 MiB; in 1024-frame
-    # blocks with whole-size float draws, 58.9 MiB; now 48.8 MiB, of which
-    # the batch's complex draws are 46.7 MiB
+    # blocks with whole-size float draws, 58.9 MiB; with v2 drawn whole as
+    # complex numbers and 256-frame blocks, 48.8 MiB; now that each
+    # 128-frame block draws its own imaginary parts of v2, 36.1 MiB, of
+    # which the batch's draws are 34.5 MiB
     scenario, cfg, pre = setup
     peak = traced_peak(lambda: stx_power_mc(cfg, scenario, pre, 20_000,
                                             np.random.default_rng(1)))
-    assert peak <= 56 * MIB
+    assert peak <= 40 * MIB
 
 
 def test_realized_rates_memory_is_bounded_by_the_block(setup):
@@ -156,9 +196,10 @@ def test_realized_rates_memory_is_bounded_by_the_block(setup):
 
 
 # each check at the size `convsup validate --trials 5000 --frames 100` runs
-# it, with its ceiling in MiB: measured 13.7, 7.1 and 9.2 MiB, where the
-# whole-size draws and unused responses took 18.1, 15.3 and 16.9 MiB
-@pytest.mark.parametrize("check, ceiling", [("power_accounting", 16),
+# it, with its ceiling in MiB: measured 10.2, 7.1 and 9.2 MiB, where the
+# whole-size draws and unused responses took 18.1, 15.3 and 16.9 MiB, and
+# power accounting with v2 drawn whole as complex numbers 13.7 MiB
+@pytest.mark.parametrize("check, ceiling", [("power_accounting", 12),
                                             ("precoder_structure", 9),
                                             ("product_density_ks", 11)])
 def test_check_memory_at_the_benchmark_size(reference, check, ceiling):
