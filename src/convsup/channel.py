@@ -316,6 +316,14 @@ def toeplitz_pair(taps: np.ndarray, offset: int, p: int) -> tuple[np.ndarray, np
     return impulse[lag], impulse[lag + p]
 
 
+def _as_rows(a: np.ndarray, shape: tuple[int, ...], rows: int) -> np.ndarray:
+    """``a`` broadcast to ``shape`` as ``rows`` rows of its last axis; an array
+    that already has that shape skips the broadcast call."""
+    if a.shape != shape:
+        a = np.broadcast_to(a, shape)
+    return a.reshape(rows, shape[-1])
+
+
 def link_output(taps: np.ndarray, offset: int, cur: np.ndarray,
                 prev: np.ndarray | None = None) -> np.ndarray:
     """``h0 @ cur + h1 @ prev`` of one link without forming ``toeplitz_pair``.
@@ -335,18 +343,25 @@ def link_output(taps: np.ndarray, offset: int, cur: np.ndarray,
         raise ValueError(
             f"channel order {order} plus offset {offset} exceeds block length "
             f"{p} minus one")
-    prev = np.zeros((), dtype=cur.dtype) if prev is None else np.asarray(prev)
-    shape = np.broadcast_shapes(taps.shape[:-1] + (p,), cur.shape, prev.shape)
+    silent = prev is None
+    prev = np.zeros((), dtype=cur.dtype) if silent else np.asarray(prev)
+    lead = taps.shape[:-1] + (p,)
+    shape = (cur.shape if lead == cur.shape and (silent or prev.shape == cur.shape)
+             else np.broadcast_shapes(lead, cur.shape, prev.shape))
     rows = math.prod(shape[:-1])
-    taps = np.broadcast_to(taps, shape[:-1] + (order + 1,)).reshape(rows, order + 1)
-    cur = np.broadcast_to(cur, shape).reshape(rows, p)
-    prev = np.broadcast_to(prev, shape).reshape(rows, p)
+    taps = _as_rows(taps, shape[:-1] + (order + 1,), rows)
+    cur = _as_rows(cur, shape, rows)
     stream = np.empty((min(rows, _LINK_ROWS), 2 * p), dtype=np.result_type(prev, cur))
+    if silent:
+        stream[:, :p] = 0
+    else:
+        prev = _as_rows(prev, shape, rows)
     out = np.empty((rows, p), dtype=np.result_type(taps, stream))
     for lo in range(0, rows, _LINK_ROWS):
         hi = min(lo + _LINK_ROWS, rows)
         seg, h, o = stream[:hi - lo], taps[lo:hi], out[lo:hi]
-        seg[:, :p] = prev[lo:hi]
+        if not silent:
+            seg[:, :p] = prev[lo:hi]
         seg[:, p:] = cur[lo:hi]
         # output sample n takes tap l from stream sample p + n - offset - l
         np.multiply(h[:, 0, None], seg[:, p - offset:2 * p - offset], out=o)
