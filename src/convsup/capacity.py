@@ -296,8 +296,11 @@ def outage_mc(scenario: NetworkScenario, a: float, n_trials: int,
 
     Draws the relay-gain product for one used subcarrier of weight ``a``
     and counts how often the effective SNR falls below the direct one; the
-    weight cancels, so the count is independent of it under common draws.
+    weight cancels, so the count is independent of it under common draws; a
+    weight that is not finite and >= 0 raises ``ValueError``.
     """
+    _check_allocation(a, 0.0)
+
     def sample(n):
         relay, noise = _pu_relay_terms(scenario, a, *_pu_exponentials(rng, (n,)))
         return relay < noise

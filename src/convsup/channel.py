@@ -60,12 +60,14 @@ def _scaled_normals(rng: np.random.Generator, variance: float, *parts: np.ndarra
 
 def zmcscg(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
     """Zero-mean circularly symmetric complex Gaussian samples with the given
-    total variance (half per real dimension), a scalar.
+    total variance (half per real dimension), a finite scalar >= 0.
 
     The draw takes all real parts of ``shape``, then all imaginary parts,
     as two ``standard_normal(shape)`` calls would, each through
     ``_scaled_normals`` straight into the complex output.
     """
+    if not (math.isfinite(float(variance)) and variance >= 0):
+        raise ValueError(f"variance must be finite and >= 0, got {variance}")
     out = np.empty(shape, dtype=complex)
     flat = out.reshape(-1)
     _scaled_normals(rng, variance, flat.real, flat.imag)
@@ -316,14 +318,6 @@ def toeplitz_pair(taps: np.ndarray, offset: int, p: int) -> tuple[np.ndarray, np
     return impulse[lag], impulse[lag + p]
 
 
-def _as_rows(a: np.ndarray, shape: tuple[int, ...], rows: int) -> np.ndarray:
-    """``a`` broadcast to ``shape`` as ``rows`` rows of its last axis; an array
-    that already has that shape skips the broadcast call."""
-    if a.shape != shape:
-        a = np.broadcast_to(a, shape)
-    return a.reshape(rows, shape[-1])
-
-
 def link_output(taps: np.ndarray, offset: int, cur: np.ndarray,
                 prev: np.ndarray | None = None) -> np.ndarray:
     """``h0 @ cur + h1 @ prev`` of one link without forming ``toeplitz_pair``.
@@ -332,8 +326,9 @@ def link_output(taps: np.ndarray, offset: int, cur: np.ndarray,
     ``[prev, cur]`` stream of 2p samples (``prev=None`` is a silent previous
     block), so memory stays O(p) per frame.  Blocks run along the last axis
     of ``cur`` and ``prev`` and taps along the last axis of ``taps``; the
-    leading axes of all three broadcast as a batch, which runs in passes of
-    ``_LINK_ROWS`` frames so that each tap's product stays in cache.
+    leading axes of all three are one batch shape (else ``ValueError``),
+    which runs in passes of ``_LINK_ROWS`` frames so that each tap's
+    product stays in cache.
     """
     taps = np.asarray(taps)
     cur = np.asarray(cur)
@@ -344,18 +339,18 @@ def link_output(taps: np.ndarray, offset: int, cur: np.ndarray,
             f"channel order {order} plus offset {offset} exceeds block length "
             f"{p} minus one")
     silent = prev is None
-    prev = np.zeros((), dtype=cur.dtype) if silent else np.asarray(prev)
-    lead = taps.shape[:-1] + (p,)
-    shape = (cur.shape if lead == cur.shape and (silent or prev.shape == cur.shape)
-             else np.broadcast_shapes(lead, cur.shape, prev.shape))
-    rows = math.prod(shape[:-1])
-    taps = _as_rows(taps, shape[:-1] + (order + 1,), rows)
-    cur = _as_rows(cur, shape, rows)
-    stream = np.empty((min(rows, _LINK_ROWS), 2 * p), dtype=np.result_type(prev, cur))
+    prev_shape = None if silent else np.shape(prev)
+    if taps.shape[:-1] != cur.shape[:-1] or prev_shape not in (None, cur.shape):
+        raise ValueError(f"taps {taps.shape}, block {cur.shape} and previous block "
+                         f"{prev_shape} do not share one batch shape")
+    shape, rows = cur.shape, math.prod(cur.shape[:-1])
+    taps, cur = taps.reshape(rows, order + 1), cur.reshape(rows, p)
+    if not silent:
+        prev = np.reshape(prev, (rows, p))
+    stream = np.empty((min(rows, _LINK_ROWS), 2 * p),
+                      dtype=cur.dtype if silent else np.result_type(prev, cur))
     if silent:
         stream[:, :p] = 0
-    else:
-        prev = _as_rows(prev, shape, rows)
     out = np.empty((rows, p), dtype=np.result_type(taps, stream))
     for lo in range(0, rows, _LINK_ROWS):
         hi = min(lo + _LINK_ROWS, rows)

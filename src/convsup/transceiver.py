@@ -181,8 +181,8 @@ class FrameSimulator:
 
     Keeps the previous period's transmit blocks so inter-block interference
     enters exactly as the two-operator Toeplitz expansion dictates.  State
-    starts at zero (a silent warm-up period); after a step, the next step
-    must use the same batch shape until ``reset``.
+    starts silent (``None`` previous blocks); each step's inputs share the
+    batch shape of ``x_pu``, kept until ``reset``, or it raises ``ValueError``.
     """
 
     def __init__(self, cfg: FrameConfig, pre: PrecoderSet):
@@ -191,9 +191,8 @@ class FrameSimulator:
         self.reset()
 
     def reset(self) -> None:
-        p = self.cfg.p
-        self._prev_u_pu = np.zeros(p, dtype=complex)
-        self._prev_z2 = np.zeros(p, dtype=complex)
+        self._prev_u_pu = None
+        self._prev_z2 = None
 
     def step(self, channels: ChannelRealization, x_pu: np.ndarray,
              x_su_1: np.ndarray, x_su_2: np.ndarray,
@@ -204,6 +203,10 @@ class FrameSimulator:
             return link_output(channels.taps[tx_rx], channels.offsets[tx_rx], cur, prev)
 
         u_pu = pu_transmit(x_pu, cfg)
+        inputs = (x_su_1, x_su_2, noises.v2, noises.v3, noises.v4)
+        if any(np.shape(x)[:-1] != u_pu.shape[:-1] for x in inputs):
+            raise ValueError(f"x_su_1, x_su_2 and the noise blocks need the batch shape "
+                             f"{u_pu.shape[:-1]} of x_pu, got {[np.shape(x) for x in inputs]}")
         y2 = link((1, 2), u_pu, self._prev_u_pu) + noises.v2
         z2 = stx_process(y2, x_su_1, x_su_2, self.pre, cfg)
         y3 = (link((1, 3), u_pu, self._prev_u_pu) + link((2, 3), z2, self._prev_z2)
@@ -272,7 +275,7 @@ def stx_power_mc(cfg: FrameConfig, scenario: NetworkScenario, pre: PrecoderSet,
     energy).
 
     Each batch of frames of ``channel.trials`` runs the h12 link and
-    ``stx_process`` with a zero previous block: inter-block interference
+    ``stx_process`` with a silent previous block: inter-block interference
     only touches samples the prefix removal drops, so that gives the
     steady-state statistic.  The batch takes the stream in the order of
     the unblocked chain and runs through the chain in blocks of

@@ -32,7 +32,7 @@ from .precoding import (_leak_plus_noise, _split, realize_precoders, srx_noise_f
 from .spectral import (InconsistentResponseError, build_spectral_context,
                        build_vc_layout, filter_frequency_response,
                        min_norm_filter)
-from .transceiver import (FrameConfig, FrameSimulator, draw_noise_blocks,
+from .transceiver import (FrameConfig, FrameSimulator, _cp_insert, draw_noise_blocks,
                           pu_frequency_model, srx_frequency_model, stx_power_mc,
                           zero_noise)
 
@@ -144,17 +144,15 @@ def noise_path_identity_check(scenario, cfg, pre, n_frames, rng):
     symbols the model keeps H23 (A x1) (W v2) alone, which holds for any A."""
     layout, ctx = cfg.layout, cfg.ctx
     sim = FrameSimulator(cfg, pre)
-    zeros_pu = np.zeros(layout.q)
-    zeros_vc = np.zeros(layout.m_vc)
 
     def sample(n):
         sim.reset()
+        zeros_pu, zeros_vc = np.zeros((n, layout.q)), np.zeros((n, layout.m_vc))
         for _ in range(2):
             channels = draw_channels(scenario, cfg.specs, cfg.m, rng, batch=(n,))
             x1 = zmcscg(rng, (n, layout.n_sym))
             w_block = zmcscg(rng, (n, cfg.m), scenario.sigma2_v[2])
-            v2 = np.concatenate([w_block[:, -cfg.l_cp:], w_block], axis=-1)
-            noises = replace(zero_noise(cfg, (n,)), v2=v2)
+            noises = replace(zero_noise(cfg, (n,)), v2=_cp_insert(w_block, cfg.l_cp))
             trace = sim.step(channels, zeros_pu, x1, zeros_vc, noises)
         model = pu_frequency_model(channels, pre, layout, zeros_pu, x1, zeros_vc,
                                    v2_f=w_block @ ctx.w_dft.T)

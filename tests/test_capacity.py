@@ -275,6 +275,17 @@ class TestOutage:
         p_b, _ = outage_mc(scenario, a_1, 50_000, np.random.default_rng(5))
         assert p_a == p_b
 
+    @pytest.mark.parametrize("a", [-1.0, np.nan, np.inf])
+    def test_rejects_a_non_physical_weight(self, a):
+        # a = -1 once gave an outage frequency near 0.9 and NaN or inf gave
+        # (0.0, 0.0); now rejected before any draw
+        scenario = build_scenario(0.3, 1.0, 20.0, "pu")
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match=r"^used-subcarrier weight a must be finite "
+                                             r"and >= 0, got"):
+            outage_mc(scenario, a, 200, rng)
+        assert rng.standard_normal() == np.random.default_rng(5).standard_normal()
+
 
 class TestPrimaryCapacity:
     def test_silent_secondary_equals_direct_exactly(self, layout64):

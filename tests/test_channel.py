@@ -227,7 +227,7 @@ class TestLinkOutput:
     def full_batch(taps, offset, cur, prev):
         # one shift-and-add over the whole batch, without row passes
         p = cur.shape[-1]
-        stream = np.concatenate(np.broadcast_arrays(prev, cur), axis=-1)
+        stream = np.concatenate([prev, cur], axis=-1)
         out = taps[..., 0, None] * stream[..., p - offset:2 * p - offset]
         for ell in range(1, taps.shape[-1]):
             out += taps[..., ell, None] * stream[..., p - offset - ell:2 * p - offset - ell]
@@ -244,22 +244,29 @@ class TestLinkOutput:
         u_cur = zmcscg(rng, (n, p))
         assert np.array_equal(link_output(taps, theta, u_cur, u_prev),
                               self.full_batch(taps, theta, u_cur, u_prev))
-        # one frame, and one filter with a silent previous block over a batch
+        # one frame, and a silent previous block over a batch
         assert np.array_equal(link_output(taps[0], theta, u_cur[0], u_prev[0]),
                               self.full_batch(taps[0], theta, u_cur[0], u_prev[0]))
-        assert np.array_equal(link_output(taps[0], theta, u_cur),
-                              self.full_batch(taps[0], theta, u_cur, np.zeros(p)))
+        assert np.array_equal(link_output(taps, theta, u_cur),
+                              self.full_batch(taps, theta, u_cur, np.zeros_like(u_cur)))
 
-    def test_batch_axes_broadcast(self, monkeypatch):
-        p = 16
-        monkeypatch.setattr(convsup.channel, "_LINK_ROWS", 4)
-        rng = np.random.default_rng(6)
-        taps = zmcscg(rng, (3, 1, 4))
-        u_cur = zmcscg(rng, (5, p))
-        u_prev = zmcscg(rng, p)
-        got = link_output(taps, 2, u_cur, u_prev)
-        assert got.shape == (3, 5, p)
-        assert np.array_equal(got, self.full_batch(taps, 2, u_cur, u_prev))
+    @pytest.mark.parametrize("taps,cur,prev", [
+        ((3, 4), (5, 16), None),      # taps and block of two batches
+        ((4,), (5, 16), None),        # one filter over a batch
+        ((5, 4), (16,), None),        # a batch of filters over one block
+        ((5, 4), (5, 16), (16,)),     # one previous block under a batch
+        ((4,), (16,), (5, 16)),       # a one-frame step after a five-frame one
+        ((5, 4), (5, 16), (5, 17)),   # a previous block of another length
+    ])
+    def test_rejects_mismatched_batch_shapes(self, taps, cur, prev):
+        # one batch shape for taps, block and previous block, or a one-line
+        # ValueError that names the three shapes; nothing broadcasts
+        with pytest.raises(ValueError) as err:
+            link_output(np.ones(taps, dtype=complex), 2, np.ones(cur, dtype=complex),
+                        None if prev is None else np.ones(prev, dtype=complex))
+        message = str(err.value)
+        assert "\n" not in message
+        assert all(str(s) in message for s in (taps, cur, prev))
 
     def test_rejects_overlong_spread(self):
         with pytest.raises(ValueError):
@@ -295,6 +302,15 @@ class TestComplexGaussian:
             rest = np.random.default_rng(8)
             zmcscg(rest, shape, variance)
             assert np.array_equal(rest.standard_normal(5), rng.standard_normal(5))
+
+    @pytest.mark.parametrize("variance", [-1.0, np.nan, np.inf])
+    def test_zmcscg_rejects_a_non_physical_variance(self, variance):
+        # -1 and NaN once gave NaN samples and inf gave inf samples; now
+        # rejected before any normal is drawn
+        rng = np.random.default_rng(10)
+        with pytest.raises(ValueError, match=r"^variance must be finite and >= 0, got"):
+            zmcscg(rng, (3, 4), variance)
+        assert rng.standard_normal() == np.random.default_rng(10).standard_normal()
 
     @staticmethod
     def whole_size_draw(rng, shape, variance):

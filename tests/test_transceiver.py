@@ -385,6 +385,47 @@ class TestBatchedChain:
             want = stx_process(y2[i], x1[i], x2[i], pre, cfg)
             assert np.abs(batched[i] - want).max() <= 1e-12 * np.abs(want).max()
 
+    @staticmethod
+    def frame_inputs(scenario, cfg, rng, batch):
+        return (draw_channels(scenario, cfg.specs, cfg.m, rng, batch=batch),
+                zmcscg(rng, batch + (60,), scenario.p_pu), zmcscg(rng, batch + (7,)),
+                zmcscg(rng, batch + (4,)), draw_noise_blocks(cfg, scenario, rng, batch))
+
+    def test_a_step_keeps_the_batch_shape_until_reset(self, setup):
+        # a one-frame step after a three-frame step once returned three
+        # frames; it raises, and after reset the step is a fresh simulator's
+        scenario, cfg, pre = setup
+        rng = np.random.default_rng(20)
+        sim = FrameSimulator(cfg, pre)
+        sim.step(*self.frame_inputs(scenario, cfg, rng, (3,)))
+        one = self.frame_inputs(scenario, cfg, rng, ())
+        with pytest.raises(ValueError, match="do not share one batch shape") as err:
+            sim.step(*one)
+        assert "\n" not in str(err.value)
+        sim.reset()
+        got, want = sim.step(*one), FrameSimulator(cfg, pre).step(*one)
+        for name in ("z2_t", "y_pu_f", "y_su_f"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("batch,other", [((), (3,)), ((3,), ())])
+    @pytest.mark.parametrize("name", ["x_su_1", "x_su_2", "v2", "v3", "v4"])
+    def test_step_inputs_share_the_batch_shape(self, setup, name, batch, other):
+        # an input of another batch shape than x_pu's raises a one-line
+        # ValueError; each once broadcast, over the frames or into more
+        scenario, cfg, pre = setup
+        rng = np.random.default_rng(21)
+        ch, x_pu, x1, x2, noises = self.frame_inputs(scenario, cfg, rng, batch)
+        _, _, x1_other, x2_other, noises_other = self.frame_inputs(scenario, cfg, rng, other)
+        if name == "x_su_1":
+            x1 = x1_other
+        elif name == "x_su_2":
+            x2 = x2_other
+        else:
+            noises = replace(noises, **{name: getattr(noises_other, name)})
+        with pytest.raises(ValueError) as err:
+            FrameSimulator(cfg, pre).step(ch, x_pu, x1, x2, noises)
+        assert "\n" not in str(err.value)
+
     def test_noise_blocks_carry_the_batch_shape(self, setup):
         scenario, cfg, _ = setup
         noises = draw_noise_blocks(cfg, scenario, np.random.default_rng(19), (2, 3))
